@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
+from operator import mul
 
 from . import exact, lattice, rootgraph
 from .lattice import Lattice
@@ -265,14 +267,18 @@ class BlowupModel:
         return dict(self.roots)
 
     def __post_init__(self):
-        for name, b in self.boundaries:
-            if lattice.pairing(self.ambient, b, b) != -4:
+        nb = len(self.boundaries)
+        gram = lattice.gram_matrix(
+            self.ambient, [v for _, v in self.boundaries] + [v for _, v in self.roots]
+        )
+        for k, (name, _) in enumerate(self.boundaries):
+            if gram[k][k] != -4:
                 raise ValueError(f"boundary {name} does not have self-pairing -4")
-        for name, r in self.roots:
-            if lattice.pairing(self.ambient, r, r) != -2:
+        for k, (name, _) in enumerate(self.roots, start=nb):
+            if gram[k][k] != -2:
                 raise ValueError(f"root class {name} does not have self-pairing -2")
-            for bname, b in self.boundaries:
-                if lattice.pairing(self.ambient, r, b) != 0:
+            for m, (bname, _) in enumerate(self.boundaries):
+                if gram[k][m] != 0:
                     raise ValueError(f"root class {name} meets boundary {bname}")
 
 
@@ -473,46 +479,49 @@ class CobleMukaiLattice:
     lattice: Lattice
     basis: tuple[tuple[Fraction, ...], ...]
 
+    @cached_property
+    def _scaled_hnf(self) -> tuple[list[list[int]], int]:
+        rows, den = exact.integer_rows(self.basis)
+        return exact.hnf_rows(rows), den
+
     def contains(self, vec) -> bool:
-        coeffs = exact.solve_in_rows([list(b) for b in self.basis], list(vec))
-        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+        """Is vec an integer combination of the basis?  den*vec is reduced
+        against the integer HNF of den*basis."""
+        hnf, den = self._scaled_hnf
+        (row,), vec_den = exact.integer_rows([vec])
+        if den % vec_den:
+            return False
+        target = [x * (den // vec_den) for x in row]
+        return not any(exact.hnf_remainder(hnf, target))
 
 
 def coble_mukai(model: BlowupModel) -> CobleMukaiLattice:
     amb = model.ambient
     n = amb.rank
     betas = model.boundary_vectors()
+    beta_gram = lattice.gram_matrix(amb, betas)
     for a, b in combinations(range(len(betas)), 2):
-        if lattice.pairing(amb, betas[a], betas[b]) != 0:
+        if beta_gram[a][b] != 0:
             raise ValueError("boundary classes must be pairwise orthogonal")
     if not betas:
         basis = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
         return CobleMukaiLattice(lattice=amb, basis=basis)
+    beta_rows = [[int(c) for c in b] for b in betas]
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows += [[int(c) for c in b] for b in betas]  # beta = 2 * (beta/2), scaled like 2*I
-    ext_basis = [[Fraction(x, 2) for x in row] for row in exact.hnf_rows(rows)]
-    assert len(ext_basis) == n
-    g = amb.gram_rows()
-    constraints = []
-    for b in betas:
-        gb = exact.mat_vec(g, b)
-        row = [2 * sum(Fraction(e) * Fraction(c) for e, c in zip(ext_basis[j], gb)) for j in range(n)]
-        constraints.append([int(x) for x in row])
+    rows += beta_rows  # beta = 2 * (beta/2), scaled like 2*I
+    ext2 = exact.hnf_rows(rows)  # twice the basis of the half-boundary extension
+    if len(ext2) != n:
+        raise AssertionError("half-boundary extension does not have full rank")
+    # <2 * ext_j, beta> = 2 * <ext_j, beta>: integral constraints for beta-perp
+    constraints = lattice.gram_matrix(amb, beta_rows, ext2)
     kernel = exact.int_kernel(constraints)
-    basis = []
-    for coeffs in kernel:
-        v = [Fraction(0)] * n
-        for c, row in zip(coeffs, ext_basis):
-            for k in range(n):
-                v[k] += c * row[k]
-        basis.append(tuple(v))
-    gram = [[None] * len(basis) for _ in basis]
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            val = Fraction(lattice.pairing(amb, basis[i], basis[j]))
-            if val.denominator != 1:
-                raise ValueError("non-integral Gram: boundaries violate the half-class precondition")
-            gram[i][j] = int(val)
+    basis = [
+        tuple(Fraction(sum(map(mul, coeffs, col)), 2) for col in zip(*ext2))
+        for coeffs in kernel
+    ]
+    gram = lattice.gram_matrix(amb, basis)
+    if any(isinstance(x, Fraction) for row in gram for x in row):
+        raise ValueError("non-integral Gram: boundaries violate the half-class precondition")
     return CobleMukaiLattice(
         lattice=lattice.make_lattice(gram, name=f"CM({model.basis_labels[2][:1]}...)"),
         basis=tuple(basis),
@@ -528,15 +537,17 @@ class RealizationReport:
 
 
 def _minus_one_root_decomposition(model: BlowupModel, vec) -> bool:
-    """Is vec of the shape 2e + (beta + beta')/2 for an exceptional e?"""
-    amb_n = model.ambient.rank
-    exc_idx = {lab: model.basis_labels.index(lab) for lab in model.exceptional}
-    for (na, ba), (nb, bb) in combinations(model.boundaries, 2):
-        half = [(x + y) / 2 for x, y in zip(ba, bb)]
-        rest = [v - h for v, h in zip(vec, half)]
-        # rest must equal 2 * (a single exceptional basis vector)
-        nz = [k for k in range(amb_n) if rest[k] != 0]
-        if len(nz) == 1 and rest[nz[0]] == 2 and nz[0] in exc_idx.values():
+    """Is vec of the shape 2e + (beta + beta')/2 for an exceptional e?
+
+    Checked in integers scaled by the common denominator den of vec and the
+    boundaries: den * (2*vec - beta - beta') must be 4 * den * e.
+    """
+    exc_idx = {model.basis_labels.index(lab) for lab in model.exceptional}
+    (v, *betas), den = exact.integer_rows([vec] + model.boundary_vectors())
+    for ba, bb in combinations(betas, 2):
+        rest = [2 * x - y - z for x, y, z in zip(v, ba, bb)]
+        nz = [k for k, x in enumerate(rest) if x]
+        if len(nz) == 1 and rest[nz[0]] == 4 * den and nz[0] in exc_idx:
             return True
     return False
 
@@ -551,23 +562,25 @@ def verify_realization(graph: RootGraph, model: BlowupModel) -> RealizationRepor
     """
     failures = []
     rm = model.root_map()
-    amb = model.ambient
     for label in graph.labels:
         if label not in rm:
             failures.append(f"missing class for vertex {label}")
     if failures:
         return RealizationReport(ok=False, failures=tuple(failures))
-    for label in graph.labels:
-        v = rm[label]
-        if lattice.pairing(amb, v, v) != -2:
+    n = graph.n
+    gram = lattice.gram_matrix(
+        model.ambient, [rm[label] for label in graph.labels] + model.boundary_vectors()
+    )
+    for i, label in enumerate(graph.labels):
+        if gram[i][i] != -2:
             failures.append(f"{label}: self-pairing != -2")
-        for bname, b in model.boundaries:
-            if lattice.pairing(amb, v, b) != 0:
+        for k, (bname, _) in enumerate(model.boundaries, start=n):
+            if gram[i][k] != 0:
                 failures.append(f"{label}: not orthogonal to {bname}")
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
+    for i in range(n):
+        for j in range(i + 1, n):
             a, b = graph.labels[i], graph.labels[j]
-            got = lattice.pairing(amb, rm[a], rm[b])
+            got = gram[i][j]
             if got != graph.mult[i][j]:
                 failures.append(f"pair ({a}, {b}): model {got} != graph {graph.mult[i][j]}")
             if graph.kinds[i] != graph.kinds[j] and got % 2 != 0:

@@ -60,7 +60,10 @@ def _parse_glue(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vectors.append(tuple(Fraction(tok) for tok in chunk.replace(",", " ").split()))
+        try:
+            vectors.append(tuple(Fraction(tok) for tok in chunk.replace(",", " ").split()))
+        except ZeroDivisionError:
+            raise ValueError(f"glue vector has a zero denominator: {chunk!r}") from None
     if not vectors:
         raise ValueError("empty glue specification")
     return vectors

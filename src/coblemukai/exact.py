@@ -2,13 +2,17 @@
 
 Everything below runs on Python's arbitrary-precision integers and
 ``fractions.Fraction``; no floating point is used anywhere.  Matrices are
-plain lists of lists, vectors are tuples.
+plain lists of lists, vectors are tuples.  Rational vectors enter the hot
+paths as integer rows over one common denominator (``integer_rows``), and
+inertia is computed fraction-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 IntMatrix = list[list[int]]
 RatMatrix = list[list[Fraction]]
@@ -23,14 +27,14 @@ def transpose(m: list[list]) -> list[list]:
 
 
 def matmul(a: list[list], b: list[list]) -> list[list]:
-    if a and b:
-        assert len(a[0]) == len(b)
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matmul shape mismatch")
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(m: list[list], v) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def is_symmetric(m: list[list]) -> bool:
@@ -62,7 +66,8 @@ def det(m: list[list[int]]) -> int:
     n = len(m)
     if n == 0:
         return 1
-    assert all(len(row) == n for row in m)
+    if any(len(row) != n for row in m):
+        raise ValueError("det requires a square matrix")
     a = [[int(x) for x in row] for row in m]
     sign = 1
     prev = 1
@@ -178,11 +183,12 @@ def snf(m: list[list[int]]) -> SnfResult:
                 left[i][j] = -left[i][j]
     factors = tuple(a[i][i] for i in range(min(rows, cols)))
     check = matmul(matmul(left, [list(r) for r in m]), right)
-    assert all(
+    if not all(
         check[i][j] == (factors[i] if i == j and i < len(factors) else 0)
         for i in range(rows)
         for j in range(cols)
-    ), "SNF internal inconsistency"
+    ):
+        raise AssertionError("SNF internal inconsistency")
     return SnfResult(
         factors=factors,
         left=tuple(tuple(r) for r in left),
@@ -190,62 +196,76 @@ def snf(m: list[list[int]]) -> SnfResult:
     )
 
 
+def integer_rows(vectors) -> tuple[list[list[int]], int]:
+    """(rows, den) with rows integral and rows[i][j] / den == vectors[i][j].
+
+    ``den`` is the least common denominator of every entry (1 for integer
+    input); entries may be ints or Fractions.
+    """
+    vecs = [tuple(v) for v in vectors]
+    # a set, not a generator: star-expanding n*n entries churns tuple sizes
+    den = lcm(*{c.denominator for v in vecs for c in v})
+    return [[c.numerator * (den // c.denominator) for c in v] for v in vecs], den
+
+
 def rank_signature(m: list[list]) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric matrix, exactly.
 
-    Symmetric Gaussian congruence over the rationals.  Pivots prefer the
-    first nonzero diagonal entry; if the diagonal is exhausted, the first
-    nonzero off-diagonal entry is folded onto the diagonal (standard
-    completion), so no square roots are ever needed.
+    Fraction-free symmetric elimination.  Pivots prefer the first nonzero
+    diagonal entry; if the diagonal is exhausted, the first nonzero
+    off-diagonal entry is folded onto the diagonal (standard completion), so
+    no square roots are ever needed.  Eliminating a pivot p with row b
+    replaces the trailing block A by |p|*A - sign(p)*b*b^T, which is |p| times
+    the Schur complement, and then divides by the block's content; both are
+    positive rescalings, so every step is a congruence up to a positive factor.
     """
     n = len(m)
     if n == 0:
         return (0, 0, 0)
     if not is_symmetric(m):
         raise ValueError("rank_signature requires a symmetric matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    pos = neg = zero = 0
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][i] != 0:
-                piv = i
-                break
+    a, _ = integer_rows(m)
+    pos = neg = 0
+    while a:
+        size = len(a)
+        piv = next((i for i in range(size) if a[i][i]), None)
         if piv is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off is not None:
-                    break
+            off = next(
+                ((i, j) for i in range(size) for j in range(i + 1, size) if a[i][j]), None
+            )
             if off is None:
-                zero += n - k
                 break
             i, j = off
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
             for row in a:
-                row[k], row[piv] = row[piv], row[k]
-        p = a[k][k]
+                row[i] += row[j]
+            piv = i
+        if piv:
+            a[0], a[piv] = a[piv], a[0]
+            for row in a:
+                row[0], row[piv] = row[piv], row[0]
+        p = a[0][0]
         if p > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / p
-                for c in range(k, n):
-                    a[i][c] -= f * a[k][c]
-                for r in range(k, n):
-                    a[r][i] -= f * a[r][k]
-    return (pos, neg, zero)
+        scale, sign = abs(p), (1 if p > 0 else -1)
+        b = a[0][1:]
+        block = []
+        for bi, row in zip(b, a[1:]):
+            rest = row[1:]
+            if bi:
+                sb = sign * bi
+                block.append([scale * x - sb * y for x, y in zip(rest, b)])
+            else:
+                block.append([scale * x for x in rest])
+        content = 0
+        for row in block:
+            content = gcd(content, *row)
+        if content > 1:
+            block = [[x // content for x in row] for row in block]
+        a = block
+    return (pos, neg, n - pos - neg)
 
 
 def kernel_basis(m: list[list]) -> list[tuple[Fraction, ...]]:
@@ -336,6 +356,21 @@ def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:
             if q:
                 basis[i] = [a - q * b for a, b in zip(basis[i], basis[k])]
     return basis
+
+
+def hnf_remainder(basis: list[list[int]], v) -> list[int]:
+    """Remainder of the integer vector v modulo the lattice of ``basis``.
+
+    ``basis`` is a row echelon basis as returned by ``hnf_rows``; the
+    remainder is zero exactly when v lies in the lattice.
+    """
+    r = list(v)
+    for row in basis:
+        c = next(i for i, x in enumerate(row) if x)
+        q = r[c] // row[c]
+        if q:
+            r = [a - q * b for a, b in zip(r, row)]
+    return r
 
 
 def solve_in_rows(rows: list[list], target) -> tuple[Fraction, ...] | None:

@@ -90,11 +90,14 @@ def fibers_of(d: DiagramType) -> tuple[KodairaFiber, ...]:
         if d.index < 4:
             raise ValueError("affine D needs index >= 4")
         return (KodairaFiber("I*", d.index - 4),)
-    return {
+    fibers = {
         6: (KodairaFiber("IV*"),),
         7: (KodairaFiber("III*"),),
         8: (KodairaFiber("II*"),),
-    }[d.index]
+    }.get(d.index)
+    if fibers is None:
+        raise ValueError(f"no Kodaira fiber has diagram {d}")
+    return fibers
 
 
 def _row(*tokens):

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import exact
 
@@ -43,12 +44,33 @@ def make_lattice(gram: list[list[int]], name: str | None = None) -> Lattice:
     return Lattice(gram=tuple(tuple(int(x) for x in row) for row in gram), name=name)
 
 
-def pairing(lat: Lattice, x: Vector, y: Vector):
-    if len(x) != lat.rank or len(y) != lat.rank:
+def gram_matrix(lat: Lattice, vectors, others=None) -> list[list]:
+    """Pairings <v_i, w_j> of rational vectors as one integer matrix product.
+
+    Each list is scaled once to integer rows over its common denominator,
+    V*G*W^T is formed over the integers and divided by the two denominators.
+    An entry is an int when it is integral and a Fraction otherwise.  Without
+    ``others`` this is the Gram matrix of ``vectors``.
+    """
+    rows, den = exact.integer_rows(vectors)
+    cols, col_den = (rows, den) if others is None else exact.integer_rows(others)
+    n = lat.rank
+    if any(len(v) != n for v in rows) or any(len(w) != n for w in cols):
         raise ValueError("vector length does not match lattice rank")
-    return sum(
-        x[i] * lat.gram[i][j] * y[j] for i in range(lat.rank) for j in range(lat.rank)
-    )
+    scale = den * col_den
+    out = []
+    for v in rows:
+        vg = [sum(map(mul, v, col)) for col in lat.gram]  # G is symmetric
+        row = []
+        for w in cols:
+            num = sum(map(mul, vg, w))
+            row.append(num // scale if num % scale == 0 else Fraction(num, scale))
+        out.append(row)
+    return out
+
+
+def pairing(lat: Lattice, x: Vector, y: Vector):
+    return gram_matrix(lat, [x], [y])[0][0]
 
 
 def det(lat: Lattice) -> int:
@@ -166,7 +188,8 @@ def _frac_mod1(v) -> tuple[Fraction, ...]:
 
 
 def _in_dual(lat: Lattice, x: Vector) -> bool:
-    return all(Fraction(p).denominator == 1 for p in exact.mat_vec(lat.gram_rows(), x))
+    (row,), den = exact.integer_rows([x])
+    return all(sum(map(mul, col, row)) % den == 0 for col in lat.gram)
 
 
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
@@ -180,11 +203,13 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     for i, di in enumerate(res.factors):
         if di > 1:
             lift = _frac_mod1(Fraction(res.right[r][i], di) for r in range(n))
-            assert _in_dual(lat, lift)
+            if not _in_dual(lat, lift):
+                raise AssertionError("discriminant generator lift is not in the dual lattice")
             factors.append(di)
             lifts.append(lift)
     group = DiscriminantGroup(tuple(factors), tuple(lifts))
-    assert group.order == abs(d)
+    if group.order != abs(d):
+        raise AssertionError("discriminant group order does not match |det|")
     return group
 
 
@@ -247,14 +272,11 @@ def overlattice(lat: Lattice, glue) -> Lattice:
         if disc_q(lat, h) != 0:
             raise ValueError(f"glue subgroup is not isotropic at {h}")
     n = lat.rank
-    den = 1
-    for h in subgroup:
-        for c in h:
-            den = den * c.denominator // gcd(den, c.denominator)
-    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    rows += [[int(c * den) for c in h] for h in sorted(subgroup)]
+    glue_rows, den = exact.integer_rows(sorted(subgroup))
+    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)] + glue_rows
     basis = [[Fraction(x, den) for x in row] for row in exact.hnf_rows(rows)]
-    assert len(basis) == n
+    if len(basis) != n:
+        raise AssertionError("overlattice basis does not have full rank")
     gram = _basis_gram(lat, basis)
     out = make_lattice(gram)
     if not is_even(out):
@@ -267,14 +289,9 @@ def overlattice(lat: Lattice, glue) -> Lattice:
 
 
 def _basis_gram(lat: Lattice, basis) -> list[list[int]]:
-    k = len(basis)
-    g = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            v = Fraction(pairing(lat, basis[i], basis[j]))
-            if v.denominator != 1:
-                raise ValueError("non-integral pairing in constructed basis")
-            g[i][j] = int(v)
+    g = gram_matrix(lat, basis)
+    if any(isinstance(x, Fraction) for row in g for x in row):
+        raise ValueError("non-integral pairing in constructed basis")
     return g
 
 
@@ -295,7 +312,8 @@ def _check_overlattice_disc_form(lat: Lattice, over: Lattice, subgroup) -> None:
         cosets.setdefault(key, x)
     glued_vals = sorted(disc_q(lat, x) for x in cosets.values())
     over_vals = _disc_q_values(over)
-    assert glued_vals == over_vals, "discriminant form of overlattice does not match H-perp/H"
+    if glued_vals != over_vals:
+        raise AssertionError("discriminant form of overlattice does not match H-perp/H")
 
 
 # --- mod-2 quadratic form on K/2K ----------------------------------------
@@ -402,10 +420,13 @@ def _gf2_span(gens: list[int]) -> list[int]:
 def half_overlattice(lat: Lattice, h_gens) -> Lattice:
     """K_H = {x in K (x) Q : 2x in H} for an isotropic H in K/2K.
 
-    ``h_gens`` are 0/1 coefficient vectors.  The result is integral whenever
-    H also lies in the kernel of f (true for every subgroup of the q-kernel);
-    otherwise a non-integral pairing is reported.  The result need not be
-    even: norm -1 vectors are allowed.
+    ``h_gens`` are 0/1 coefficient vectors.  For h in the kernel of f the
+    pairings <h/2, K> are integral, and q(h) = 0 makes <h/2, h/2> integral;
+    but a cross pairing <h/2, h'/2> = <h, h'>/4 is integral only when
+    <h, h'> is 0 mod 4, which isotropy does not force.  So a full q-kernel
+    can be refused with "non-integral pairing in constructed basis": D4,
+    A1+A1+A1 and A1+A1+A1+A1 are, while E8+A1+A1 is accepted.  The result
+    need not be even: norm -1 vectors are allowed.
     """
     if not is_even(lat):
         raise ValueError("half-integer overlattice requires an even lattice")
@@ -423,7 +444,8 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     rows += [[v >> i & 1 for i in range(n)] for v in span if v]
     basis = [[Fraction(x, 2) for x in row] for row in exact.hnf_rows(rows)]
-    assert len(basis) == n
+    if len(basis) != n:
+        raise AssertionError("half-overlattice basis does not have full rank")
     gram = _basis_gram(lat, basis)  # raises on non-integral pairing
     out = make_lattice(gram)
     index = len(span)
@@ -439,14 +461,13 @@ def orth_complement(lat: Lattice, vectors) -> Lattice:
     vecs = [tuple(v) for v in vectors]
     if not vecs:
         return lat
-    g = lat.gram_rows()
+    ints, den = exact.integer_rows(vecs)
     rows = []
-    for v in vecs:
-        row = [Fraction(sum(Fraction(v[i]) * g[i][j] for i in range(lat.rank))) for j in range(lat.rank)]
-        den = 1
-        for c in row:
-            den = den * c.denominator // gcd(den, c.denominator)
-        rows.append([int(c * den) for c in row])
+    for v in ints:
+        # G*v = w/den, and w/gcd(den, w) is G*v times its least common denominator
+        w = [sum(map(mul, col, v)) for col in lat.gram]
+        c = gcd(den, *w)
+        rows.append([x // c for x in w])
     kernel = exact.int_kernel(rows)
     gram = _basis_gram(lat, [list(b) for b in kernel])
     return make_lattice(gram)

@@ -263,8 +263,8 @@ def classify(g: RootGraph, subset) -> DiagramType | None:
     """Classify a connected induced subdiagram as definite ADE, affine, or none.
 
     The shape rules are cross-checked against the exact inertia of the
-    induced Gram matrix; a mismatch would mean a corrupt classifier and is
-    asserted away rather than returned.
+    induced Gram matrix; a mismatch would mean a corrupt classifier and
+    raises AssertionError rather than being returned.
     """
     idx = sorted({g.index(l) for l in subset})
     if not idx:
@@ -273,13 +273,15 @@ def classify(g: RootGraph, subset) -> DiagramType | None:
     gram = [[-2 if i == j else g.mult[i][j] for j in idx] for i in idx]
     pos, neg, zero = exact.rank_signature(gram)
     if got is None:
-        assert pos > 0 or zero >= 2, "unrecognized negative semidefinite diagram"
+        if not (pos > 0 or zero >= 2):
+            raise AssertionError("unrecognized negative semidefinite diagram")
         return None
     affine, typ = got
     if affine:
-        assert (pos, neg, zero) == (0, len(idx) - 1, 1), f"bad affine shape {typ}"
-    else:
-        assert (pos, neg, zero) == (0, len(idx), 0), f"bad definite shape {typ}"
+        if (pos, neg, zero) != (0, len(idx) - 1, 1):
+            raise AssertionError(f"bad affine shape {typ}")
+    elif (pos, neg, zero) != (0, len(idx), 0):
+        raise AssertionError(f"bad definite shape {typ}")
     return typ
 
 
@@ -365,6 +367,9 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
     for root in range(n):
         ext0 = [u for u in range(root + 1, n) if both[root] >> u & 1]
         extend([root], 1 << root, ext0, both[root])
+    # A recursive closure references itself through its cell; deleting it
+    # frees what it captured now instead of at the next cyclic GC pass.
+    del extend
 
     out = []
     for mask, typ in found:
@@ -375,9 +380,8 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
     for labels, typ in out:
         idx = [g.index(l) for l in labels]
         gram = [[-2 if a == b else g.mult[a][b] for b in idx] for a in idx]
-        assert exact.rank_signature(gram) == (0, len(idx) - 1, 1), (
-            f"component {labels} misclassified as {typ}"
-        )
+        if exact.rank_signature(gram) != (0, len(idx) - 1, 1):
+            raise AssertionError(f"component {labels} misclassified as {typ}")
     return out
 
 
@@ -445,6 +449,7 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
                 dfs(i + 1, chosen + [i], allowed & compat[i], total + ranks[i])
 
     dfs(0, [], (1 << k) - 1, 0)
+    del dfs  # see connected_parabolics
     results.sort(key=lambda p: p.components)
     return results
 
@@ -546,6 +551,7 @@ def span_det(g: RootGraph) -> int:
                 dfs(i + 1, cand, len(sub))
 
     dfs(0, [], 1)
+    del dfs  # see connected_parabolics
     if best_order == 1:
         return d
     return _lat.det(_lat.overlattice(span, best_gens))
@@ -634,6 +640,7 @@ def automorphisms(g: RootGraph):
                 image[v] = -1
 
     assign(0)
+    del assign  # see connected_parabolics
     autos.sort()
     identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
@@ -649,7 +656,8 @@ def automorphisms(g: RootGraph):
                     if y not in closure:
                         closure.add(y)
                         frontier.append(y)
-    assert len(closure) == len(autos)
+    if len(closure) != len(autos):
+        raise AssertionError("automorphism generators do not close to the listed group")
     return (len(autos), gens)
 
 

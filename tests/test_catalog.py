@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from coblemukai import catalog, lattice, rootgraph
+from coblemukai import catalog, exact, lattice, rootgraph
 from coblemukai.catalog import (
     build_graph,
     build_model,
@@ -175,6 +176,47 @@ def test_coble_mukai_contains_all_roots():
         cm = coble_mukai(model)
         for _, v in model.roots:
             assert cm.contains(v)
+
+
+@pytest.mark.parametrize("name", ["MI", "MII"])
+def test_coble_mukai_contains_matches_solve_in_rows(name):
+    # contains reduces against an integer HNF; the definition is an integral
+    # solution of the rational linear system in the basis rows
+    model = build_model(name)
+    cm = coble_mukai(model)
+    basis = [list(b) for b in cm.basis]
+    n = model.ambient.rank
+    rng = random.Random(17)
+    probes = [v for _, v in model.roots] + [v for _, v in model.boundaries]
+    for _ in range(40):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        member = [sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(n)]
+        probes.append(tuple(member))
+        # nudging one coordinate by 1/2 or 1 usually leaves the lattice
+        k = rng.randrange(n)
+        probes.append(tuple(x + (Fraction(1, 2) if i == k else 0) for i, x in enumerate(member)))
+        probes.append(tuple(x + (1 if i == k else 0) for i, x in enumerate(member)))
+        probes.append(tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(n)))
+        probes.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+    probes.append(tuple(Fraction(1, 3) for _ in range(n)))
+    verdicts = []
+    for v in probes:
+        sol = exact.solve_in_rows(basis, list(v))
+        want = sol is not None and all(c.denominator == 1 for c in sol)
+        assert cm.contains(v) == want, v
+        verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("name", ["MI", "MII"])
+def test_minus_one_root_shape_is_twice_an_exceptional_class(name):
+    model = build_model(name)
+    b, bp = model.boundary_vectors()[:2]
+    half = [(x + y) / 2 for x, y in zip(b, bp)]
+    for idx, coef, want in ((5, 2, True), (5, 1, False), (5, 4, False), (5, -2, False), (0, 2, False)):
+        v = list(half)
+        v[idx] += coef
+        assert catalog._minus_one_root_decomposition(model, tuple(v)) is want, (idx, coef)
 
 
 def test_coble_mukai_no_boundaries_is_ambient():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -146,3 +147,54 @@ def test_graph_maximal_json_lists_subdiagrams():
     payload = json.loads(out)["payload"]
     assert payload["count"] == len(payload["subdiagrams"])
     assert any(any(c.startswith("E~8:") for c in p) for p in payload["subdiagrams"])
+
+
+def test_glue_zero_denominator_exit_2():
+    code, out, err = run(["lattice", "overlattice", "A1", "--glue", "1/0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_fiber_candidates_unknown_affine_type_exit_2():
+    for diagram in ("E~9", "E~5"):
+        code, out, err = run(["fiber", "candidates", diagram])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+# sha256 of `coblemukai catalog check X` stdout, text then --json, as produced
+# by the Fraction-based implementation the integer core replaced
+CATALOG_CHECK_SHA256 = {
+    "I": (
+        "0441eed145d829be48d35aef9c031984f1ec28848e0a8e9f25dd73182a6a0033",
+        "c347e57ecbdf375bce10ee8db923c1fd1d91b44d3baf9e57da7fee9cbdff2e3f",
+    ),
+    "II": (
+        "4fb12680304b36359565b7b61bfa99c5b809628cc64b34cdaf9925ba07bfc499",
+        "d8b508f7a656081e62086b6a8b1ce5b6527e6e42e6c4980d6d12970fdf5f1e9b",
+    ),
+    "VI": (
+        "49ba67f6a1b09e5bac2bacb7ddc12180f361f5adf2b78d48f6e44cfad3fbae6a",
+        "d38dd137b0bccc97ebb3d6825b10dabf7f16bb451b72ebb394073145c0f8660f",
+    ),
+    "MI": (
+        "e409a1d71275b009cba6a173564bc1ad30adee8c36def93a67bd376ac4bb39d0",
+        "384a2a8b77cef30cccd259b31609efd967e2b87066d5e838b5549b914ef7199e",
+    ),
+    "MII": (
+        "64c4acefceb278dd06ebc1c1238fa1ff086cf0f1274438218da051bc55420a8c",
+        "8d05d724309f5b291ad659682cf3e85f8026b15302f457674ca623191b5e4d60",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_CHECK_SHA256))
+def test_catalog_check_stdout_pinned(name):
+    text_sha, json_sha = CATALOG_CHECK_SHA256[name]
+    for argv, want in ((["catalog", "check", name], text_sha),
+                       (["catalog", "check", name, "--json"], json_sha)):
+        code, out, _ = run(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv

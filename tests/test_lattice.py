@@ -239,6 +239,25 @@ def test_half_overlattice_two_generator_integral_case():
     assert not lattice.is_even(out)
 
 
+@pytest.mark.parametrize("spec", ["D4", "A1+A1+A1", "A1+A1+A1+A1"])
+def test_half_overlattice_refuses_full_q_kernel(spec):
+    # two kernel classes pairing to 2 mod 4 make <h/2, h'/2> half-integral
+    k = make_named(spec)
+    _, _, basis = lattice.mod2_nullity(k)
+    with pytest.raises(ValueError, match="non-integral pairing in constructed basis"):
+        lattice.half_overlattice(k, basis)
+
+
+def test_half_overlattice_accepts_e8a1a1_q_kernel():
+    k = make_named("E8+A1+A1")
+    nullity, _, basis = lattice.mod2_nullity(k)
+    assert nullity == 1
+    out = lattice.half_overlattice(k, basis)
+    assert out.rank == 10
+    assert lattice.det(out) * 4 == lattice.det(k)
+    assert not lattice.is_even(out)
+
+
 def test_half_overlattice_rejects_non_isotropic():
     k = make_named("A1+A1")
     with pytest.raises(ValueError):

@@ -110,3 +110,65 @@ def test_automorphisms_match_permutation_oracle():
             ):
                 brute += 1
         assert rootgraph.automorphisms(g)[0] == brute, trial
+
+
+def sympy_inertia(m):
+    """(positive, negative, zero) eigenvalue counts from the characteristic
+    polynomial: it is real-rooted for a symmetric matrix, so Descartes' rule
+    of signs counts its positive and negative roots exactly."""
+    import sympy
+
+    coeffs = sympy.Matrix(m).charpoly().all_coeffs()  # leading coefficient first
+    zero = 0
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    degree = len(coeffs) - 1
+    flipped = [c * (-1) ** (degree - k) for k, c in enumerate(coeffs)]  # p(-x)
+    return (sign_changes(coeffs), sign_changes(flipped), zero)
+
+
+def random_symmetric(rng, n, lo=-4, hi=4, zero_diagonal=False):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            m[i][j] = m[j][i] = rng.randint(lo, hi)
+    return m
+
+
+def test_rank_signature_matches_sympy_inertia():
+    rng = random.Random(2024)
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        m = random_symmetric(rng, n, zero_diagonal=trial % 3 == 0)
+        assert exact.rank_signature(m) == sympy_inertia(m), m
+
+
+def test_rank_signature_matches_sympy_inertia_on_singular_congruences():
+    # B^T D B with fewer rows than columns is singular, and a zero-diagonal D
+    # sends the elimination through the off-diagonal fold
+    rng = random.Random(5)
+    for trial in range(60):
+        n = rng.randint(2, 7)
+        k = rng.randint(1, n - 1)
+        d = random_symmetric(rng, k, zero_diagonal=trial % 2 == 0)
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        m = exact.matmul(exact.matmul(exact.transpose(b), d), b)
+        assert exact.rank_signature(m) == sympy_inertia(m), m
+
+
+def test_rank_signature_fold_path_examples():
+    # hyperbolic planes and their sums have an all-zero diagonal
+    h = [[0, 1], [1, 0]]
+    assert exact.rank_signature(h) == sympy_inertia(h) == (1, 1, 0)
+    hh = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]]
+    assert exact.rank_signature(hh) == sympy_inertia(hh) == (2, 2, 0)
+    z = [[0, 2, 0], [2, 0, 0], [0, 0, 0]]
+    assert exact.rank_signature(z) == sympy_inertia(z) == (1, 1, 1)

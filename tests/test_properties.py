@@ -8,6 +8,42 @@ from hypothesis import strategies as st
 from coblemukai import lattice, rootgraph
 from coblemukai.lattice import make_named
 
+
+@st.composite
+def lattice_and_vectors(draw):
+    """A random symmetric Gram matrix and two lists of rational vectors whose
+    entries have denominators 1, 2 or 3."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-5, max_value=5)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(entry)
+    coord = st.builds(Fraction, st.integers(min_value=-7, max_value=7), st.sampled_from([1, 2, 3]))
+    vectors = st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4)
+    return lattice.make_lattice(gram), draw(vectors), draw(vectors)
+
+
+def defining_sum(lat, x, y):
+    n = lat.rank
+    return sum(Fraction(x[i]) * lat.gram[i][j] * Fraction(y[j]) for i in range(n) for j in range(n))
+
+
+@given(lattice_and_vectors())
+@settings(max_examples=150)
+def test_gram_matrix_equals_defining_sum(case):
+    lat, xs, ys = case
+    gram = lattice.gram_matrix(lat, xs)
+    cross = lattice.gram_matrix(lat, xs, ys)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            want = defining_sum(lat, x, y)
+            assert cross[i][j] == want == lattice.pairing(lat, x, y)
+            # integral entries come back as plain ints
+            assert isinstance(cross[i][j], int) == (want.denominator == 1)
+        for j, y in enumerate(xs):
+            assert gram[i][j] == defining_sum(lat, x, y)
+
 NAMES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8", "U"]
 
 

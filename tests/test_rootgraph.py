@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coblemukai
 from coblemukai import rootgraph
 from coblemukai.rootgraph import (
     DiagramType,
@@ -300,3 +305,31 @@ def catalog_graph_i():
 def test_classify_tolerates_duplicate_labels():
     g = cycle_graph(3)
     assert classify(g, ["v0", "v1", "v2", "v0"]) == DiagramType("A", 2, True)
+
+
+LYING_INERTIA_SCRIPT = """
+import sys
+from coblemukai import catalog, exact, rootgraph
+if __debug__:
+    sys.exit("not running under -O")
+exact.rank_signature = lambda m: (0, len(m), 0)  # claims every block is definite
+try:
+    rootgraph.connected_parabolics(catalog.build_graph("I"))
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("self-check did not fire")
+"""
+
+
+def test_parabolic_self_check_survives_python_O():
+    src = str(Path(coblemukai.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_INERTIA_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: component")
