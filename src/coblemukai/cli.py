@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -184,10 +185,9 @@ def _cmd_lattice(args, out) -> int:
             index = 1 << len(basis)
             kind = "half-integer overlattice along the full q-kernel"
         elif args.glue:
-            glue = _parse_glue(args.glue)
-            sub = lattice._coset_span(lat, glue)
-            over = lattice.overlattice(lat, glue)
-            index = len(sub)
+            over = lattice.overlattice(lat, _parse_glue(args.glue))
+            # overlattice checks det(L) == det(L') * index^2
+            index = math.isqrt(lattice.det(lat) // lattice.det(over))
             kind = "overlattice along isotropic glue"
         else:
             raise ValueError("overlattice needs --glue VECTORS or --half-kernel")

@@ -201,6 +201,8 @@ def admissible_assignments(types, char_class: str = "generic"):
     comps = [t if isinstance(t, DiagramType) else parse_diagram(t) for t in types]
     results = set()
     choices = [fibers_of(t) for t in comps]
+    if len(comps) > MAX_FIBERS:
+        return []  # every component takes a fiber of its own
     for picked in product(*choices):
         base = tuple(sorted(picked))
         room = MAX_FIBERS - len(base)

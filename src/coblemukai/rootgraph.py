@@ -146,7 +146,11 @@ def parse_diagram(token: str) -> DiagramType:
     t = t.replace("~", "")
     if len(t) < 2 or t[0] not in "ADE" or not t[1:].isdigit():
         raise ValueError(f"bad diagram token: {token!r}")
-    return DiagramType(family=t[0], index=int(t[1:]), affine=affine)
+    family, index = t[0], int(t[1:])
+    # the same bounds as the root lattices of lattice.make_named
+    if not {"A": index >= 1, "D": index >= 4, "E": index in (6, 7, 8)}[family]:
+        raise ValueError(f"no diagram {token.strip()!r}: A needs index >= 1, D >= 4, E 6, 7 or 8")
+    return DiagramType(family=family, index=index, affine=affine)
 
 
 def _type_sort_key(t: DiagramType):
@@ -217,46 +221,47 @@ def _classify_tree(members, adj):
     return None
 
 
+def _classify_shape(idx, single, double):
+    """(is_affine, DiagramType) for a connected vertex list, or None.
+
+    ``single[v]`` and ``double[v]`` are bitmasks of the neighbors of v along
+    edges of multiplicity 1 and 2; edges of higher multiplicity must already
+    have been ruled out.  This is the one place that decides ADE/affine shape.
+    """
+    mask = doubled = 0
+    for v in idx:
+        mask |= 1 << v
+        doubled |= double[v]
+    k = len(idx)
+    if doubled & mask:
+        return (True, DiagramType("A", 1, True)) if k == 2 else None
+    degrees = [(single[v] & mask).bit_count() for v in idx]
+    edges = sum(degrees) // 2
+    if edges == k and all(d == 2 for d in degrees):
+        return (True, DiagramType("A", k - 1, True))
+    if edges != k - 1:
+        return None
+    return _classify_tree(idx, {v: [u for u in idx if single[v] >> u & 1] for v in idx})
+
+
 def _classify_indices(g: RootGraph, idx: list[int]):
     """(is_affine, DiagramType) for a connected induced subset, or None."""
-    k = len(idx)
-    pair_mults = [
-        (g.mult[a][b], a, b) for ai, a in enumerate(idx) for b in idx[ai + 1 :]
-    ]
     # connectivity under any positive multiplicity
-    conn = {v: [] for v in idx}
-    for m, a, b in pair_mults:
-        if m:
-            conn[a].append(b)
-            conn[b].append(a)
+    near = {a: [b for b in idx if g.mult[a][b]] for a in idx}
     seen = {idx[0]}
     stack = [idx[0]]
     while stack:
-        v = stack.pop()
-        for u in conn[v]:
+        for u in near[stack.pop()]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    if len(seen) != k:
+    if len(seen) != len(idx):
         raise ValueError("subset does not induce a connected subgraph")
-    if any(m >= 3 for m, _, _ in pair_mults):
+    if any(g.mult[a][b] >= 3 for a in idx for b in idx):
         return None
-    if any(m == 2 for m, _, _ in pair_mults):
-        if k == 2:
-            return (True, DiagramType("A", 1, True))
-        return None
-    adj = {v: [] for v in idx}
-    edges = 0
-    for m, a, b in pair_mults:
-        if m == 1:
-            adj[a].append(b)
-            adj[b].append(a)
-            edges += 1
-    if edges == k - 1:
-        return _classify_tree(idx, adj)
-    if edges == k and all(len(adj[v]) == 2 for v in idx):
-        return (True, DiagramType("A", k - 1, True))
-    return None
+    single = {a: sum(1 << b for b in idx if g.mult[a][b] == 1) for a in idx}
+    double = {a: sum(1 << b for b in idx if g.mult[a][b] == 2) for a in idx}
+    return _classify_shape(idx, single, double)
 
 
 def classify(g: RootGraph, subset) -> DiagramType | None:
@@ -287,24 +292,21 @@ def classify(g: RootGraph, subset) -> DiagramType | None:
 
 # --- connected parabolic enumeration ----------------------------------------
 
-def _check_mult_bound(g: RootGraph):
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.mult[i][j] >= 3:
-                raise ValueError(
-                    "edge multiplicity >= 3: Vinberg's criterion hypothesis fails"
-                )
-
-
 def _adjacency_masks(g: RootGraph):
+    """Neighbor bitmasks along edges of multiplicity 1, 2 and either."""
     single = [0] * g.n
     double = [0] * g.n
     for i in range(g.n):
         for j in range(g.n):
-            if g.mult[i][j] == 1:
+            m = g.mult[i][j]
+            if m == 1:
                 single[i] |= 1 << j
-            elif g.mult[i][j] == 2:
+            elif m == 2:
                 double[i] |= 1 << j
+            elif m >= 3:
+                raise ValueError(
+                    "edge multiplicity >= 3: Vinberg's criterion hypothesis fails"
+                )
     both = [s | d for s, d in zip(single, double)]
     return single, double, both
 
@@ -316,32 +318,10 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
     soon as a subset stops being a definite ADE diagram: proper connected
     induced subsets of affine diagrams are definite, so nothing is missed.
     """
-    _check_mult_bound(g)
     n = g.n
     single, double, both = _adjacency_masks(g)
     max_size = n if max_rank is None else min(n, max_rank + 1)
     found: list[tuple[int, DiagramType]] = []
-
-    def tree_or_cycle(members, mask, v):
-        # members: current definite subset (single edges only); v: new vertex
-        if double[v] & mask:
-            if len(members) == 1 and double[v] & mask == mask:
-                return (True, DiagramType("A", 1, True))
-            return None
-        new = members + [v]
-        adj = {u: [] for u in new}
-        for ai, a in enumerate(new):
-            for b in new[ai + 1 :]:
-                if single[a] >> b & 1:
-                    adj[a].append(b)
-                    adj[b].append(a)
-        k = len(new)
-        edges = sum(len(adj[u]) for u in new) // 2
-        if edges == k - 1:
-            return _classify_tree(new, adj)
-        if edges == k and all(len(adj[u]) == 2 for u in new):
-            return (True, DiagramType("A", k - 1, True))
-        return None
 
     def extend(members, mask, ext, nbhd):
         queue = list(ext)
@@ -350,7 +330,8 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
             size = len(members) + 1
             if size > max_size:
                 continue
-            got = tree_or_cycle(members, mask, v)
+            new = members + [v]
+            got = _classify_shape(new, single, double)
             if got is None:
                 continue
             affine, typ = got
@@ -362,7 +343,7 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
             fresh = both[v] & ~nbhd & ~(mask | 1 << v)
             fresh &= ~((1 << (members[0] + 1)) - 1)  # only vertices > root
             add = [u for u in range(n) if fresh >> u & 1]
-            extend(members + [v], mask | 1 << v, queue + add, nbhd | both[v])
+            extend(new, mask | 1 << v, queue + add, nbhd | both[v])
 
     for root in range(n):
         ext0 = [u for u in range(root + 1, n) if both[root] >> u & 1]
@@ -398,8 +379,7 @@ class ParabolicSubdiagram:
         return multiset_str([t for _, t in self.components])
 
 
-def _candidate_masks(g: RootGraph, cps):
-    _, _, both = _adjacency_masks(g)
+def _candidate_masks(g: RootGraph, cps, both):
     masks = []
     closed = []
     for labels, _ in cps:
@@ -415,15 +395,23 @@ def _candidate_masks(g: RootGraph, cps):
     return masks, closed
 
 
-def maximal_parabolics(g: RootGraph, target_rank: int):
+def maximal_parabolics(g: RootGraph, target_rank: int, cps=None):
     """All parabolic subdiagrams of rank exactly target_rank.
 
     Exact backtracking packing of the connected parabolics; components must
     be pairwise disjoint and orthogonal.  Output is deduplicated and sorted
-    by component label lists.
+    by component label lists.  ``cps`` is the full output of
+    ``connected_parabolics(g)`` when the caller already has it; only its
+    components of rank at most target_rank are used.
     """
-    cps = [c for c in connected_parabolics(g, max_rank=target_rank)]
-    masks, closed = _candidate_masks(g, cps)
+    if target_rank < 0:
+        raise ValueError(f"target rank must be >= 0, got {target_rank}")
+    _, _, both = _adjacency_masks(g)
+    if cps is None:
+        cps = connected_parabolics(g, max_rank=target_rank)
+    else:
+        cps = [c for c in cps if c[1].rank <= target_rank]
+    masks, closed = _candidate_masks(g, cps, both)
     k = len(cps)
     compat = []
     for i in range(k):
@@ -472,7 +460,7 @@ def vinberg_check(g: RootGraph, target_rank: int | None = None) -> VinbergReport
         rank, _ = span_check(g)
         target_rank = rank - 2
     cps = connected_parabolics(g)
-    packs = maximal_parabolics(g, target_rank)
+    packs = maximal_parabolics(g, target_rank, cps)
     used = {comp for p in packs for comp in p.components}
     witnesses = tuple(c for c in cps if c not in used)
     return VinbergReport(
@@ -748,16 +736,22 @@ def load_graph_file(path: str) -> RootGraph:
         return parse_graph_text(fh.read())
 
 
+def _dot_id(text: str) -> str:
+    """A DOT quoted string; backslash and double quote are escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: RootGraph) -> str:
     """DOT text; multiplicity-m edges become m parallel edge statements and
     the vertex kind picks the node shape (curve: circle, root: doublecircle)."""
-    out = [f'graph "{g.name}" {{']
-    for label, kind in zip(g.labels, g.kinds):
+    ids = [_dot_id(label) for label in g.labels]
+    out = [f"graph {_dot_id(g.name)} {{"]
+    for ident, kind in zip(ids, g.kinds):
         shape = "doublecircle" if kind == KIND_ROOT else "circle"
-        out.append(f'  "{label}" [shape={shape}];')
+        out.append(f"  {ident} [shape={shape}];")
     for i in range(g.n):
         for j in range(i + 1, g.n):
             for _ in range(g.mult[i][j]):
-                out.append(f'  "{g.labels[i]}" -- "{g.labels[j]}";')
+                out.append(f"  {ids[i]} -- {ids[j]};")
     out.append("}")
     return "\n".join(out) + "\n"

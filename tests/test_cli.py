@@ -1,8 +1,12 @@
 import hashlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coblemukai import cli, rootgraph
 
@@ -44,7 +48,10 @@ def test_lattice_disc():
 def test_lattice_overlattice_glue():
     code, out, _ = run(["lattice", "overlattice", "U(2)", "--glue", "1/2,0"])
     assert code == 0
-    assert "det: -1" in out
+    assert "index: 2" in out and "det: -1" in out
+    code, out, _ = run(["lattice", "overlattice", "U(4)", "--glue", "1/4,0"])
+    assert code == 0
+    assert "index: 4" in out and "det: -1" in out
 
 
 def test_lattice_overlattice_half_kernel():
@@ -157,11 +164,109 @@ def test_glue_zero_denominator_exit_2():
 
 
 def test_fiber_candidates_unknown_affine_type_exit_2():
-    for diagram in ("E~9", "E~5"):
+    for diagram in ("E~9", "E~5", "A~0", "D~3", "A~2+A~0"):
         code, out, err = run(["fiber", "candidates", diagram])
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_negative_vinberg_target_exit_2(tmp_path):
+    p = tmp_path / "one.graph"
+    p.write_text("graph one\nvertex a\n")  # span rank 1, so target rank -1
+    for argv in (
+        ["graph", "vinberg", str(p)],
+        ["graph", "parabolics", str(p), "--maximal"],
+        ["graph", "vinberg", "builtin:I", "--rank", "-1"],
+        ["graph", "parabolics", "builtin:I", "--maximal", "--rank", "-1"],
+    ):
+        code, out, err = run(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and "target rank" in err
+
+
+def test_fiber_candidates_many_components_returns_quickly():
+    # more components than any extremal configuration has fibers; the
+    # product over fiber choices alone would be 2**40
+    code, out, _ = run(["fiber", "candidates", "+".join(["A~1"] * 40)])
+    assert code == 1
+    assert "pass: false" in out
+
+
+DIAGRAM_TOKENS = st.one_of(
+    st.sampled_from(["A~1", "A~2", "A~3", "A~4", "A~8", "D~4", "D~8", "E~6", "E~7", "E~8"]),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from("ADE"),
+        st.sampled_from(["", "~"]),
+        st.integers(min_value=-1, max_value=12),
+    ),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from("ADEI"),
+        st.sampled_from(["", "~", "~~"]),
+        st.text("0123456789-~ ", max_size=3),
+    ),
+    st.text(max_size=6),
+)
+
+
+@given(st.lists(DIAGRAM_TOKENS, min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+@example(["A~0"])
+@example(["A~1"] * 5)
+def test_fuzz_fiber_candidates_exit_codes(tokens):
+    code, out, err = run(["fiber", "candidates", "+".join(tokens)])
+    assert code in (0, 1, 2)
+    assert (code == 2) == (out == "")
+
+
+GRAPH_LABELS = st.sampled_from(["a", "b", "c", "d", 'q"r', "s\\"])
+GRAPH_LINES = st.one_of(
+    st.builds(
+        "vertex {}{}".format,
+        GRAPH_LABELS,
+        st.sampled_from(["", " kind=-1", " kind=-2", " kind=0", " x y"]),
+    ),
+    st.builds(
+        "edge {} {} {}".format,
+        GRAPH_LABELS,
+        GRAPH_LABELS,
+        st.sampled_from(["0", "1", "2", "3", "-1", "x", "1.5", "12"]),
+    ),
+    st.builds("graph {}".format, st.text(max_size=4)),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def graph_texts(draw):
+    """Mostly well-formed graph files, with a few arbitrary lines let in."""
+    labels = draw(st.lists(GRAPH_LABELS, unique=True, max_size=5))
+    kinds = st.sampled_from(["", "", " kind=-1", " kind=-2"])
+    lines = ["graph g"] + [f"vertex {label}{draw(kinds)}" for label in labels]
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            mult = draw(st.sampled_from(["", "", "1", "1", "2", "3"]))
+            if mult:
+                lines.append(f"edge {a} {b} {mult}")
+    for line in draw(st.lists(GRAPH_LINES, max_size=2)):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line)
+    return "\n".join(lines)
+
+
+@given(graph_texts())
+@settings(max_examples=200, deadline=None)
+@example("graph g")
+@example("graph g\nvertex a")
+def test_fuzz_graph_info_exit_codes(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.graph"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        code, out, err = run(["graph", "info", str(path)])
+    assert code in (0, 1, 2)
+    assert (code == 2) == (out == "")
 
 
 # sha256 of `coblemukai catalog check X` stdout, text then --json, as produced

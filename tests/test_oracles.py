@@ -35,7 +35,22 @@ def is_connected(g, idx):
     return len(seen) == len(idx)
 
 
+def affine_type_by_invariants(k, disc):
+    """The affine diagram with k vertices whose Gram matrix has nonzero SNF
+    factors of product disc: the order of the discriminant group of the
+    finite root lattice it extends.  The (k, disc) pairs are unique."""
+    if disc == k:
+        return rootgraph.DiagramType("A", k - 1, True)
+    if disc == 4 and k >= 5:
+        return rootgraph.DiagramType("D", k - 1, True)
+    index = {3: 6, 2: 7, 1: 8}.get(disc)
+    assert index is not None and k == index + 1, (k, disc)
+    return rootgraph.DiagramType("E", index, True)
+
+
 def brute_connected_parabolics(g):
+    """Connected induced subsets whose Gram matrix is negative semidefinite of
+    corank 1, labeled by invariants alone, not by the shape classifier."""
     found = []
     for size in range(1, g.n + 1):
         for idx in combinations(range(g.n), size):
@@ -44,10 +59,31 @@ def brute_connected_parabolics(g):
             gram = [[-2 if a == b else g.mult[a][b] for b in idx] for a in idx]
             if exact.rank_signature(gram) != (0, size - 1, 1):
                 continue
-            typ = rootgraph.classify(g, [g.labels[i] for i in idx])
-            assert typ is not None and typ.affine
+            disc = 1
+            for d in exact.snf(gram).factors:
+                disc *= abs(d) or 1
+            typ = affine_type_by_invariants(size, disc)
             found.append((tuple(sorted(g.labels[i] for i in idx)), typ))
     return sorted(found)
+
+
+def test_affine_type_by_invariants_on_named_diagrams():
+    # every affine type that fits in 9 vertices, built from its Dynkin shape
+    def check(name, n, edges):
+        g = rootgraph.from_edges(name, [f"v{i}" for i in range(n)],
+                                 [(f"v{a}", f"v{b}", m) for a, b, m in edges])
+        (labels, typ), = brute_connected_parabolics(g)
+        assert str(typ) == name and len(labels) == n
+
+    check("A~1", 2, [(0, 1, 2)])
+    for n in range(3, 10):
+        check(f"A~{n - 1}", n, [(i, (i + 1) % n, 1) for i in range(n)])
+    for n in range(5, 10):  # two forks joined by a path (a star for n = 5)
+        centre = [(i, i + 1, 1) for i in range(2, n - 3)]
+        check(f"D~{n - 1}", n, [(0, 2, 1), (1, 2, 1), (n - 3, n - 2, 1), (n - 3, n - 1, 1)] + centre)
+    check("E~6", 7, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (0, 5, 1), (5, 6, 1)])
+    check("E~7", 8, [(i, i + 1, 1) for i in range(6)] + [(3, 7, 1)])
+    check("E~8", 9, [(i, i + 1, 1) for i in range(7)] + [(5, 8, 1)])
 
 
 def test_connected_parabolics_matches_powerset_oracle():
@@ -94,8 +130,36 @@ def test_maximal_parabolics_matches_packing_oracle():
         if any(g.mult[i][j] >= 3 for i in range(n) for j in range(n)):
             continue
         target = rng.randint(1, 4)
+        brute = brute_maximal_parabolics(g, target)
         fast = sorted(p.components for p in rootgraph.maximal_parabolics(g, target))
-        assert fast == brute_maximal_parabolics(g, target), (trial, target)
+        assert fast == brute, (trial, target)
+        cps = rootgraph.connected_parabolics(g)
+        reused = sorted(p.components for p in rootgraph.maximal_parabolics(g, target, cps))
+        assert reused == brute, (trial, target)
+
+
+def test_vinberg_check_below_span_rank_matches_definition():
+    # with the target below span rank - 2, components of larger rank exist
+    # and must all come back as witnesses
+    rng = random.Random(58)
+    high = 0
+    for trial in range(40):
+        g = random_graph(rng, rng.randint(5, 9), p_edge=0.4, p_double=0.15)
+        rank, _ = rootgraph.span_check(g)
+        if rank < 5:
+            continue
+        target = rng.randint(1, min(3, rank - 3))
+        rep = rootgraph.vinberg_check(g, target)
+        cps = brute_connected_parabolics(g)
+        packs = brute_maximal_parabolics(g, target)
+        used = {c for p in packs for c in p}
+        assert sorted(p.components for p in rep.maximal) == packs, trial
+        assert rep.witnesses == tuple(c for c in cps if c not in used), trial
+        assert rep.passed == (not rep.witnesses)
+        above = [c for c in cps if c[1].rank > target]
+        assert all(c in rep.witnesses for c in above), trial
+        high += bool(above)
+    assert high >= 10
 
 
 def test_automorphisms_match_permutation_oracle():

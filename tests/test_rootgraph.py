@@ -180,6 +180,15 @@ def test_maximal_parabolics_requires_orthogonality():
     assert maximal_parabolics(g, 2) == []
 
 
+def test_negative_target_rank_is_rejected():
+    one = from_edges("G", ["a"], [])
+    with pytest.raises(ValueError, match="target rank"):
+        maximal_parabolics(one, -1)
+    with pytest.raises(ValueError, match="target rank"):
+        vinberg_check(one)  # span rank 1 gives target -1
+    assert vinberg_check(path_graph(2)).target_rank == 0
+
+
 def test_vinberg_vacuous_pass():
     rep = vinberg_check(path_graph(3), target_rank=1)
     assert rep.passed and rep.witnesses == () and rep.maximal == ()
@@ -252,6 +261,28 @@ def test_export_dot():
     assert dot.count("shape=doublecircle") == 1
 
 
+def test_export_dot_escapes_quote_and_backslash():
+    g = from_edges('q"g', ['a"b', "c\\"], [('a"b', "c\\", 1)])
+    assert rootgraph.export_dot(g) == (
+        'graph "q\\"g" {\n'
+        '  "a\\"b" [shape=circle];\n'
+        '  "c\\\\" [shape=circle];\n'
+        '  "a\\"b" -- "c\\\\";\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize("token", ["A0", "D3", "E5", "E9"])  # affine ones: test_cli
+def test_parse_diagram_rejects_index_out_of_range(token):
+    with pytest.raises(ValueError, match="no diagram"):
+        rootgraph.parse_diagram(token)
+
+
+def test_parse_diagram_accepts_bounds():
+    for token in ("A1", "A~1", "D4", "D~4", "E6", "E~8", " A~12 "):
+        assert str(rootgraph.parse_diagram(token)) == token.strip()
+
+
 def test_graph_text_roundtrip():
     g = from_edges("demo", [("a", -2), ("b", -1), ("c", -2)], [("a", "b", 2), ("b", "c", 1)])
     text = rootgraph.format_graph(g)
@@ -313,12 +344,15 @@ from coblemukai import catalog, exact, rootgraph
 if __debug__:
     sys.exit("not running under -O")
 exact.rank_signature = lambda m: (0, len(m), 0)  # claims every block is definite
-try:
-    rootgraph.connected_parabolics(catalog.build_graph("I"))
-except AssertionError as exc:
-    print("raised:", exc)
-else:
-    sys.exit("self-check did not fire")
+g = catalog.build_graph("I")
+for check in (lambda: rootgraph.connected_parabolics(g),
+              lambda: rootgraph.classify(g, ["c1", "c2"])):
+    try:
+        check()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
 """
 
 
@@ -332,4 +366,6 @@ def test_parabolic_self_check_survives_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: component")
+    first, second = proc.stdout.splitlines()
+    assert first.startswith("raised: component")
+    assert second == "raised: bad affine shape A~1"
