@@ -11,6 +11,7 @@ automorphism groups, and a small text format plus DOT export.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import exact
 
@@ -142,8 +143,9 @@ class DiagramType:
 
 def parse_diagram(token: str) -> DiagramType:
     t = token.strip()
-    affine = "~" in t
-    t = t.replace("~", "")
+    affine = t[1:2] == "~"  # the one place a tilde may stand
+    if affine:
+        t = t[0] + t[2:]
     if len(t) < 2 or t[0] not in "ADE" or not t[1:].isdigit():
         raise ValueError(f"bad diagram token: {token!r}")
     family, index = t[0], int(t[1:])
@@ -318,6 +320,8 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
     soon as a subset stops being a definite ADE diagram: proper connected
     induced subsets of affine diagrams are definite, so nothing is missed.
     """
+    if max_rank is not None and max_rank < 0:
+        raise ValueError(f"target rank must be >= 0, got {max_rank}")
     n = g.n
     single, double, both = _adjacency_masks(g)
     max_size = n if max_rank is None else min(n, max_rank + 1)
@@ -562,12 +566,226 @@ def _refine_colors(g: RootGraph):
         colors = new
 
 
+def _compose(a, b):
+    """The permutation a∘b: i -> a[b[i]]."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inverse(a):
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
+class _StabilizerChain:
+    """Schreier–Sims chain of a permutation group on 0..n-1 with base 0..n-1.
+
+    Level k holds the orbit of k under the strong generators that fix
+    0..k-1, with a transversal: ``trans[k][p]`` sends k to p and
+    ``inverse[k][p]`` is its inverse.  ``checked[k][i]`` counts the strong
+    generators s of level k whose Schreier generator at the i-th orbit point
+    has been sifted into the levels below.  When all of them have, sifting
+    decides membership and the order is the product of the orbit lengths.
+    """
+
+    def __init__(self, n: int, gens=()):
+        self.n = n
+        identity = tuple(range(n))
+        self.trans = [{k: identity} for k in range(n)]
+        self.inverse = [{k: identity} for k in range(n)]
+        self.points = [[k] for k in range(n)]
+        self.gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        self.checked = [[0] for _ in range(n)]
+        for g in gens:
+            self.add(g)
+
+    def suffix_orders(self) -> list[int]:
+        """Orders of the level-k stabilizers, k = 0..n (the last is 1)."""
+        out = [1] * (self.n + 1)
+        for k in range(self.n - 1, -1, -1):
+            out[k] = out[k + 1] * len(self.points[k])
+        return out
+
+    def order(self) -> int:
+        return self.suffix_orders()[0]
+
+    def sift(self, g, level: int = 0):
+        """(residue, k): k is the level where sifting g stops, n for a member."""
+        for k in range(level, self.n):
+            p = g[k]
+            if p != k:
+                inv = self.inverse[k].get(p)
+                if inv is None:
+                    return g, k
+                g = _compose(inv, g)
+        return g, self.n
+
+    def contains(self, g) -> bool:
+        return self.sift(g)[1] == self.n
+
+    def add(self, g):
+        """Enlarge the group by g and complete the chain again."""
+        g, k = self.sift(g)
+        if k == self.n:
+            return
+        self._adjoin(g, k)
+        # deepest level first, so every sift runs through complete levels
+        while k >= 0:
+            j = self._sift_schreier_generators(k)
+            k = k - 1 if j is None else j
+
+    def _adjoin(self, g, j: int):
+        """Make g, which fixes 0..j-1 and moves j, a strong generator."""
+        for k in range(j + 1):
+            gens, trans, inverse = self.gens[k], self.trans[k], self.inverse[k]
+            points, checked = self.points[k], self.checked[k]
+            gens.append(g)
+            # the old points need only the new generator, the new ones all
+            i, new_from = 0, len(points)
+            while i < len(points):
+                p = points[i]
+                for s in gens if i >= new_from else (g,):
+                    q = s[p]
+                    if q not in trans:
+                        u = _compose(s, trans[p])
+                        trans[q] = u
+                        inverse[q] = _inverse(u)
+                        points.append(q)
+                        checked.append(0)
+                i += 1
+
+    def _sift_schreier_generators(self, k: int):
+        """Sift the unchecked Schreier generators of level k; on the first
+        that is no member, adjoin its residue and return its level."""
+        gens, trans, inverse = self.gens[k], self.trans[k], self.inverse[k]
+        points, checked = self.points[k], self.checked[k]
+        for i, p in enumerate(points):
+            u = trans[p]
+            while checked[i] < len(gens):
+                s = gens[checked[i]]
+                checked[i] += 1
+                h, j = self.sift(_compose(inverse[s[p]], _compose(s, u)), k + 1)
+                if j < self.n:
+                    self._adjoin(h, j)
+                    return j
+        return None
+
+
+def _lex_least_outside(chain: _StabilizerChain, sub: _StabilizerChain):
+    """The lex-least element of the group of ``chain`` outside the proper
+    subgroup of ``sub``.
+
+    Elements with the same images of 0..k-1 form a coset g·G_k of the level-k
+    stabilizer, and its children g·u·G_{k+1} (u in the level-k transversal)
+    are in lex order of g[u[k]].  A coset lies inside the subgroup exactly
+    when g does and the subgroup's level-k stabilizer has the same order as
+    G_k; the walk takes the first child that does not.
+    """
+    orders = chain.suffix_orders()
+    full = [a == b for a, b in zip(orders, sub.suffix_orders())]
+    g = tuple(range(chain.n))
+    k = 0
+    while orders[k] > 1:
+        trans = chain.trans[k]
+        for p in sorted(chain.points[k], key=g.__getitem__):
+            child = _compose(g, trans[p])
+            if not (full[k + 1] and sub.contains(child)):
+                g = child
+                break
+        else:
+            raise AssertionError("every coset lies in the subgroup")
+        k += 1
+    return g
+
+
+def _find_automorphism(mult, base, want, cands, k: int, u: int):
+    """An automorphism fixing base[:k] and sending base[k] to u, or None.
+
+    Iterative backtracking over base[k+1:]: the vertex at depth d takes a
+    same-color candidate w whose multiplicities to the images of base[:d]
+    equal ``want[d]``, the multiplicities of base[d] to base[:d].
+    """
+    n = len(base)
+    image = [-1] * n
+    used = [False] * n
+    for v in base[:k]:
+        image[v] = v
+        used[v] = True
+    if used[u] or (k and itemgetter(*base[:k])(mult[u]) != want[k]):
+        return None
+    image[base[k]] = u
+    used[u] = True
+    # tried[d] counts the candidates of depth d tried under the current prefix
+    tried = [0] * n
+    getters = [None] * n
+    d = k + 1
+    while d > k:
+        if d == n:
+            return tuple(image)
+        v = base[d]
+        if tried[d]:
+            used[image[v]] = False
+        else:
+            getters[d] = itemgetter(*[image[p] for p in base[:d]])
+        get, target, cs = getters[d], want[d], cands[v]
+        i = tried[d]
+        while i < len(cs):
+            w = cs[i]
+            i += 1
+            if not used[w] and get(mult[w]) == target:
+                break
+        else:
+            tried[d] = 0
+            d -= 1
+            continue
+        tried[d] = i
+        image[v] = w
+        used[w] = True
+        d += 1
+    return None
+
+
+def _assignment_order(g: RootGraph, colors, by_color):
+    """The search base: each next vertex is as constrained as possible by the
+    ones already placed.  Every edge into the placed prefix constrains its
+    candidates, and so does a non-edge to a placed vertex of the same color,
+    so both count toward the greedy score; ties go to more single edges, a
+    smaller color class, then the smaller index."""
+    n = g.n
+    mult = g.mult
+    single_deg = [row.count(1) for row in mult]
+    score = [0] * n
+    left = list(range(n))
+    order: list[int] = []
+    while left:
+        v = max(left, key=lambda v: (score[v], single_deg[v], -len(by_color[colors[v]]), -v))
+        left.remove(v)
+        order.append(v)
+        for w in left:
+            if mult[w][v] or colors[w] == colors[v]:
+                score[w] += 1
+    return order
+
+
 def automorphisms(g: RootGraph):
     """(order, generators) of the multiplicity-preserving automorphism group.
 
-    Kind tags are ignored.  All automorphisms are enumerated by color-refined
-    backtracking (exact and fine at desk scale), then greedily thinned to a
-    small generating set whose closure is re-verified.
+    Kind tags are ignored.  The group is never listed.  A stabilizer chain
+    along the color-refined greedy base b_0, b_1, ... is searched from the
+    deepest level up: at level k the orbit of b_k under the automorphisms
+    found so far (all of which fix b_0..b_{k-1}) is closed, and one
+    backtracking search per same-color vertex outside it either finds an
+    automorphism fixing b_0..b_{k-1} that sends b_k there, which joins the
+    strong generators and grows the orbit, or shows there is none.  The order
+    is the product of the orbit lengths.
+
+    The generators returned are the lex-greedy ones: each is the lex-least
+    element of the group, as a tuple of images, outside the subgroup the
+    earlier ones generate.  A Schreier–Sims chain with base 0..n-1 finds
+    them by walking its cosets in lex order.  The chain order of the
+    returned generators must equal the product of the orbit lengths, else
+    AssertionError is raised.
     """
     n = g.n
     if n == 0:
@@ -576,77 +794,42 @@ def automorphisms(g: RootGraph):
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    # Assignment order matters a lot: each new vertex should be as constrained
-    # as possible by the ones already placed.  Every edge into the assigned
-    # prefix constrains the candidates, and so does a non-edge to an assigned
-    # vertex of the same color, so both count toward the greedy score.
-    single_deg = [sum(1 for u in range(n) if g.mult[v][u] == 1) for v in range(n)]
-    order_of_assignment: list[int] = []
-    placed = [False] * n
-    while len(order_of_assignment) < n:
-        best = None
-        for v in range(n):
-            if placed[v]:
-                continue
-            score = sum(
-                1
-                for u in order_of_assignment
-                if g.mult[v][u] or colors[u] == colors[v]
-            )
-            key = (score, single_deg[v], -len(by_color[colors[v]]), -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        order_of_assignment.append(best[1])
-        placed[best[1]] = True
-    autos: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
+    base = _assignment_order(g, colors, by_color)
     mult = g.mult
-
-    def assign(k: int):
-        if k == n:
-            autos.append(tuple(image))
-            return
-        v = order_of_assignment[k]
-        row_v = mult[v]
-        for u in by_color[colors[v]]:
-            if used[u]:
+    cands = [by_color[c] for c in colors]
+    want = [None] + [itemgetter(*base[:d])(mult[base[d]]) for d in range(1, n)]
+    strong: list[tuple[int, ...]] = []
+    order = 1
+    for k in range(n - 1, -1, -1):
+        b = base[k]
+        orbit = {b}
+        for u in cands[b]:
+            if u in orbit:
                 continue
-            row_u = mult[u]
-            ok = True
-            for i in range(k):
-                prev = order_of_assignment[i]
-                if row_v[prev] != row_u[image[prev]]:
-                    ok = False
-                    break
-            if ok:
-                image[v] = u
-                used[u] = True
-                assign(k + 1)
-                used[u] = False
-                image[v] = -1
-
-    assign(0)
-    del assign  # see connected_parabolics
-    autos.sort()
-    identity = tuple(range(n))
+            p = _find_automorphism(mult, base, want, cands, k, u)
+            if p is None:
+                continue
+            strong.append(p)
+            stack = list(orbit)
+            while stack:
+                x = stack.pop()
+                for s in strong:
+                    if s[x] not in orbit:
+                        orbit.add(s[x])
+                        stack.append(s[x])
+        order *= len(orbit)
+    chain = _StabilizerChain(n, strong)
+    span = _StabilizerChain(n)
     gens: list[tuple[int, ...]] = []
-    closure = {identity}
-    for p in autos:
-        if p not in closure:
-            gens.append(p)
-            frontier = list(closure)
-            while frontier:
-                x = frontier.pop()
-                for q in gens:
-                    y = tuple(x[q[i]] for i in range(n))
-                    if y not in closure:
-                        closure.add(y)
-                        frontier.append(y)
-    if len(closure) != len(autos):
-        raise AssertionError("automorphism generators do not close to the listed group")
-    return (len(autos), gens)
+    while span.order() < chain.order():
+        p = _lex_least_outside(chain, span)
+        gens.append(p)
+        span.add(p)
+    if span.order() != order:
+        raise AssertionError(
+            f"automorphism generators give chain order {span.order()}, the search {order}"
+        )
+    return (order, gens)
 
 
 # --- text format and DOT -----------------------------------------------------

@@ -171,6 +171,21 @@ def test_fiber_candidates_unknown_affine_type_exit_2():
         assert err.startswith("error:")
 
 
+def test_fiber_candidates_misplaced_tilde_exit_2():
+    for diagram in ("A4~", "~A4", "A~~4", "A4~+~A4", "A~4+A4~"):
+        code, out, err = run(["fiber", "candidates", diagram])
+        assert code == 2, diagram
+        assert out == ""
+        assert err.startswith("error: bad diagram token")
+
+
+def test_parabolics_negative_rank_exit_2():
+    code, out, err = run(["graph", "parabolics", "builtin:I", "--rank", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "target rank" in err
+
+
 def test_negative_vinberg_target_exit_2(tmp_path):
     p = tmp_path / "one.graph"
     p.write_text("graph one\nvertex a\n")  # span rank 1, so target rank -1
@@ -300,6 +315,43 @@ def test_catalog_check_stdout_pinned(name):
     text_sha, json_sha = CATALOG_CHECK_SHA256[name]
     for argv, want in ((["catalog", "check", name], text_sha),
                        (["catalog", "check", name, "--json"], json_sha)):
+        code, out, _ = run(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
+
+
+# sha256 of `coblemukai graph aut builtin:X` stdout, text then --json, as
+# produced by the implementation that listed every group element; --json
+# prints every generator, so these pin the generating set itself
+GRAPH_AUT_SHA256 = {
+    "I": (
+        "515b4e3ec3c5279099eae25af980d4507485c287a0cf69cfba0183091edeab14",
+        "6426177e7b85ddcb604b693beac906c27030e372771fa852ab962356d058ab61",
+    ),
+    "II": (
+        "54516c8c6ddffad29c6c6af19b2748d2857d977d6485043dbcda14c3937e8049",
+        "6e45edb80bf85db9a575c774c627289ed00a3eb6a8b569d3df43f46ca0915b3f",
+    ),
+    "VI": (
+        "149a0063269623e8a07747b712ca09e522fde22f713735ca092cfc67241eb9a1",
+        "d41c4342d66b25c80f22416e941c612aa2cfd2c01174e9a5f4a96dbd208b7afe",
+    ),
+    "MI": (
+        "e2425b6bfd8f6db6d303f94b002d7d9a0faf785f5db77769dba59130dd0a1fb6",
+        "43e1dacd73cd367027b5331e29084b9aa37dd798bb7478541adff398859099bb",
+    ),
+    "MII": (
+        "472aef19b72c10558fb695a15769137ea9eded4c46e98d7638df2d2862526c88",
+        "5144ffb38af1355ae5a1cb0fd166f46c832a42c53030fedf2ac8783c1a0e5bff",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_AUT_SHA256))
+def test_graph_aut_stdout_pinned(name):
+    text_sha, json_sha = GRAPH_AUT_SHA256[name]
+    for argv, want in ((["graph", "aut", f"builtin:{name}"], text_sha),
+                       (["graph", "aut", f"builtin:{name}", "--json"], json_sha)):
         code, out, _ = run(argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv

@@ -2,11 +2,13 @@
 
 Small random graphs are checked against powerset enumeration (connected
 parabolics and maximal packings) and against all-permutations search
-(automorphisms), so the fast paths are validated by definitions.
+(automorphisms), so the fast paths are validated by definitions.  Group
+orders on larger graphs are also counted by networkx's VF2 matcher.
 """
 
 import random
 from itertools import combinations, permutations
+from math import factorial
 
 from coblemukai import exact, rootgraph
 
@@ -174,6 +176,87 @@ def test_automorphisms_match_permutation_oracle():
             ):
                 brute += 1
         assert rootgraph.automorphisms(g)[0] == brute, trial
+
+
+def networkx_aut_order(g):
+    """Order of the multiplicity-preserving automorphism group, counted by
+    networkx's VF2 matcher of g against itself."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(
+        (i, j, {"mult": g.mult[i][j]})
+        for i in range(g.n)
+        for j in range(i + 1, g.n)
+        if g.mult[i][j]
+    )
+    gm = GraphMatcher(h, h, edge_match=lambda a, b: a["mult"] == b["mult"])
+    return sum(1 for _ in gm.isomorphisms_iter())
+
+
+def union_graph(rng, max_n, max_order=3000):
+    """A shuffled disjoint union of cycles and complete graphs, each with one
+    random edge multiplicity.  Its group order, the product of the component
+    groups times the permutations of equal components, is kept at most
+    max_order so that listing it through networkx stays quick."""
+    while True:
+        parts = []
+        n = 0
+        while max_n - n >= 3 and (not parts or rng.random() < 0.8):
+            kind = rng.choice(["cycle", "complete"])
+            size = rng.randint(3, min(6 if kind == "cycle" else 4, max_n - n))
+            if size == 3:  # the triangle is both
+                kind = "complete"
+            parts.append((kind, size, rng.choice([1, 1, 2, 3])))
+            n += size
+        order = 1
+        for kind, size, _ in parts:
+            order *= 2 * size if kind == "cycle" else factorial(size)
+        for part in set(parts):
+            order *= factorial(parts.count(part))
+        if order <= max_order:
+            break
+    perm = list(range(n))
+    rng.shuffle(perm)
+    mult = [[0] * n for _ in range(n)]
+    start = 0
+    for kind, size, m in parts:
+        vs = [perm[start + i] for i in range(size)]
+        if kind == "cycle":
+            pairs = [(vs[i], vs[(i + 1) % size]) for i in range(size)]
+        else:
+            pairs = list(combinations(vs, 2))
+        for a, b in pairs:
+            mult[a][b] = mult[b][a] = m
+        start += size
+    return rootgraph.RootGraph([f"v{i}" for i in range(n)], mult), order
+
+
+def test_automorphisms_match_networkx_matcher():
+    rng = random.Random(11)
+    for trial in range(60):
+        if trial % 2:
+            g, order = union_graph(rng, 12)
+        else:
+            n = rng.randint(2, 12)
+            p_edge = rng.uniform(0.3, 0.7)
+            mult = [[0] * n for _ in range(n)]
+            for i, j in combinations(range(n), 2):
+                if rng.random() < p_edge:
+                    mult[i][j] = mult[j][i] = rng.choice([1, 1, 2, 3])
+            g = rootgraph.RootGraph([f"v{i}" for i in range(n)], mult)
+            order = None
+        got, gens = rootgraph.automorphisms(g)
+        want = networkx_aut_order(g)
+        assert got == want, trial
+        if order is not None:
+            assert got == order, trial
+        for p in gens:
+            assert all(
+                g.mult[i][j] == g.mult[p[i]][p[j]] for i in range(g.n) for j in range(g.n)
+            ), trial
 
 
 def sympy_inertia(m):

@@ -189,6 +189,12 @@ def test_negative_target_rank_is_rejected():
     assert vinberg_check(path_graph(2)).target_rank == 0
 
 
+def test_connected_parabolics_negative_max_rank_is_rejected():
+    with pytest.raises(ValueError, match="target rank"):
+        connected_parabolics(cycle_graph(3), max_rank=-1)
+    assert connected_parabolics(cycle_graph(3), max_rank=0) == []
+
+
 def test_vinberg_vacuous_pass():
     rep = vinberg_check(path_graph(3), target_rank=1)
     assert rep.passed and rep.witnesses == () and rep.maximal == ()
@@ -251,6 +257,28 @@ def test_automorphisms_generators_close_to_order():
     assert len(closure) == order
 
 
+def test_automorphisms_deep_search_needs_no_recursion():
+    # two copies of a seeded random graph on 200 vertices: color refinement
+    # cannot tell the copies apart, so finding the swap walks all 400 levels
+    rng = random.Random(3)
+    m = 200
+    half = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rng.random() < 0.1:
+                half[i][j] = half[j][i] = 1
+    mult = [row + [0] * m for row in half] + [[0] * m + row for row in half]
+    g = rootgraph.RootGraph([f"v{i}" for i in range(2 * m)], mult)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        order, gens = rootgraph.automorphisms(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    swap = tuple(range(m, 2 * m)) + tuple(range(m))
+    assert (order, gens) == (2, [swap])
+
+
 def test_export_dot():
     empty = rootgraph.RootGraph([], [], name="G")
     assert rootgraph.export_dot(empty).split() == ['graph', '"G"', "{", "}"]
@@ -275,6 +303,12 @@ def test_export_dot_escapes_quote_and_backslash():
 @pytest.mark.parametrize("token", ["A0", "D3", "E5", "E9"])  # affine ones: test_cli
 def test_parse_diagram_rejects_index_out_of_range(token):
     with pytest.raises(ValueError, match="no diagram"):
+        rootgraph.parse_diagram(token)
+
+
+@pytest.mark.parametrize("token", ["A4~", "~A4", "A~~4", "A~4~", "~", "A~", "D~~6"])
+def test_parse_diagram_rejects_misplaced_tilde(token):
+    with pytest.raises(ValueError, match="bad diagram token"):
         rootgraph.parse_diagram(token)
 
 
