@@ -2,15 +2,16 @@
 
 Subcommands mirror the library: ``graph`` (info/aut/parabolics/vinberg/dot on
 a built-in or a graph file), ``lattice`` (det/disc/mod2/overlattice on a
-lattice spec), ``catalog`` (build/model/check) and ``fiber`` (lookup/
-candidates).  Exit codes: 0 success or pass, 1 a verification failed,
-2 usage or input errors.  Output is byte-deterministic; ``--json`` switches
-the report to JSON.
+lattice spec, or ``file:PATH`` for a Gram matrix file), ``catalog``
+(build/model/check) and ``fiber`` (lookup/candidates).  Exit codes: 0
+success or pass, 1 a verification failed, 2 usage or input errors.  Output
+is byte-deterministic; ``--json`` switches the report to JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -53,6 +54,12 @@ def _load_graph_source(src: str) -> rootgraph.RootGraph:
     if src.startswith("builtin:"):
         return catalog.build_graph(src[len("builtin:"):])
     return catalog.load_graph(src)
+
+
+def _load_lattice_spec(spec: str) -> lattice.Lattice:
+    if spec.startswith("file:"):
+        return lattice.load_gram_file(spec[len("file:"):])
+    return lattice.make_named(spec)
 
 
 def _parse_glue(text: str):
@@ -150,7 +157,7 @@ def _cmd_graph(args, out) -> int:
 # --- lattice subcommands -----------------------------------------------------
 
 def _cmd_lattice(args, out) -> int:
-    lat = lattice.make_named(args.spec)
+    lat = _load_lattice_spec(args.spec)
     echo = f"lattice {args.action} {args.spec}"
     if args.action == "det":
         pos, neg, zero = lattice.signature(lat)
@@ -337,7 +344,9 @@ def _cmd_fiber(args, out) -> int:
 
 # --- parser --------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     from . import __version__
 
     parser = argparse.ArgumentParser(
@@ -387,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

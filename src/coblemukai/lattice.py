@@ -189,6 +189,8 @@ def _frac_mod1(v) -> tuple[Fraction, ...]:
 
 def _in_dual(lat: Lattice, x: Vector) -> bool:
     (row,), den = exact.integer_rows([x])
+    if len(row) != lat.rank:
+        raise ValueError("vector length does not match lattice rank")
     return all(sum(map(mul, col, row)) % den == 0 for col in lat.gram)
 
 

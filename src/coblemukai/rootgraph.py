@@ -166,7 +166,8 @@ def multiset_str(types) -> str:
 # --- shape classification ---------------------------------------------------
 
 def _classify_tree(members, adj):
-    """Classify a single-edged tree; returns (is_affine, DiagramType) or None.
+    """Classify a single-edged tree that is not a path; returns
+    (is_affine, DiagramType) or None.
 
     ``adj[v]`` lists the neighbors of v inside the subset.  The shape rules
     are the standard ADE/affine-ADE tree catalogue; anything else is
@@ -175,8 +176,6 @@ def _classify_tree(members, adj):
     n = len(members)
     deg = {v: len(adj[v]) for v in members}
     branch = [v for v in members if deg[v] >= 3]
-    if not branch:
-        return (False, DiagramType("A", n, False))
     if len(branch) == 1:
         b = branch[0]
         legs = []
@@ -223,26 +222,26 @@ def _classify_tree(members, adj):
     return None
 
 
-def _classify_shape(idx, single, double):
+def _classify_shape(idx, mask, single, doubled):
     """(is_affine, DiagramType) for a connected vertex list, or None.
 
-    ``single[v]`` and ``double[v]`` are bitmasks of the neighbors of v along
-    edges of multiplicity 1 and 2; edges of higher multiplicity must already
-    have been ruled out.  This is the one place that decides ADE/affine shape.
+    ``mask`` is the bitmask of ``idx`` and ``single[v]`` that of the
+    neighbors of v along edges of multiplicity 1; ``doubled & mask`` is
+    nonzero exactly when the list has an edge of multiplicity 2.  Edges of
+    higher multiplicity must already have been ruled out.  This is the one
+    place that decides ADE/affine shape.
     """
-    mask = doubled = 0
-    for v in idx:
-        mask |= 1 << v
-        doubled |= double[v]
     k = len(idx)
     if doubled & mask:
         return (True, DiagramType("A", 1, True)) if k == 2 else None
     degrees = [(single[v] & mask).bit_count() for v in idx]
     edges = sum(degrees) // 2
-    if edges == k and all(d == 2 for d in degrees):
-        return (True, DiagramType("A", k - 1, True))
+    if edges == k:
+        return (True, DiagramType("A", k - 1, True)) if max(degrees) == 2 else None
     if edges != k - 1:
         return None
+    if max(degrees) <= 2:  # a path
+        return (False, DiagramType("A", k, False))
     return _classify_tree(idx, {v: [u for u in idx if single[v] >> u & 1] for v in idx})
 
 
@@ -262,8 +261,8 @@ def _classify_indices(g: RootGraph, idx: list[int]):
     if any(g.mult[a][b] >= 3 for a in idx for b in idx):
         return None
     single = {a: sum(1 << b for b in idx if g.mult[a][b] == 1) for a in idx}
-    double = {a: sum(1 << b for b in idx if g.mult[a][b] == 2) for a in idx}
-    return _classify_shape(idx, single, double)
+    doubled = sum(1 << a for a in idx if any(g.mult[a][b] == 2 for b in idx))
+    return _classify_shape(idx, sum(1 << a for a in idx), single, doubled)
 
 
 def classify(g: RootGraph, subset) -> DiagramType | None:
@@ -325,48 +324,53 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
     n = g.n
     single, double, both = _adjacency_masks(g)
     max_size = n if max_rank is None else min(n, max_rank + 1)
-    found: list[tuple[int, DiagramType]] = []
+    found: list[tuple[list[int], DiagramType]] = []
 
-    def extend(members, mask, ext, nbhd):
-        queue = list(ext)
-        while queue:
-            v = queue.pop(0)
-            size = len(members) + 1
-            if size > max_size:
-                continue
+    def extend(members, mask, ext, nbhd, above):
+        """Grow the definite set ``members`` by each vertex of the bitmask
+        ``ext`` in turn; ``above`` masks the vertices beyond the root."""
+        size = len(members) + 1
+        if size > max_size:
+            return
+        while ext:
+            # highest vertex first: on MII that tries 9450 candidates,
+            # lowest first 48652 (the visited sets are the same)
+            v = ext.bit_length() - 1
+            bit = 1 << v
+            ext ^= bit
             new = members + [v]
-            got = _classify_shape(new, single, double)
+            # a definite set has no double edge, so only v can be on one
+            got = _classify_shape(new, mask | bit, single, double[v])
             if got is None:
                 continue
-            affine, typ = got
-            if affine:
-                found.append((mask | 1 << v, typ))
-                continue
-            if size == max_size:
-                continue
-            fresh = both[v] & ~nbhd & ~(mask | 1 << v)
-            fresh &= ~((1 << (members[0] + 1)) - 1)  # only vertices > root
-            add = [u for u in range(n) if fresh >> u & 1]
-            extend(new, mask | 1 << v, queue + add, nbhd | both[v])
+            if got[0]:
+                found.append((new, got[1]))
+            elif size < max_size:
+                fresh = both[v] & ~nbhd & ~mask & above
+                extend(new, mask | bit, ext | fresh, nbhd | both[v], above)
 
     for root in range(n):
-        ext0 = [u for u in range(root + 1, n) if both[root] >> u & 1]
-        extend([root], 1 << root, ext0, both[root])
+        above = -2 << root  # the vertices > root
+        extend([root], 1 << root, both[root] & above, both[root], above)
     # A recursive closure references itself through its cell; deleting it
     # frees what it captured now instead of at the next cyclic GC pass.
     del extend
 
-    out = []
-    for mask, typ in found:
-        labels = tuple(sorted(g.labels[i] for i in range(n) if mask >> i & 1))
-        out.append((labels, typ))
+    labels = g.labels
+    out = [(tuple(sorted(map(labels.__getitem__, idx))), typ) for idx, typ in found]
     out.sort()
-    # sanity: every recorded component really is corank-1 negative semidefinite
-    for labels, typ in out:
-        idx = [g.index(l) for l in labels]
-        gram = [[-2 if a == b else g.mult[a][b] for b in idx] for a in idx]
-        if exact.rank_signature(gram) != (0, len(idx) - 1, 1):
-            raise AssertionError(f"component {labels} misclassified as {typ}")
+    # sanity: every recorded component really is corank-1 negative semidefinite;
+    # components with the same multiplicity matrix share one inertia check
+    affine_inertia: dict[bytes, bool] = {}
+    for comp, typ in out:
+        idx = [g.index(l) for l in comp]
+        key = bytes([g.mult[a][b] for a in idx for b in idx])
+        ok = affine_inertia.get(key)
+        if ok is None:
+            gram = [[-2 if a == b else g.mult[a][b] for b in idx] for a in idx]
+            ok = affine_inertia[key] = exact.rank_signature(gram) == (0, len(idx) - 1, 1)
+        if not ok:
+            raise AssertionError(f"component {comp} misclassified as {typ}")
     return out
 
 
@@ -383,28 +387,13 @@ class ParabolicSubdiagram:
         return multiset_str([t for _, t in self.components])
 
 
-def _candidate_masks(g: RootGraph, cps, both):
-    masks = []
-    closed = []
-    for labels, _ in cps:
-        m = 0
-        for l in labels:
-            m |= 1 << g.index(l)
-        c = m
-        for i in range(g.n):
-            if m >> i & 1:
-                c |= both[i]
-        masks.append(m)
-        closed.append(c)
-    return masks, closed
-
-
 def maximal_parabolics(g: RootGraph, target_rank: int, cps=None):
     """All parabolic subdiagrams of rank exactly target_rank.
 
     Exact backtracking packing of the connected parabolics; components must
-    be pairwise disjoint and orthogonal.  Output is deduplicated and sorted
-    by component label lists.  ``cps`` is the full output of
+    be pairwise disjoint and orthogonal.  The search visits each packing
+    once, choosing its components in increasing order, so the output comes
+    sorted by component label lists.  ``cps`` is the full output of
     ``connected_parabolics(g)`` when the caller already has it; only its
     components of rank at most target_rank are used.
     """
@@ -415,21 +404,34 @@ def maximal_parabolics(g: RootGraph, target_rank: int, cps=None):
         cps = connected_parabolics(g, max_rank=target_rank)
     else:
         cps = [c for c in cps if c[1].rank <= target_rank]
-    masks, closed = _candidate_masks(g, cps, both)
-    k = len(cps)
+    members = [[g.index(l) for l in labels] for labels, _ in cps]
+    holding = [0] * g.n  # holding[v]: the candidates that contain v
+    for j, idx in enumerate(members):
+        for v in idx:
+            holding[v] |= 1 << j
+    # touching[v]: the candidates that contain v or a neighbor of v
+    touching = []
+    for v in range(g.n):
+        m = holding[v]
+        for u in range(g.n):
+            if both[v] >> u & 1:
+                m |= holding[u]
+        touching.append(m)
+    # compat[i]: the candidates disjoint from and orthogonal to candidate i
+    full = (1 << len(cps)) - 1
     compat = []
-    for i in range(k):
-        m = 0
-        for j in range(k):
-            if i != j and closed[i] & masks[j] == 0:
-                m |= 1 << j
-        compat.append(m)
+    for idx in members:
+        clash = 0
+        for v in idx:
+            clash |= touching[v]
+        compat.append(full & ~clash)
     ranks = [t.rank for _, t in cps]
+    chosen: list[int] = []
     results: list[ParabolicSubdiagram] = []
 
-    def dfs(start: int, chosen: list[int], allowed: int, total: int):
+    def dfs(start: int, allowed: int, total: int):
         if total == target_rank:
-            comps = tuple(sorted(cps[i] for i in chosen))
+            comps = tuple(map(cps.__getitem__, chosen))  # cps is sorted
             results.append(ParabolicSubdiagram(components=comps, rank=target_rank))
             return
         rest = allowed >> start << start
@@ -438,11 +440,12 @@ def maximal_parabolics(g: RootGraph, target_rank: int, cps=None):
             i = low.bit_length() - 1
             rest ^= low
             if total + ranks[i] <= target_rank:
-                dfs(i + 1, chosen + [i], allowed & compat[i], total + ranks[i])
+                chosen.append(i)
+                dfs(i + 1, allowed & compat[i], total + ranks[i])
+                chosen.pop()
 
-    dfs(0, [], (1 << k) - 1, 0)
+    dfs(0, full, 0)
     del dfs  # see connected_parabolics
-    results.sort(key=lambda p: p.components)
     return results
 
 

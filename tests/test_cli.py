@@ -163,6 +163,26 @@ def test_glue_zero_denominator_exit_2():
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_glue_lift_length_must_match_rank():
+    # a lift longer than the rank is refused, not cut: "1/2,0,7/3" is no "1/2,0"
+    for glue in ("1/2,0,7/3", "1/2,0,0", "1/2", "1/2,0;1/2,0,0"):
+        code, out, err = run(["lattice", "overlattice", "U(2)", "--glue", glue])
+        assert code == 2, glue
+        assert out == ""
+        assert err == "error: vector length does not match lattice rank\n"
+
+
+def test_lattice_file_spec(tmp_path):
+    p = tmp_path / "u2.gram"
+    p.write_text("rank 2\n0 2\n2 0\n")
+    for action in ("det", "disc", "mod2"):
+        file_out = run(["lattice", action, f"file:{p}", "--json"])[1]
+        named_out = run(["lattice", action, "U(2)", "--json"])[1]
+        assert json.loads(file_out)["payload"] == json.loads(named_out)["payload"]
+    code, out, err = run(["lattice", "det", f"file:{tmp_path / 'missing.gram'}"])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_fiber_candidates_unknown_affine_type_exit_2():
     for diagram in ("E~9", "E~5", "A~0", "D~3", "A~2+A~0"):
         code, out, err = run(["fiber", "candidates", diagram])
@@ -355,3 +375,145 @@ def test_graph_aut_stdout_pinned(name):
         code, out, _ = run(argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
+
+
+# sha256 of `coblemukai graph vinberg builtin:X` and `coblemukai graph
+# parabolics builtin:X --maximal` stdout, text then --json, as produced by the
+# list-queue enumeration and k^2 packing table the bitmask search replaced;
+# the --json packings list every component of every maximal parabolic
+GRAPH_VINBERG_SHA256 = {
+    "I": (
+        "0100fd89e2ab8add5bb6166812148dc2fc2d275b47babd0e0b20012cb1a10578",
+        "f1043cf2ce940920499d1ba73de71a59e492419814404426a0c9c57e0aa6ec96",
+    ),
+    "II": (
+        "29ad1383f4ceeddadb0a4cd74d174745d52815eb63e6226feb0130750d132357",
+        "a3803a4aedbc1c22a70bde852090c7d6ec73dc970f6668b43d01d99a382d96a2",
+    ),
+    "VI": (
+        "235a53b5b85db1593652a6486e4de50bb52e6c4ae6d1e56328271bec45f9d321",
+        "8b8008fae9d8f0c1b2e90fbd4d2b3e55b7a06e84bca5a33b565888b3e41c1419",
+    ),
+    "MI": (
+        "5d6705cb7e7da9987ee496e8bbb100515bcc04b580f7604ef46e2dae44e743fe",
+        "7bb3728a518fdfc8151c586da13bef49e006ed5a2e72b70ba4d41d92f2054ea6",
+    ),
+    "MII": (
+        "4709bc00006234dc0c9c3f0f5a21a80b9e30842ac68834e638576dbe6fc89851",
+        "e1ab4a3b7ec3afc66c085f114dcdf36d6f0ff75f9a6372f3147c1f4a7b70a66f",
+    ),
+}
+GRAPH_MAXIMAL_SHA256 = {
+    "I": (
+        "7fe3c1bfd90249a8a38c5a7a79abf055234cc8d64effb34e9dbf5a7d377b4bba",
+        "a70968db0b2eacc3314897399b67f2b8387aebf8ccb522f9f3ab57f2488013de",
+    ),
+    "II": (
+        "592eb9eb5e2701593c749c53b8d04ffa570a08fe5363894d8abf8dfb3104a554",
+        "0628051ae814b1cc0112806d0b557b6444340ee1c49adf1a3733b38d6a7f53a3",
+    ),
+    "VI": (
+        "54d1d8f760b0b0d4955e313cb7e0224ea5399c4163c3bf43490c470b1870fd8a",
+        "71a67c58cef12afeb7541abbbf3e16fd19d2359d23b94b5a9434033430ce606c",
+    ),
+    "MI": (
+        "a2e93812b8c6d7baf58dafd524dca653131d12bc1dd1c033700d76d5f042600f",
+        "f861a5ac8e57a0554321dde08f49b77a716562474793b5e4675bd43b7cb8ce37",
+    ),
+    "MII": (
+        "d893c453b60b867bd7eb9f546170af5d15545849f39b3d469d777a7f96fee7bd",
+        "530e0dc30766178e12010db80eff41aff745d5a4a672fa25d2f76320f90e115d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_VINBERG_SHA256))
+def test_graph_vinberg_and_maximal_stdout_pinned(name):
+    for base, (text_sha, json_sha) in (
+        (["graph", "vinberg", f"builtin:{name}"], GRAPH_VINBERG_SHA256[name]),
+        (["graph", "parabolics", f"builtin:{name}", "--maximal"], GRAPH_MAXIMAL_SHA256[name]),
+    ):
+        for argv, want in ((base, text_sha), (base + ["--json"], json_sha)):
+            code, out, _ = run(argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
+
+GRAM_TOKENS = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(str),
+    st.sampled_from(["rank", "x", "1.5", "-0", "+2", "1/2", ""]),
+)
+
+
+@st.composite
+def gram_texts(draw):
+    """Mostly well-formed Gram matrix files: symmetric or not, degenerate or
+    not, with a few arbitrary tokens let in."""
+    n = draw(st.integers(min_value=-1, max_value=4))
+    m = [[draw(st.integers(min_value=-3, max_value=3)) for _ in range(max(n, 0))]
+         for _ in range(max(n, 0))]
+    if draw(st.booleans()):
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    tokens = ["rank", str(n)] + [str(x) for row in m for x in row]
+    for tok in draw(st.lists(GRAM_TOKENS, max_size=2)):
+        tokens.insert(draw(st.integers(min_value=0, max_value=len(tokens))), tok)
+    return draw(st.sampled_from([" ", "\n"])).join(tokens)
+
+
+@given(gram_texts(), st.sampled_from(["det", "disc", "mod2"]))
+@settings(max_examples=300, deadline=None)
+@example("rank 0", "det")
+@example("rank 1\n0", "disc")
+@example("rank 2\n0 2\n2 0", "mod2")
+def test_fuzz_lattice_file_exit_codes(text, action):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.gram"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        code, out, err = run(["lattice", action, f"file:{path}"])
+    assert code in (0, 1, 2)
+    assert (code == 2) == (out == "")
+
+
+GLUE_ENTRIES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/2", "1/3", "1/4", "7/3", "1/0", "x", "1.5", "", "nan"]),
+    st.text("0123456789/-. ", max_size=4),
+)
+
+
+@given(
+    st.sampled_from(["U(2)", "U(4)", "A1", "A1+A1", "D4", "A3", "U", "E8"]),
+    st.lists(st.lists(GLUE_ENTRIES, max_size=5), min_size=1, max_size=3),
+    st.sampled_from([",", " ", ", "]),
+)
+@settings(max_examples=300, deadline=None)
+@example("U(2)", [["1/2", "0", "7/3"]], ",")
+@example("D4", [["1/2", "0", "1/2", "0"]], ",")
+def test_fuzz_overlattice_glue_exit_codes(spec, vectors, sep):
+    glue = " ; ".join(sep.join(v) for v in vectors)
+    code, out, err = run(["lattice", "overlattice", spec, "--glue", glue])
+    assert code in (0, 1, 2)
+    assert (code == 2) == (out == "")
+
+
+FIBER_TOKENS = st.one_of(
+    st.sampled_from(["I1", "I2", "I5", "I9", "I0*", "I4*", "II", "III", "IV", "II*", "III*", "IV*"]),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["I", "II", "III", "IV", "V", ""]),
+        st.sampled_from(["", "0", "1", "12", "-1", "x"]),
+        st.sampled_from(["", "*", "**"]),
+    ),
+    st.text(max_size=4),
+)
+
+
+@given(
+    st.sampled_from(["generic", "p5", "p3", "p7"]),
+    st.lists(FIBER_TOKENS, min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+@example("p3", ["IV", "IV", "IV", "IV"])
+@example("generic", ["I0"])
+def test_fuzz_fiber_lookup_exit_codes(char, tokens):
+    code, out, err = run(["fiber", "lookup", "--char", char, *tokens])
+    assert code in (0, 1, 2)
+    assert (code == 2) == (out == "")

@@ -319,3 +319,40 @@ def test_rank_signature_fold_path_examples():
     assert exact.rank_signature(hh) == sympy_inertia(hh) == (2, 2, 0)
     z = [[0, 2, 0], [2, 0, 0], [0, 0, 0]]
     assert exact.rank_signature(z) == sympy_inertia(z) == (1, 1, 1)
+
+
+def random_integer_matrix(rng, rows, cols):
+    """Entries in -6..6, or a product through an inner dimension below both
+    sides, so that singular and highly divisible matrices come up often."""
+    if rng.random() < 0.4:
+        inner = rng.randint(1, max(1, min(rows, cols) - 1))
+        a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+        b = [[2 * rng.randint(-2, 2) for _ in range(cols)] for _ in range(inner)]
+        return exact.matmul(a, b)
+    return [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_snf_invariant_factors_match_sympy():
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(31)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = random_integer_matrix(rng, rows, cols)
+        s = smith_normal_form(Matrix(m), domain=ZZ)
+        want = tuple(abs(int(s[i, i])) for i in range(min(rows, cols)))
+        assert exact.snf(m).factors == want, m
+
+
+def test_det_matches_sympy():
+    from sympy import Matrix
+
+    rng = random.Random(37)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        m = random_integer_matrix(rng, n, n)
+        if rng.random() < 0.3:
+            m[0][0] = 0  # send Bareiss through a row swap
+        assert exact.det(m) == int(Matrix(m).det()), m
+    assert exact.det([]) == 1 == int(Matrix([]).det())

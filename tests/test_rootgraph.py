@@ -377,16 +377,40 @@ import sys
 from coblemukai import catalog, exact, rootgraph
 if __debug__:
     sys.exit("not running under -O")
-exact.rank_signature = lambda m: (0, len(m), 0)  # claims every block is definite
-g = catalog.build_graph("I")
-for check in (lambda: rootgraph.connected_parabolics(g),
-              lambda: rootgraph.classify(g, ["c1", "c2"])):
+
+
+def fires(check):
     try:
         check()
     except AssertionError as exc:
         print("raised:", exc)
     else:
         sys.exit("self-check did not fire")
+
+
+truthful = exact.rank_signature
+exact.rank_signature = lambda m: (0, len(m), 0)  # claims every block is definite
+g = catalog.build_graph("I")
+fires(lambda: rootgraph.connected_parabolics(g))
+fires(lambda: rootgraph.classify(g, ["c1", "c2"]))
+# Components with the same Gram matrix share one inertia check.  Lie only
+# for the A~2 triangle, which VI has 30 times and which is not its first
+# component, so the shared check must still run and raise.
+triangle = [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
+exact.rank_signature = lambda m: (0, 3, 0) if m == triangle else truthful(m)
+fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("VI")))
+# It is shared by the exact matrix, not by the type: MI's A~3 squares come in
+# three label orders; lie only for one that is not the first square's.
+mi = catalog.build_graph("MI")
+exact.rank_signature = truthful
+squares = []
+for labels, typ in rootgraph.connected_parabolics(mi):
+    idx = [mi.index(l) for l in labels]
+    if str(typ) == "A~3":
+        squares.append([[-2 if a == b else mi.mult[a][b] for b in idx] for a in idx])
+later = next(m for m in squares if m != squares[0])
+exact.rank_signature = lambda m: (0, 4, 0) if m == later else truthful(m)
+fires(lambda: rootgraph.connected_parabolics(mi))
 """
 
 
@@ -400,6 +424,8 @@ def test_parabolic_self_check_survives_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    first, second = proc.stdout.splitlines()
+    first, second, third, fourth = proc.stdout.splitlines()
     assert first.startswith("raised: component")
     assert second == "raised: bad affine shape A~1"
+    assert third.startswith("raised: component (") and third.endswith("misclassified as A~2")
+    assert fourth.startswith("raised: component (") and fourth.endswith("misclassified as A~3")
