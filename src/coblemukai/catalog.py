@@ -624,18 +624,8 @@ def r_invariant_check(
     rinv: RInvariant, p: int | None = None, expect_nullity: int | None = None
 ) -> RInvariantReport:
     k = rinv.k
-    n = k.rank
-    g = k.gram_rows()
-    masks = []
-    for h in rinv.h_gens:
-        if len(h) != n or any(c not in (0, 1) for c in h):
-            raise ValueError("H generators must be 0/1 vectors matching rank(K)")
-        masks.append(sum(c << i for i, c in enumerate(h)))
-    span = lattice._gf2_span(masks)
-    failures = []
-    for v in span:
-        if lattice._q2(g, v, n) != 0:
-            failures.append(f"H not isotropic at mask {v:b}")
+    span, anisotropic = lattice.mod2_subgroup(k, rinv.h_gens)
+    failures = [f"H not isotropic at mask {v:b}" for v in anisotropic]
     h_rank = len(span).bit_length() - 1
     nullity, _, _ = lattice.mod2_nullity(k)
     if nullity < h_rank:

@@ -10,12 +10,8 @@ inertia is computed fraction-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-
-IntMatrix = list[list[int]]
-RatMatrix = list[list[Fraction]]
 
 
 def identity(n: int) -> list[list[int]]:
@@ -31,10 +27,6 @@ def matmul(a: list[list], b: list[list]) -> list[list]:
         raise ValueError("matmul shape mismatch")
     bt = transpose(b)
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
-def mat_vec(m: list[list], v) -> list:
-    return [sum(map(mul, row, v)) for row in m]
 
 
 def is_symmetric(m: list[list]) -> bool:
@@ -268,42 +260,6 @@ def rank_signature(m: list[list]) -> tuple[int, int, int]:
     return (pos, neg, n - pos - neg)
 
 
-def kernel_basis(m: list[list]) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational null space {v : m @ v = 0}, via exact RREF."""
-    rows, cols = dims(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(tuple(v))
-    return basis
-
-
 def int_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:
     """Basis of the saturated integer kernel {x in Z^cols : m @ x = 0}."""
     rows, cols = dims(m)
@@ -349,7 +305,8 @@ def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:
         c = next(i for i, x in enumerate(row) if x != 0)
         if row[c] < 0:
             row[:] = [-x for x in row]
-    for k in range(len(basis) - 1, -1, -1):
+    # top-down: reducing by row k leaves the pivot columns of rows above k alone
+    for k in range(len(basis)):
         c = next(i for i, x in enumerate(basis[k]) if x != 0)
         for i in range(k):
             q = basis[i][c] // basis[k][c]
@@ -371,46 +328,3 @@ def hnf_remainder(basis: list[list[int]], v) -> list[int]:
         if q:
             r = [a - q * b for a, b in zip(r, row)]
     return r
-
-
-def solve_in_rows(rows: list[list], target) -> tuple[Fraction, ...] | None:
-    """Coefficients x with sum x_i * rows[i] == target, or None.
-
-    Exact Gaussian elimination on the transposed system; when the rows are
-    independent the solution is unique.
-    """
-    k = len(rows)
-    if k == 0:
-        return () if not any(target) else None
-    cols = len(rows[0])
-    a = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])] for j in range(cols)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = None
-        for i in range(r, cols):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(cols):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, cols):
-        if a[i][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        x[c] = a[i][k]
-    # rows may be dependent; verify the candidate actually works
-    for j in range(cols):
-        if sum(x[i] * Fraction(rows[i][j]) for i in range(k)) != Fraction(target[j]):
-            return None
-    return tuple(x)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from operator import mul
 
@@ -19,7 +20,7 @@ from . import exact
 Vector = tuple  # entries int or Fraction
 
 MOD2_TABLE_MAX_RANK = 16
-DISC_CHECK_MAX_ORDER = 4096
+SATURATE_MAX_ORDER = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -183,10 +184,6 @@ class DiscriminantGroup:
         return n
 
 
-def _frac_mod1(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) % 1 for x in v)
-
-
 def _in_dual(lat: Lattice, x: Vector) -> bool:
     (row,), den = exact.integer_rows([x])
     if len(row) != lat.rank:
@@ -204,7 +201,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     lifts = []
     for i, di in enumerate(res.factors):
         if di > 1:
-            lift = _frac_mod1(Fraction(res.right[r][i], di) for r in range(n))
+            lift = tuple(Fraction(res.right[r][i], di) % 1 for r in range(n))
             if not _in_dual(lat, lift):
                 raise AssertionError("discriminant generator lift is not in the dual lattice")
             factors.append(di)
@@ -231,62 +228,52 @@ def disc_b(lat: Lattice, x: Vector, y: Vector) -> Fraction:
     return Fraction(pairing(lat, x, y)) % 1
 
 
-def _coset_span(lat: Lattice, gens) -> set[tuple[Fraction, ...]]:
-    """Subgroup of L*/L generated by the given dual lifts, as canonical reps."""
-    for g in gens:
-        if not _in_dual(lat, g):
-            raise ValueError("glue generator is not in the dual lattice")
-    zero = _frac_mod1([0] * lat.rank)
-    seen = {zero}
-    frontier = [zero]
-    gens_canon = [_frac_mod1(g) for g in gens]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens_canon:
-            nxt = _frac_mod1(a + b for a, b in zip(cur, g))
-            if nxt not in seen:
-                if len(seen) > 10**5:
-                    raise ValueError("glue subgroup too large")
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def _adjoin(lat: Lattice, vectors) -> tuple[list[list[Fraction]], int]:
+    """HNF basis of L + sum Z*v for rational v, and its index over L.
 
-
-def _disc_q_values(lat: Lattice) -> list[Fraction]:
-    """Multiset of q_L over all of L*/L (enumerated; caller bounds the order)."""
-    group = discriminant_group(lat)
-    elems = _coset_span(lat, group.generator_lifts)
-    return sorted(disc_q(lat, x) for x in elems)
+    The rows den*I and den*v span den*(L + sum Z*v) inside Z^n; its HNF has
+    its pivots on the diagonal, and the index is den^n over their product.
+    """
+    n = lat.rank
+    rows, den = exact.integer_rows(vectors)
+    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)] + rows
+    hnf = exact.hnf_rows(rows)
+    if len(hnf) != n:
+        raise AssertionError("overlattice basis does not have full rank")
+    index = den**n
+    for i, row in enumerate(hnf):
+        index //= row[i]
+    return [[Fraction(x, den) for x in row] for row in hnf], index
 
 
 def overlattice(lat: Lattice, glue) -> Lattice:
     """Even overlattice obtained by adjoining an isotropic glue subgroup.
 
-    ``glue`` is a sequence of rational dual-coset lifts; the subgroup they
-    generate must be isotropic for q_L.  The result L' satisfies
-    det(L') * |H|^2 = det(L), and its discriminant form is checked against
-    q_L restricted to H-perp/H when the groups are small enough to enumerate.
+    ``glue`` is a sequence of rational dual-coset lifts g_i generating H in
+    L*/L.  H is isotropic exactly when every q(g_i) lies in 2Z and every
+    b(g_i, g_j) in Z, so one Gram matrix of the generators decides it and H
+    is never listed.  The result L' satisfies det(L') * |H|^2 = det(L), and
+    its discriminant form is checked to be q_L on H-perp/H.
     """
     if not is_even(lat):
         raise ValueError("overlattice gluing requires an even lattice")
-    subgroup = _coset_span(lat, glue)
-    for h in subgroup:
-        if disc_q(lat, h) != 0:
-            raise ValueError(f"glue subgroup is not isotropic at {h}")
-    n = lat.rank
-    glue_rows, den = exact.integer_rows(sorted(subgroup))
-    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)] + glue_rows
-    basis = [[Fraction(x, den) for x in row] for row in exact.hnf_rows(rows)]
-    if len(basis) != n:
-        raise AssertionError("overlattice basis does not have full rank")
-    gram = _basis_gram(lat, basis)
-    out = make_lattice(gram)
+    glue = [tuple(g) for g in glue]
+    for g in glue:
+        if not _in_dual(lat, g):
+            raise ValueError("glue generator is not in the dual lattice")
+    for i, row in enumerate(gram_matrix(lat, glue)):
+        for j in range(i, len(row)):
+            if row[j] % (2 if i == j else 1) != 0:
+                raise ValueError(
+                    f"glue subgroup is not isotropic: <g{i + 1}, g{j + 1}> = {row[j]}"
+                )
+    basis, index = _adjoin(lat, glue)
+    out = make_lattice(_basis_gram(lat, basis))
     if not is_even(out):
         raise AssertionError("overlattice of an even lattice along isotropic glue must be even")
-    index = len(subgroup)
     if det(out) * index * index != det(lat):
         raise AssertionError("overlattice index does not match glue subgroup order")
-    _check_overlattice_disc_form(lat, out, subgroup)
+    _check_overlattice_disc_form(lat, out, basis, glue, index)
     return out
 
 
@@ -297,25 +284,82 @@ def _basis_gram(lat: Lattice, basis) -> list[list[int]]:
     return g
 
 
-def _check_overlattice_disc_form(lat: Lattice, over: Lattice, subgroup) -> None:
-    d = abs(det(lat))
-    if d > DISC_CHECK_MAX_ORDER:
-        return
-    group = discriminant_group(lat)
-    elems = _coset_span(lat, group.generator_lifts)
-    perp = [
-        x
-        for x in elems
-        if all(disc_b(lat, x, h) == 0 for h in subgroup)
-    ]
-    cosets = {}
-    for x in perp:
-        key = min(_frac_mod1(a + b for a, b in zip(x, h)) for h in subgroup)
-        cosets.setdefault(key, x)
-    glued_vals = sorted(disc_q(lat, x) for x in cosets.values())
-    over_vals = _disc_q_values(over)
-    if glued_vals != over_vals:
+def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, index: int) -> None:
+    """L'*/L' = H-perp/H, checked on generators without listing either group.
+
+    For L in L' in L'* in L*, H-perp is L'*/L (Nikulin 1979, Prop. 1.4.1).
+    The discriminant lifts of L', written in L coordinates, must lie in L*
+    and pair integrally with the glue; with the glue they must generate a
+    subgroup of L*/L of order |det L| / |H|, which is then all of H-perp.
+    """
+    lifts = exact.matmul([list(x) for x in discriminant_group(over).generator_lifts], basis)
+    if not all(_in_dual(lat, x) for x in lifts):
+        raise AssertionError("overlattice discriminant lift is not in the dual lattice")
+    if any(isinstance(b, Fraction) for row in gram_matrix(lat, lifts, glue) for b in row):
+        raise AssertionError("overlattice discriminant lift is not orthogonal to the glue")
+    _, order = _adjoin(lat, lifts + glue)
+    if order * index != abs(det(lat)):
         raise AssertionError("discriminant form of overlattice does not match H-perp/H")
+
+
+def _disc_table(lat: Lattice):
+    """L*/L with the pairings of its generator lifts as one integer table.
+
+    For coordinates x, y mod the invariant factors, b(x, y) = x^T T y / den
+    mod 1 and q(x) = x^T T x / den mod 2.
+    """
+    group = discriminant_group(lat)
+    table, den = exact.integer_rows(gram_matrix(lat, group.generator_lifts))
+    return group, table, den
+
+
+def _isotropic_classes(group: DiscriminantGroup, table, den: int):
+    """The nonzero classes with q = 0, as coordinates in lexicographic order."""
+    for x in product(*map(range, group.invariant_factors)):
+        if any(x) and sum(a * sum(map(mul, row, x)) for a, row in zip(x, table)) % (2 * den) == 0:
+            yield x
+
+
+def saturate(lat: Lattice) -> Lattice:
+    """Even overlattice of L along a maximal isotropic subgroup H of q_L.
+
+    One greedy pass over L*/L finds H: a class that is isotropic, orthogonal
+    to H and not in H extends H, and a class passed over stays so as H
+    grows.  Every maximal H has the same order, because the anisotropic form
+    H-perp/H is unique up to isometry (Nikulin 1979, section 1), so det of
+    the result does not depend on the walk.  The group walked is capped at
+    SATURATE_MAX_ORDER elements.
+    """
+    if not is_even(lat):
+        raise ValueError("saturation requires an even lattice")
+    group, table, den = _disc_table(lat)
+    if group.order > SATURATE_MAX_ORDER:
+        raise ValueError(
+            f"discriminant group of order {group.order} is above the saturation bound "
+            f"{SATURATE_MAX_ORDER}"
+        )
+    factors = group.invariant_factors
+    zero = (0,) * len(factors)
+    members = {zero}
+    h_gens: list[list[int]] = []
+    h_pairs: list[list[int]] = []  # T*h for each generator h of H
+    for x in _isotropic_classes(group, table, den):
+        if x in members or any(sum(map(mul, x, th)) % den for th in h_pairs):
+            continue
+        multiples = []
+        y = x
+        while y != zero:
+            multiples.append(y)
+            y = tuple((a + b) % d for a, b, d in zip(y, x, factors))
+        members |= {tuple((a + b) % d for a, b, d in zip(m, k, factors))
+                    for m in members for k in multiples}
+        h_gens.append(list(x))
+        h_pairs.append([sum(map(mul, row, x)) for row in table])
+    glue = exact.matmul(h_gens, [list(lift) for lift in group.generator_lifts])
+    out = overlattice(lat, glue)
+    if next(_isotropic_classes(*_disc_table(out)), None) is not None:
+        raise AssertionError("H-perp/H has a nonzero isotropic class after saturation")
+    return out
 
 
 # --- mod-2 quadratic form on K/2K ----------------------------------------
@@ -412,11 +456,22 @@ def mod2_nullity(lat: Lattice) -> tuple[int, int, list[tuple[int, ...]]]:
     return (nullity, n - nullity, basis)
 
 
-def _gf2_span(gens: list[int]) -> list[int]:
+def mod2_subgroup(lat: Lattice, h_gens) -> tuple[list[int], list[int]]:
+    """Span H of 0/1 generators in K/2K, and the classes of H with q != 0.
+
+    Both are sorted bitmasks whose set bits select basis vectors; H is
+    isotropic exactly when the second list is empty.
+    """
+    n = lat.rank
     span = {0}
-    for g in gens:
-        span |= {x ^ g for x in span}
-    return sorted(span)
+    for h in h_gens:
+        if len(h) != n or any(c not in (0, 1) for c in h):
+            raise ValueError("H generators must be 0/1 vectors of full rank length")
+        mask = sum(c << i for i, c in enumerate(h))
+        span |= {x ^ mask for x in span}
+    span = sorted(span)
+    g = lat.gram_rows()
+    return span, [v for v in span if _q2(g, v, n)]
 
 
 def half_overlattice(lat: Lattice, h_gens) -> Lattice:
@@ -432,22 +487,10 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
     """
     if not is_even(lat):
         raise ValueError("half-integer overlattice requires an even lattice")
-    n = lat.rank
-    g = lat.gram_rows()
-    masks = []
-    for h in h_gens:
-        if len(h) != n or any(c not in (0, 1) for c in h):
-            raise ValueError("H generators must be 0/1 vectors of full rank length")
-        masks.append(sum(c << i for i, c in enumerate(h)))
-    span = _gf2_span(masks)
-    for v in span:
-        if _q2(g, v, n) != 0:
-            raise ValueError("H is not isotropic for the mod-2 quadratic form")
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows += [[v >> i & 1 for i in range(n)] for v in span if v]
-    basis = [[Fraction(x, 2) for x in row] for row in exact.hnf_rows(rows)]
-    if len(basis) != n:
-        raise AssertionError("half-overlattice basis does not have full rank")
+    span, anisotropic = mod2_subgroup(lat, h_gens)
+    if anisotropic:
+        raise ValueError("H is not isotropic for the mod-2 quadratic form")
+    basis, _ = _adjoin(lat, [[Fraction(c, 2) for c in h] for h in h_gens])
     gram = _basis_gram(lat, basis)  # raises on non-integral pairing
     out = make_lattice(gram)
     index = len(span)

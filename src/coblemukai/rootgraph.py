@@ -506,17 +506,14 @@ def span_lattice(g: RootGraph):
     return _lat.make_lattice([row[:r] for row in m[:r]])
 
 
-_SATURATE_MAX_DISC = 4096
-_SATURATE_MAX_ISOTROPIC = 32
-
-
 def span_det(g: RootGraph) -> int:
     """Determinant of the saturated lattice generated by the roots.
 
     The raw span can sit at finite index inside the ambient lattice (multiple
     fibers halve some isotropic classes there), so the span is saturated by
-    gluing a maximal isotropic subgroup of its discriminant form; that is the
-    largest even lattice the roots can generate in any ambient.
+    gluing a maximal isotropic subgroup of its discriminant form
+    (``lattice.saturate``); that is the largest even lattice the roots can
+    generate in any ambient, and every maximal subgroup gives the same det.
     """
     from . import lattice as _lat
 
@@ -524,32 +521,7 @@ def span_det(g: RootGraph) -> int:
     d = _lat.det(span)
     if abs(d) == 1:
         return d
-    if abs(d) > _SATURATE_MAX_DISC:
-        raise ValueError("discriminant too large to saturate exactly")
-    disc = _lat.discriminant_group(span)
-    elems = sorted(_lat._coset_span(span, disc.generator_lifts))
-    iso = [x for x in elems if any(x) and _lat.disc_q(span, x) == 0]
-    if len(iso) > _SATURATE_MAX_ISOTROPIC:
-        raise ValueError("too many isotropic classes to saturate exactly")
-    best_gens: list = []
-    best_order = 1
-
-    def dfs(start: int, gens: list, order: int):
-        nonlocal best_gens, best_order
-        if order > best_order:
-            best_order = order
-            best_gens = list(gens)
-        for i in range(start, len(iso)):
-            cand = gens + [iso[i]]
-            sub = _lat._coset_span(span, cand)
-            if len(sub) > order and all(_lat.disc_q(span, h) == 0 for h in sub):
-                dfs(i + 1, cand, len(sub))
-
-    dfs(0, [], 1)
-    del dfs  # see connected_parabolics
-    if best_order == 1:
-        return d
-    return _lat.det(_lat.overlattice(span, best_gens))
+    return _lat.det(_lat.saturate(span))
 
 
 # --- automorphisms ----------------------------------------------------------

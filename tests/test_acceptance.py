@@ -7,6 +7,7 @@ lines; any assertion failure marks the criterion failed.
 import io
 import random
 import time
+from math import prod
 
 import numpy as np
 
@@ -203,12 +204,14 @@ def test_criterion_7_lattice_basics():
     while done < 50:
         k = make_named(rng.choice(names))
         lat = lattice.direct_sum(k, lattice.rescale(k, -1))
-        lifts = lattice.discriminant_group(k).generator_lifts
+        disc = lattice.discriminant_group(k)
+        lifts = disc.generator_lifts
         pick = rng.sample(range(len(lifts)), rng.randint(1, len(lifts)))
         glue = [tuple(lifts[i]) + tuple(lifts[i]) for i in pick]
-        sub = lattice._coset_span(lat, glue)
+        # the diagonal lifts of independent generators span H = sum Z/d_i
+        order = prod(disc.invariant_factors[i] for i in pick)
         over = lattice.overlattice(lat, glue)
-        assert lattice.det(over) * len(sub) ** 2 == lattice.det(lat)
+        assert lattice.det(over) * order**2 == lattice.det(lat)
         done += 1
     half = lattice.half_overlattice(make_named("A1+A1"), [(1, 1)])
     assert any(half.gram[i][i] == -1 for i in range(half.rank))

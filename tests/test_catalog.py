@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from coblemukai import catalog, exact, lattice, rootgraph
+from coblemukai import catalog, lattice, rootgraph
 from coblemukai.catalog import (
     build_graph,
     build_model,
@@ -178,8 +180,19 @@ def test_coble_mukai_contains_all_roots():
             assert cm.contains(v)
 
 
+def sympy_solve_in_rows(rows, target):
+    """Coefficients x with x * rows = target, or None; the rows are independent."""
+    k = len(rows)
+    aug = sympy.Matrix(rows + [list(target)]).T
+    aug = DomainMatrix.from_Matrix(aug).convert_to(sympy.QQ)
+    if aug[:, :k].rank() != aug.rank():
+        return None
+    red, _ = aug.rref()
+    return list(red.to_Matrix()[:k, k])
+
+
 @pytest.mark.parametrize("name", ["MI", "MII"])
-def test_coble_mukai_contains_matches_solve_in_rows(name):
+def test_coble_mukai_contains_matches_sympy_solve(name):
     # contains reduces against an integer HNF; the definition is an integral
     # solution of the rational linear system in the basis rows
     model = build_model(name)
@@ -201,8 +214,8 @@ def test_coble_mukai_contains_matches_solve_in_rows(name):
     probes.append(tuple(Fraction(1, 3) for _ in range(n)))
     verdicts = []
     for v in probes:
-        sol = exact.solve_in_rows(basis, list(v))
-        want = sol is not None and all(c.denominator == 1 for c in sol)
+        sol = sympy_solve_in_rows(basis, v)
+        want = sol is not None and all(c.is_integer for c in sol)
         assert cm.contains(v) == want, v
         verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
@@ -306,17 +319,15 @@ def test_load_graph_roundtrip(tmp_path):
 
 
 def test_connected_parabolics_null_vectors_positive_on_mi():
-    from coblemukai import exact
-
     g = build_graph("MI")
     cps = rootgraph.connected_parabolics(g)
     assert len(cps) > 0
     for labels, typ in cps[:80]:
         idx = [g.index(l) for l in labels]
         gram = [[-2 if a == b else g.mult[a][b] for b in idx] for a in idx]
-        basis = exact.kernel_basis(gram)
+        basis = sympy.Matrix(gram).nullspace()
         assert len(basis) == 1
-        v = basis[0]
+        v = list(basis[0])
         sign = 1 if v[0] > 0 else -1
         assert all(sign * c > 0 for c in v), (labels, typ)
 

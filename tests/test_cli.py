@@ -54,6 +54,14 @@ def test_lattice_overlattice_glue():
     assert "index: 4" in out and "det: -1" in out
 
 
+def test_lattice_overlattice_rejects_cross_term():
+    # q(g1) = q(g2) = 0 in U(2)*/U(2), but b(g1, g2) = 1/2, so g1 + g2 has q = 1
+    code, out, err = run(["lattice", "overlattice", "U(2)", "--glue", "1/2,0;0,1/2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: glue subgroup is not isotropic: <g1, g2> = 1/2\n"
+
+
 def test_lattice_overlattice_half_kernel():
     code, out, _ = run(["lattice", "overlattice", "A1+A1", "--half-kernel"])
     assert code == 0
@@ -517,3 +525,32 @@ def test_fuzz_fiber_lookup_exit_codes(char, tokens):
     code, out, err = run(["fiber", "lookup", "--char", char, *tokens])
     assert code in (0, 1, 2)
     assert (code == 2) == (out == "")
+
+
+def chains_file(tmp_path, count, length):
+    lines = ["graph chains"]
+    for c in range(count):
+        lines += [f"vertex c{c}v{i}" for i in range(length)]
+        lines += [f"edge c{c}v{i} c{c}v{i + 1} 1" for i in range(length - 1)]
+    path = tmp_path / "chains.graph"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_graph_info_four_a7_chains(tmp_path):
+    # L*/L = (Z/8)^4 has 31 nonzero isotropic classes; a maximal isotropic
+    # subgroup has order 32, so det = 4096 / 32^2
+    code, out, err = run(["graph", "info", chains_file(tmp_path, 4, 7), "--json"])
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["span_rank"] == 28
+    assert payload["span_det"] == 4
+
+
+def test_graph_info_refuses_above_saturation_bound(tmp_path):
+    code, out, err = run(["graph", "info", chains_file(tmp_path, 24, 1)])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: discriminant group of order 16777216 is above the saturation bound 65536\n"
+    )

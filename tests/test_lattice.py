@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -150,9 +155,39 @@ def test_overlattice_det_law_randomized():
             continue
         pick = rng.sample(range(len(lifts)), rng.randint(1, len(lifts)))
         glue = [tuple(lifts[i]) + tuple(lifts[i]) for i in pick]
-        sub = lattice._coset_span(lat, glue)
+        # the diagonal lifts of independent generators span H = sum Z/d_i
+        order = prod(disc.invariant_factors[i] for i in pick)
         over = lattice.overlattice(lat, glue)
-        assert lattice.det(over) * len(sub) ** 2 == lattice.det(lat)
+        assert lattice.det(over) * order**2 == lattice.det(lat)
+
+
+LYING_OVERLATTICE_SCRIPT = """
+import sys
+from coblemukai import lattice
+if __debug__:
+    sys.exit("not running under -O")
+lattice.overlattice = lambda lat, glue: lat  # glues nothing
+try:
+    lattice.saturate(lattice.make_named("A8"))
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("self-check did not fire")
+"""
+
+
+def test_saturate_self_check_survives_python_O():
+    # A8*/A8 = Z/9 keeps its isotropic class 3 when nothing is glued
+    src = str(Path(lattice.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_OVERLATTICE_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: H-perp/H has a nonzero isotropic class after saturation\n"
 
 
 def test_mod2_form_a1():
@@ -194,8 +229,8 @@ def test_mod2_nullity_kernel_vectors_annihilate_f():
         assert nullity + rank == lat.rank
         g = lat.gram_rows()
         for v in basis:
-            mask = sum(c << i for i, c in enumerate(v))
-            assert lattice._q2(g, mask, lat.rank) == 0
+            norm = sum(v[i] * g[i][j] * v[j] for i in range(lat.rank) for j in range(lat.rank))
+            assert norm % 4 == 0  # q(v) = <v, v>/2 is 0 mod 2
             for j in range(lat.rank):
                 assert sum(g[i][j] * v[i] for i in range(lat.rank)) % 2 == 0
 

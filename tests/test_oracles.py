@@ -4,13 +4,19 @@ Small random graphs are checked against powerset enumeration (connected
 parabolics and maximal packings) and against all-permutations search
 (automorphisms), so the fast paths are validated by definitions.  Group
 orders on larger graphs are also counted by networkx's VF2 matcher.
+Discriminant forms are checked by listing L*/L: span_det against a DFS over
+every chain of isotropic subgroups, and the form of an overlattice against
+q on H-perp/H.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from coblemukai import exact, rootgraph
+import pytest
+
+from coblemukai import catalog, exact, lattice, rootgraph
 
 
 def random_graph(rng, n, p_edge=0.45, p_double=0.35):
@@ -356,3 +362,132 @@ def test_det_matches_sympy():
             m[0][0] = 0  # send Bareiss through a row swap
         assert exact.det(m) == int(Matrix(m).det()), m
     assert exact.det([]) == 1 == int(Matrix([]).det())
+
+
+# --- discriminant forms -----------------------------------------------------------
+
+def coset_span(lat, gens):
+    """Subgroup of L*/L generated by dual lifts, listed as lifts reduced mod 1."""
+    zero = (Fraction(0),) * lat.rank
+    gens = [tuple(Fraction(x) % 1 for x in g) for g in gens]
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % 1 for a, b in zip(cur, g))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def brute_span_det(g, max_isotropic=16):
+    """det of the span over the largest isotropic subgroup of its
+    discriminant form, found by a DFS over every chain of isotropic
+    subgroups; None when L*/L has more than max_isotropic such classes."""
+    span = rootgraph.span_lattice(g)
+    d = lattice.det(span)
+    disc = lattice.discriminant_group(span)
+    elems = sorted(coset_span(span, disc.generator_lifts))
+    iso = [x for x in elems if any(x) and lattice.disc_q(span, x) == 0]
+    if len(iso) > max_isotropic:
+        return None
+    best = 1
+
+    def dfs(start, gens, order):
+        nonlocal best
+        best = max(best, order)
+        for i in range(start, len(iso)):
+            cand = gens + [iso[i]]
+            sub = coset_span(span, cand)
+            if len(sub) > order and all(lattice.disc_q(span, h) == 0 for h in sub):
+                dfs(i + 1, cand, len(sub))
+
+    dfs(0, [], 1)
+    return d // (best * best)
+
+
+def test_span_det_matches_isotropic_chain_oracle():
+    rng = random.Random(606)
+    compared = saturated = 0
+    for name in ("VI", "MI", "MII"):
+        source = catalog.build_graph(name)
+        for trial in range(12):
+            size = rng.randint(10, min(30, source.n))
+            g = source.induced(rng.sample(source.labels, size))
+            brute = brute_span_det(g)
+            if brute is None:
+                continue
+            d = lattice.det(rootgraph.span_lattice(g))
+            assert rootgraph.span_det(g) == brute, (name, trial)
+            compared += 1
+            saturated += brute != d
+    assert compared >= 30 and saturated >= 10, (compared, saturated)
+
+
+def glued_form_oracle(lat, glue):
+    """Sorted q over H-perp/H, listing all of L*/L."""
+    disc = lattice.discriminant_group(lat)
+    order = len(coset_span(lat, glue))
+    perp = [
+        x
+        for x in coset_span(lat, disc.generator_lifts)
+        if all(lattice.disc_b(lat, x, h) == 0 for h in glue)
+    ]
+    # q is constant on the cosets of the isotropic H inside H-perp
+    return sorted(lattice.disc_q(lat, x) for x in perp)[::order]
+
+
+def disc_form_values(lat):
+    """Sorted q over L*/L."""
+    disc = lattice.discriminant_group(lat)
+    return sorted(lattice.disc_q(lat, x) for x in coset_span(lat, disc.generator_lifts))
+
+
+def test_overlattice_form_matches_enumeration():
+    rng = random.Random(81)
+    names = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "D4", "D5", "D6", "E6", "E7",
+             "A1+A1", "A1+A1+A1", "A2+A2", "D4+A1"]
+    checked = 0
+    for trial in range(40):
+        k = lattice.make_named(rng.choice(names))
+        lat = lattice.direct_sum(k, lattice.rescale(k, -1))
+        if abs(lattice.det(lat)) > 81:
+            continue
+        lifts = lattice.discriminant_group(k).generator_lifts
+        pick = rng.sample(range(len(lifts)), rng.randint(1, len(lifts)))
+        # twice a lift still glues diagonally, and spans a smaller H
+        scales = rng.choices([1, 2], k=len(pick))
+        glue = [tuple(m * c for c in lifts[i]) * 2 for i, m in zip(pick, scales)]
+        over = lattice.overlattice(lat, glue)
+        assert disc_form_values(over) == glued_form_oracle(lat, glue), trial
+        checked += 1
+    assert checked >= 20
+
+
+def test_overlattice_form_checked_at_order_4096(monkeypatch):
+    # A1^6 + A1(-1)^6 sat at the old enumeration cap.  Gluing the first three
+    # diagonal pairs turns each into U and leaves the form of A1^3 + A1(-1)^3.
+    a1 = lattice.make_named("A1+A1+A1")
+    k = lattice.direct_sum(a1, a1)
+    lat = lattice.direct_sum(k, lattice.rescale(k, -1))
+    assert lattice.det(lat) == 4096
+    half = Fraction(1, 2)
+    glue = [tuple(half if j in (i, i + 6) else 0 for j in range(12)) for i in range(3)]
+    over = lattice.overlattice(lat, glue)
+    assert lattice.det(over) * 8**2 == 4096
+    rest = lattice.direct_sum(a1, lattice.rescale(a1, -1))
+    assert disc_form_values(over) == disc_form_values(rest)
+    # a discriminant group of L' that misses a generator misses part of H-perp
+    truthful = lattice.discriminant_group
+
+    def short(l):
+        group = truthful(l)
+        if l.gram != over.gram:
+            return group
+        return lattice.DiscriminantGroup(group.invariant_factors[1:], group.generator_lifts[1:])
+
+    monkeypatch.setattr(lattice, "discriminant_group", short)
+    with pytest.raises(AssertionError, match="H-perp/H"):
+        lattice.overlattice(lat, glue)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
 import coblemukai
 from coblemukai import rootgraph
@@ -146,16 +147,13 @@ def test_connected_parabolics_finds_affine_trees():
 
 
 def test_connected_parabolics_null_vector_positive():
-    from fractions import Fraction
-    from coblemukai import exact
-
     g = cycle_graph(6)
     for labels, typ in connected_parabolics(g):
         idx = [g.index(l) for l in labels]
         gram = [[-2 if a == b else g.mult[a][b] for b in idx] for a in idx]
-        basis = exact.kernel_basis(gram)
+        basis = sympy.Matrix(gram).nullspace()
         assert len(basis) == 1
-        v = basis[0]
+        v = list(basis[0])
         sign = 1 if v[0] > 0 else -1
         assert all(sign * c > 0 for c in v)
 
@@ -222,6 +220,22 @@ def test_span_det_examples():
     # affine pair: rank-1 span generated by a (-2)-root, det -2
     pair = from_edges("G", ["a", "b"], [("a", "b", 2)])
     assert span_det(pair) == -2
+
+
+def chains(*lengths):
+    """Disjoint A_k chains, one of each given length."""
+    labels, edges = [], []
+    for c, k in enumerate(lengths):
+        chain = [f"c{c}v{i}" for i in range(k)]
+        labels += chain
+        edges += [(a, b, 1) for a, b in zip(chain, chain[1:])]
+    return from_edges("chains", labels, edges)
+
+
+@pytest.mark.parametrize("lengths", [(1,) * 8, (2,) * 4, (4, 4), (8,)])
+def test_span_det_saturates_to_e8(lengths):
+    # E8 is an even unimodular overlattice of 8A1, 4A2, 2A4 and A8
+    assert span_det(chains(*lengths)) == 1
 
 
 def test_automorphisms_k4_double_edges():
