@@ -10,11 +10,9 @@ graph file loader only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, permutations
-from operator import mul
 
 from . import exact, lattice, rootgraph
 from .lattice import Lattice
@@ -251,7 +249,8 @@ class BlowupModel:
 
     The ambient basis is two ruling classes (square 0, pairing 1) followed by
     exceptional classes (square -1, mutually orthogonal).  Bidegree (a, b)
-    means a*hu + b*hv, so (a, b).(a', b') = ab' + a'b.
+    means a*hu + b*hv, so (a, b).(a', b') = ab' + a'b.  Boundaries are
+    integral classes; root classes may be half-integral.
     """
 
     ambient: Lattice
@@ -268,6 +267,9 @@ class BlowupModel:
 
     def __post_init__(self):
         nb = len(self.boundaries)
+        for name, v in self.boundaries:
+            if any(c.denominator != 1 for c in v):
+                raise ValueError(f"boundary {name} is not an integral class")
         gram = lattice.gram_matrix(
             self.ambient, [v for _, v in self.boundaries] + [v for _, v in self.roots]
         )
@@ -473,58 +475,48 @@ def build_model(name: str) -> BlowupModel:
 class CobleMukaiLattice:
     """Orthogonal complement of the boundaries in the half-boundary extension.
 
-    ``basis`` rows are exact rational vectors in ambient coordinates.
+    ``basis`` rows are exact rational vectors in ambient coordinates, as tuples
+    of Fraction; ``twice_hnf`` is the integer HNF of twice the basis.
     """
 
     lattice: Lattice
     basis: tuple[tuple[Fraction, ...], ...]
-
-    @cached_property
-    def _scaled_hnf(self) -> tuple[list[list[int]], int]:
-        rows, den = exact.integer_rows(self.basis)
-        return exact.hnf_rows(rows), den
+    twice_hnf: list[list[int]] = field(repr=False, compare=False)
 
     def contains(self, vec) -> bool:
-        """Is vec an integer combination of the basis?  den*vec is reduced
-        against the integer HNF of den*basis."""
-        hnf, den = self._scaled_hnf
-        (row,), vec_den = exact.integer_rows([vec])
-        if den % vec_den:
+        """Is vec an integer combination of the basis?  2*vec is reduced
+        against the integer HNF of twice the basis."""
+        (row,), den = exact.integer_rows([vec])
+        if 2 % den:
             return False
-        target = [x * (den // vec_den) for x in row]
-        return not any(exact.hnf_remainder(hnf, target))
+        return not any(exact.hnf_remainder(self.twice_hnf, [x * (2 // den) for x in row]))
 
 
 def coble_mukai(model: BlowupModel) -> CobleMukaiLattice:
     amb = model.ambient
     n = amb.rank
-    betas = model.boundary_vectors()
+    betas, _ = exact.integer_rows(model.boundary_vectors())  # integral, see BlowupModel
     beta_gram = lattice.gram_matrix(amb, betas)
     for a, b in combinations(range(len(betas)), 2):
         if beta_gram[a][b] != 0:
             raise ValueError("boundary classes must be pairwise orthogonal")
+    two = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     if not betas:
-        basis = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-        return CobleMukaiLattice(lattice=amb, basis=basis)
-    beta_rows = [[int(c) for c in b] for b in betas]
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows += beta_rows  # beta = 2 * (beta/2), scaled like 2*I
-    ext2 = exact.hnf_rows(rows)  # twice the basis of the half-boundary extension
+        return CobleMukaiLattice(amb, tuple(exact.fraction_rows(two, 2)), two)
+    # beta = 2 * (beta/2), scaled like 2*I
+    ext2 = exact.hnf_rows(two + betas)  # twice the basis of the half-boundary extension
     if len(ext2) != n:
         raise AssertionError("half-boundary extension does not have full rank")
     # <2 * ext_j, beta> = 2 * <ext_j, beta>: integral constraints for beta-perp
-    constraints = lattice.gram_matrix(amb, beta_rows, ext2)
-    kernel = exact.int_kernel(constraints)
-    basis = [
-        tuple(Fraction(sum(map(mul, coeffs, col)), 2) for col in zip(*ext2))
-        for coeffs in kernel
-    ]
-    gram = lattice.gram_matrix(amb, basis)
-    if any(isinstance(x, Fraction) for row in gram for x in row):
+    twice = exact.matmul(exact.int_kernel(lattice.gram_matrix(amb, betas, ext2)), ext2)
+    gram4 = lattice.gram_matrix(amb, twice)  # four times the Gram of the basis
+    if any(x % 4 for row in gram4 for x in row):
         raise ValueError("non-integral Gram: boundaries violate the half-class precondition")
+    gram = [[x // 4 for x in row] for row in gram4]
     return CobleMukaiLattice(
         lattice=lattice.make_lattice(gram, name=f"CM({model.basis_labels[2][:1]}...)"),
-        basis=tuple(basis),
+        basis=tuple(exact.fraction_rows(twice, 2)),
+        twice_hnf=exact.hnf_rows(twice),
     )
 
 
@@ -537,17 +529,18 @@ class RealizationReport:
 
 
 def _minus_one_root_decomposition(model: BlowupModel, vec) -> bool:
-    """Is vec of the shape 2e + (beta + beta')/2 for an exceptional e?
-
-    Checked in integers scaled by the common denominator den of vec and the
-    boundaries: den * (2*vec - beta - beta') must be 4 * den * e.
-    """
-    exc_idx = {model.basis_labels.index(lab) for lab in model.exceptional}
+    """Is vec of the shape 2e + (beta + beta')/2 for an exceptional e?"""
     (v, *betas), den = exact.integer_rows([vec] + model.boundary_vectors())
+    return _is_minus_one_root(model, v, betas, den)
+
+
+def _is_minus_one_root(model: BlowupModel, v, betas, den: int) -> bool:
+    """The same test on integer rows over den: den*(2*vec - beta - beta') = 4*den*e."""
     for ba, bb in combinations(betas, 2):
         rest = [2 * x - y - z for x, y, z in zip(v, ba, bb)]
         nz = [k for k, x in enumerate(rest) if x]
-        if len(nz) == 1 and rest[nz[0]] == 4 * den and nz[0] in exc_idx:
+        if (len(nz) == 1 and rest[nz[0]] == 4 * den
+                and model.basis_labels[nz[0]] in model.exceptional):
             return True
     return False
 
@@ -568,11 +561,11 @@ def verify_realization(graph: RootGraph, model: BlowupModel) -> RealizationRepor
     if failures:
         return RealizationReport(ok=False, failures=tuple(failures))
     n = graph.n
-    gram = lattice.gram_matrix(
-        model.ambient, [rm[label] for label in graph.labels] + model.boundary_vectors()
-    )
+    rows, den = exact.integer_rows([rm[label] for label in graph.labels] + model.boundary_vectors())
+    scale = den * den
+    gram = lattice.gram_matrix(model.ambient, rows)  # the pairings times scale
     for i, label in enumerate(graph.labels):
-        if gram[i][i] != -2:
+        if gram[i][i] != -2 * scale:
             failures.append(f"{label}: self-pairing != -2")
         for k, (bname, _) in enumerate(model.boundaries, start=n):
             if gram[i][k] != 0:
@@ -580,14 +573,13 @@ def verify_realization(graph: RootGraph, model: BlowupModel) -> RealizationRepor
     for i in range(n):
         for j in range(i + 1, n):
             a, b = graph.labels[i], graph.labels[j]
-            got = gram[i][j]
-            if got != graph.mult[i][j]:
-                failures.append(f"pair ({a}, {b}): model {got} != graph {graph.mult[i][j]}")
-            if graph.kinds[i] != graph.kinds[j] and got % 2 != 0:
-                failures.append(f"pair ({a}, {b}): odd curve/root pairing {got}")
-    for label, kind in zip(graph.labels, graph.kinds):
-        is_half = _minus_one_root_decomposition(model, rm[label])
-        if is_half != (kind == KIND_ROOT):
+            got, want = gram[i][j], graph.mult[i][j]
+            if got != want * scale:
+                failures.append(f"pair ({a}, {b}): model {Fraction(got, scale)} != graph {want}")
+            if graph.kinds[i] != graph.kinds[j] and got % (2 * scale) != 0:
+                failures.append(f"pair ({a}, {b}): odd curve/root pairing {Fraction(got, scale)}")
+    for label, kind, row in zip(graph.labels, graph.kinds, rows):
+        if _is_minus_one_root(model, row, rows[n:], den) != (kind == KIND_ROOT):
             failures.append(f"{label}: kind tag does not match realization")
     return RealizationReport(ok=not failures, failures=tuple(failures))
 

@@ -1,15 +1,16 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra; no floating point is used anywhere.
 
-Everything below runs on Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point is used anywhere.  Matrices are
-plain lists of lists, vectors are tuples.  Rational vectors enter the hot
-paths as integer rows over one common denominator (``integer_rows``), and
-inertia is computed fraction-free.
+Matrices are plain lists of lists of int.  Rational vectors are one integer
+matrix plus a common denominator, the pair ``(rows, den)``: ``integer_rows``
+makes it from tuples of int or Fraction where a public function receives
+vectors, and ``fraction_rows`` gives tuples of Fraction back where one
+returns them.  Inertia is computed fraction-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -200,6 +201,11 @@ def integer_rows(vectors) -> tuple[list[list[int]], int]:
     return [[c.numerator * (den // c.denominator) for c in v] for v in vecs], den
 
 
+def fraction_rows(rows, den: int) -> list[tuple[Fraction, ...]]:
+    """The vectors row/den as tuples of Fraction; the inverse of ``integer_rows``."""
+    return [tuple(Fraction(x, den) for x in row) for row in rows]
+
+
 def rank_signature(m: list[list]) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric matrix, exactly.
 
@@ -277,12 +283,9 @@ def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot); zero rows are dropped.
     """
-    mat = [list(map(int, row)) for row in rows_in if any(row)]
-    if not mat:
-        return []
     by_pivot: dict[int, list[int]] = {}
-    for vec in mat:
-        v = list(vec)
+    for row_in in rows_in:
+        v = list(map(int, row_in))
         while True:
             c = next((i for i, x in enumerate(v) if x != 0), None)
             if c is None:

@@ -17,8 +17,6 @@ from operator import mul
 
 from . import exact
 
-Vector = tuple  # entries int or Fraction
-
 MOD2_TABLE_MAX_RANK = 16
 SATURATE_MAX_ORDER = 1 << 16
 
@@ -29,8 +27,7 @@ class Lattice:
     name: str | None = None
 
     def __post_init__(self):
-        g = [list(row) for row in self.gram]
-        if not exact.is_symmetric(g):
+        if not exact.is_symmetric(self.gram):
             raise ValueError("Gram matrix must be symmetric")
 
     @property
@@ -45,6 +42,23 @@ def make_lattice(gram: list[list[int]], name: str | None = None) -> Lattice:
     return Lattice(gram=tuple(tuple(int(x) for x in row) for row in gram), name=name)
 
 
+def _rows(lat: Lattice, vectors) -> tuple[list[list[int]], int]:
+    """Rational vectors of length rank as integer rows over one denominator."""
+    rows, den = exact.integer_rows(vectors)
+    if any(len(v) != lat.rank for v in rows):
+        raise ValueError("vector length does not match lattice rank")
+    return rows, den
+
+
+def _pairings(lat: Lattice, rows, cols) -> list[list[int]]:
+    """V*G*W^T for integer rows V and W."""
+    out = []
+    for v in rows:
+        vg = [sum(map(mul, v, col)) for col in lat.gram]  # G is symmetric
+        out.append([sum(map(mul, vg, w)) for w in cols])
+    return out
+
+
 def gram_matrix(lat: Lattice, vectors, others=None) -> list[list]:
     """Pairings <v_i, w_j> of rational vectors as one integer matrix product.
 
@@ -53,24 +67,16 @@ def gram_matrix(lat: Lattice, vectors, others=None) -> list[list]:
     An entry is an int when it is integral and a Fraction otherwise.  Without
     ``others`` this is the Gram matrix of ``vectors``.
     """
-    rows, den = exact.integer_rows(vectors)
-    cols, col_den = (rows, den) if others is None else exact.integer_rows(others)
-    n = lat.rank
-    if any(len(v) != n for v in rows) or any(len(w) != n for w in cols):
-        raise ValueError("vector length does not match lattice rank")
+    rows, den = _rows(lat, vectors)
+    cols, col_den = (rows, den) if others is None else _rows(lat, others)
     scale = den * col_den
-    out = []
-    for v in rows:
-        vg = [sum(map(mul, v, col)) for col in lat.gram]  # G is symmetric
-        row = []
-        for w in cols:
-            num = sum(map(mul, vg, w))
-            row.append(num // scale if num % scale == 0 else Fraction(num, scale))
-        out.append(row)
-    return out
+    return [
+        [x // scale if x % scale == 0 else Fraction(x, scale) for x in row]
+        for row in _pairings(lat, rows, cols)
+    ]
 
 
-def pairing(lat: Lattice, x: Vector, y: Vector):
+def pairing(lat: Lattice, x, y):
     return gram_matrix(lat, [x], [y])[0][0]
 
 
@@ -171,7 +177,7 @@ def make_named(spec: str) -> Lattice:
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
-    """L*/L: cyclic invariant factors (>1) with rational coset-generator lifts."""
+    """L*/L: cyclic invariant factors (>1) with coset-generator lifts as Fraction tuples."""
 
     invariant_factors: tuple[int, ...]
     generator_lifts: tuple[tuple[Fraction, ...], ...]
@@ -184,11 +190,9 @@ class DiscriminantGroup:
         return n
 
 
-def _in_dual(lat: Lattice, x: Vector) -> bool:
-    (row,), den = exact.integer_rows([x])
-    if len(row) != lat.rank:
-        raise ValueError("vector length does not match lattice rank")
-    return all(sum(map(mul, col, row)) % den == 0 for col in lat.gram)
+def _in_dual(lat: Lattice, rows, den: int) -> bool:
+    """Do the vectors row/den all pair integrally with L?"""
+    return all(sum(map(mul, col, row)) % den == 0 for row in rows for col in lat.gram)
 
 
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
@@ -201,49 +205,49 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     lifts = []
     for i, di in enumerate(res.factors):
         if di > 1:
-            lift = tuple(Fraction(res.right[r][i], di) % 1 for r in range(n))
-            if not _in_dual(lat, lift):
+            lift = [res.right[r][i] % di for r in range(n)]
+            if not _in_dual(lat, [lift], di):
                 raise AssertionError("discriminant generator lift is not in the dual lattice")
             factors.append(di)
-            lifts.append(lift)
+            lifts.append(tuple(Fraction(x, di) for x in lift))
     group = DiscriminantGroup(tuple(factors), tuple(lifts))
     if group.order != abs(d):
         raise AssertionError("discriminant group order does not match |det|")
     return group
 
 
-def disc_q(lat: Lattice, x: Vector) -> Fraction:
+def disc_q(lat: Lattice, x) -> Fraction:
     """q_L(x mod L) = x^2 mod 2Z, reduced into [0, 2). Defined for even L only."""
     if not is_even(lat):
         raise ValueError("discriminant quadratic form is defined only for even lattices")
-    if not _in_dual(lat, x):
+    rows, den = _rows(lat, [x])
+    if not _in_dual(lat, rows, den):
         raise ValueError("lift is not in the dual lattice")
-    return Fraction(pairing(lat, x, x)) % 2
+    return Fraction(_pairings(lat, rows, rows)[0][0], den * den) % 2
 
 
-def disc_b(lat: Lattice, x: Vector, y: Vector) -> Fraction:
+def disc_b(lat: Lattice, x, y) -> Fraction:
     """b_L(x, y) = <x, y> mod Z, reduced into [0, 1)."""
-    if not _in_dual(lat, x) or not _in_dual(lat, y):
+    rows, den = _rows(lat, [x, y])
+    if not _in_dual(lat, rows, den):
         raise ValueError("lift is not in the dual lattice")
-    return Fraction(pairing(lat, x, y)) % 1
+    return Fraction(_pairings(lat, rows[:1], rows[1:])[0][0], den * den) % 1
 
 
-def _adjoin(lat: Lattice, vectors) -> tuple[list[list[Fraction]], int]:
-    """HNF basis of L + sum Z*v for rational v, and its index over L.
+def _adjoin(lat: Lattice, rows, den: int) -> tuple[list[list[int]], int]:
+    """HNF basis of L + sum Z*v for v = row/den, as rows over den, and its index over L.
 
     The rows den*I and den*v span den*(L + sum Z*v) inside Z^n; its HNF has
     its pivots on the diagonal, and the index is den^n over their product.
     """
     n = lat.rank
-    rows, den = exact.integer_rows(vectors)
-    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)] + rows
-    hnf = exact.hnf_rows(rows)
+    hnf = exact.hnf_rows([[den if i == j else 0 for j in range(n)] for i in range(n)] + rows)
     if len(hnf) != n:
         raise AssertionError("overlattice basis does not have full rank")
     index = den**n
     for i, row in enumerate(hnf):
         index //= row[i]
-    return [[Fraction(x, den) for x in row] for row in hnf], index
+    return hnf, index
 
 
 def overlattice(lat: Lattice, glue) -> Lattice:
@@ -257,66 +261,70 @@ def overlattice(lat: Lattice, glue) -> Lattice:
     """
     if not is_even(lat):
         raise ValueError("overlattice gluing requires an even lattice")
-    glue = [tuple(g) for g in glue]
-    for g in glue:
-        if not _in_dual(lat, g):
-            raise ValueError("glue generator is not in the dual lattice")
-    for i, row in enumerate(gram_matrix(lat, glue)):
+    glue, den = _rows(lat, glue)
+    if not _in_dual(lat, glue, den):
+        raise ValueError("glue generator is not in the dual lattice")
+    for i, row in enumerate(_pairings(lat, glue, glue)):
         for j in range(i, len(row)):
-            if row[j] % (2 if i == j else 1) != 0:
-                raise ValueError(
-                    f"glue subgroup is not isotropic: <g{i + 1}, g{j + 1}> = {row[j]}"
-                )
-    basis, index = _adjoin(lat, glue)
-    out = make_lattice(_basis_gram(lat, basis))
+            if row[j] % ((2 if i == j else 1) * den * den):
+                raise ValueError(f"glue subgroup is not isotropic: <g{i + 1}, g{j + 1}> = "
+                                 f"{Fraction(row[j], den * den)}")
+    basis, index = _adjoin(lat, glue, den)
+    out = make_lattice(_basis_gram(lat, basis, den))
     if not is_even(out):
         raise AssertionError("overlattice of an even lattice along isotropic glue must be even")
     if det(out) * index * index != det(lat):
         raise AssertionError("overlattice index does not match glue subgroup order")
-    _check_overlattice_disc_form(lat, out, basis, glue, index)
+    _check_overlattice_disc_form(lat, out, basis, glue, den, index)
     return out
 
 
-def _basis_gram(lat: Lattice, basis) -> list[list[int]]:
-    g = gram_matrix(lat, basis)
-    if any(isinstance(x, Fraction) for row in g for x in row):
+def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
+    """Gram matrix of the basis row/den, which must be integral."""
+    g = _pairings(lat, basis, basis)
+    if any(x % (den * den) for row in g for x in row):
         raise ValueError("non-integral pairing in constructed basis")
-    return g
+    return [[x // (den * den) for x in row] for row in g]
 
 
-def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, index: int) -> None:
+def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, index) -> None:
     """L'*/L' = H-perp/H, checked on generators without listing either group.
 
     For L in L' in L'* in L*, H-perp is L'*/L (Nikulin 1979, Prop. 1.4.1).
     The discriminant lifts of L', written in L coordinates, must lie in L*
     and pair integrally with the glue; with the glue they must generate a
     subgroup of L*/L of order |det L| / |H|, which is then all of H-perp.
+    Basis and glue are rows over den, the lifts one product over lift_den*den.
     """
-    lifts = exact.matmul([list(x) for x in discriminant_group(over).generator_lifts], basis)
-    if not all(_in_dual(lat, x) for x in lifts):
+    lift_rows, lift_den = exact.integer_rows(discriminant_group(over).generator_lifts)
+    lifts = exact.matmul(lift_rows, basis)
+    glue = [[lift_den * x for x in g] for g in glue]
+    scale = lift_den * den
+    if not _in_dual(lat, lifts, scale):
         raise AssertionError("overlattice discriminant lift is not in the dual lattice")
-    if any(isinstance(b, Fraction) for row in gram_matrix(lat, lifts, glue) for b in row):
+    if any(b % (scale * scale) for row in _pairings(lat, lifts, glue) for b in row):
         raise AssertionError("overlattice discriminant lift is not orthogonal to the glue")
-    _, order = _adjoin(lat, lifts + glue)
+    _, order = _adjoin(lat, lifts + glue, scale)
     if order * index != abs(det(lat)):
         raise AssertionError("discriminant form of overlattice does not match H-perp/H")
 
 
 def _disc_table(lat: Lattice):
-    """L*/L with the pairings of its generator lifts as one integer table.
+    """L*/L, its generator lifts as integer rows over den, and their pairings.
 
-    For coordinates x, y mod the invariant factors, b(x, y) = x^T T y / den
-    mod 1 and q(x) = x^T T x / den mod 2.
+    For coordinates x, y mod the invariant factors, b(x, y) = x^T T y / den^2
+    mod 1 and q(x) = x^T T x / den^2 mod 2.
     """
     group = discriminant_group(lat)
-    table, den = exact.integer_rows(gram_matrix(lat, group.generator_lifts))
-    return group, table, den
+    rows, den = exact.integer_rows(group.generator_lifts)
+    return group, rows, _pairings(lat, rows, rows), den
 
 
 def _isotropic_classes(group: DiscriminantGroup, table, den: int):
     """The nonzero classes with q = 0, as coordinates in lexicographic order."""
+    mod = 2 * den * den
     for x in product(*map(range, group.invariant_factors)):
-        if any(x) and sum(a * sum(map(mul, row, x)) for a, row in zip(x, table)) % (2 * den) == 0:
+        if any(x) and sum(a * sum(map(mul, row, x)) for a, row in zip(x, table)) % mod == 0:
             yield x
 
 
@@ -332,7 +340,7 @@ def saturate(lat: Lattice) -> Lattice:
     """
     if not is_even(lat):
         raise ValueError("saturation requires an even lattice")
-    group, table, den = _disc_table(lat)
+    group, lifts, table, den = _disc_table(lat)
     if group.order > SATURATE_MAX_ORDER:
         raise ValueError(
             f"discriminant group of order {group.order} is above the saturation bound "
@@ -344,7 +352,7 @@ def saturate(lat: Lattice) -> Lattice:
     h_gens: list[list[int]] = []
     h_pairs: list[list[int]] = []  # T*h for each generator h of H
     for x in _isotropic_classes(group, table, den):
-        if x in members or any(sum(map(mul, x, th)) % den for th in h_pairs):
+        if x in members or any(sum(map(mul, x, th)) % (den * den) for th in h_pairs):
             continue
         multiples = []
         y = x
@@ -355,9 +363,10 @@ def saturate(lat: Lattice) -> Lattice:
                     for m in members for k in multiples}
         h_gens.append(list(x))
         h_pairs.append([sum(map(mul, row, x)) for row in table])
-    glue = exact.matmul(h_gens, [list(lift) for lift in group.generator_lifts])
-    out = overlattice(lat, glue)
-    if next(_isotropic_classes(*_disc_table(out)), None) is not None:
+    # overlattice is public and takes rational vectors: the one conversion back
+    out = overlattice(lat, exact.fraction_rows(exact.matmul(h_gens, lifts), den))
+    over_group, _, over_table, over_den = _disc_table(out)
+    if next(_isotropic_classes(over_group, over_table, over_den), None) is not None:
         raise AssertionError("H-perp/H has a nonzero isotropic class after saturation")
     return out
 
@@ -490,9 +499,8 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
     span, anisotropic = mod2_subgroup(lat, h_gens)
     if anisotropic:
         raise ValueError("H is not isotropic for the mod-2 quadratic form")
-    basis, _ = _adjoin(lat, [[Fraction(c, 2) for c in h] for h in h_gens])
-    gram = _basis_gram(lat, basis)  # raises on non-integral pairing
-    out = make_lattice(gram)
+    basis, _ = _adjoin(lat, list(h_gens), 2)
+    out = make_lattice(_basis_gram(lat, basis, 2))  # raises on non-integral pairing
     index = len(span)
     if det(out) * index * index != det(lat):
         raise AssertionError("half-overlattice index does not match |H|")
@@ -503,22 +511,19 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
 
 def orth_complement(lat: Lattice, vectors) -> Lattice:
     """Saturated orthogonal complement of the given rational vectors."""
-    vecs = [tuple(v) for v in vectors]
-    if not vecs:
+    ints, den = _rows(lat, vectors)
+    if not ints:
         return lat
-    ints, den = exact.integer_rows(vecs)
     rows = []
     for v in ints:
         # G*v = w/den, and w/gcd(den, w) is G*v times its least common denominator
         w = [sum(map(mul, col, v)) for col in lat.gram]
         c = gcd(den, *w)
         rows.append([x // c for x in w])
-    kernel = exact.int_kernel(rows)
-    gram = _basis_gram(lat, [list(b) for b in kernel])
-    return make_lattice(gram)
+    return make_lattice(_basis_gram(lat, exact.int_kernel(rows), 1))
 
 
-def reflect(lat: Lattice, delta: Vector, x: Vector) -> Vector:
+def reflect(lat: Lattice, delta, x) -> tuple:
     """s_delta(x) = x + <x, delta> delta for a (-2)-vector delta."""
     if pairing(lat, delta, delta) != -2:
         raise ValueError("reflection vector must have self-pairing -2")

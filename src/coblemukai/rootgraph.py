@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from . import exact
+from . import exact, lattice
 
 KIND_CURVE = -2
 KIND_ROOT = -1
@@ -490,20 +490,17 @@ def span_lattice(g: RootGraph):
     Congruence by the SNF right transform splits off the radical exactly;
     the leading block is the Gram matrix of the span.
     """
-    from . import lattice as _lat
-
     gram = g.gram_rows()
     res = exact.snf(gram)
     r = res.rank
     if r == 0:
         raise ValueError("graph Gram has zero rank")
-    v = [list(row) for row in res.right]
-    m = exact.matmul(exact.matmul(exact.transpose(v), gram), v)
+    m = exact.matmul(exact.matmul(exact.transpose(res.right), gram), res.right)
     for i in range(g.n):
         for j in range(g.n):
             if (i >= r or j >= r) and m[i][j] != 0:
                 raise AssertionError("radical split failed")
-    return _lat.make_lattice([row[:r] for row in m[:r]])
+    return lattice.make_lattice([row[:r] for row in m[:r]])
 
 
 def span_det(g: RootGraph) -> int:
@@ -515,13 +512,11 @@ def span_det(g: RootGraph) -> int:
     (``lattice.saturate``); that is the largest even lattice the roots can
     generate in any ambient, and every maximal subgroup gives the same det.
     """
-    from . import lattice as _lat
-
     span = span_lattice(g)
-    d = _lat.det(span)
+    d = lattice.det(span)
     if abs(d) == 1:
         return d
-    return _lat.det(_lat.saturate(span))
+    return lattice.det(lattice.saturate(span))
 
 
 # --- automorphisms ----------------------------------------------------------

@@ -245,6 +245,28 @@ def test_coble_mukai_no_boundaries_is_ambient():
     assert cm.lattice.gram == model.ambient.gram
 
 
+def test_half_integral_boundary_is_refused():
+    # (1/2, -4, 0) has self-pairing -4, but coble_mukai used to truncate it to
+    # (0, -4, 0) and return a "complement" pairing 1/2 with the real boundary
+    amb = lattice.make_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    boundary = (Fraction(1, 2), Fraction(-4), Fraction(0))
+    assert lattice.pairing(amb, boundary, boundary) == -4
+
+    def model(b):
+        return catalog.BlowupModel(
+            ambient=amb, basis_labels=("hu", "hv", "e1"), exceptional=("e1",),
+            boundaries=(("B", b),), roots=(),
+        )
+
+    with pytest.raises(ValueError, match="boundary B is not an integral class"):
+        model(boundary)
+    # an integral boundary of the same square is accepted, and its complement
+    # is orthogonal to it
+    integral = (Fraction(1), Fraction(-2), Fraction(0))
+    cm = coble_mukai(model(integral))
+    assert all(lattice.pairing(amb, v, integral) == 0 for v in cm.basis)
+
+
 def test_r_invariant_rows():
     rep = r_invariant_check(q_kernel_invariant("A5+A5+A1+A1"), p=3, expect_nullity=3)
     assert rep.ok and rep.h_rank == 3 and rep.nullity == 3

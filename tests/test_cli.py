@@ -446,6 +446,72 @@ def test_graph_vinberg_and_maximal_stdout_pinned(name):
             assert code == 0
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
 
+
+# sha256 of stdout, text then --json, for commands that print Fraction
+# strings (discriminant lifts and q values, blow-up model vectors) or Gram
+# matrices built from rational bases, as produced by the implementation that
+# carried rational vectors as tuples of Fraction
+HAMMING_GLUE = (
+    "1/2,1/2,1/2,1/2,0,0,0,0;0,0,1/2,1/2,1/2,1/2,0,0;"
+    "0,0,0,0,1/2,1/2,1/2,1/2;1/2,0,1/2,0,1/2,0,1/2,0"
+)
+RATIONAL_STDOUT_SHA256 = [
+    (["lattice", "disc", "A2+D4"], (
+        "ad2990888e518b3387fb85a1d7fe5c2ba6a0081c6b5299da663d09a1f2688d92",
+        "4c4c2ddd2d5decc1da10b8d7d6833c0e48a1f083b2cb596854fd82b9359ae9dc",
+    )),
+    (["lattice", "disc", "E6+A4"], (
+        "6727d04d296b605252ee3447e7327ac0c8c179049c8a1af7f90d0814a2e210bc",
+        "a62e75d2589c94825f244f2b896f022e286f5690c49916b80a51eba6c3e6798f",
+    )),
+    (["lattice", "disc", "D9"], (
+        "b3ac925fa3dd431cd1d771fd0d2ebc0f0ae36ffbcef58e2a47a8128d8297ce25",
+        "cf5152a53456a0333413b63f446f3f7f17500547bebec59b24e31e5690e7b3fe",
+    )),
+    (["lattice", "disc", "U(2)"], (
+        "5b0ca4e795b33b9543821dece0f44702f9f0ac2640173ae80928fdde41472d75",
+        "7d54bb96d2cef12c327bd9893dded4758a2e0a07b69ebedb6c5435f06d1b1456",
+    )),
+    (["lattice", "overlattice", "U(4)", "--glue", "1/4,0"], (
+        "b91b4e627c7f4a3c0cbfc29628b812f99f16a46f0b05aa16cae14148d9132b12",
+        "07932ba3e2299f4bd7369105dfde3c62f1b35c6653e3ab3f0d2030b829c73f56",
+    )),
+    (["lattice", "overlattice", "D4+D4(-1)", "--glue",
+      "0 0 1/2 1/2 0 0 1/2 1/2; 1/2 0 1/2 0 1/2 0 1/2 0"], (
+        "edcf1437cefec5a9f31f41d7bf179fe02cc10b8a1fb65e01a82eebcc7236f3c4",
+        "df91f3c741d8f9ec370dc7be61145a508d510639393adeac732102dcd66b45f0",
+    )),
+    # the extended Hamming code glues 8 A1 to E8
+    (["lattice", "overlattice", "A1+A1+A1+A1+A1+A1+A1+A1", "--glue", HAMMING_GLUE], (
+        "efe324fb842ab399f13b36639487fdff993b795f24db89bc24029b7788d2c007",
+        "103d641e01fd73e86eb80d0e289c3f36775dc2f3410311adc98e035ca63b8166",
+    )),
+    (["lattice", "overlattice", "E8+A1+A1", "--half-kernel"], (
+        "d90bfdbc22b0d2b3f47b4ee36ebf4b5703692e43aa240d7ef78844c165f3227b",
+        "41edbadaa42c9b87a1a469ce45a618f1eae2e3fe2debf587d998a30a3071fa74",
+    )),
+    # `catalog model` prints the model text whether or not --json is given
+    (["catalog", "model", "MI"], (
+        "e4c25b5c490f33ecb148f5b006cf5be3113928c4d651eef1549b8229c947d8e1",
+        "e4c25b5c490f33ecb148f5b006cf5be3113928c4d651eef1549b8229c947d8e1",
+    )),
+    (["catalog", "model", "MII"], (
+        "a329d7fdebc588878186180a9801a840f6b0471abe9789ba41190dac7e07af06",
+        "a329d7fdebc588878186180a9801a840f6b0471abe9789ba41190dac7e07af06",
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "base,shas", RATIONAL_STDOUT_SHA256, ids=[" ".join(a[:3]) for a, _ in RATIONAL_STDOUT_SHA256]
+)
+def test_rational_vector_stdout_pinned(base, shas):
+    text_sha, json_sha = shas
+    for argv, want in ((base, text_sha), (base + ["--json"], json_sha)):
+        code, out, _ = run(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
+
 GRAM_TOKENS = st.one_of(
     st.integers(min_value=-3, max_value=3).map(str),
     st.sampled_from(["rank", "x", "1.5", "-0", "+2", "1/2", ""]),
