@@ -110,7 +110,7 @@ def snf(m: list[list[int]]) -> SnfResult:
 
     Kummer-Smith elimination; the pivot is always the entry of minimal
     nonzero absolute value (row-major scan on ties), which keeps coefficient
-    growth tame on the 40x40 Gram matrices this package feeds it.
+    growth tame on the matrices of rank at most 18 this package feeds it.
     """
     rows, cols = dims(m)
     a = [[int(x) for x in row] for row in m]

@@ -3,7 +3,8 @@
 A lattice is a free Z-module with an integer Gram matrix.  The operations
 here cover named ADE/U constructions, determinants, discriminant groups and
 forms, Nikulin overlattice gluing, the mod-2 quadratic form on L/2L with its
-half-integer overlattices, orthogonal complements and root reflections.
+half-integer overlattices, quotients of a degenerate Gram by its radical,
+orthogonal complements and root reflections.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from . import exact
@@ -184,10 +185,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
 
 def _in_dual(lat: Lattice, rows, den: int) -> bool:
@@ -273,9 +271,10 @@ def overlattice(lat: Lattice, glue) -> Lattice:
     out = make_lattice(_basis_gram(lat, basis, den))
     if not is_even(out):
         raise AssertionError("overlattice of an even lattice along isotropic glue must be even")
-    if det(out) * index * index != det(lat):
+    d = det(lat)
+    if det(out) * index * index != d:
         raise AssertionError("overlattice index does not match glue subgroup order")
-    _check_overlattice_disc_form(lat, out, basis, glue, den, index)
+    _check_overlattice_disc_form(lat, out, basis, glue, den, index, d)
     return out
 
 
@@ -287,14 +286,14 @@ def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
     return [[x // (den * den) for x in row] for row in g]
 
 
-def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, index) -> None:
+def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, index, d) -> None:
     """L'*/L' = H-perp/H, checked on generators without listing either group.
 
     For L in L' in L'* in L*, H-perp is L'*/L (Nikulin 1979, Prop. 1.4.1).
     The discriminant lifts of L', written in L coordinates, must lie in L*
     and pair integrally with the glue; with the glue they must generate a
     subgroup of L*/L of order |det L| / |H|, which is then all of H-perp.
-    Basis and glue are rows over den, the lifts one product over lift_den*den.
+    Basis and glue are rows over den, the lifts over lift_den*den; d = det L.
     """
     lift_rows, lift_den = exact.integer_rows(discriminant_group(over).generator_lifts)
     lifts = exact.matmul(lift_rows, basis)
@@ -305,7 +304,7 @@ def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, 
     if any(b % (scale * scale) for row in _pairings(lat, lifts, glue) for b in row):
         raise AssertionError("overlattice discriminant lift is not orthogonal to the glue")
     _, order = _adjoin(lat, lifts + glue, scale)
-    if order * index != abs(det(lat)):
+    if order * index != abs(d):
         raise AssertionError("discriminant form of overlattice does not match H-perp/H")
 
 
@@ -507,7 +506,39 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
     return out
 
 
-# --- complements and reflections ------------------------------------------
+# --- radical quotients, complements and reflections -------------------------
+
+def radical_quotient(gram) -> Lattice:
+    """Z^n modulo the radical of a symmetric integer Gram G, with its form.
+
+    The pivot columns S of the HNF of G index r rows spanning its row space,
+    so M = G[S,S] is nonsingular and e_S is a basis of Q^n/rad, where e_j has
+    coordinates C_j = G[j,S] M^-1: rows over the largest invariant factor d
+    of one r x r SNF.  C M C^T = G is checked; one HNF of the C_j gives the
+    basis.  G = 0 gives rank 0.
+    """
+    g = [list(map(int, row)) for row in gram]
+    if not exact.is_symmetric(g):
+        raise ValueError("Gram matrix must be symmetric")
+    pivots = [next(i for i, x in enumerate(row) if x) for row in exact.hnf_rows(g)]
+    if not pivots:
+        return make_lattice([])
+    m = [[g[i][j] for j in pivots] for i in pivots]
+    minor = make_lattice(m)
+    res = exact.snf(m)
+    d = res.factors[-1]
+    # U M V = diag(f) gives d M^-1 = V diag(d/f) U
+    inv = exact.matmul([[x * (d // f) for x, f in zip(row, res.factors)] for row in res.right],
+                       res.left)
+    coords = exact.matmul([[row[j] for j in pivots] for row in g], inv)
+    cm = exact.matmul(coords, m)
+    n = len(g)  # C M C^T is symmetric, so its upper triangle decides
+    if any(sum(map(mul, cm[i], coords[j])) != d * d * g[i][j]
+           for i in range(n) for j in range(i, n)):
+        raise AssertionError("radical split failed")
+    basis, _ = _adjoin(minor, coords, d)
+    return make_lattice(_basis_gram(minor, basis, d))
+
 
 def orth_complement(lat: Lattice, vectors) -> Lattice:
     """Saturated orthogonal complement of the given rational vectors."""

@@ -485,22 +485,12 @@ def span_check(g: RootGraph) -> tuple[int, tuple[int, int]]:
 
 
 def span_lattice(g: RootGraph):
-    """The lattice generated by the roots, modulo its radical.
-
-    Congruence by the SNF right transform splits off the radical exactly;
-    the leading block is the Gram matrix of the span.
-    """
-    gram = g.gram_rows()
-    res = exact.snf(gram)
-    r = res.rank
-    if r == 0:
+    """The lattice generated by the roots modulo its radical, built at the
+    span's rank from independent roots by ``lattice.radical_quotient``."""
+    span = lattice.radical_quotient(g.gram_rows())
+    if span.rank == 0:
         raise ValueError("graph Gram has zero rank")
-    m = exact.matmul(exact.matmul(exact.transpose(res.right), gram), res.right)
-    for i in range(g.n):
-        for j in range(g.n):
-            if (i >= r or j >= r) and m[i][j] != 0:
-                raise AssertionError("radical split failed")
-    return lattice.make_lattice([row[:r] for row in m[:r]])
+    return span
 
 
 def span_det(g: RootGraph) -> int:

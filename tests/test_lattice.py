@@ -190,6 +190,46 @@ def test_saturate_self_check_survives_python_O():
     assert proc.stdout == "raised: H-perp/H has a nonzero isotropic class after saturation\n"
 
 
+
+LYING_MINOR_SNF_SCRIPT = """
+import sys
+from coblemukai import catalog, exact, rootgraph
+if __debug__:
+    sys.exit("not running under -O")
+g = catalog.build_graph("I")  # 12 roots spanning rank 10
+truthful = exact.snf
+
+def lying(m):
+    # lies only on the r x r minor: V gains its first column in its second
+    res = truthful(m)
+    if len(m) == g.n:
+        return res
+    right = tuple((r[0], r[0] + r[1]) + r[2:] for r in res.right)
+    return exact.SnfResult(res.factors, res.left, right)
+
+exact.snf = lying
+try:
+    rootgraph.span_lattice(g)
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("self-check did not fire")
+"""
+
+
+def test_radical_split_check_survives_python_O():
+    # a wrong d*M^-1 gives root coordinates C with C M C^T != d^2 G
+    src = str(Path(lattice.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_MINOR_SNF_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: radical split failed\n"
+
 def test_mod2_form_a1():
     form = lattice.mod2_form(make_named("A1"))
     assert form.f_matrix == ((0,),)

@@ -6,13 +6,14 @@ parabolics and maximal packings) and against all-permutations search
 orders on larger graphs are also counted by networkx's VF2 matcher.
 Discriminant forms are checked by listing L*/L: span_det against a DFS over
 every chain of isotropic subgroups, and the form of an overlattice against
-q on H-perp/H.
+q on H-perp/H.  The span lattice built at the span's rank is checked against
+sympy's rank and Smith form and against the n x n SNF congruence it replaced.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -425,6 +426,117 @@ def test_span_det_matches_isotropic_chain_oracle():
             saturated += brute != d
     assert compared >= 30 and saturated >= 10, (compared, saturated)
 
+
+
+# --- span lattices at the span's rank ------------------------------------------------
+
+def snf_congruence_span(g):
+    """The span as it was built from the n x n SNF of the graph Gram: the
+    congruence by the right transform splits off the radical, and the
+    leading r x r block is the Gram matrix of the span."""
+    gram = g.gram_rows()
+    res = exact.snf(gram)
+    r = res.rank
+    m = exact.matmul(exact.matmul(exact.transpose(res.right), gram), res.right)
+    assert all(m[i][j] == 0 for i in range(g.n) for j in range(g.n) if i >= r or j >= r)
+    return lattice.make_lattice([row[:r] for row in m[:r]])
+
+
+def saturated_det(span):
+    """span_det's answer for a given span lattice, or its refusal."""
+    d = lattice.det(span)
+    if abs(d) == 1:
+        return d
+    try:
+        return lattice.det(lattice.saturate(span))
+    except ValueError as exc:
+        return str(exc)
+
+
+def check_radical_quotient(gram):
+    """Rank, |det| and inertia of Z^n/rad against sympy and rank_signature(G)."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    quotient = lattice.radical_quotient(gram)
+    m = Matrix(gram)
+    rank = m.to_DM().rank()  # Matrix.rank's answer, exactly and faster
+    assert quotient.rank == rank, gram
+    snf = smith_normal_form(m, domain=ZZ)
+    want = prod(abs(int(snf[i, i])) for i in range(min(m.shape)) if snf[i, i])
+    # the torsion of coker G is the discriminant group of Z^n/rad
+    assert abs(lattice.det(quotient)) == want, gram
+    pos, neg, _ = exact.rank_signature(gram)
+    assert exact.rank_signature(quotient.gram_rows()) == (pos, neg, 0), gram
+    return quotient
+
+
+def check_span(g):
+    old = snf_congruence_span(g)
+    assert lattice.det(check_radical_quotient(g.gram_rows())) == lattice.det(old), g
+    try:
+        got = rootgraph.span_det(g)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == saturated_det(old), g
+
+
+def test_radical_quotient_on_catalog_graphs():
+    for name in ("I", "II", "VI", "MI", "MII"):
+        check_span(catalog.build_graph(name))
+
+
+def test_radical_quotient_on_random_induced_subgraphs():
+    rng = random.Random(88)
+    sizes = set()
+    for trial in range(150):
+        source = catalog.build_graph(("VI", "MI", "MII")[trial % 3])
+        size = rng.randint(2, source.n)
+        sizes.add(size)
+        check_span(source.induced(rng.sample(source.labels, size)))
+    assert min(sizes) <= 4 and max(sizes) >= 36, sorted(sizes)
+
+
+def test_radical_quotient_skips_dependent_leading_vertices():
+    # an A~1 double edge listed first: the second row is minus the first,
+    # so the pivot columns skip vertex 1; then an A~1 pair before E7
+    a1_tilde = rootgraph.RootGraph(["a", "b"], [[0, 2], [2, 0]])
+    check_span(a1_tilde)
+    assert rootgraph.span_lattice(a1_tilde).gram == ((-2,),)
+    e7 = [("e", i, i + 1) for i in range(5)] + [("e", 2, 6)]
+    g = rootgraph.from_edges(
+        "A~1+E7", ["a", "b"] + [f"e{i}" for i in range(7)],
+        [("a", "b", 2)] + [(f"e{i}", f"e{j}", 1) for _, i, j in e7],
+    )
+    check_span(g)
+    assert rootgraph.span_check(g)[0] == 8 and abs(lattice.det(rootgraph.span_lattice(g))) == 4
+    # two vertices with the same row, first and second, and a zero row
+    same = [[2, 2, 1, 0], [2, 2, 1, 0], [1, 1, -2, 0], [0, 0, 0, 0]]
+    q = check_radical_quotient(same)
+    assert q.rank == 2 and lattice.det(q) == -5
+    # a hyperbolic plane (zero diagonal) whose first row is repeated, then tripled
+    check_radical_quotient([[0, 0, 1, 0], [0, 0, 1, 0], [1, 1, 0, 3], [0, 0, 3, 0]])
+
+
+def test_radical_quotient_on_random_degenerate_grams():
+    # B^T D B with fewer rows than columns has a radical; a zero diagonal in D
+    # leaves the first rows without a diagonal pivot
+    rng = random.Random(17)
+    for trial in range(60):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, n)
+        d = random_symmetric(rng, k, zero_diagonal=trial % 2 == 0)
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        m = exact.matmul(exact.matmul(exact.transpose(b), d), b)
+        check_radical_quotient(m)
+
+
+def test_radical_quotient_of_zero_gram():
+    assert lattice.radical_quotient([[0, 0], [0, 0]]).rank == 0
+    with pytest.raises(ValueError, match="zero rank"):
+        rootgraph.span_lattice(rootgraph.RootGraph([], []))
+    with pytest.raises(ValueError, match="symmetric"):
+        lattice.radical_quotient([[0, 1], [0, 0]])
 
 def glued_form_oracle(lat, glue):
     """Sorted q over H-perp/H, listing all of L*/L."""
