@@ -259,7 +259,12 @@ def overlattice(lat: Lattice, glue) -> Lattice:
     """
     if not is_even(lat):
         raise ValueError("overlattice gluing requires an even lattice")
-    glue, den = _rows(lat, glue)
+    return _overlattice(lat, *_rows(lat, glue))[0]
+
+
+def _overlattice(lat: Lattice, glue, den: int) -> tuple[Lattice, DiscriminantGroup]:
+    """``overlattice`` on glue rows over den, with the L'*/L' that its
+    discriminant-form check computed."""
     if not _in_dual(lat, glue, den):
         raise ValueError("glue generator is not in the dual lattice")
     for i, row in enumerate(_pairings(lat, glue, glue)):
@@ -274,8 +279,7 @@ def overlattice(lat: Lattice, glue) -> Lattice:
     d = det(lat)
     if det(out) * index * index != d:
         raise AssertionError("overlattice index does not match glue subgroup order")
-    _check_overlattice_disc_form(lat, out, basis, glue, den, index, d)
-    return out
+    return out, _check_overlattice_disc_form(lat, out, basis, glue, den, index, d)
 
 
 def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
@@ -286,8 +290,9 @@ def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
     return [[x // (den * den) for x in row] for row in g]
 
 
-def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, index, d) -> None:
-    """L'*/L' = H-perp/H, checked on generators without listing either group.
+def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, index, d):
+    """L'*/L' = H-perp/H, checked on generators without listing either group;
+    returns L'*/L'.
 
     For L in L' in L'* in L*, H-perp is L'*/L (Nikulin 1979, Prop. 1.4.1).
     The discriminant lifts of L', written in L coordinates, must lie in L*
@@ -295,7 +300,8 @@ def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, 
     subgroup of L*/L of order |det L| / |H|, which is then all of H-perp.
     Basis and glue are rows over den, the lifts over lift_den*den; d = det L.
     """
-    lift_rows, lift_den = exact.integer_rows(discriminant_group(over).generator_lifts)
+    group = discriminant_group(over)
+    lift_rows, lift_den = exact.integer_rows(group.generator_lifts)
     lifts = exact.matmul(lift_rows, basis)
     glue = [[lift_den * x for x in g] for g in glue]
     scale = lift_den * den
@@ -306,17 +312,17 @@ def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, 
     _, order = _adjoin(lat, lifts + glue, scale)
     if order * index != abs(d):
         raise AssertionError("discriminant form of overlattice does not match H-perp/H")
+    return group
 
 
-def _disc_table(lat: Lattice):
-    """L*/L, its generator lifts as integer rows over den, and their pairings.
+def _disc_table(lat: Lattice, group: DiscriminantGroup):
+    """The generator lifts of L*/L as integer rows over den, and their pairings.
 
     For coordinates x, y mod the invariant factors, b(x, y) = x^T T y / den^2
     mod 1 and q(x) = x^T T x / den^2 mod 2.
     """
-    group = discriminant_group(lat)
     rows, den = exact.integer_rows(group.generator_lifts)
-    return group, rows, _pairings(lat, rows, rows), den
+    return rows, _pairings(lat, rows, rows), den
 
 
 def _isotropic_classes(group: DiscriminantGroup, table, den: int):
@@ -339,7 +345,8 @@ def saturate(lat: Lattice) -> Lattice:
     """
     if not is_even(lat):
         raise ValueError("saturation requires an even lattice")
-    group, lifts, table, den = _disc_table(lat)
+    group = discriminant_group(lat)
+    lifts, table, den = _disc_table(lat, group)
     if group.order > SATURATE_MAX_ORDER:
         raise ValueError(
             f"discriminant group of order {group.order} is above the saturation bound "
@@ -362,9 +369,8 @@ def saturate(lat: Lattice) -> Lattice:
                     for m in members for k in multiples}
         h_gens.append(list(x))
         h_pairs.append([sum(map(mul, row, x)) for row in table])
-    # overlattice is public and takes rational vectors: the one conversion back
-    out = overlattice(lat, exact.fraction_rows(exact.matmul(h_gens, lifts), den))
-    over_group, _, over_table, over_den = _disc_table(out)
+    out, over_group = _overlattice(lat, exact.matmul(h_gens, lifts), den)
+    _, over_table, over_den = _disc_table(out, over_group)
     if next(_isotropic_classes(over_group, over_table, over_den), None) is not None:
         raise AssertionError("H-perp/H has a nonzero isotropic class after saturation")
     return out
@@ -514,17 +520,18 @@ def radical_quotient(gram) -> Lattice:
     The pivot columns S of the HNF of G index r rows spanning its row space,
     so M = G[S,S] is nonsingular and e_S is a basis of Q^n/rad, where e_j has
     coordinates C_j = G[j,S] M^-1: rows over the largest invariant factor d
-    of one r x r SNF.  C M C^T = G is checked; one HNF of the C_j gives the
-    basis.  G = 0 gives rank 0.
+    of one r x r SNF.  C M C^T = G is checked.  The HNF rows restricted to S
+    are a basis B of L M, where L is spanned by the C_j, so the quotient has
+    Gram B M^-1 B^T, which is checked to be integral.  G = 0 gives rank 0.
     """
     g = [list(map(int, row)) for row in gram]
     if not exact.is_symmetric(g):
         raise ValueError("Gram matrix must be symmetric")
-    pivots = [next(i for i, x in enumerate(row) if x) for row in exact.hnf_rows(g)]
+    hnf = exact.hnf_rows(g)
+    pivots = [next(i for i, x in enumerate(row) if x) for row in hnf]
     if not pivots:
         return make_lattice([])
     m = [[g[i][j] for j in pivots] for i in pivots]
-    minor = make_lattice(m)
     res = exact.snf(m)
     d = res.factors[-1]
     # U M V = diag(f) gives d M^-1 = V diag(d/f) U
@@ -536,8 +543,11 @@ def radical_quotient(gram) -> Lattice:
     if any(sum(map(mul, cm[i], coords[j])) != d * d * g[i][j]
            for i in range(n) for j in range(i, n)):
         raise AssertionError("radical split failed")
-    basis, _ = _adjoin(minor, coords, d)
-    return make_lattice(_basis_gram(minor, basis, d))
+    b = [[row[j] for j in pivots] for row in hnf]
+    span = exact.matmul(exact.matmul(b, inv), exact.transpose(b))
+    if any(x % d for row in span for x in row):
+        raise AssertionError("span Gram B M^-1 B^T is not integral")
+    return make_lattice([[x // d for x in row] for row in span])
 
 
 def orth_complement(lat: Lattice, vectors) -> Lattice:

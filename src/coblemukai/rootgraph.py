@@ -11,6 +11,7 @@ automorphism groups, and a small text format plus DOT export.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from operator import itemgetter
 
 from . import exact, lattice
@@ -74,6 +75,11 @@ class RootGraph:
             [-2 if i == j else self.mult[i][j] for j in range(self.n)]
             for i in range(self.n)
         ]
+
+    @cached_property
+    def _span(self):
+        """Z^n modulo the radical of the Gram matrix, built once per graph."""
+        return lattice.radical_quotient(self.gram_rows())
 
     def induced(self, labels) -> "RootGraph":
         idx = [self.index(l) for l in labels]
@@ -141,6 +147,11 @@ class DiagramType:
         return self.index + 1 if self.affine else self.index
 
 
+# one shared instance per type: the parabolic search names tens of thousands
+# of subsets, and a frozen dataclass is slow to build
+_diagram = cache(DiagramType)
+
+
 def parse_diagram(token: str) -> DiagramType:
     t = token.strip()
     affine = t[1:2] == "~"  # the one place a tilde may stand
@@ -165,104 +176,105 @@ def multiset_str(types) -> str:
 
 # --- shape classification ---------------------------------------------------
 
-def _classify_tree(members, adj):
-    """Classify a single-edged tree that is not a path; returns
-    (is_affine, DiagramType) or None.
+# trees with one branch vertex other than D_n, by their sorted leg lengths
+_STAR_TYPES = {
+    (1, 2, 2): DiagramType("E", 6, False),
+    (1, 2, 3): DiagramType("E", 7, False),
+    (1, 2, 4): DiagramType("E", 8, False),
+    (2, 2, 2): DiagramType("E", 6, True),
+    (1, 3, 3): DiagramType("E", 7, True),
+    (1, 2, 5): DiagramType("E", 8, True),
+    (1, 1, 1, 1): DiagramType("D", 4, True),
+}
 
-    ``adj[v]`` lists the neighbors of v inside the subset.  The shape rules
-    are the standard ADE/affine-ADE tree catalogue; anything else is
-    indefinite.
+
+def _classify_tree(members, adj):
+    """DiagramType of a single-edged tree that is not a path, or None.
+
+    ``adj[v]`` lists the neighbors of v inside the subset.  One branch
+    vertex with legs 1, 1, k gives D_n and the other stars are looked up;
+    two branch vertices of degree 3 whose leaves all hang off them give
+    D~(n-1).  Any other tree is indefinite.
     """
     n = len(members)
     deg = {v: len(adj[v]) for v in members}
     branch = [v for v in members if deg[v] >= 3]
-    if len(branch) == 1:
-        b = branch[0]
-        legs = []
-        for start in adj[b]:
-            length = 1
-            prev, cur = b, start
-            while deg[cur] == 2:
-                nxt = next(u for u in adj[cur] if u != prev)
-                prev, cur = cur, nxt
-                length += 1
-            legs.append(length)
-        legs.sort()
-        if deg[b] == 3:
-            a, c, d = legs
-            if a == 1 and c == 1:
-                return (False, DiagramType("D", n, False))
-            if legs == [1, 2, 2]:
-                return (False, DiagramType("E", 6, False))
-            if legs == [1, 2, 3]:
-                return (False, DiagramType("E", 7, False))
-            if legs == [1, 2, 4]:
-                return (False, DiagramType("E", 8, False))
-            if legs == [2, 2, 2]:
-                return (True, DiagramType("E", 6, True))
-            if legs == [1, 3, 3]:
-                return (True, DiagramType("E", 7, True))
-            if legs == [1, 2, 5]:
-                return (True, DiagramType("E", 8, True))
-            return None
-        if deg[b] == 4 and legs == [1, 1, 1, 1]:
-            return (True, DiagramType("D", 4, True))
-        return None
     if len(branch) == 2:
-        b1, b2 = branch
-        if deg[b1] != 3 or deg[b2] != 3:
-            return None
         leaves = [v for v in members if deg[v] == 1]
-        if len(leaves) != 4:
-            return None
-        for leaf in leaves:
-            if adj[leaf][0] not in branch:
-                return None
-        return (True, DiagramType("D", n - 1, True))
-    return None
-
-
-def _classify_shape(idx, mask, single, doubled):
-    """(is_affine, DiagramType) for a connected vertex list, or None.
-
-    ``mask`` is the bitmask of ``idx`` and ``single[v]`` that of the
-    neighbors of v along edges of multiplicity 1; ``doubled & mask`` is
-    nonzero exactly when the list has an edge of multiplicity 2.  Edges of
-    higher multiplicity must already have been ruled out.  This is the one
-    place that decides ADE/affine shape.
-    """
-    k = len(idx)
-    if doubled & mask:
-        return (True, DiagramType("A", 1, True)) if k == 2 else None
-    degrees = [(single[v] & mask).bit_count() for v in idx]
-    edges = sum(degrees) // 2
-    if edges == k:
-        return (True, DiagramType("A", k - 1, True)) if max(degrees) == 2 else None
-    if edges != k - 1:
+        forks = all(deg[b] == 3 for b in branch) and len(leaves) == 4
+        if forks and all(adj[v][0] in branch for v in leaves):
+            return DiagramType("D", n - 1, True)
         return None
-    if max(degrees) <= 2:  # a path
-        return (False, DiagramType("A", k, False))
-    return _classify_tree(idx, {v: [u for u in idx if single[v] >> u & 1] for v in idx})
+    if len(branch) != 1:
+        return None
+    b = branch[0]
+    legs = []
+    for start in adj[b]:
+        length, prev, cur = 1, b, start
+        while deg[cur] == 2:
+            prev, cur = cur, next(u for u in adj[cur] if u != prev)
+            length += 1
+        legs.append(length)
+    legs.sort()
+    if len(legs) == 3 and legs[1] == 1:
+        return DiagramType("D", n, False)
+    return _STAR_TYPES.get(tuple(legs))
+
+
+def _classify_shape(members, mask, ends, v, single, double):
+    """The definite set ``members`` grown by a neighbor v: (DiagramType,
+    ends) for the new set, or None when it is neither definite nor affine.
+
+    ``mask`` is the bitmask of ``members``; ``ends`` masks the ends of a
+    path A_k (its one vertex for k = 1) and is 0 for D and E.  ``single[u]``
+    and ``double[u]`` mask the neighbors of u along edges of multiplicity 1
+    and 2; higher ones must already be ruled out.  The step is O(1) on
+    bitmasks: a definite set has no double edge, so one into it gives A~1 at
+    size 2 and nothing otherwise; two or more single edges close a cycle,
+    which is A~k only from the two ends of a path; one edge into an end
+    extends the path.  Only a branch vertex, new or old, goes to
+    ``_classify_tree``.  This is the one place that decides ADE/affine shape.
+    """
+    if double[v] & mask:
+        return (_diagram("A", 1, True), 0) if len(members) == 1 else None
+    into = single[v] & mask
+    if into & (into - 1):
+        return (_diagram("A", len(members), True), 0) if into == ends else None
+    if into & ends:
+        # a one-vertex path keeps its vertex as an end
+        return _diagram("A", len(members) + 1, False), (ends ^ into or into) | 1 << v
+    idx = members + [v]
+    typ = _classify_tree(idx, {u: [w for w in idx if single[u] >> w & 1] for u in idx})
+    return None if typ is None else (typ, 0)
 
 
 def _classify_indices(g: RootGraph, idx: list[int]):
-    """(is_affine, DiagramType) for a connected induced subset, or None."""
-    # connectivity under any positive multiplicity
-    near = {a: [b for b in idx if g.mult[a][b]] for a in idx}
-    seen = {idx[0]}
-    stack = [idx[0]]
-    while stack:
-        for u in near[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != len(idx):
+    """DiagramType of a connected induced subset, or None.
+
+    The subset is grown in breadth-first order through ``_classify_shape``.
+    Every such prefix of a definite or affine set is connected and proper,
+    hence definite, so a prefix that is not, or is affine, decides None.
+    """
+    mult = g.mult
+    order = idx[:1]
+    for a in order:  # breadth first under any positive multiplicity
+        order += [b for b in idx if mult[a][b] and b not in order]
+    if len(order) != len(idx):
         raise ValueError("subset does not induce a connected subgraph")
-    if any(g.mult[a][b] >= 3 for a in idx for b in idx):
+    if any(mult[a][b] >= 3 for a in idx for b in idx):
         return None
-    single = {a: sum(1 << b for b in idx if g.mult[a][b] == 1) for a in idx}
-    doubled = sum(1 << a for a in idx if any(g.mult[a][b] == 2 for b in idx))
-    return _classify_shape(idx, sum(1 << a for a in idx), single, doubled)
+    single = {a: sum(1 << b for b in idx if mult[a][b] == 1) for a in idx}
+    double = {a: sum(1 << b for b in idx if mult[a][b] == 2) for a in idx}
+    typ, mask = _diagram("A", 1, False), 1 << order[0]
+    ends = mask
+    for k in range(1, len(order)):
+        v = order[k]
+        got = None if typ.affine else _classify_shape(order[:k], mask, ends, v, single, double)
+        if got is None:
+            return None
+        typ, ends = got
+        mask |= 1 << v
+    return typ
 
 
 def classify(g: RootGraph, subset) -> DiagramType | None:
@@ -275,15 +287,14 @@ def classify(g: RootGraph, subset) -> DiagramType | None:
     idx = sorted({g.index(l) for l in subset})
     if not idx:
         raise ValueError("empty subset")
-    got = _classify_indices(g, idx)
+    typ = _classify_indices(g, idx)
     gram = [[-2 if i == j else g.mult[i][j] for j in idx] for i in idx]
     pos, neg, zero = exact.rank_signature(gram)
-    if got is None:
+    if typ is None:
         if not (pos > 0 or zero >= 2):
             raise AssertionError("unrecognized negative semidefinite diagram")
         return None
-    affine, typ = got
-    if affine:
+    if typ.affine:
         if (pos, neg, zero) != (0, len(idx) - 1, 1):
             raise AssertionError(f"bad affine shape {typ}")
     elif (pos, neg, zero) != (0, len(idx), 0):
@@ -326,9 +337,9 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
     max_size = n if max_rank is None else min(n, max_rank + 1)
     found: list[tuple[list[int], DiagramType]] = []
 
-    def extend(members, mask, ext, nbhd, above):
-        """Grow the definite set ``members`` by each vertex of the bitmask
-        ``ext`` in turn; ``above`` masks the vertices beyond the root."""
+    def extend(members, mask, ends, ext, nbhd, above):
+        """Grow the definite set ``members`` (``ends`` as in ``_classify_shape``)
+        by each vertex of the bitmask ``ext``; ``above`` masks those > root."""
         size = len(members) + 1
         if size > max_size:
             return
@@ -338,40 +349,41 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
             v = ext.bit_length() - 1
             bit = 1 << v
             ext ^= bit
-            new = members + [v]
-            # a definite set has no double edge, so only v can be on one
-            got = _classify_shape(new, mask | bit, single, double[v])
+            got = _classify_shape(members, mask, ends, v, single, double)
             if got is None:
                 continue
-            if got[0]:
-                found.append((new, got[1]))
+            typ, new_ends = got
+            if typ.affine:
+                found.append((members + [v], typ))
             elif size < max_size:
                 fresh = both[v] & ~nbhd & ~mask & above
-                extend(new, mask | bit, ext | fresh, nbhd | both[v], above)
+                extend(members + [v], mask | bit, new_ends, ext | fresh, nbhd | both[v], above)
 
     for root in range(n):
         above = -2 << root  # the vertices > root
-        extend([root], 1 << root, both[root] & above, both[root], above)
+        extend([root], 1 << root, 1 << root, both[root] & above, both[root], above)
     # A recursive closure references itself through its cell; deleting it
     # frees what it captured now instead of at the next cyclic GC pass.
     del extend
 
-    labels = g.labels
-    out = [(tuple(sorted(map(labels.__getitem__, idx))), typ) for idx, typ in found]
-    out.sort()
+    labels, mult = g.labels, g.mult
+    out = []
+    for idx, typ in found:
+        idx.sort(key=labels.__getitem__)
+        out.append((tuple(map(labels.__getitem__, idx)), typ, idx))
+    out.sort()  # the label tuples all differ, so nothing else is compared
     # sanity: every recorded component really is corank-1 negative semidefinite;
     # components with the same multiplicity matrix share one inertia check
     affine_inertia: dict[bytes, bool] = {}
-    for comp, typ in out:
-        idx = [g.index(l) for l in comp]
-        key = bytes([g.mult[a][b] for a in idx for b in idx])
+    for comp, typ, idx in out:
+        key = bytes([mult[a][b] for a in idx for b in idx])
         ok = affine_inertia.get(key)
         if ok is None:
-            gram = [[-2 if a == b else g.mult[a][b] for b in idx] for a in idx]
+            gram = [[-2 if a == b else mult[a][b] for b in idx] for a in idx]
             ok = affine_inertia[key] = exact.rank_signature(gram) == (0, len(idx) - 1, 1)
         if not ok:
             raise AssertionError(f"component {comp} misclassified as {typ}")
-    return out
+    return [(comp, typ) for comp, typ, _ in out]
 
 
 # --- parabolic subdiagrams and Vinberg ---------------------------------------
@@ -479,18 +491,20 @@ def vinberg_check(g: RootGraph, target_rank: int | None = None) -> VinbergReport
 
 
 def span_check(g: RootGraph) -> tuple[int, tuple[int, int]]:
-    """Rank and signature of the span of the roots under the graph Gram."""
-    pos, neg, _ = exact.rank_signature(g.gram_rows())
+    """Rank and signature of the span of the roots under the graph Gram,
+    read off the span's r x r Gram, which the graph builds once for this and
+    ``span_det``: ``lattice.radical_quotient`` checks G = C M C^T with M
+    congruent to it, so G has the same inertia (Sylvester's law)."""
+    pos, neg, _ = exact.rank_signature(g._span.gram_rows())
     return (pos + neg, (pos, neg))
 
 
 def span_lattice(g: RootGraph):
     """The lattice generated by the roots modulo its radical, built at the
     span's rank from independent roots by ``lattice.radical_quotient``."""
-    span = lattice.radical_quotient(g.gram_rows())
-    if span.rank == 0:
+    if g._span.rank == 0:
         raise ValueError("graph Gram has zero rank")
-    return span
+    return g._span
 
 
 def span_det(g: RootGraph) -> int:

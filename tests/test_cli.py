@@ -447,6 +447,92 @@ def test_graph_vinberg_and_maximal_stdout_pinned(name):
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
 
 
+# sha256 of `coblemukai graph parabolics builtin:X` (all ranks, then
+# --rank 3) and `coblemukai graph info builtin:X` stdout, text then --json,
+# as produced by the degree-scan classifier and the span check on the full
+# Gram that the growth step and the cached span replaced
+GRAPH_PARABOLICS_SHA256 = {
+    "I": (
+        "b7a21b19575334b233c8997f9ee31d85dac2e886c777d6c82095ef18c1d0c1d4",
+        "d2fbd2c4618588dab8d63e08407c1ea3e031c8a70f9b5a4698abac56e3503add",
+    ),
+    "II": (
+        "304d765e24c664c7d51ae4a37a4f07eb6806891735e974e2398813827ef3ea21",
+        "458637ba6f78a3a0e3856f982f5aedebf7777d09525b4d85640cdbfbe1ff0bf4",
+    ),
+    "VI": (
+        "6f616095773bc2dcc2ab64f221e2b27d83f6080f9742a1954125bd0a3144fcce",
+        "79bf9a4eaf5e5213087c7adcc53dd83a84f475a5b676849cf61ec6640b0ee3b6",
+    ),
+    "MI": (
+        "422fd0509fcef1538ec6fdb188edbc3525d4f4702543043999e6080258d957ac",
+        "a749b7f3de3e5ce8bc3d3dfb5ac856df818d37878e2d4b47fb527eeaabcca736",
+    ),
+    "MII": (
+        "549a5211e2bb7bb8f39bde80ad3bd01055482eee60694fa172f1f33359726559",
+        "9879dd68500e1c6bbda969d91da95f5f56853c0ad5e3e1e1359855f26e2bff2d",
+    ),
+}
+GRAPH_PARABOLICS_RANK3_SHA256 = {
+    "I": (
+        "ce2b73423bbfe262fbe8392ebde24c6909c2f810e552d45a467dcdd361900a80",
+        "b87b3774a3797cfa78b8f78cae8f2a577cae86ad519565ce136e5eaa116aa792",
+    ),
+    "II": (
+        "36ce66214edd8b313c4b9845d67e298580904243c9f7726b7404c9ee93755600",
+        "d60f552795e2af67172d300925bb4e9290d18010b9b4f2d44229cc19ccc39d88",
+    ),
+    "VI": (
+        "0d5042b8a72c760875fc8494bd795b8cc72b6e6aba635c180e410507d033f0e5",
+        "f36a6d1c3240d5940867d81edf46fbd4a8772d97f222656eeb03e258d4a27f39",
+    ),
+    "MI": (
+        "c58a5c5ebf50309acb18f1f0b7a38fb63dffb953d8da76958b1c7ce83409be33",
+        "4e2bfbe8862c90c312ad3a5b729864c4b7c7d8922cfe2db5710699f33931a831",
+    ),
+    "MII": (
+        "dad03adfa7fb71bd1d74d8fc24189a32be07ff1f4dee67d6d0ef23ad2f1ed95c",
+        "beef8eb1e036e7affb6fefc1e2daa03ca7024c4c0c2cff391d7238fe9aa48339",
+    ),
+}
+GRAPH_INFO_SHA256 = {
+    "I": (
+        "0afca160ded689f54a6128c4c0360af81a9b7bcd26a25ef1cbfd9f8e38ede0ef",
+        "b42e4fafc362de57c24fdf6c4facbbc076a8bce721f8174f32fdeceac450a348",
+    ),
+    "II": (
+        "3783ff796fe21067c9cd0645cf2559fc61ab7b53256c3ceaba24e6210da156b1",
+        "9eec90e03f0ad7b1123fc6e8d559048f3b2c5ddc0b493347849e480ce1e01a4f",
+    ),
+    "VI": (
+        "ef2267f8649c5779e5eaa1febc149f577f465cadbc008f529bf82be7dcb5e4d0",
+        "7ba3985446e15c7c9330b5eab1dc8d50e3ebf3eb06bdfe1bed06c0f3a621000b",
+    ),
+    "MI": (
+        "a67603d4d45b99382f03614ad7073fc70ca18fa061722a5ae9c891b246e1e8ff",
+        "4070cefd36795ce0602498f81e368bb028f5a2152c9311b30176e2bc26d242fe",
+    ),
+    "MII": (
+        "9ee7beb305df2e787efa42134f175f960080f436a9b3bf5d6230b8aedab2d2ea",
+        "5d302afc1d5ce77d79cc965bda46f4d0ce35de00bd5708efab5e3063aeae518f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_INFO_SHA256))
+def test_graph_parabolics_and_info_stdout_pinned(name):
+    source = f"builtin:{name}"
+    for base, (text_sha, json_sha) in (
+        (["graph", "parabolics", source], GRAPH_PARABOLICS_SHA256[name]),
+        (["graph", "parabolics", source, "--rank", "3"], GRAPH_PARABOLICS_RANK3_SHA256[name]),
+        (["graph", "info", source], GRAPH_INFO_SHA256[name]),
+    ):
+        for argv, want in ((base, text_sha), (base + ["--json"], json_sha)):
+            code, out, _ = run(argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
+
+
 # sha256 of stdout, text then --json, for commands that print Fraction
 # strings (discriminant lifts and q values, blow-up model vectors) or Gram
 # matrices built from rational bases, as produced by the implementation that

@@ -7,7 +7,9 @@ orders on larger graphs are also counted by networkx's VF2 matcher.
 Discriminant forms are checked by listing L*/L: span_det against a DFS over
 every chain of isotropic subgroups, and the form of an overlattice against
 q on H-perp/H.  The span lattice built at the span's rank is checked against
-sympy's rank and Smith form and against the n x n SNF congruence it replaced.
+sympy's rank, Smith form and inertia and against the n x n SNF congruence it
+replaced, and span_check's inertia, read off the span, against that of the
+whole Gram matrix.
 """
 
 import random
@@ -57,21 +59,47 @@ def affine_type_by_invariants(k, disc):
     return rootgraph.DiagramType("E", index, True)
 
 
+def definite_type_by_invariants(k, disc):
+    """The ADE diagram with k vertices whose Gram matrix has determinant of
+    absolute value disc; the (k, disc) pairs are unique."""
+    if disc == k + 1:
+        return rootgraph.DiagramType("A", k, False)
+    if disc == 4 and k >= 4:
+        return rootgraph.DiagramType("D", k, False)
+    assert {6: 3, 7: 2, 8: 1}.get(k) == disc, (k, disc)
+    return rootgraph.DiagramType("E", k, False)
+
+
+def brute_shape(g, idx):
+    """The type of a connected induced subset, from the inertia and the
+    Smith factors of its Gram matrix alone, not by the shape classifier: a
+    connected negative definite diagram is ADE and a connected negative
+    semidefinite one of corank 1 is affine; anything else is None."""
+    k = len(idx)
+    gram = [[-2 if a == b else g.mult[a][b] for b in idx] for a in idx]
+    inertia = exact.rank_signature(gram)
+    if inertia not in ((0, k, 0), (0, k - 1, 1)):
+        return None
+    disc = prod(abs(d) or 1 for d in exact.snf(gram).factors)
+    if inertia == (0, k, 0):
+        return definite_type_by_invariants(k, disc)
+    return affine_type_by_invariants(k, disc)
+
+
+def connected_subsets(g):
+    for size in range(1, g.n + 1):
+        for idx in combinations(range(g.n), size):
+            if is_connected(g, idx):
+                yield idx
+
+
 def brute_connected_parabolics(g):
     """Connected induced subsets whose Gram matrix is negative semidefinite of
     corank 1, labeled by invariants alone, not by the shape classifier."""
     found = []
-    for size in range(1, g.n + 1):
-        for idx in combinations(range(g.n), size):
-            if not is_connected(g, idx):
-                continue
-            gram = [[-2 if a == b else g.mult[a][b] for b in idx] for a in idx]
-            if exact.rank_signature(gram) != (0, size - 1, 1):
-                continue
-            disc = 1
-            for d in exact.snf(gram).factors:
-                disc *= abs(d) or 1
-            typ = affine_type_by_invariants(size, disc)
+    for idx in connected_subsets(g):
+        typ = brute_shape(g, idx)
+        if typ is not None and typ.affine:
             found.append((tuple(sorted(g.labels[i] for i in idx)), typ))
     return sorted(found)
 
@@ -96,13 +124,26 @@ def test_affine_type_by_invariants_on_named_diagrams():
 
 
 def test_connected_parabolics_matches_powerset_oracle():
+    # classify grows each connected subset in BFS order through the same
+    # step, so it is checked on every one: paths, D/E trees, cycles, double
+    # edges and indefinite sets all come up
     rng = random.Random(101)
+    shapes = set()
     for trial in range(60):
         n = rng.randint(2, 9)
         g = random_graph(rng, n)
         if any(g.mult[i][j] >= 3 for i in range(n) for j in range(n)):
             continue
-        assert rootgraph.connected_parabolics(g) == brute_connected_parabolics(g), trial
+        brute = brute_connected_parabolics(g)
+        assert rootgraph.connected_parabolics(g) == brute, trial
+        for max_rank in range(n + 1):
+            want = [c for c in brute if c[1].rank <= max_rank]
+            assert rootgraph.connected_parabolics(g, max_rank) == want, (trial, max_rank)
+        for idx in connected_subsets(g):
+            want = brute_shape(g, idx)
+            assert rootgraph.classify(g, [g.labels[i] for i in idx]) == want, (trial, idx)
+            shapes.add(None if want is None else (want.family, want.affine))
+    assert shapes >= {None, ("A", False), ("D", False), ("E", False), ("A", True), ("D", True)}
 
 
 def brute_maximal_parabolics(g, target):
@@ -272,7 +313,9 @@ def sympy_inertia(m):
     of signs counts its positive and negative roots exactly."""
     import sympy
 
-    coeffs = sympy.Matrix(m).charpoly().all_coeffs()  # leading coefficient first
+    # the domain-matrix charpoly that Matrix.charpoly rests on, about 5x
+    # faster on 40 x 40; leading coefficient first
+    coeffs = sympy.Matrix(m).to_DM().charpoly()
     zero = 0
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -466,7 +509,8 @@ def check_radical_quotient(gram):
     want = prod(abs(int(snf[i, i])) for i in range(min(m.shape)) if snf[i, i])
     # the torsion of coker G is the discriminant group of Z^n/rad
     assert abs(lattice.det(quotient)) == want, gram
-    pos, neg, _ = exact.rank_signature(gram)
+    pos, neg, zero = exact.rank_signature(gram)
+    assert (pos, neg, zero) == sympy_inertia(gram), gram
     assert exact.rank_signature(quotient.gram_rows()) == (pos, neg, 0), gram
     return quotient
 
@@ -474,6 +518,9 @@ def check_radical_quotient(gram):
 def check_span(g):
     old = snf_congruence_span(g)
     assert lattice.det(check_radical_quotient(g.gram_rows())) == lattice.det(old), g
+    # span_check reads the inertia off the span; it must be that of G
+    pos, neg, _ = exact.rank_signature(g.gram_rows())
+    assert rootgraph.span_check(g) == (pos + neg, (pos, neg)), g
     try:
         got = rootgraph.span_det(g)
     except ValueError as exc:
