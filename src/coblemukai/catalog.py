@@ -237,10 +237,6 @@ def build_graph(name: str) -> RootGraph:
     return builders[name]()
 
 
-def load_graph(path: str) -> RootGraph:
-    return rootgraph.load_graph_file(path)
-
-
 # --- blow-up intersection models ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -514,7 +510,7 @@ def coble_mukai(model: BlowupModel) -> CobleMukaiLattice:
         raise ValueError("non-integral Gram: boundaries violate the half-class precondition")
     gram = [[x // 4 for x in row] for row in gram4]
     return CobleMukaiLattice(
-        lattice=lattice.make_lattice(gram, name=f"CM({model.basis_labels[2][:1]}...)"),
+        lattice=lattice.make_lattice(gram),
         basis=tuple(exact.fraction_rows(twice, 2)),
         twice_hnf=exact.hnf_rows(twice),
     )
@@ -528,14 +524,8 @@ class RealizationReport:
     failures: tuple[str, ...]
 
 
-def _minus_one_root_decomposition(model: BlowupModel, vec) -> bool:
-    """Is vec of the shape 2e + (beta + beta')/2 for an exceptional e?"""
-    (v, *betas), den = exact.integer_rows([vec] + model.boundary_vectors())
-    return _is_minus_one_root(model, v, betas, den)
-
-
 def _is_minus_one_root(model: BlowupModel, v, betas, den: int) -> bool:
-    """The same test on integer rows over den: den*(2*vec - beta - beta') = 4*den*e."""
+    """Is v/den of the shape 2e + (beta + beta')/2 for an exceptional e (betas over den)?"""
     for ba, bb in combinations(betas, 2):
         rest = [2 * x - y - z for x, y, z in zip(v, ba, bb)]
         nz = [k for k, x in enumerate(rest) if x]

@@ -53,7 +53,7 @@ def _print_report(report: dict, as_json: bool, out) -> None:
 def _load_graph_source(src: str) -> rootgraph.RootGraph:
     if src.startswith("builtin:"):
         return catalog.build_graph(src[len("builtin:"):])
-    return catalog.load_graph(src)
+    return rootgraph.load_graph_file(src)
 
 
 def _load_lattice_spec(spec: str) -> lattice.Lattice:

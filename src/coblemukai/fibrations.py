@@ -77,25 +77,14 @@ def diagram_of(fiber: KodairaFiber) -> DiagramType | None:
 
 
 def fibers_of(d: DiagramType) -> tuple[KodairaFiber, ...]:
-    """Fibers whose diagram is d (inverse of diagram_of)."""
+    """Fibers whose diagram is d, sorted: the few candidates of its index
+    filtered through diagram_of, so the two cannot disagree."""
     if not d.affine:
         raise ValueError("only affine diagrams correspond to fibers")
-    if d.family == "A":
-        if d.index == 1:
-            return (KodairaFiber("I", 2), KodairaFiber("III"))
-        if d.index == 2:
-            return (KodairaFiber("I", 3), KodairaFiber("IV"))
-        return (KodairaFiber("I", d.index + 1),)
-    if d.family == "D":
-        if d.index < 4:
-            raise ValueError("affine D needs index >= 4")
-        return (KodairaFiber("I*", d.index - 4),)
-    fibers = {
-        6: (KodairaFiber("IV*"),),
-        7: (KodairaFiber("III*"),),
-        8: (KodairaFiber("II*"),),
-    }.get(d.index)
-    if fibers is None:
+    candidates = (KodairaFiber("I", max(d.index, 0) + 1), KodairaFiber("I*", max(d.index - 4, 0)),
+                  *map(KodairaFiber, ("III", "IV", "II*", "III*", "IV*")))
+    fibers = tuple(sorted(f for f in candidates if diagram_of(f) == d))
+    if not fibers:
         raise ValueError(f"no Kodaira fiber has diagram {d}")
     return fibers
 

@@ -25,7 +25,6 @@ SATURATE_MAX_ORDER = 1 << 16
 @dataclass(frozen=True)
 class Lattice:
     gram: tuple[tuple[int, ...], ...]
-    name: str | None = None
 
     def __post_init__(self):
         if not exact.is_symmetric(self.gram):
@@ -39,8 +38,8 @@ class Lattice:
         return [list(row) for row in self.gram]
 
 
-def make_lattice(gram: list[list[int]], name: str | None = None) -> Lattice:
-    return Lattice(gram=tuple(tuple(int(x) for x in row) for row in gram), name=name)
+def make_lattice(gram: list[list[int]]) -> Lattice:
+    return Lattice(gram=tuple(tuple(int(x) for x in row) for row in gram))
 
 
 def _rows(lat: Lattice, vectors) -> tuple[list[list[int]], int]:
@@ -102,16 +101,13 @@ def direct_sum(*lats: Lattice) -> Lattice:
             for j in range(l.rank):
                 g[off + i][off + j] = l.gram[i][j]
         off += l.rank
-    name = "+".join(l.name for l in lats) if all(l.name for l in lats) else None
-    return make_lattice(g, name)
+    return make_lattice(g)
 
 
 def rescale(lat: Lattice, m: int) -> Lattice:
     if m == 0:
         raise ValueError("rescale factor must be nonzero")
-    g = [[m * x for x in row] for row in lat.gram]
-    name = f"{lat.name}({m})" if lat.name else None
-    return make_lattice(g, name)
+    return make_lattice([[m * x for x in row] for row in lat.gram])
 
 
 # --- named constructions -------------------------------------------------
@@ -151,11 +147,9 @@ def make_named(spec: str) -> Lattice:
             raise ValueError(f"malformed lattice term: {part!r}")
         base, scale = m.group(1), m.group(2)
         if base == "U":
-            lat = make_lattice([[0, 1], [1, 0]], "U")
+            lat = make_lattice([[0, 1], [1, 0]])
         elif base == "E10":
-            lat = direct_sum(make_lattice([[0, 1], [1, 0]], "U"),
-                             make_lattice(_ade_gram("E", 8), "E8"))
-            lat = make_lattice(lat.gram_rows(), "E10")
+            lat = direct_sum(make_lattice([[0, 1], [1, 0]]), make_lattice(_ade_gram("E", 8)))
         else:
             family, idx = base[0], base[1:]
             if family not in "ADE" or not idx:
@@ -167,7 +161,7 @@ def make_named(spec: str) -> Lattice:
                 raise ValueError("D_n requires n >= 4")
             if family == "E" and n not in (6, 7, 8):
                 raise ValueError("E_k requires k in {6, 7, 8}")
-            lat = make_lattice(_ade_gram(family, n), base)
+            lat = make_lattice(_ade_gram(family, n))
         if scale is not None:
             lat = rescale(lat, int(scale))
         summands.append(lat)
@@ -574,7 +568,7 @@ def reflect(lat: Lattice, delta, x) -> tuple:
 
 # --- text format -----------------------------------------------------------
 
-def parse_gram_text(text: str, name: str | None = None) -> Lattice:
+def parse_gram_text(text: str) -> Lattice:
     """Gram matrix file: first line "rank N", then N*N whitespace-split integers."""
     tokens = text.split()
     if len(tokens) < 2 or tokens[0] != "rank":
@@ -593,7 +587,7 @@ def parse_gram_text(text: str, name: str | None = None) -> Lattice:
     g = [vals[i * n : (i + 1) * n] for i in range(n)]
     if not exact.is_symmetric(g):
         raise ValueError("gram matrix in file is not symmetric")
-    return make_lattice(g, name)
+    return make_lattice(g)
 
 
 def load_gram_file(path: str) -> Lattice:

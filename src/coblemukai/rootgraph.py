@@ -81,6 +81,11 @@ class RootGraph:
         """Z^n modulo the radical of the Gram matrix, built once per graph."""
         return lattice.radical_quotient(self.gram_rows())
 
+    @cached_property
+    def _parabolics(self):
+        """The connected parabolic search, run once per graph."""
+        return _parabolic_search(self)
+
     def induced(self, labels) -> "RootGraph":
         idx = [self.index(l) for l in labels]
         return RootGraph(
@@ -323,26 +328,20 @@ def _adjacency_masks(g: RootGraph):
     return single, double, both
 
 
-def connected_parabolics(g: RootGraph, max_rank: int | None = None):
-    """All connected affine subdiagrams, as (sorted labels, DiagramType) pairs.
+def _parabolic_search(g: RootGraph):
+    """All connected affine subdiagrams as (sorted labels, DiagramType, vertex
+    indices) in label order, and the neighbor masks ``both``.
 
     Grows connected induced subsets (each visited exactly once) and prunes as
     soon as a subset stops being a definite ADE diagram: proper connected
     induced subsets of affine diagrams are definite, so nothing is missed.
     """
-    if max_rank is not None and max_rank < 0:
-        raise ValueError(f"target rank must be >= 0, got {max_rank}")
-    n = g.n
     single, double, both = _adjacency_masks(g)
-    max_size = n if max_rank is None else min(n, max_rank + 1)
     found: list[tuple[list[int], DiagramType]] = []
 
     def extend(members, mask, ends, ext, nbhd, above):
         """Grow the definite set ``members`` (``ends`` as in ``_classify_shape``)
         by each vertex of the bitmask ``ext``; ``above`` masks those > root."""
-        size = len(members) + 1
-        if size > max_size:
-            return
         while ext:
             # highest vertex first: on MII that tries 9450 candidates,
             # lowest first 48652 (the visited sets are the same)
@@ -355,11 +354,11 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
             typ, new_ends = got
             if typ.affine:
                 found.append((members + [v], typ))
-            elif size < max_size:
+            else:
                 fresh = both[v] & ~nbhd & ~mask & above
                 extend(members + [v], mask | bit, new_ends, ext | fresh, nbhd | both[v], above)
 
-    for root in range(n):
+    for root in range(g.n):
         above = -2 << root  # the vertices > root
         extend([root], 1 << root, 1 << root, both[root] & above, both[root], above)
     # A recursive closure references itself through its cell; deleting it
@@ -383,7 +382,17 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
             ok = affine_inertia[key] = exact.rank_signature(gram) == (0, len(idx) - 1, 1)
         if not ok:
             raise AssertionError(f"component {comp} misclassified as {typ}")
-    return [(comp, typ) for comp, typ, _ in out]
+    return out, both
+
+
+def connected_parabolics(g: RootGraph, max_rank: int | None = None):
+    """All connected affine subdiagrams of rank at most ``max_rank``, as
+    (sorted labels, DiagramType) pairs in label order, from the graph's one
+    search."""
+    if max_rank is not None and max_rank < 0:
+        raise ValueError(f"target rank must be >= 0, got {max_rank}")
+    return [(comp, typ) for comp, typ, _ in g._parabolics[0]
+            if max_rank is None or typ.rank <= max_rank]
 
 
 # --- parabolic subdiagrams and Vinberg ---------------------------------------
@@ -399,26 +408,20 @@ class ParabolicSubdiagram:
         return multiset_str([t for _, t in self.components])
 
 
-def maximal_parabolics(g: RootGraph, target_rank: int, cps=None):
+def maximal_parabolics(g: RootGraph, target_rank: int):
     """All parabolic subdiagrams of rank exactly target_rank.
 
-    Exact backtracking packing of the connected parabolics; components must
-    be pairwise disjoint and orthogonal.  The search visits each packing
-    once, choosing its components in increasing order, so the output comes
-    sorted by component label lists.  ``cps`` is the full output of
-    ``connected_parabolics(g)`` when the caller already has it; only its
-    components of rank at most target_rank are used.
+    Exact backtracking packing of the connected parabolics of rank at most
+    target_rank; components must be pairwise disjoint and orthogonal.  The
+    search visits each packing once, choosing its components in increasing
+    order, so the output comes sorted by component label lists.
     """
     if target_rank < 0:
         raise ValueError(f"target rank must be >= 0, got {target_rank}")
-    _, _, both = _adjacency_masks(g)
-    if cps is None:
-        cps = connected_parabolics(g, max_rank=target_rank)
-    else:
-        cps = [c for c in cps if c[1].rank <= target_rank]
-    members = [[g.index(l) for l in labels] for labels, _ in cps]
+    found, both = g._parabolics
+    cps = [c for c in found if c[1].rank <= target_rank]
     holding = [0] * g.n  # holding[v]: the candidates that contain v
-    for j, idx in enumerate(members):
+    for j, (_, _, idx) in enumerate(cps):
         for v in idx:
             holding[v] |= 1 << j
     # touching[v]: the candidates that contain v or a neighbor of v
@@ -432,18 +435,18 @@ def maximal_parabolics(g: RootGraph, target_rank: int, cps=None):
     # compat[i]: the candidates disjoint from and orthogonal to candidate i
     full = (1 << len(cps)) - 1
     compat = []
-    for idx in members:
+    for _, _, idx in cps:
         clash = 0
         for v in idx:
             clash |= touching[v]
         compat.append(full & ~clash)
-    ranks = [t.rank for _, t in cps]
+    ranks = [t.rank for _, t, _ in cps]
     chosen: list[int] = []
     results: list[ParabolicSubdiagram] = []
 
     def dfs(start: int, allowed: int, total: int):
         if total == target_rank:
-            comps = tuple(map(cps.__getitem__, chosen))  # cps is sorted
+            comps = tuple(cps[i][:2] for i in chosen)  # cps is sorted
             results.append(ParabolicSubdiagram(components=comps, rank=target_rank))
             return
         rest = allowed >> start << start
@@ -457,7 +460,7 @@ def maximal_parabolics(g: RootGraph, target_rank: int, cps=None):
                 chosen.pop()
 
     dfs(0, full, 0)
-    del dfs  # see connected_parabolics
+    del dfs  # see _parabolic_search
     return results
 
 
@@ -479,7 +482,7 @@ def vinberg_check(g: RootGraph, target_rank: int | None = None) -> VinbergReport
         rank, _ = span_check(g)
         target_rank = rank - 2
     cps = connected_parabolics(g)
-    packs = maximal_parabolics(g, target_rank, cps)
+    packs = maximal_parabolics(g, target_rank)
     used = {comp for p in packs for comp in p.components}
     witnesses = tuple(c for c in cps if c not in used)
     return VinbergReport(

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from coblemukai import catalog, lattice, rootgraph
+from coblemukai import catalog, exact, lattice, rootgraph
 from coblemukai.catalog import (
     build_graph,
     build_model,
@@ -229,7 +229,8 @@ def test_minus_one_root_shape_is_twice_an_exceptional_class(name):
     for idx, coef, want in ((5, 2, True), (5, 1, False), (5, 4, False), (5, -2, False), (0, 2, False)):
         v = list(half)
         v[idx] += coef
-        assert catalog._minus_one_root_decomposition(model, tuple(v)) is want, (idx, coef)
+        (row, *betas), den = exact.integer_rows([v] + model.boundary_vectors())
+        assert catalog._is_minus_one_root(model, row, betas, den) is want, (idx, coef)
 
 
 def test_coble_mukai_no_boundaries_is_ambient():
@@ -337,7 +338,7 @@ def test_load_graph_roundtrip(tmp_path):
     g = build_graph("VI")
     p = tmp_path / "vi.graph"
     p.write_text(rootgraph.format_graph(g))
-    assert catalog.load_graph(str(p)) == g
+    assert rootgraph.load_graph_file(str(p)) == g
 
 
 def test_connected_parabolics_null_vectors_positive_on_mi():

@@ -43,6 +43,21 @@ def test_fibers_of_examples():
         fibers_of(parse_diagram("A4"))
 
 
+def test_fibers_of_is_the_inverse_of_diagram_of():
+    fibers = [KodairaFiber(k) for k in ("II", "III", "IV", "II*", "III*", "IV*")]
+    fibers += [KodairaFiber("I", n) for n in range(1, 14)]
+    fibers += [KodairaFiber("I*", n) for n in range(9)]
+    for family in "ADE":
+        for index in range(12):
+            d = DiagramType(family, index, True)
+            want = tuple(sorted(f for f in fibers if diagram_of(f) == d))
+            if want:
+                assert fibers_of(d) == want, d
+            else:
+                with pytest.raises(ValueError, match="no Kodaira fiber"):
+                    fibers_of(d)
+
+
 def test_roundtrip_consistency():
     fibers = [parse_fiber(t) for t in ("I2", "I3", "I5", "I9", "I0*", "I4*", "III", "III*", "IV", "IV*", "II*")]
     for f in fibers:

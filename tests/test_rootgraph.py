@@ -193,6 +193,22 @@ def test_connected_parabolics_negative_max_rank_is_rejected():
     assert connected_parabolics(cycle_graph(3), max_rank=0) == []
 
 
+def test_one_parabolic_search_per_graph(monkeypatch):
+    from coblemukai import catalog
+
+    calls = []
+    masks = rootgraph._adjacency_masks
+    monkeypatch.setattr(rootgraph, "_adjacency_masks", lambda g: calls.append(g) or masks(g))
+    g = catalog.build_graph("MI")
+    rootgraph.vinberg_check(g, 8)
+    rootgraph.maximal_parabolics(g, 8)
+    low = connected_parabolics(g, 3)
+    assert len(calls) == 1
+    assert low and all(t.rank <= 3 for _, t in low)
+    low.clear()  # a fresh list: the graph's search is unchanged
+    assert connected_parabolics(g, 3)
+
+
 def test_vinberg_vacuous_pass():
     rep = vinberg_check(path_graph(3), target_rank=1)
     assert rep.passed and rep.witnesses == () and rep.maximal == ()
@@ -424,7 +440,8 @@ for labels, typ in rootgraph.connected_parabolics(mi):
         squares.append([[-2 if a == b else mi.mult[a][b] for b in idx] for a in idx])
 later = next(m for m in squares if m != squares[0])
 exact.rank_signature = lambda m: (0, 4, 0) if m == later else truthful(m)
-fires(lambda: rootgraph.connected_parabolics(mi))
+# a graph searches once, so the lie needs a graph not yet searched
+fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("MI")))
 """
 
 
