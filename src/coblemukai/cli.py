@@ -189,12 +189,14 @@ def _cmd_lattice(args, out) -> int:
         if args.half_kernel:
             _, _, basis = lattice.mod2_nullity(lat)
             over = lattice.half_overlattice(lat, basis)
+            over_det = lattice.det(over)
             index = 1 << len(basis)
             kind = "half-integer overlattice along the full q-kernel"
         elif args.glue:
             over = lattice.overlattice(lat, _parse_glue(args.glue))
+            over_det = lattice.det(over)
             # overlattice checks det(L) == det(L') * index^2
-            index = math.isqrt(lattice.det(lat) // lattice.det(over))
+            index = math.isqrt(lattice.det(lat) // over_det)
             kind = "overlattice along isotropic glue"
         else:
             raise ValueError("overlattice needs --glue VECTORS or --half-kernel")
@@ -202,7 +204,7 @@ def _cmd_lattice(args, out) -> int:
             "kind": kind,
             "index": index,
             "rank": over.rank,
-            "det": lattice.det(over),
+            "det": over_det,
             "even": lattice.is_even(over),
             "gram": [" ".join(str(x) for x in row) for row in over.gram],
         }

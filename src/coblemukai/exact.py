@@ -266,6 +266,31 @@ def rank_signature(m: list[list]) -> tuple[int, int, int]:
     return (pos, neg, n - pos - neg)
 
 
+def inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(d*M^-1, d) for a nonsingular square integer M, d the least common
+    denominator of M^-1.
+
+    Fraction-free Gauss-Jordan on [M | I] ends at [D*I | D*M^-1] with
+    D = +-det M; dividing by the content of D and D*M^-1 gives d.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse requires a square matrix")
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ValueError("inverse of a singular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        rk, p = a[k], a[k][k]
+        a = [row if i == k else [(p * x - row[k] * y) // prev for x, y in zip(row, rk)]
+             for i, row in enumerate(a)]
+        prev = p
+    c = gcd(prev, *(x for row in a for x in row[n:])) * (1 if prev > 0 else -1)
+    return [[x // c for x in row[n:]] for row in a], prev // c
+
+
 def int_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:
     """Basis of the saturated integer kernel {x in Z^cols : m @ x = 0}."""
     rows, cols = dims(m)
@@ -286,9 +311,12 @@ def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:
     by_pivot: dict[int, list[int]] = {}
     for row_in in rows_in:
         v = list(map(int, row_in))
+        c, n = 0, len(v)
         while True:
-            c = next((i for i, x in enumerate(v) if x != 0), None)
-            if c is None:
+            # reducing at column c leaves v zero up to c, so the scan resumes there
+            while c < n and not v[c]:
+                c += 1
+            if c == n:
                 break
             row = by_pivot.get(c)
             if row is None:

@@ -188,7 +188,11 @@ def _in_dual(lat: Lattice, rows, den: int) -> bool:
 
 
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
-    d = det(lat)
+    return _discriminant_group(lat, det(lat))
+
+
+def _discriminant_group(lat: Lattice, d: int) -> DiscriminantGroup:
+    """``discriminant_group`` given d = det L."""
     if d == 0:
         raise ValueError("degenerate Gram matrix has no discriminant group")
     res = exact.snf(lat.gram_rows())
@@ -253,12 +257,12 @@ def overlattice(lat: Lattice, glue) -> Lattice:
     """
     if not is_even(lat):
         raise ValueError("overlattice gluing requires an even lattice")
-    return _overlattice(lat, *_rows(lat, glue))[0]
+    return _overlattice(lat, *_rows(lat, glue), det(lat))[0]
 
 
-def _overlattice(lat: Lattice, glue, den: int) -> tuple[Lattice, DiscriminantGroup]:
-    """``overlattice`` on glue rows over den, with the L'*/L' that its
-    discriminant-form check computed."""
+def _overlattice(lat: Lattice, glue, den: int, d: int):
+    """``overlattice`` on glue rows over den, given d = det L: (L', the
+    L'*/L' that its discriminant-form check computed, det L')."""
     if not _in_dual(lat, glue, den):
         raise ValueError("glue generator is not in the dual lattice")
     for i, row in enumerate(_pairings(lat, glue, glue)):
@@ -270,10 +274,11 @@ def _overlattice(lat: Lattice, glue, den: int) -> tuple[Lattice, DiscriminantGro
     out = make_lattice(_basis_gram(lat, basis, den))
     if not is_even(out):
         raise AssertionError("overlattice of an even lattice along isotropic glue must be even")
-    d = det(lat)
-    if det(out) * index * index != d:
+    d_out = det(out)
+    if d_out * index * index != d:
         raise AssertionError("overlattice index does not match glue subgroup order")
-    return out, _check_overlattice_disc_form(lat, out, basis, glue, den, index, d)
+    group = _check_overlattice_disc_form(lat, out, basis, glue, den, index, d, d_out)
+    return out, group, d_out
 
 
 def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
@@ -284,7 +289,7 @@ def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
     return [[x // (den * den) for x in row] for row in g]
 
 
-def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, index, d):
+def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, index, d, d_out):
     """L'*/L' = H-perp/H, checked on generators without listing either group;
     returns L'*/L'.
 
@@ -292,9 +297,9 @@ def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, 
     The discriminant lifts of L', written in L coordinates, must lie in L*
     and pair integrally with the glue; with the glue they must generate a
     subgroup of L*/L of order |det L| / |H|, which is then all of H-perp.
-    Basis and glue are rows over den, the lifts over lift_den*den; d = det L.
+    Basis and glue are rows over den, the lifts over lift_den*den; d, d_out = det L, L'.
     """
-    group = discriminant_group(over)
+    group = _discriminant_group(over, d_out)
     lift_rows, lift_den = exact.integer_rows(group.generator_lifts)
     lifts = exact.matmul(lift_rows, basis)
     glue = [[lift_den * x for x in g] for g in glue]
@@ -337,9 +342,21 @@ def saturate(lat: Lattice) -> Lattice:
     the result does not depend on the walk.  The group walked is capped at
     SATURATE_MAX_ORDER elements.
     """
+    return _saturate(lat, det(lat))[0]
+
+
+def saturated_det(lat: Lattice) -> int:
+    """det of ``saturate(lat)``, taking one determinant of L and one of L'
+    (a unimodular L is its own saturation)."""
+    d = det(lat)
+    return d if abs(d) == 1 else _saturate(lat, d)[1]
+
+
+def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
+    """(``saturate(lat)``, its det) given d = det L."""
     if not is_even(lat):
         raise ValueError("saturation requires an even lattice")
-    group = discriminant_group(lat)
+    group = _discriminant_group(lat, d)
     lifts, table, den = _disc_table(lat, group)
     if group.order > SATURATE_MAX_ORDER:
         raise ValueError(
@@ -363,11 +380,11 @@ def saturate(lat: Lattice) -> Lattice:
                     for m in members for k in multiples}
         h_gens.append(list(x))
         h_pairs.append([sum(map(mul, row, x)) for row in table])
-    out, over_group = _overlattice(lat, exact.matmul(h_gens, lifts), den)
+    out, over_group, d_out = _overlattice(lat, exact.matmul(h_gens, lifts), den, d)
     _, over_table, over_den = _disc_table(out, over_group)
     if next(_isotropic_classes(over_group, over_table, over_den), None) is not None:
         raise AssertionError("H-perp/H has a nonzero isotropic class after saturation")
-    return out
+    return out, d_out
 
 
 # --- mod-2 quadratic form on K/2K ----------------------------------------
@@ -513,10 +530,14 @@ def radical_quotient(gram) -> Lattice:
 
     The pivot columns S of the HNF of G index r rows spanning its row space,
     so M = G[S,S] is nonsingular and e_S is a basis of Q^n/rad, where e_j has
-    coordinates C_j = G[j,S] M^-1: rows over the largest invariant factor d
-    of one r x r SNF.  C M C^T = G is checked.  The HNF rows restricted to S
-    are a basis B of L M, where L is spanned by the C_j, so the quotient has
-    Gram B M^-1 B^T, which is checked to be integral.  G = 0 gives rank 0.
+    coordinates C_j = G[j,S] M^-1, rows over the least common denominator d
+    of M^-1.  C M C^T = d^2 G is checked only where it does not follow:
+    (d M^-1) M = d I is checked, so C_S = d I and the blocks on rows or
+    columns in S hold; on the rows T outside S, C_T M C_T^T = d C_T G[S,T],
+    and the upper triangle of C_T G[S,T] = d G[T,T] is checked.  The
+    HNF rows restricted to S are a basis B of L M, where L is spanned by the
+    C_j, so the quotient has Gram B M^-1 B^T, which is checked to be
+    integral.  G = 0 gives rank 0.
     """
     g = [list(map(int, row)) for row in gram]
     if not exact.is_symmetric(g):
@@ -526,17 +547,15 @@ def radical_quotient(gram) -> Lattice:
     if not pivots:
         return make_lattice([])
     m = [[g[i][j] for j in pivots] for i in pivots]
-    res = exact.snf(m)
-    d = res.factors[-1]
-    # U M V = diag(f) gives d M^-1 = V diag(d/f) U
-    inv = exact.matmul([[x * (d // f) for x, f in zip(row, res.factors)] for row in res.right],
-                       res.left)
-    coords = exact.matmul([[row[j] for j in pivots] for row in g], inv)
-    cm = exact.matmul(coords, m)
-    n = len(g)  # C M C^T is symmetric, so its upper triangle decides
-    if any(sum(map(mul, cm[i], coords[j])) != d * d * g[i][j]
-           for i in range(n) for j in range(i, n)):
-        raise AssertionError("radical split failed")
+    inv, d = exact.inverse(m)
+    if exact.matmul(inv, m) != [[d * x for x in row] for row in exact.identity(len(m))]:
+        raise AssertionError("radical split failed: d M^-1 times M is not d I")
+    rest = sorted(set(range(len(g))).difference(pivots))
+    rows = [[g[i][j] for j in pivots] for i in rest]  # G[T,S], also the columns of G[S,T]
+    coords = exact.matmul(rows, inv)
+    if any(sum(map(mul, coords[a], rows[b])) != d * g[rest[a]][rest[b]]
+           for a in range(len(rest)) for b in range(a, len(rest))):
+        raise AssertionError("radical split failed: C M C^T is not d^2 G off the pivots")
     b = [[row[j] for j in pivots] for row in hnf]
     span = exact.matmul(exact.matmul(b, inv), exact.transpose(b))
     if any(x % d for row in span for x in row):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from math import lcm
 from operator import itemgetter
 
 from . import exact, lattice
@@ -372,17 +373,58 @@ def _parabolic_search(g: RootGraph):
         out.append((tuple(map(labels.__getitem__, idx)), typ, idx))
     out.sort()  # the label tuples all differ, so nothing else is compared
     # sanity: every recorded component really is corank-1 negative semidefinite;
-    # components with the same multiplicity matrix share one inertia check
-    affine_inertia: dict[bytes, bool] = {}
+    # components with the same multiplicity matrix share one certificate
+    certified: dict[bytes, bool] = {}
     for comp, typ, idx in out:
         key = bytes([mult[a][b] for a in idx for b in idx])
-        ok = affine_inertia.get(key)
+        ok = certified.get(key)
         if ok is None:
-            gram = [[-2 if a == b else mult[a][b] for b in idx] for a in idx]
-            ok = affine_inertia[key] = exact.rank_signature(gram) == (0, len(idx) - 1, 1)
+            ok = certified[key] = _affine_certificate(mult, idx, both)
         if not ok:
             raise AssertionError(f"component {comp} misclassified as {typ}")
     return out, both
+
+
+def _affine_certificate(mult, idx, both) -> bool:
+    """Is -G on the vertices ``idx`` corank-1 positive semidefinite?
+
+    A = 2I - mult is a symmetric generalized Cartan matrix, and a connected
+    one with an integer delta > 0 and A delta = 0 is affine: positive
+    semidefinite of corank 1 (Kac, Infinite-dimensional Lie algebras,
+    Thm 4.3), as x^T A x = 1/2 sum over edges uv of m_uv delta_u delta_v
+    (x_u/delta_u - x_v/delta_v)^2.  delta is proposed from the shape alone:
+    1 everywhere without a branch vertex (A~k); with two, 1 at the leaves and
+    2 elsewhere (D~k); with one, b there and b(L+1-t)/(L+1) at distance t
+    along a leg of length L, b = lcm(L_i + 1) (D~4, E~6, E~7, E~8).  Then
+    connectivity and 2 delta_a = sum_b m_ab delta_b are checked, so nothing
+    is taken from the classifier.
+    """
+    mask = sum(1 << v for v in idx)
+    seen = reach = 1 << idx[0]
+    while reach:
+        v = reach.bit_length() - 1
+        new = both[v] & mask & ~seen
+        seen, reach = seen | new, (reach ^ 1 << v) | new
+    deg = {v: (both[v] & mask).bit_count() for v in idx}
+    branch = [v for v in idx if deg[v] >= 3]
+    if seen != mask or len(branch) > 2:
+        return False
+    delta = {v: 2 if branch and deg[v] > 1 else 1 for v in idx}
+    if len(branch) == 1:
+        b, legs, nbrs = branch[0], [], both[branch[0]] & mask
+        while nbrs:
+            prev, cur = b, nbrs.bit_length() - 1
+            nbrs ^= 1 << cur
+            legs.append([cur])
+            while deg[cur] == 2:
+                prev, cur = cur, (both[cur] & mask & ~(1 << prev)).bit_length() - 1
+                legs[-1].append(cur)
+        delta[b] = top = lcm(*(len(leg) + 1 for leg in legs))
+        for leg in legs:
+            delta.update((v, top * (len(leg) + 1 - t) // (len(leg) + 1))
+                         for t, v in enumerate(leg, 1))
+    return min(delta.values()) > 0 and all(
+        2 * delta[a] == sum(mult[a][v] * delta[v] for v in idx) for a in idx)
 
 
 def connected_parabolics(g: RootGraph, max_rank: int | None = None):
@@ -519,11 +561,7 @@ def span_det(g: RootGraph) -> int:
     (``lattice.saturate``); that is the largest even lattice the roots can
     generate in any ambient, and every maximal subgroup gives the same det.
     """
-    span = span_lattice(g)
-    d = lattice.det(span)
-    if abs(d) == 1:
-        return d
-    return lattice.det(lattice.saturate(span))
+    return lattice.saturated_det(span_lattice(g))
 
 
 # --- automorphisms ----------------------------------------------------------

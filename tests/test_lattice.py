@@ -167,8 +167,8 @@ from coblemukai import lattice
 if __debug__:
     sys.exit("not running under -O")
 # saturate glues through the helper behind overlattice, which also returns
-# L'*/L'; this one glues nothing
-lattice._overlattice = lambda lat, glue, den: (lat, lattice.discriminant_group(lat))
+# L'*/L' and det L'; this one glues nothing
+lattice._overlattice = lambda lat, glue, den, d: (lat, lattice.discriminant_group(lat), d)
 try:
     lattice.saturate(lattice.make_named("A8"))
 except AssertionError as exc:
@@ -198,19 +198,10 @@ import sys
 from coblemukai import catalog, exact, rootgraph
 if __debug__:
     sys.exit("not running under -O")
-g = catalog.build_graph("I")  # 12 roots spanning rank 10
-truthful = exact.snf
+n = catalog.build_graph("I").n  # 12 roots spanning rank 10
 
-def lying(m):
-    # lies only on the r x r minor: V gains its first column in its second
-    res = truthful(m)
-    if len(m) == g.n:
-        return res
-    right = tuple((r[0], r[0] + r[1]) + r[2:] for r in res.right)
-    return exact.SnfResult(res.factors, res.left, right)
 
-exact.snf = lying
-for check in (rootgraph.span_lattice, rootgraph.span_check):
+def fires(check):
     # a fresh graph each time: a graph builds its span once and keeps it
     try:
         check(catalog.build_graph("I"))
@@ -218,11 +209,39 @@ for check in (rootgraph.span_lattice, rootgraph.span_check):
         print("raised:", exc)
     else:
         sys.exit("self-check did not fire")
+
+
+truthful_inverse = exact.inverse
+
+
+def lying_inverse(m):
+    # d*M^-1 gains its first column in its second
+    inv, d = truthful_inverse(m)
+    return [[r[0], r[0] + r[1]] + r[2:] for r in inv], d
+
+
+exact.inverse = lying_inverse
+for check in (rootgraph.span_lattice, rootgraph.span_check):
+    fires(check)
+exact.inverse = truthful_inverse
+truthful_hnf = exact.hnf_rows
+
+
+def lying_hnf(rows):
+    # the Gram's HNF loses its last row: S is one pivot short, M stays nonsingular
+    res = truthful_hnf(rows)
+    return res[:-1] if len(rows) == n else res
+
+
+exact.hnf_rows = lying_hnf
+for check in (rootgraph.span_lattice, rootgraph.span_check):
+    fires(check)
 """
 
 
 def test_radical_split_check_survives_python_O():
-    # a wrong d*M^-1 gives root coordinates C with C M C^T != d^2 G
+    # a wrong d*M^-1 fails (d M^-1) M = d I; a short pivot set S leaves
+    # G[T,S] M^-1 G[S,T] != G[T,T] on the rows T outside it
     src = str(Path(lattice.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", LYING_MINOR_SNF_SCRIPT],
@@ -232,7 +251,10 @@ def test_radical_split_check_survives_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised: radical split failed\n" * 2
+    assert proc.stdout == (
+        "raised: radical split failed: d M^-1 times M is not d I\n" * 2
+        + "raised: radical split failed: C M C^T is not d^2 G off the pivots\n" * 2
+    )
 
 def test_mod2_form_a1():
     form = lattice.mod2_form(make_named("A1"))

@@ -4,7 +4,9 @@ Small random graphs are checked against powerset enumeration (connected
 parabolics and maximal packings) and against all-permutations search
 (automorphisms), so the fast paths are validated by definitions.  Group
 orders on larger graphs are also counted by networkx's VF2 matcher.
-Discriminant forms are checked by listing L*/L: span_det against a DFS over
+Exact inverses are checked against sympy, and the affine certificate of
+parabolic components against the exact inertia.  Discriminant forms are
+checked by listing L*/L: span_det against a DFS over
 every chain of isotropic subgroups, and the form of an overlattice against
 q on H-perp/H.  The span lattice built at the span's rank is checked against
 sympy's rank, Smith form and inertia and against the n x n SNF congruence it
@@ -405,6 +407,112 @@ def test_det_matches_sympy():
     assert exact.det([]) == 1 == int(Matrix([]).det())
 
 
+def check_inverse(m):
+    from math import lcm
+
+    from sympy import Matrix
+
+    inv, d = exact.inverse(m)
+    want = Matrix(m).inv()
+    assert d == lcm(*(int(x.q) for x in want)), m
+    assert Matrix(inv) == d * want, m
+
+
+def pivot_minor(gram):
+    """M = G[S,S] on the pivot columns S of the HNF of G, as radical_quotient takes it."""
+    pivots = [next(i for i, x in enumerate(row) if x) for row in exact.hnf_rows(gram)]
+    return [[gram[i][j] for j in pivots] for i in pivots]
+
+
+def test_inverse_matches_sympy():
+    from sympy import Matrix
+
+    rng = random.Random(41)
+    sizes = set()
+    for trial in range(60):
+        n = rng.randint(1, 18)
+        m = random_symmetric(rng, n, zero_diagonal=trial % 4 == 0)
+        if Matrix(m).to_DM().rank() < n:
+            continue
+        sizes.add(n)
+        check_inverse(m)
+    assert max(sizes) >= 16, sorted(sizes)
+    for name in ("I", "II", "VI", "MI", "MII"):
+        check_inverse(pivot_minor(catalog.build_graph(name).gram_rows()))
+    for trial in range(30):
+        source = catalog.build_graph(("VI", "MI", "MII")[trial % 3])
+        g = source.induced(rng.sample(source.labels, rng.randint(2, source.n)))
+        check_inverse(pivot_minor(g.gram_rows()))
+
+
+def test_inverse_refuses_singular_and_non_square_matrices():
+    for m in ([[0]], [[1, 2], [2, 4]], [[2, 1, 3], [1, 0, 1], [3, 1, 4]]):
+        with pytest.raises(ValueError, match="singular"):
+            exact.inverse(m)
+    with pytest.raises(ValueError, match="square"):
+        exact.inverse([[1, 2]])
+    assert exact.inverse([]) == ([], 1)
+
+
+# --- the affine certificate of parabolic components ---------------------------------
+
+def shuffled_graph(rng, n, edges):
+    """A root graph on n vertices with the edges (a, b, mult), its vertices
+    numbered in a random order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    mult = [[0] * n for _ in range(n)]
+    for a, b, m in edges:
+        mult[perm[a]][perm[b]] = mult[perm[b]][perm[a]] = m
+    return rootgraph.RootGraph([f"v{i}" for i in range(n)], mult)
+
+
+def star_edges(legs):
+    """A tree with one vertex 0 and legs of the given lengths hung off it."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt, 1))
+            prev, nxt = nxt, nxt + 1
+    return 1 + sum(legs), edges
+
+
+def certified(g):
+    _, _, both = rootgraph._adjacency_masks(g)
+    return rootgraph._affine_certificate(g.mult, list(range(g.n)), both)
+
+
+def test_affine_certificate_matches_inertia():
+    rng = random.Random(73)
+    affine, other = [(2, [(0, 1, 2)])], []
+    for k in range(2, 18):  # A~k: a (k+1)-cycle
+        affine.append((k + 1, [(i, (i + 1) % (k + 1), 1) for i in range(k + 1)]))
+    for k in range(4, 18):  # D~k: a path of k-3 vertices with two leaves at each end
+        path = [(i, i + 1, 1) for i in range(k - 4)]
+        forks = [(0, k - 3, 1), (0, k - 2, 1), (k - 4, k - 1, 1), (k - 4, k, 1)]
+        affine.append((k + 1, path + forks))
+    for legs in [(2, 2, 2), (1, 3, 3), (1, 2, 5)]:  # E~6, E~7, E~8
+        affine.append(star_edges(legs))
+    for n in range(1, 10):  # A_n
+        other.append((n, [(i, i + 1, 1) for i in range(n - 1)]))
+    for k in range(1, 8):  # D_n
+        other.append(star_edges((1, 1, k)))
+    # E6, E7, E8; T_{2,3,7}, which is E~8 with its long leg one longer; E~8
+    # with a leaf hung off the branch vertex, off a leg or doubling a leg's end
+    for legs in [(1, 2, 2), (1, 2, 3), (1, 2, 4), (1, 2, 6), (1, 1, 2, 5)]:
+        other.append(star_edges(legs))
+    n, e8 = star_edges((1, 2, 5))
+    other += [(n + 1, e8 + [(v, n, 1)]) for v in (1, 2, 4, 8)]
+    other.append((n, [(a, b, 2 if b == n - 1 else m) for a, b, m in e8]))
+    for (n, edges), want in [(x, True) for x in affine] + [(x, False) for x in other]:
+        g = shuffled_graph(rng, n, edges)
+        is_affine = exact.rank_signature(g.gram_rows()) == (0, n - 1, 1)
+        assert is_affine == want, (n, edges)
+        assert certified(g) == want, (n, edges)
+    assert not certified(rootgraph.RootGraph(["a", "b", "c"], [[0, 2, 0], [2, 0, 0], [0, 0, 0]]))
+
+
 # --- discriminant forms -----------------------------------------------------------
 
 def coset_span(lat, gens):
@@ -636,14 +744,14 @@ def test_overlattice_form_checked_at_order_4096(monkeypatch):
     rest = lattice.direct_sum(a1, lattice.rescale(a1, -1))
     assert disc_form_values(over) == disc_form_values(rest)
     # a discriminant group of L' that misses a generator misses part of H-perp
-    truthful = lattice.discriminant_group
+    truthful = lattice._discriminant_group
 
-    def short(l):
-        group = truthful(l)
+    def short(l, d):
+        group = truthful(l, d)
         if l.gram != over.gram:
             return group
         return lattice.DiscriminantGroup(group.invariant_factors[1:], group.generator_lifts[1:])
 
-    monkeypatch.setattr(lattice, "discriminant_group", short)
+    monkeypatch.setattr(lattice, "_discriminant_group", short)
     with pytest.raises(AssertionError, match="H-perp/H"):
         lattice.overlattice(lat, glue)

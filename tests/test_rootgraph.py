@@ -391,6 +391,24 @@ def test_span_lattice_raw_versus_saturated():
     assert rootgraph.span_det(g) == -1
 
 
+def test_span_det_takes_one_determinant_per_lattice(monkeypatch):
+    # graph I's span has det -4 and saturates to det -1: one Bareiss
+    # determinant of the span and one of its overlattice
+    from coblemukai import exact
+
+    g = catalog_graph_i()
+    rootgraph.span_lattice(g)
+    truthful, calls = exact.det, []
+
+    def counted(m):
+        calls.append(len(m))
+        return truthful(m)
+
+    monkeypatch.setattr(exact, "det", counted)
+    assert span_det(g) == -1
+    assert len(calls) <= 2, calls
+
+
 def catalog_graph_i():
     from coblemukai import catalog
 
@@ -418,28 +436,44 @@ def fires(check):
         sys.exit("self-check did not fire")
 
 
+# the certificate takes nothing from the classifier: a definite E8 read as E~8
+star = rootgraph._STAR_TYPES[(1, 2, 4)]
+rootgraph._STAR_TYPES[(1, 2, 4)] = rootgraph.DiagramType("E", 8, True)
+fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("I")))
+rootgraph._STAR_TYPES[(1, 2, 4)] = star
+# classify still checks its answer against the exact inertia
 truthful = exact.rank_signature
 exact.rank_signature = lambda m: (0, len(m), 0)  # claims every block is definite
-g = catalog.build_graph("I")
-fires(lambda: rootgraph.connected_parabolics(g))
-fires(lambda: rootgraph.classify(g, ["c1", "c2"]))
-# Components with the same Gram matrix share one inertia check.  Lie only
-# for the A~2 triangle, which VI has 30 times and which is not its first
-# component, so the shared check must still run and raise.
+fires(lambda: rootgraph.classify(catalog.build_graph("I"), ["c1", "c2"]))
+exact.rank_signature = truthful
+# Components with the same multiplicity matrix share one certificate.  Fail
+# it only for the A~2 triangle, which VI has 30 times and which is not its
+# first component, so the shared check must still run and raise.
+certificate = rootgraph._affine_certificate
+
+
+def failing_for(block):
+    def check(mult, idx, both):
+        if [[-2 if a == b else mult[a][b] for b in idx] for a in idx] == block:
+            return False
+        return certificate(mult, idx, both)
+    return check
+
+
 triangle = [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
-exact.rank_signature = lambda m: (0, 3, 0) if m == triangle else truthful(m)
+rootgraph._affine_certificate = failing_for(triangle)
 fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("VI")))
 # It is shared by the exact matrix, not by the type: MI's A~3 squares come in
-# three label orders; lie only for one that is not the first square's.
+# three label orders; fail only for one that is not the first square's.
 mi = catalog.build_graph("MI")
-exact.rank_signature = truthful
+rootgraph._affine_certificate = certificate
 squares = []
 for labels, typ in rootgraph.connected_parabolics(mi):
     idx = [mi.index(l) for l in labels]
     if str(typ) == "A~3":
         squares.append([[-2 if a == b else mi.mult[a][b] for b in idx] for a in idx])
 later = next(m for m in squares if m != squares[0])
-exact.rank_signature = lambda m: (0, 4, 0) if m == later else truthful(m)
+rootgraph._affine_certificate = failing_for(later)
 # a graph searches once, so the lie needs a graph not yet searched
 fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("MI")))
 """
@@ -456,7 +490,7 @@ def test_parabolic_self_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     first, second, third, fourth = proc.stdout.splitlines()
-    assert first.startswith("raised: component")
+    assert first.startswith("raised: component (") and first.endswith("misclassified as E~8")
     assert second == "raised: bad affine shape A~1"
     assert third.startswith("raised: component (") and third.endswith("misclassified as A~2")
     assert fourth.startswith("raised: component (") and fourth.endswith("misclassified as A~3")
