@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
 
 from .rootgraph import DiagramType, parse_diagram
 
@@ -156,11 +155,23 @@ QUASI_ELLIPTIC_P3 = (
     _row("IV", "IV", "IV", "IV"),
 )
 
-_COLUMNS = {
-    "generic": EXTREMAL_GENERIC,
-    "p5": EXTREMAL_P5,
-    "p3": EXTREMAL_P3,
+# Each class's rows as one set; p3 takes the quasi-elliptic list too.
+_ROWS = {
+    "generic": frozenset(EXTREMAL_GENERIC),
+    "p5": frozenset(EXTREMAL_P5),
+    "p3": frozenset(EXTREMAL_P3 + QUASI_ELLIPTIC_P3),
 }
+
+
+def _by_reducible_part(rows):
+    """Sorted rows keyed by the sorted diagrams of their reducible fibers."""
+    index = {}
+    for row in sorted(rows):
+        index.setdefault(tuple(sorted(filter(None, map(diagram_of, row)))), []).append(row)
+    return index
+
+
+_ASSIGNMENTS = {c: _by_reducible_part(rows) for c, rows in _ROWS.items()}
 
 
 def extremal_lookup(fibers, char_class: str = "generic") -> bool:
@@ -168,38 +179,19 @@ def extremal_lookup(fibers, char_class: str = "generic") -> bool:
     characteristic (for p3, the quasi-elliptic list counts too)."""
     if char_class not in CHAR_CLASSES:
         raise ValueError(f"char class must be one of {CHAR_CLASSES}")
-    key = tuple(sorted(fibers))
-    if key in _COLUMNS[char_class]:
-        return True
-    return char_class == "p3" and key in QUASI_ELLIPTIC_P3
-
-
-MAX_FIBERS = 4  # largest configuration in the tables
-_PADDING = (KodairaFiber("I", 1), KodairaFiber("II"))
+    return tuple(sorted(fibers)) in _ROWS[char_class]
 
 
 def admissible_assignments(types, char_class: str = "generic"):
-    """Extremal fiber multisets whose reducible part realizes the given
-    parabolic type multiset.
-
-    Every component is replaced by one of its fibers, then irreducible
-    fibers (I1 or II) are padded in, up to the tables' maximal count.
+    """Extremal fiber multisets, sorted, whose reducible fibers have exactly
+    the given affine types.  Every table row has at most four fibers and its
+    irreducible ones are I1 or II, so this is one lookup in the class's rows
+    keyed by their reducible part.
     """
     if char_class not in CHAR_CLASSES:
         raise ValueError(f"char class must be one of {CHAR_CLASSES}")
     comps = [t if isinstance(t, DiagramType) else parse_diagram(t) for t in types]
-    results = set()
-    choices = [fibers_of(t) for t in comps]
-    if len(comps) > MAX_FIBERS:
-        return []  # every component takes a fiber of its own
-    for picked in product(*choices):
-        base = tuple(sorted(picked))
-        room = MAX_FIBERS - len(base)
-        if room < 0:
-            continue
-        for extra in range(room + 1):
-            for pad in combinations_with_replacement(_PADDING, extra):
-                key = tuple(sorted(base + pad))
-                if extremal_lookup(key, char_class):
-                    results.add(key)
-    return sorted(results)
+    for d in comps:
+        if not d.affine:
+            raise ValueError("only affine diagrams correspond to fibers")
+    return list(_ASSIGNMENTS[char_class].get(tuple(sorted(comps)), ()))

@@ -567,18 +567,21 @@ def span_det(g: RootGraph) -> int:
 # --- automorphisms ----------------------------------------------------------
 
 def _refine_colors(g: RootGraph):
+    """Color refinement by edge multiplicity, from one color until a round
+    adds no class.  Only the partition matters, as ``automorphisms`` reads
+    colors through equality and class sizes alone.  A vertex's signature is
+    its color and the sorted codes m*n + c of its neighbors (multiplicity m,
+    color c < n), so equal signatures mean equal colors and neighbor multisets.
+    """
     n = g.n
-    colors = [0] * n
+    nbrs = [[(m * n, u) for u, m in enumerate(row) if m] for row in g.mult]
+    colors, count = [0] * n, 1
     while True:
-        sigs = []
-        for v in range(n):
-            nb = sorted((g.mult[v][u], colors[u]) for u in range(n) if g.mult[v][u])
-            sigs.append((colors[v], tuple(nb)))
-        palette = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
+        sigs = [(colors[v], *sorted([mn + colors[u] for mn, u in nb])) for v, nb in enumerate(nbrs)]
+        palette = {s: c for c, s in enumerate(set(sigs))}
+        if len(palette) == count:
             return colors
-        colors = new
+        colors, count = [palette[s] for s in sigs], len(palette)
 
 
 def _compose(a, b):

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from coblemukai import fibrations
@@ -113,3 +115,95 @@ def test_admissible_assignments_examples():
 def test_admissible_assignments_mi_types_nonempty_at_p3():
     for types in (["A~5", "A~2", "A~1"], ["A~4", "A~4"], ["A~3", "A~3", "A~1", "A~1"], ["A~2", "A~2", "A~2", "A~2"]):
         assert admissible_assignments(types, "p3")
+
+
+_ORACLE_MAX_FIBERS = 4
+_ORACLE_PADDING = (KodairaFiber("I", 1), KodairaFiber("II"))
+
+
+def _oracle_admissible_assignments(types, char_class):
+    """The product-and-pad search: every choice of one fiber per component,
+    padded with I1 and II up to four fibers, looked up row by row."""
+    rows = {
+        "generic": fibrations.EXTREMAL_GENERIC,
+        "p5": fibrations.EXTREMAL_P5,
+        "p3": fibrations.EXTREMAL_P3 + fibrations.QUASI_ELLIPTIC_P3,
+    }[char_class]
+    comps = [t if isinstance(t, DiagramType) else parse_diagram(t) for t in types]
+    choices = [fibers_of(t) for t in comps]
+    if len(comps) > _ORACLE_MAX_FIBERS:
+        return []
+    results = set()
+    for picked in product(*choices):
+        base = tuple(sorted(picked))
+        for extra in range(_ORACLE_MAX_FIBERS - len(base) + 1):
+            for pad in combinations_with_replacement(_ORACLE_PADDING, extra):
+                key = tuple(sorted(base + pad))
+                if key in rows:
+                    results.add(key)
+    return sorted(results)
+
+
+_AFFINE_TYPES = (
+    [DiagramType("A", i, True) for i in range(1, 9)]
+    + [DiagramType("D", i, True) for i in range(4, 9)]
+    + [DiagramType("E", i, True) for i in (6, 7, 8)]
+)
+
+
+def test_admissible_assignments_match_product_and_pad_search():
+    multisets = [
+        m
+        for k in range(5)
+        for m in combinations_with_replacement(_AFFINE_TYPES, k)
+        if sum(d.rank for d in m) <= 9
+    ]
+    assert len(multisets) == 126
+    found = 0
+    for m in multisets:
+        for char in fibrations.CHAR_CLASSES:
+            got = admissible_assignments(m, char)
+            assert got == _oracle_admissible_assignments(m, char), (m, char)
+            # any order of the components gives the same answer
+            assert admissible_assignments(m[::-1], char) == got
+            found += len(got)
+    assert found > 0
+
+
+def test_admissible_assignments_edge_cases():
+    five = ["A~1"] * 5
+    for char in fibrations.CHAR_CLASSES:
+        assert admissible_assignments(five, char) == []
+        assert admissible_assignments(["A~1"] * 40, char) == []
+    with pytest.raises(ValueError, match="only affine"):
+        admissible_assignments(["A~2", "A2"], "generic")
+    with pytest.raises(ValueError, match="only affine"):
+        admissible_assignments([DiagramType("E", 8, False)], "p3")
+    with pytest.raises(ValueError, match="char class"):
+        admissible_assignments(["A~2"], "p7")
+    with pytest.raises(ValueError, match="bad diagram token"):
+        admissible_assignments(["A~2", "X~3"], "generic")
+    # the class is checked before the tokens, the tokens before affineness
+    with pytest.raises(ValueError, match="char class"):
+        admissible_assignments(["X~3"], "p7")
+    with pytest.raises(ValueError, match="bad diagram token"):
+        admissible_assignments(["A2", "X~3"], "generic")
+    for tokens in (["A~4", "A~4"], ["E~8"], ["A~2"] * 4, ["D~4", "D~4"], ["A~5", "A~2", "A~1"]):
+        for char in fibrations.CHAR_CLASSES:
+            as_types = [parse_diagram(t) for t in tokens]
+            assert admissible_assignments(tokens, char) == admissible_assignments(as_types, char)
+
+
+def test_table_rows_have_the_shape_the_index_relies_on():
+    """At most four fibers a row and every irreducible fiber I1 or II: then
+    the rows keyed by their reducible part are what padding with I1 and II
+    up to four fibers finds."""
+    irreducible = {KodairaFiber("I", 1), KodairaFiber("II")}
+    columns = (fibrations.EXTREMAL_GENERIC, fibrations.EXTREMAL_P5, fibrations.EXTREMAL_P3,
+               fibrations.QUASI_ELLIPTIC_P3)
+    for col in columns:
+        for row in col:
+            assert 1 <= len(row) <= 4, row
+            assert row == tuple(sorted(row)), row
+            for f in row:
+                assert diagram_of(f) is not None or f in irreducible, row

@@ -309,6 +309,70 @@ def test_automorphisms_deep_search_needs_no_recursion():
     assert (order, gens) == (2, [swap])
 
 
+def _tuple_signature_refine_colors(g):
+    """Color refinement with (color, sorted (mult, color) pairs)
+    signatures, numbered by sorted signature, until the colors repeat."""
+    n = g.n
+    colors = [0] * n
+    while True:
+        sigs = []
+        for v in range(n):
+            nb = sorted((g.mult[v][u], colors[u]) for u in range(n) if g.mult[v][u])
+            sigs.append((colors[v], tuple(nb)))
+        palette = {s: c for c, s in enumerate(sorted(set(sigs)))}
+        new = [palette[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _partition(colors):
+    classes = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    return sorted(classes.values())
+
+
+def petersen_graph():
+    labels = [f"v{i}" for i in range(10)]
+    edges = [(f"v{i}", f"v{(i + 1) % 5}", 1) for i in range(5)]
+    edges += [(f"v{i + 5}", f"v{(i + 2) % 5 + 5}", 1) for i in range(5)]
+    edges += [(f"v{i}", f"v{i + 5}", 1) for i in range(5)]
+    return from_edges("Petersen", labels, edges)
+
+
+def test_refine_colors_gives_the_tuple_signature_partition():
+    from coblemukai import catalog
+
+    graphs = [catalog.build_graph(name) for name in ("I", "II", "VI", "MI", "MII")]
+    graphs += [cycle_graph(5), petersen_graph(), rootgraph.RootGraph([], [])]
+    # codes m + c without the factor n collide here and merge two classes
+    collide = [[0, 2, 3, 1, 0], [2, 0, 0, 0, 3], [3, 0, 0, 0, 1], [1, 0, 0, 0, 2], [0, 3, 1, 2, 0]]
+    graphs.append(rootgraph.RootGraph([f"v{i}" for i in range(5)], collide))
+    rng = random.Random(12)
+    for trial in range(80):
+        n = rng.randint(1, 18)
+        density = rng.choice((0.15, 0.3, 0.6))
+        mult = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    mult[i][j] = mult[j][i] = rng.choice((1, 2, 3, 7))
+        if trial % 4 == 0:
+            # two copies, so that refinement keeps classes of size two
+            mult = [row + [0] * n for row in mult] + [[0] * n + row for row in mult]
+        graphs.append(rootgraph.RootGraph([f"v{i}" for i in range(len(mult))], mult))
+    class_counts = set()
+    for g in graphs:
+        colors = rootgraph._refine_colors(g)
+        assert all(0 <= c < max(g.n, 1) for c in colors)
+        assert _partition(colors) == _partition(_tuple_signature_refine_colors(g)), g.name
+        class_counts.add(len(set(colors)))
+    assert len(class_counts) > 5
+    for g in (cycle_graph(5), petersen_graph()):
+        assert set(rootgraph._refine_colors(g)) == {0}
+
+
 def test_export_dot():
     empty = rootgraph.RootGraph([], [], name="G")
     assert rootgraph.export_dot(empty).split() == ['graph', '"G"', "{", "}"]
