@@ -4,10 +4,8 @@ surface classification tables."""
 from .lattice import (
     DiscriminantGroup,
     Lattice,
-    Mod2Form,
     det,
     direct_sum,
-    disc_b,
     disc_q,
     discriminant_group,
     gram_matrix,
@@ -16,13 +14,9 @@ from .lattice import (
     load_gram_file,
     make_lattice,
     make_named,
-    mod2_form,
     mod2_nullity,
-    orth_complement,
     overlattice,
-    pairing,
     radical_quotient,
-    reflect,
     rescale,
     signature,
 )
@@ -33,7 +27,6 @@ from .rootgraph import (
     RootGraph,
     VinbergReport,
     automorphisms,
-    classify,
     connected_parabolics,
     export_dot,
     load_graph_file,

@@ -59,20 +59,24 @@ def fiber_multiset(tokens) -> tuple[KodairaFiber, ...]:
     return tuple(sorted(parse_fiber(t) for t in tokens))
 
 
+# diagrams of the fiber kinds that carry no index
+_UNINDEXED_DIAGRAMS = {
+    "II": None,
+    "III": DiagramType("A", 1, True),
+    "IV": DiagramType("A", 2, True),
+    "II*": DiagramType("E", 8, True),
+    "III*": DiagramType("E", 7, True),
+    "IV*": DiagramType("E", 6, True),
+}
+
+
 def diagram_of(fiber: KodairaFiber) -> DiagramType | None:
     """Affine diagram of a reducible fiber; irreducible I1 and II give None."""
     if fiber.kind == "I":
         return DiagramType("A", fiber.index - 1, True) if fiber.index >= 2 else None
     if fiber.kind == "I*":
         return DiagramType("D", fiber.index + 4, True)
-    return {
-        "II": None,
-        "III": DiagramType("A", 1, True),
-        "IV": DiagramType("A", 2, True),
-        "II*": DiagramType("E", 8, True),
-        "III*": DiagramType("E", 7, True),
-        "IV*": DiagramType("E", 6, True),
-    }[fiber.kind]
+    return _UNINDEXED_DIAGRAMS[fiber.kind]
 
 
 def fibers_of(d: DiagramType) -> tuple[KodairaFiber, ...]:

@@ -2,9 +2,10 @@
 
 A lattice is a free Z-module with an integer Gram matrix.  The operations
 here cover named ADE/U constructions, determinants, discriminant groups and
-forms, Nikulin overlattice gluing, the mod-2 quadratic form on L/2L with its
-half-integer overlattices, quotients of a degenerate Gram by its radical,
-orthogonal complements and root reflections.
+the discriminant quadratic form, Nikulin overlattice gluing and saturation,
+the kernel and isotropic subgroups of the mod-2 quadratic form on L/2L with
+their half-integer overlattices, and quotients of a degenerate Gram by its
+radical.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import prod
 from operator import mul
 
 from . import exact
 
-MOD2_TABLE_MAX_RANK = 16
+NAMED_MAX_RANK = 256
 SATURATE_MAX_ORDER = 1 << 16
 
 
@@ -74,10 +75,6 @@ def gram_matrix(lat: Lattice, vectors, others=None) -> list[list]:
         [x // scale if x % scale == 0 else Fraction(x, scale) for x in row]
         for row in _pairings(lat, rows, cols)
     ]
-
-
-def pairing(lat: Lattice, x, y):
-    return gram_matrix(lat, [x], [y])[0][0]
 
 
 def det(lat: Lattice) -> int:
@@ -136,20 +133,20 @@ def make_named(spec: str) -> Lattice:
 
     Terms are A<m> (m>=1), D<n> (n>=4), E<k> (k in 6,7,8), U and E10, each
     optionally rescaled by an integer in parentheses; "+" is orthogonal sum.
+    A spec of total rank above NAMED_MAX_RANK is refused before any Gram
+    matrix is built.
     """
     parts = [p.strip() for p in spec.split("+")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"malformed lattice spec: {spec!r}")
-    summands = []
+    terms = []
     for part in parts:
         m = _TERM_RE.match(part)
         if not m:
             raise ValueError(f"malformed lattice term: {part!r}")
         base, scale = m.group(1), m.group(2)
-        if base == "U":
-            lat = make_lattice([[0, 1], [1, 0]])
-        elif base == "E10":
-            lat = direct_sum(make_lattice([[0, 1], [1, 0]]), make_lattice(_ade_gram("E", 8)))
+        if base in ("U", "E10"):
+            family, n = base, 2 if base == "U" else 10
         else:
             family, idx = base[0], base[1:]
             if family not in "ADE" or not idx:
@@ -161,6 +158,17 @@ def make_named(spec: str) -> Lattice:
                 raise ValueError("D_n requires n >= 4")
             if family == "E" and n not in (6, 7, 8):
                 raise ValueError("E_k requires k in {6, 7, 8}")
+        terms.append((family, n, scale))
+    rank = sum(n for _, n, _ in terms)
+    if rank > NAMED_MAX_RANK:
+        raise ValueError(f"lattice spec of rank {rank} is above the bound {NAMED_MAX_RANK}")
+    summands = []
+    for family, n, scale in terms:
+        if family == "U":
+            lat = make_lattice([[0, 1], [1, 0]])
+        elif family == "E10":
+            lat = direct_sum(make_lattice([[0, 1], [1, 0]]), make_lattice(_ade_gram("E", 8)))
+        else:
             lat = make_lattice(_ade_gram(family, n))
         if scale is not None:
             lat = rescale(lat, int(scale))
@@ -220,14 +228,6 @@ def disc_q(lat: Lattice, x) -> Fraction:
     if not _in_dual(lat, rows, den):
         raise ValueError("lift is not in the dual lattice")
     return Fraction(_pairings(lat, rows, rows)[0][0], den * den) % 2
-
-
-def disc_b(lat: Lattice, x, y) -> Fraction:
-    """b_L(x, y) = <x, y> mod Z, reduced into [0, 1)."""
-    rows, den = _rows(lat, [x, y])
-    if not _in_dual(lat, rows, den):
-        raise ValueError("lift is not in the dual lattice")
-    return Fraction(_pairings(lat, rows[:1], rows[1:])[0][0], den * den) % 1
 
 
 def _adjoin(lat: Lattice, rows, den: int) -> tuple[list[list[int]], int]:
@@ -389,20 +389,8 @@ def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
 
 # --- mod-2 quadratic form on K/2K ----------------------------------------
 
-@dataclass(frozen=True)
-class Mod2Form:
-    """q(x) = <x,x>/2 and f(x,y) = <x,y> on K/2K, both mod 2.
-
-    ``q_values[mask]`` is q of the class whose set bits select basis vectors;
-    the law q(x+y) = q(x) + q(y) + f(x,y) holds throughout.
-    """
-
-    dimension: int
-    q_values: tuple[int, ...]
-    f_matrix: tuple[tuple[int, ...], ...]
-
-
 def _q2(gram: list[list[int]], mask: int, n: int) -> int:
+    """q(x) = <x,x>/2 mod 2 for the class x whose set bits select basis vectors."""
     total = 0
     bits = [i for i in range(n) if mask >> i & 1]
     for a, i in enumerate(bits):
@@ -410,20 +398,6 @@ def _q2(gram: list[list[int]], mask: int, n: int) -> int:
         for j in bits[a + 1 :]:
             total += 2 * gram[i][j]
     return (total // 2) % 2
-
-
-def mod2_form(lat: Lattice) -> Mod2Form:
-    if not is_even(lat):
-        raise ValueError("mod-2 quadratic form is defined only for even lattices")
-    n = lat.rank
-    if n > MOD2_TABLE_MAX_RANK:
-        raise ValueError(
-            f"exhaustive mod-2 table capped at rank {MOD2_TABLE_MAX_RANK}; use mod2_nullity"
-        )
-    g = lat.gram_rows()
-    q = tuple(_q2(g, mask, n) for mask in range(1 << n))
-    f = tuple(tuple(g[i][j] % 2 for j in range(n)) for i in range(n))
-    return Mod2Form(dimension=n, q_values=q, f_matrix=f)
 
 
 def _gf2_kernel(rows: list[int], n: int) -> list[int]:
@@ -523,7 +497,7 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
     return out
 
 
-# --- radical quotients, complements and reflections -------------------------
+# --- radical quotients ---------------------------------------------------
 
 def radical_quotient(gram) -> Lattice:
     """Z^n modulo the radical of a symmetric integer Gram G, with its form.
@@ -561,28 +535,6 @@ def radical_quotient(gram) -> Lattice:
     if any(x % d for row in span for x in row):
         raise AssertionError("span Gram B M^-1 B^T is not integral")
     return make_lattice([[x // d for x in row] for row in span])
-
-
-def orth_complement(lat: Lattice, vectors) -> Lattice:
-    """Saturated orthogonal complement of the given rational vectors."""
-    ints, den = _rows(lat, vectors)
-    if not ints:
-        return lat
-    rows = []
-    for v in ints:
-        # G*v = w/den, and w/gcd(den, w) is G*v times its least common denominator
-        w = [sum(map(mul, col, v)) for col in lat.gram]
-        c = gcd(den, *w)
-        rows.append([x // c for x in w])
-    return make_lattice(_basis_gram(lat, exact.int_kernel(rows), 1))
-
-
-def reflect(lat: Lattice, delta, x) -> tuple:
-    """s_delta(x) = x + <x, delta> delta for a (-2)-vector delta."""
-    if pairing(lat, delta, delta) != -2:
-        raise ValueError("reflection vector must have self-pairing -2")
-    c = pairing(lat, x, delta)
-    return tuple(xi + c * di for xi, di in zip(x, delta))
 
 
 # --- text format -----------------------------------------------------------

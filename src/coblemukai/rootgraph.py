@@ -148,10 +148,6 @@ class DiagramType:
     def rank(self) -> int:
         return self.index
 
-    @property
-    def vertex_count(self) -> int:
-        return self.index + 1 if self.affine else self.index
-
 
 # one shared instance per type: the parabolic search names tens of thousands
 # of subsets, and a frozen dataclass is slow to build
@@ -252,60 +248,6 @@ def _classify_shape(members, mask, ends, v, single, double):
     idx = members + [v]
     typ = _classify_tree(idx, {u: [w for w in idx if single[u] >> w & 1] for u in idx})
     return None if typ is None else (typ, 0)
-
-
-def _classify_indices(g: RootGraph, idx: list[int]):
-    """DiagramType of a connected induced subset, or None.
-
-    The subset is grown in breadth-first order through ``_classify_shape``.
-    Every such prefix of a definite or affine set is connected and proper,
-    hence definite, so a prefix that is not, or is affine, decides None.
-    """
-    mult = g.mult
-    order = idx[:1]
-    for a in order:  # breadth first under any positive multiplicity
-        order += [b for b in idx if mult[a][b] and b not in order]
-    if len(order) != len(idx):
-        raise ValueError("subset does not induce a connected subgraph")
-    if any(mult[a][b] >= 3 for a in idx for b in idx):
-        return None
-    single = {a: sum(1 << b for b in idx if mult[a][b] == 1) for a in idx}
-    double = {a: sum(1 << b for b in idx if mult[a][b] == 2) for a in idx}
-    typ, mask = _diagram("A", 1, False), 1 << order[0]
-    ends = mask
-    for k in range(1, len(order)):
-        v = order[k]
-        got = None if typ.affine else _classify_shape(order[:k], mask, ends, v, single, double)
-        if got is None:
-            return None
-        typ, ends = got
-        mask |= 1 << v
-    return typ
-
-
-def classify(g: RootGraph, subset) -> DiagramType | None:
-    """Classify a connected induced subdiagram as definite ADE, affine, or none.
-
-    The shape rules are cross-checked against the exact inertia of the
-    induced Gram matrix; a mismatch would mean a corrupt classifier and
-    raises AssertionError rather than being returned.
-    """
-    idx = sorted({g.index(l) for l in subset})
-    if not idx:
-        raise ValueError("empty subset")
-    typ = _classify_indices(g, idx)
-    gram = [[-2 if i == j else g.mult[i][j] for j in idx] for i in idx]
-    pos, neg, zero = exact.rank_signature(gram)
-    if typ is None:
-        if not (pos > 0 or zero >= 2):
-            raise AssertionError("unrecognized negative semidefinite diagram")
-        return None
-    if typ.affine:
-        if (pos, neg, zero) != (0, len(idx) - 1, 1):
-            raise AssertionError(f"bad affine shape {typ}")
-    elif (pos, neg, zero) != (0, len(idx), 0):
-        raise AssertionError(f"bad definite shape {typ}")
-    return typ
 
 
 # --- connected parabolic enumeration ----------------------------------------

@@ -105,12 +105,12 @@ def test_model_mi_invariants():
     model = build_model("MI")
     amb = model.ambient
     (bn, b), (bpn, bp) = model.boundaries
-    assert lattice.pairing(amb, b, b) == -4
-    assert lattice.pairing(amb, b, bp) == 0
+    assert lattice.gram_matrix(amb, [b], [b])[0][0] == -4
+    assert lattice.gram_matrix(amb, [b], [bp])[0][0] == 0
     rm = model.root_map()
-    assert lattice.pairing(amb, rm["d:12"], rm["d:13"]) == 1
-    assert lattice.pairing(amb, rm["d:12"], rm["d:34"]) == 0
-    assert lattice.pairing(amb, rm["t:123"], rm["t:124"]) == 2
+    assert lattice.gram_matrix(amb, [rm["d:12"]], [rm["d:13"]])[0][0] == 1
+    assert lattice.gram_matrix(amb, [rm["d:12"]], [rm["d:34"]])[0][0] == 0
+    assert lattice.gram_matrix(amb, [rm["t:123"]], [rm["t:124"]])[0][0] == 2
 
 
 def test_model_mii_invariants():
@@ -121,11 +121,11 @@ def test_model_mii_invariants():
     # double edge iff (i,j) in the permutation graph
     for ij in ("11", "23", "44"):
         for p in ("p:id", "p:(12)", "p:(1234)"):
-            got = lattice.pairing(amb, rm[f"g:{ij}"], rm[p])
+            got = lattice.gram_matrix(amb, [rm[f"g:{ij}"]], [rm[p]])[0][0]
             assert got == g.mult[g.index(f"g:{ij}")][g.index(p)]
     # grid roots pair to 1 iff they share exactly one coordinate
-    assert lattice.pairing(amb, rm["g:11"], rm["g:12"]) == 1
-    assert lattice.pairing(amb, rm["g:11"], rm["g:22"]) == 0
+    assert lattice.gram_matrix(amb, [rm["g:11"]], [rm["g:12"]])[0][0] == 1
+    assert lattice.gram_matrix(amb, [rm["g:11"]], [rm["g:22"]])[0][0] == 0
 
 
 def test_mii_transposition_conic_regression():
@@ -251,7 +251,7 @@ def test_half_integral_boundary_is_refused():
     # (0, -4, 0) and return a "complement" pairing 1/2 with the real boundary
     amb = lattice.make_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     boundary = (Fraction(1, 2), Fraction(-4), Fraction(0))
-    assert lattice.pairing(amb, boundary, boundary) == -4
+    assert lattice.gram_matrix(amb, [boundary], [boundary])[0][0] == -4
 
     def model(b):
         return catalog.BlowupModel(
@@ -265,7 +265,7 @@ def test_half_integral_boundary_is_refused():
     # is orthogonal to it
     integral = (Fraction(1), Fraction(-2), Fraction(0))
     cm = coble_mukai(model(integral))
-    assert all(lattice.pairing(amb, v, integral) == 0 for v in cm.basis)
+    assert all(row == [0] for row in lattice.gram_matrix(amb, cm.basis, [integral]))
 
 
 def test_r_invariant_rows():
@@ -387,7 +387,8 @@ def test_mii_minus_one_root_adjacency_law():
         for b in grid:
             if a >= b:
                 continue
-            got = lattice.pairing(amb, rm[f"g:{a[0]}{a[1]}"], rm[f"g:{b[0]}{b[1]}"])
+            ra, rb = rm[f"g:{a[0]}{a[1]}"], rm[f"g:{b[0]}{b[1]}"]
+            got = lattice.gram_matrix(amb, [ra], [rb])[0][0]
             shared = (a[0] == b[0]) + (a[1] == b[1])
             assert got == (1 if shared == 1 else 0), (a, b, got)
 
@@ -430,15 +431,3 @@ def test_lemma_witness_cycles_appear_in_connected_parabolics():
         sorted(["g:11", "g:41", "g:42", "g:32", "g:33", "g:23", "g:24", "g:14"])
     )
     assert str(cps2[eight_cycle]) == "A~7"
-
-
-def test_orth_complement_of_boundaries_in_picard_model():
-    # the integral complement of the two boundaries is already hyperbolic of
-    # rank 10; adjoining the half-boundary classes (coble_mukai) only changes
-    # the index, not rank or signature
-    model = build_model("MI")
-    betas = [v for _, v in model.boundaries]
-    comp = lattice.orth_complement(model.ambient, betas)
-    assert comp.rank == 10
-    assert lattice.signature(comp) == (1, 9, 0)
-    assert lattice.det(comp) == -4  # index 2 below the Coble-Mukai lattice

@@ -115,6 +115,7 @@ def test_usage_errors_exit_2():
     assert run(["frobnicate"])[0] == 2
     assert run(["graph", "explode", "builtin:MI"])[0] == 2
     assert run(["lattice", "det", "Q9"])[0] == 2
+    assert run(["lattice", "det", "A257"])[0] == 2  # above the named-spec rank bound
     assert run(["graph", "info", "/nonexistent/file.graph"])[0] == 2
     assert run(["catalog", "build", "V"])[0] == 2
     assert run([])[0] == 2
@@ -584,6 +585,24 @@ RATIONAL_STDOUT_SHA256 = [
     (["catalog", "model", "MII"], (
         "a329d7fdebc588878186180a9801a840f6b0471abe9789ba41190dac7e07af06",
         "a329d7fdebc588878186180a9801a840f6b0471abe9789ba41190dac7e07af06",
+    )),
+    # `lattice mod2` on the four R-invariant specs, as produced while lattice
+    # still kept a second, exhaustive 2^n table of q beside mod2_nullity
+    (["lattice", "mod2", "A5+A5+A1+A1"], (
+        "4e7d59b746e28edc960deb2ea64e508028f48011746f0597e04a66fa30886f2e",
+        "38f67344efe61dd8bf53fb6ba757ff047dd1989b7281827132897b9ccd2b8064",
+    )),
+    (["lattice", "mod2", "D8+A2+A2"], (
+        "2bd8e2f2378b0f9c49a2a79f10478fd79c7ca6bcd3447edbfd1beedcd1225d4f",
+        "b1e5cff7a7cb71a9304eb209231a3810b6f29f07c42750266d8afe0898c3e791",
+    )),
+    (["lattice", "mod2", "E6"], (
+        "ee1cbf18a9a2daabada649f26da9c3bf51cd9da73cbf65356fa9f8dc02749de8",
+        "aface32017c3759fe7e6efa2829787842e500e4885fb0a535c5a100d37fe7ffd",
+    )),
+    (["lattice", "mod2", "E8+A2+A2"], (
+        "c82d93940a85fb5e6aac881a8cc66e05636c240abdb2869309491e89abcb9343",
+        "581c9a223e7fa5565c2d8bdf163703acb42c9427e8dfd196b3a5aacfd6ad0541",
     )),
 ]
 

@@ -45,7 +45,10 @@ def test_named_rescale():
     assert a1m.gram == ((2,),)
 
 
-@pytest.mark.parametrize("bad", ["D3", "E5", "E9", "A0", "B4", "", "A4++A2", "A4(0)", "q"])
+# A257 and A200+A100 are above the rank bound and refused before any Gram is built
+@pytest.mark.parametrize(
+    "bad", ["D3", "E5", "E9", "A0", "B4", "", "A4++A2", "A4(0)", "q", "A257", "A200+A100"]
+)
 def test_named_rejects_malformed(bad):
     with pytest.raises(ValueError):
         make_named(bad)
@@ -98,15 +101,6 @@ def test_disc_q_rejects_non_dual_lift():
     a2 = make_named("A2")
     with pytest.raises(ValueError):
         lattice.disc_q(a2, (Fraction(1, 2), 0))
-
-
-def test_disc_b_examples():
-    a1 = make_named("A1")
-    x = (Fraction(1, 2),)
-    assert lattice.disc_b(a1, x, x) == Fraction(1, 2)
-    assert lattice.disc_b(a1, x, (0,)) == 0
-    u = make_named("U")
-    assert lattice.disc_b(u, (0, 0), (0, 0)) == 0
 
 
 def test_overlattice_u2_glue_gives_unimodular():
@@ -256,29 +250,6 @@ def test_radical_split_check_survives_python_O():
         + "raised: radical split failed: C M C^T is not d^2 G off the pivots\n" * 2
     )
 
-def test_mod2_form_a1():
-    form = lattice.mod2_form(make_named("A1"))
-    assert form.f_matrix == ((0,),)
-    assert form.q_values == (0, 1)
-
-
-def test_mod2_form_law_small():
-    for name in ["A1", "A2", "A1+A1", "D4", "E6"]:
-        lat = make_named(name)
-        form = lattice.mod2_form(lat)
-        n = form.dimension
-        for x in range(1 << n):
-            for y in range(1 << n):
-                f = sum(
-                    form.f_matrix[i][j]
-                    for i in range(n)
-                    if x >> i & 1
-                    for j in range(n)
-                    if y >> j & 1
-                )
-                assert form.q_values[x ^ y] == (form.q_values[x] + form.q_values[y] + f) % 2
-
-
 def test_mod2_nullity_examples():
     assert lattice.mod2_nullity(make_named("A1"))[0] == 0
     assert lattice.mod2_nullity(make_named("A1+A1"))[:2] == (1, 1)
@@ -365,53 +336,6 @@ def test_half_overlattice_rejects_non_isotropic():
         lattice.half_overlattice(k, [(1, 0)])
 
 
-def test_orth_complement_examples():
-    u = make_named("U")
-    c = lattice.orth_complement(u, [(1, 0)])
-    assert c.rank == 1 and c.gram == ((0,),)
-    e10 = make_named("E10")
-    e8_vectors = [tuple(1 if j == i else 0 for j in range(10)) for i in range(2, 10)]
-    comp = lattice.orth_complement(e10, e8_vectors)
-    assert comp.rank == 2
-    assert lattice.det(comp) == -1
-    assert lattice.signature(comp) == (1, 1, 0)
-    assert lattice.orth_complement(u, []) is u
-
-
-def test_reflect_examples():
-    a2 = make_named("A2")
-    e1, e2 = (1, 0), (0, 1)
-    assert lattice.reflect(a2, e2, e1) == (1, 1)
-    assert lattice.reflect(a2, e1, e1) == (-1, 0)
-    u = make_named("U")
-    delta = (1, -1)
-    assert lattice.reflect(u, delta, (1, 1)) == (1, 1)
-
-
-def test_reflect_involution_and_isometry():
-    rng = random.Random(23)
-    lat = make_named("E10")
-    n = lat.rank
-    deltas = [tuple(1 if j == i else 0 for j in range(n)) for i in range(2, n)]
-    deltas.append((1, -1) + (0,) * 8)
-    deltas = [d for d in deltas if lattice.pairing(lat, d, d) == -2]
-    assert len(deltas) >= 5
-    for delta in deltas:
-        for _ in range(5):
-            x = tuple(rng.randint(-3, 3) for _ in range(n))
-            y = tuple(rng.randint(-3, 3) for _ in range(n))
-            rx = lattice.reflect(lat, delta, x)
-            assert lattice.reflect(lat, delta, rx) == x
-            assert lattice.pairing(lat, rx, lattice.reflect(lat, delta, y)) == lattice.pairing(
-                lat, x, y
-            )
-
-
-def test_reflect_rejects_wrong_norm():
-    with pytest.raises(ValueError):
-        lattice.reflect(make_named("U"), (1, 0), (0, 1))
-
-
 def test_gram_text_roundtrip(tmp_path):
     lat = make_named("A2")
     text = "rank 2\n-2 1\n1 -2\n"
@@ -431,10 +355,8 @@ def test_gram_text_rejects_malformed(text):
         lattice.parse_gram_text(text)
 
 
-def test_mod2_form_rank_cap():
+def test_mod2_nullity_any_rank():
+    # mod-2 linear algebra only, so any rank is fine
     big = lattice.direct_sum(*[make_named("A1")] * 17)
-    with pytest.raises(ValueError, match="capped"):
-        lattice.mod2_form(big)
-    # nullity still works above the cap, via linear algebra only
     nullity, rank, _ = lattice.mod2_nullity(big)
     assert nullity + rank == 17

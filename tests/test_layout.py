@@ -1,8 +1,9 @@
 """Source rules that hold only by review otherwise.
 
 Self-checks in the package must run under ``python -O``, so they raise
-exceptions instead of using ``assert``; and no module reaches into another
-package module's private names.
+exceptions instead of using ``assert``; no module reaches into another
+package module's private names; and every public name has a caller in the
+package or the benchmark, unless an allow-list entry says why it stays.
 """
 
 import ast
@@ -77,3 +78,58 @@ def test_guard_sees_both_rules():
     ]
     # a module may use its own private names
     assert _violations("from . import lattice\nlattice._rows(l, v)\n", "lattice.py") == []
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+# public names that nothing in the package or the benchmark calls, and why they stay
+UNREFERENCED_ALLOWED = {
+    "lattice.saturate": "test oracles and the -O overlattice self-check build the saturation itself",
+    "fibrations.fibers_of": "the reference inverse of diagram_of in acceptance and the assignment oracle",
+}
+
+
+def _public_definitions(tree: ast.Module, module: str) -> list[str]:
+    """Public top-level functions and classes, and the public methods of a
+    public class, as ``module.name`` or ``module.Class.method``."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defs.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                defs += [f"{module}.{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return defs
+
+
+def _unreferenced(sources: dict[str, str], users: list[str]) -> list[str]:
+    """Public names of the package modules in ``sources`` (stem -> text) that
+    no Name or Attribute node in a package module or in a ``users`` text
+    carries.  ``__init__`` re-exports do not count; a definition is not a
+    reference to itself, but a use in its own module is.  Names are matched
+    without their module, so a name that another definition shares counts
+    as referenced."""
+    trees = {m: ast.parse(text) for m, text in sources.items() if m != "__init__"}
+    refs = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in [*trees.values(), *map(ast.parse, users)]
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(d for m, tree in trees.items() for d in _public_definitions(tree, m)
+                  if d.rsplit(".", 1)[1] not in refs)
+
+
+def test_every_public_name_has_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    users = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert users, PERFBENCH
+    assert _unreferenced(sources, users) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_caller_guard_sees_functions_classes_and_methods():
+    sources = {
+        "lattice": "def used(): pass\ndef unused(): pass\ndef inner(): used()\n"
+                   "class K:\n    def m(self): pass\n    def _p(self): pass\ndef _private(): pass\n",
+        "catalog": "from . import lattice\nlattice.inner()\n",
+        "__init__": "from .lattice import unused, K\n",
+    }
+    assert _unreferenced(sources, ["K().x\n"]) == ["lattice.K.m", "lattice.unused"]
+    assert _unreferenced(sources, []) == ["lattice.K", "lattice.K.m", "lattice.unused"]
