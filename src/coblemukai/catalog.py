@@ -10,7 +10,7 @@ graph file loader only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -245,15 +245,17 @@ class BlowupModel:
 
     The ambient basis is two ruling classes (square 0, pairing 1) followed by
     exceptional classes (square -1, mutually orthogonal).  Bidegree (a, b)
-    means a*hu + b*hv, so (a, b).(a', b') = ab' + a'b.  Boundaries are
+    means a*hu + b*hv, so (a, b).(a', b') = ab' + a'b.  Every class is an
+    integer row over the common denominator ``den``.  Boundaries are
     integral classes; root classes may be half-integral.
     """
 
     ambient: Lattice
     basis_labels: tuple[str, ...]
     exceptional: tuple[str, ...]
-    boundaries: tuple[tuple[str, tuple[Fraction, ...]], ...]
-    roots: tuple[tuple[str, tuple[Fraction, ...]], ...]
+    boundaries: tuple[tuple[str, tuple[int, ...]], ...]
+    roots: tuple[tuple[str, tuple[int, ...]], ...]
+    den: int
 
     def boundary_vectors(self):
         return [v for _, v in self.boundaries]
@@ -264,16 +266,17 @@ class BlowupModel:
     def __post_init__(self):
         nb = len(self.boundaries)
         for name, v in self.boundaries:
-            if any(c.denominator != 1 for c in v):
+            if any(x % self.den for x in v):
                 raise ValueError(f"boundary {name} is not an integral class")
         gram = lattice.gram_matrix(
-            self.ambient, [v for _, v in self.boundaries] + [v for _, v in self.roots]
-        )
+            self.ambient, self.boundary_vectors() + [v for _, v in self.roots]
+        )  # the pairings times den**2
+        scale = self.den * self.den
         for k, (name, _) in enumerate(self.boundaries):
-            if gram[k][k] != -4:
+            if gram[k][k] != -4 * scale:
                 raise ValueError(f"boundary {name} does not have self-pairing -4")
         for k, (name, _) in enumerate(self.roots, start=nb):
-            if gram[k][k] != -2:
+            if gram[k][k] != -2 * scale:
                 raise ValueError(f"root class {name} does not have self-pairing -2")
             for m, (bname, _) in enumerate(self.boundaries):
                 if gram[k][m] != 0:
@@ -344,11 +347,11 @@ def build_model_mi() -> BlowupModel:
     amb, labels = _quadric_ambient([f"e{i}" for i in range(1, 11)])
     n = amb.rank
 
-    def vec(hu, hv, exc):
-        v = [Fraction(0)] * n
-        v[0], v[1] = Fraction(hu), Fraction(hv)
+    def vec(hu, hv, exc):  # twice the class
+        v = [0] * n
+        v[0], v[1] = 2 * hu, 2 * hv
         for idx, c in exc:
-            v[1 + idx] = Fraction(c)
+            v[1 + idx] = 2 * c
         return tuple(v)
 
     b = vec(1, 3, [(i, -1) for i in range(1, 11)])
@@ -357,9 +360,8 @@ def build_model_mi() -> BlowupModel:
     for label, pts in MI_CURVE_POINTS.items():
         roots.append((label, vec(1, 1, [(p, -1) for p in pts])))
     for label, e in MI_TRIAD_EXC.items():
-        half = tuple((x + y) / 2 for x, y in zip(b, bp))
-        v = list(half)
-        v[1 + e] += 2
+        v = [(x + y) // 2 for x, y in zip(b, bp)]
+        v[1 + e] += 4
         roots.append((label, tuple(v)))
     roots.sort()
     return BlowupModel(
@@ -368,6 +370,7 @@ def build_model_mi() -> BlowupModel:
         exceptional=labels[2:],
         boundaries=(("B", b), ("B'", bp)),
         roots=tuple(roots),
+        den=2,
     )
 
 
@@ -422,11 +425,11 @@ def build_model_mii() -> BlowupModel:
     n = amb.rank
     pos = {g: 2 + k for k, g in enumerate(grid)}
 
-    def vec(hu, hv, points, coef):
-        v = [Fraction(0)] * n
-        v[0], v[1] = Fraction(hu), Fraction(hv)
+    def vec(hu, hv, points, coef):  # twice the class
+        v = [0] * n
+        v[0], v[1] = 2 * hu, 2 * hv
         for p in points:
-            v[pos[p]] += Fraction(coef)
+            v[pos[p]] += 2 * coef
         return v
 
     bs = {i: vec(1, 0, [(i, j) for j in range(1, 5)], -1) for i in range(1, 5)}
@@ -435,8 +438,8 @@ def build_model_mii() -> BlowupModel:
     boundaries += [(f"B'{j}", tuple(bps[j])) for j in range(1, 5)]
     roots = []
     for i, j in grid:
-        v = [(a + b) / 2 for a, b in zip(bs[i], bps[j])]
-        v[pos[(i, j)]] += 2
+        v = [(a + b) // 2 for a, b in zip(bs[i], bps[j])]
+        v[pos[(i, j)]] += 4
         roots.append((f"g:{i}{j}", tuple(v)))
     for sigma in permutations(range(1, 5)):
         label = _perm_label(sigma)
@@ -454,6 +457,7 @@ def build_model_mii() -> BlowupModel:
         exceptional=tuple(exc),
         boundaries=tuple(boundaries),
         roots=tuple(roots),
+        den=2,
     )
 
 
@@ -471,49 +475,45 @@ def build_model(name: str) -> BlowupModel:
 class CobleMukaiLattice:
     """Orthogonal complement of the boundaries in the half-boundary extension.
 
-    ``basis`` rows are exact rational vectors in ambient coordinates, as tuples
-    of Fraction; ``twice_hnf`` is the integer HNF of twice the basis.
+    ``twice`` is the canonical integer HNF of twice the basis, in ambient
+    coordinates, and ``lattice`` is the Gram matrix of that basis.
     """
 
     lattice: Lattice
-    basis: tuple[tuple[Fraction, ...], ...]
-    twice_hnf: list[list[int]] = field(repr=False, compare=False)
+    twice: list[list[int]]
 
-    def contains(self, vec) -> bool:
-        """Is vec an integer combination of the basis?  2*vec is reduced
-        against the integer HNF of twice the basis."""
-        (row,), den = exact.integer_rows([vec])
-        if 2 % den:
+    def contains(self, rows, den: int) -> bool:
+        """Is every row/den an integer combination of the basis?  Exactly
+        then twice the rows leave the HNF of twice the basis unchanged."""
+        if any(2 * x % den for row in rows for x in row):
             return False
-        return not any(exact.hnf_remainder(self.twice_hnf, [x * (2 // den) for x in row]))
+        doubled = [[2 * x // den for x in row] for row in rows]
+        return exact.hnf_rows(self.twice + doubled) == self.twice
 
 
 def coble_mukai(model: BlowupModel) -> CobleMukaiLattice:
     amb = model.ambient
     n = amb.rank
-    betas, _ = exact.integer_rows(model.boundary_vectors())  # integral, see BlowupModel
+    # integral, see BlowupModel
+    betas = [[x // model.den for x in v] for v in model.boundary_vectors()]
     beta_gram = lattice.gram_matrix(amb, betas)
     for a, b in combinations(range(len(betas)), 2):
         if beta_gram[a][b] != 0:
             raise ValueError("boundary classes must be pairwise orthogonal")
     two = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     if not betas:
-        return CobleMukaiLattice(amb, tuple(exact.fraction_rows(two, 2)), two)
+        return CobleMukaiLattice(amb, two)
     # beta = 2 * (beta/2), scaled like 2*I
     ext2 = exact.hnf_rows(two + betas)  # twice the basis of the half-boundary extension
     if len(ext2) != n:
         raise AssertionError("half-boundary extension does not have full rank")
     # <2 * ext_j, beta> = 2 * <ext_j, beta>: integral constraints for beta-perp
-    twice = exact.matmul(exact.int_kernel(lattice.gram_matrix(amb, betas, ext2)), ext2)
+    kernel = exact.int_kernel(lattice.gram_matrix(amb, betas, ext2))
+    twice = exact.hnf_rows(exact.matmul(kernel, ext2))
     gram4 = lattice.gram_matrix(amb, twice)  # four times the Gram of the basis
     if any(x % 4 for row in gram4 for x in row):
         raise ValueError("non-integral Gram: boundaries violate the half-class precondition")
-    gram = [[x // 4 for x in row] for row in gram4]
-    return CobleMukaiLattice(
-        lattice=lattice.make_lattice(gram),
-        basis=tuple(exact.fraction_rows(twice, 2)),
-        twice_hnf=exact.hnf_rows(twice),
-    )
+    return CobleMukaiLattice(lattice.make_lattice([[x // 4 for x in row] for row in gram4]), twice)
 
 
 # --- realization verifier ------------------------------------------------------
@@ -524,12 +524,12 @@ class RealizationReport:
     failures: tuple[str, ...]
 
 
-def _is_minus_one_root(model: BlowupModel, v, betas, den: int) -> bool:
-    """Is v/den of the shape 2e + (beta + beta')/2 for an exceptional e (betas over den)?"""
-    for ba, bb in combinations(betas, 2):
+def _is_minus_one_root(model: BlowupModel, v) -> bool:
+    """Is v/den of the shape 2e + (beta + beta')/2 for an exceptional e?"""
+    for ba, bb in combinations(model.boundary_vectors(), 2):
         rest = [2 * x - y - z for x, y, z in zip(v, ba, bb)]
         nz = [k for k, x in enumerate(rest) if x]
-        if (len(nz) == 1 and rest[nz[0]] == 4 * den
+        if (len(nz) == 1 and rest[nz[0]] == 4 * model.den
                 and model.basis_labels[nz[0]] in model.exceptional):
             return True
     return False
@@ -538,10 +538,10 @@ def _is_minus_one_root(model: BlowupModel, v, betas, den: int) -> bool:
 def verify_realization(graph: RootGraph, model: BlowupModel) -> RealizationReport:
     """Check that the model's bilinear form realizes the graph exactly.
 
-    Every vertex must have a class of self-pairing -2 orthogonal to all
-    boundaries, the pairing matrix must reproduce the edge multiplicities
-    entry for entry, kinds must match the 2e + half-boundaries shape, and
-    curve/root pairings must be even.
+    Every vertex must have a class (the model already holds each class to
+    self-pairing -2 and orthogonal to all boundaries), the pairing matrix
+    must reproduce the edge multiplicities entry for entry, kinds must match
+    the 2e + half-boundaries shape, and curve/root pairings must be even.
     """
     failures = []
     rm = model.root_map()
@@ -551,15 +551,9 @@ def verify_realization(graph: RootGraph, model: BlowupModel) -> RealizationRepor
     if failures:
         return RealizationReport(ok=False, failures=tuple(failures))
     n = graph.n
-    rows, den = exact.integer_rows([rm[label] for label in graph.labels] + model.boundary_vectors())
-    scale = den * den
+    rows = [rm[label] for label in graph.labels]
+    scale = model.den * model.den
     gram = lattice.gram_matrix(model.ambient, rows)  # the pairings times scale
-    for i, label in enumerate(graph.labels):
-        if gram[i][i] != -2 * scale:
-            failures.append(f"{label}: self-pairing != -2")
-        for k, (bname, _) in enumerate(model.boundaries, start=n):
-            if gram[i][k] != 0:
-                failures.append(f"{label}: not orthogonal to {bname}")
     for i in range(n):
         for j in range(i + 1, n):
             a, b = graph.labels[i], graph.labels[j]
@@ -569,7 +563,7 @@ def verify_realization(graph: RootGraph, model: BlowupModel) -> RealizationRepor
             if graph.kinds[i] != graph.kinds[j] and got % (2 * scale) != 0:
                 failures.append(f"pair ({a}, {b}): odd curve/root pairing {Fraction(got, scale)}")
     for label, kind, row in zip(graph.labels, graph.kinds, rows):
-        if _is_minus_one_root(model, row, rows[n:], den) != (kind == KIND_ROOT):
+        if _is_minus_one_root(model, row) != (kind == KIND_ROOT):
             failures.append(f"{label}: kind tag does not match realization")
     return RealizationReport(ok=not failures, failures=tuple(failures))
 
@@ -666,18 +660,10 @@ _TABLE1 = (
     Table1Row("MII", "MII", "3", 8, 40, "(S4 x S4).Z/2", 1152, "D8+A2+A2", 2),
 )
 
-_TABLE1_ALIASES = {
-    "I(n=1)": "I-1",
-    "I(n=2)": "I-2",
-    "VI(p=5)": "VI-5",
-    "VI(p=3)": "VI-3",
-}
-
 TABLE1_KEYS = tuple(row.key for row in _TABLE1)
 
 
 def table1(key: str) -> Table1Row:
-    key = _TABLE1_ALIASES.get(key, key)
     for row in _TABLE1:
         if row.key == key:
             return row
@@ -711,9 +697,12 @@ def get_entry(name: str) -> CatalogEntry:
 # --- model text export ------------------------------------------------------------
 
 def format_model(model: BlowupModel) -> str:
+    def text(v):
+        return " ".join(str(Fraction(x, model.den)) for x in v)
+
     lines = ["basis " + " ".join(model.basis_labels)]
     for name, v in model.boundaries:
-        lines.append(f"boundary {name} " + " ".join(str(c) for c in v))
+        lines.append(f"boundary {name} " + text(v))
     for name, v in model.roots:
-        lines.append(f"root {name} " + " ".join(str(c) for c in v))
+        lines.append(f"root {name} " + text(v))
     return "\n".join(lines) + "\n"

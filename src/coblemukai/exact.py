@@ -3,14 +3,13 @@
 Matrices are plain lists of lists of int.  Rational vectors are one integer
 matrix plus a common denominator, the pair ``(rows, den)``: ``integer_rows``
 makes it from tuples of int or Fraction where a public function receives
-vectors, and ``fraction_rows`` gives tuples of Fraction back where one
-returns them.  Inertia is computed fraction-free.
+vectors.  A lattice is compared or tested for membership by its canonical
+HNF (``hnf_rows``).  Inertia is computed fraction-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -201,11 +200,6 @@ def integer_rows(vectors) -> tuple[list[list[int]], int]:
     return [[c.numerator * (den // c.denominator) for c in v] for v in vecs], den
 
 
-def fraction_rows(rows, den: int) -> list[tuple[Fraction, ...]]:
-    """The vectors row/den as tuples of Fraction; the inverse of ``integer_rows``."""
-    return [tuple(Fraction(x, den) for x in row) for row in rows]
-
-
 def rank_signature(m: list[list]) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of a symmetric matrix, exactly.
 
@@ -344,18 +338,3 @@ def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:
             if q:
                 basis[i] = [a - q * b for a, b in zip(basis[i], basis[k])]
     return basis
-
-
-def hnf_remainder(basis: list[list[int]], v) -> list[int]:
-    """Remainder of the integer vector v modulo the lattice of ``basis``.
-
-    ``basis`` is a row echelon basis as returned by ``hnf_rows``; the
-    remainder is zero exactly when v lies in the lattice.
-    """
-    r = list(v)
-    for row in basis:
-        c = next(i for i, x in enumerate(row) if x)
-        q = r[c] // row[c]
-        if q:
-            r = [a - q * b for a, b in zip(r, row)]
-    return r

@@ -102,29 +102,32 @@ def test_graph_roundtrip_through_text():
 
 
 def test_model_mi_invariants():
+    # classes are rows over den, so row pairings are den**2 times the pairings
     model = build_model("MI")
     amb = model.ambient
+    scale = model.den ** 2
     (bn, b), (bpn, bp) = model.boundaries
-    assert lattice.gram_matrix(amb, [b], [b])[0][0] == -4
+    assert lattice.gram_matrix(amb, [b], [b])[0][0] == -4 * scale
     assert lattice.gram_matrix(amb, [b], [bp])[0][0] == 0
     rm = model.root_map()
-    assert lattice.gram_matrix(amb, [rm["d:12"]], [rm["d:13"]])[0][0] == 1
+    assert lattice.gram_matrix(amb, [rm["d:12"]], [rm["d:13"]])[0][0] == 1 * scale
     assert lattice.gram_matrix(amb, [rm["d:12"]], [rm["d:34"]])[0][0] == 0
-    assert lattice.gram_matrix(amb, [rm["t:123"]], [rm["t:124"]])[0][0] == 2
+    assert lattice.gram_matrix(amb, [rm["t:123"]], [rm["t:124"]])[0][0] == 2 * scale
 
 
 def test_model_mii_invariants():
     model = build_model("MII")
     amb = model.ambient
+    scale = model.den ** 2
     rm = model.root_map()
     g = build_graph("MII")
     # double edge iff (i,j) in the permutation graph
     for ij in ("11", "23", "44"):
         for p in ("p:id", "p:(12)", "p:(1234)"):
             got = lattice.gram_matrix(amb, [rm[f"g:{ij}"]], [rm[p]])[0][0]
-            assert got == g.mult[g.index(f"g:{ij}")][g.index(p)]
+            assert got == g.mult[g.index(f"g:{ij}")][g.index(p)] * scale
     # grid roots pair to 1 iff they share exactly one coordinate
-    assert lattice.gram_matrix(amb, [rm["g:11"]], [rm["g:12"]])[0][0] == 1
+    assert lattice.gram_matrix(amb, [rm["g:11"]], [rm["g:12"]])[0][0] == 1 * scale
     assert lattice.gram_matrix(amb, [rm["g:11"]], [rm["g:22"]])[0][0] == 0
 
 
@@ -176,8 +179,19 @@ def test_coble_mukai_contains_all_roots():
     for name in ("MI", "MII"):
         model = build_model(name)
         cm = coble_mukai(model)
-        for _, v in model.roots:
-            assert cm.contains(v)
+        roots = [v for _, v in model.roots]
+        assert cm.contains(roots, model.den)
+        for v in roots:
+            assert cm.contains([v], model.den)
+        assert cm.contains([], model.den)
+        # a boundary pairs -4 with itself, so it is not in its complement
+        boundary = model.boundary_vectors()[0]
+        assert not cm.contains([boundary], model.den)
+        assert not cm.contains([roots[0], boundary], model.den)
+        # over 2*den, a root plus 1 in one entry is half a unit off the lattice
+        assert cm.contains([[2 * x for x in roots[0]]], 2 * model.den)
+        off = [2 * x + (k == 0) for k, x in enumerate(roots[0])]
+        assert not cm.contains([off], 2 * model.den)
 
 
 def sympy_solve_in_rows(rows, target):
@@ -193,14 +207,15 @@ def sympy_solve_in_rows(rows, target):
 
 @pytest.mark.parametrize("name", ["MI", "MII"])
 def test_coble_mukai_contains_matches_sympy_solve(name):
-    # contains reduces against an integer HNF; the definition is an integral
-    # solution of the rational linear system in the basis rows
+    # contains compares integer HNFs; the definition is an integral solution
+    # of the rational linear system in the basis rows, twice the cm.twice rows
     model = build_model(name)
     cm = coble_mukai(model)
-    basis = [list(b) for b in cm.basis]
+    basis = [[Fraction(x, 2) for x in b] for b in cm.twice]
     n = model.ambient.rank
     rng = random.Random(17)
-    probes = [v for _, v in model.roots] + [v for _, v in model.boundaries]
+    probes = [tuple(Fraction(x, model.den) for x in v)
+              for _, v in model.roots + model.boundaries]
     for _ in range(40):
         coeffs = [rng.randint(-2, 2) for _ in basis]
         member = [sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(n)]
@@ -216,7 +231,8 @@ def test_coble_mukai_contains_matches_sympy_solve(name):
     for v in probes:
         sol = sympy_solve_in_rows(basis, v)
         want = sol is not None and all(c.is_integer for c in sol)
-        assert cm.contains(v) == want, v
+        rows, den = exact.integer_rows([v])
+        assert cm.contains(rows, den) == want, v
         verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
 
@@ -225,12 +241,11 @@ def test_coble_mukai_contains_matches_sympy_solve(name):
 def test_minus_one_root_shape_is_twice_an_exceptional_class(name):
     model = build_model(name)
     b, bp = model.boundary_vectors()[:2]
-    half = [(x + y) / 2 for x, y in zip(b, bp)]
+    half = [(x + y) // 2 for x, y in zip(b, bp)]  # (B + B')/2 over den
     for idx, coef, want in ((5, 2, True), (5, 1, False), (5, 4, False), (5, -2, False), (0, 2, False)):
         v = list(half)
-        v[idx] += coef
-        (row, *betas), den = exact.integer_rows([v] + model.boundary_vectors())
-        assert catalog._is_minus_one_root(model, row, betas, den) is want, (idx, coef)
+        v[idx] += coef * model.den
+        assert catalog._is_minus_one_root(model, v) is want, (idx, coef)
 
 
 def test_coble_mukai_no_boundaries_is_ambient():
@@ -241,6 +256,7 @@ def test_coble_mukai_no_boundaries_is_ambient():
         exceptional=model.exceptional,
         boundaries=(),
         roots=(),
+        den=model.den,
     )
     cm = coble_mukai(bare)
     assert cm.lattice.gram == model.ambient.gram
@@ -248,24 +264,25 @@ def test_coble_mukai_no_boundaries_is_ambient():
 
 def test_half_integral_boundary_is_refused():
     # (1/2, -4, 0) has self-pairing -4, but coble_mukai used to truncate it to
-    # (0, -4, 0) and return a "complement" pairing 1/2 with the real boundary
+    # (0, -4, 0) and return a "complement" pairing 1/2 with the real boundary;
+    # as rows over den = 2 it is (1, -8, 0), of row pairing -4 * den**2
     amb = lattice.make_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
-    boundary = (Fraction(1, 2), Fraction(-4), Fraction(0))
-    assert lattice.gram_matrix(amb, [boundary], [boundary])[0][0] == -4
+    boundary = (1, -8, 0)
+    assert lattice.gram_matrix(amb, [boundary], [boundary])[0][0] == -4 * 2 ** 2
 
     def model(b):
         return catalog.BlowupModel(
             ambient=amb, basis_labels=("hu", "hv", "e1"), exceptional=("e1",),
-            boundaries=(("B", b),), roots=(),
+            boundaries=(("B", b),), roots=(), den=2,
         )
 
     with pytest.raises(ValueError, match="boundary B is not an integral class"):
         model(boundary)
-    # an integral boundary of the same square is accepted, and its complement
-    # is orthogonal to it
-    integral = (Fraction(1), Fraction(-2), Fraction(0))
+    # an integral boundary of the same square, (1, -2, 0), is accepted, and
+    # its complement is orthogonal to it
+    integral = (2, -4, 0)
     cm = coble_mukai(model(integral))
-    assert all(row == [0] for row in lattice.gram_matrix(amb, cm.basis, [integral]))
+    assert all(row == [0] for row in lattice.gram_matrix(amb, cm.twice, [integral]))
 
 
 def test_r_invariant_rows():
@@ -308,7 +325,7 @@ def test_table1_rows():
     vii = table1("VII")
     assert (vii.p, vii.n, vii.k) == ("5", 1, 20)
     assert vii.r_invariant == "(A9+A1, (Z/2)^1)"
-    i1 = table1("I(n=1)")
+    i1 = table1("I-1")
     assert (i1.p, i1.n, i1.k) == ("any", 1, 12)
     assert i1.r_invariant == "(E8+A1, {0})"
     with pytest.raises(ValueError):
@@ -390,7 +407,7 @@ def test_mii_minus_one_root_adjacency_law():
             ra, rb = rm[f"g:{a[0]}{a[1]}"], rm[f"g:{b[0]}{b[1]}"]
             got = lattice.gram_matrix(amb, [ra], [rb])[0][0]
             shared = (a[0] == b[0]) + (a[1] == b[1])
-            assert got == (1 if shared == 1 else 0), (a, b, got)
+            assert got == (1 if shared == 1 else 0) * model.den ** 2, (a, b, got)
 
 
 def test_mi_gram_full_inertia():

@@ -95,15 +95,19 @@ def connected_subsets(g):
                 yield idx
 
 
-def brute_connected_parabolics(g):
+def typed_connected_subsets(g):
+    """Each connected induced subset with its ``brute_shape``."""
+    return [(idx, brute_shape(g, idx)) for idx in connected_subsets(g)]
+
+
+def brute_connected_parabolics(g, typed=None):
     """Connected induced subsets whose Gram matrix is negative semidefinite of
-    corank 1, labeled by invariants alone, not by the shape classifier."""
-    found = []
-    for idx in connected_subsets(g):
-        typ = brute_shape(g, idx)
-        if typ is not None and typ.affine:
-            found.append((tuple(sorted(g.labels[i] for i in idx)), typ))
-    return sorted(found)
+    corank 1, labeled by invariants alone, not by the shape classifier;
+    ``typed`` is ``typed_connected_subsets(g)`` when the caller has it."""
+    if typed is None:
+        typed = typed_connected_subsets(g)
+    return sorted((tuple(sorted(g.labels[i] for i in idx)), typ)
+                  for idx, typ in typed if typ is not None and typ.affine)
 
 
 def test_affine_type_by_invariants_on_named_diagrams():
@@ -136,14 +140,13 @@ def test_connected_parabolics_matches_powerset_oracle():
         g = random_graph(rng, n)
         if any(g.mult[i][j] >= 3 for i in range(n) for j in range(n)):
             continue
-        brute = brute_connected_parabolics(g)
+        typed = typed_connected_subsets(g)
+        brute = brute_connected_parabolics(g, typed)
         assert rootgraph.connected_parabolics(g) == brute, trial
         for max_rank in range(n + 1):
             want = [c for c in brute if c[1].rank <= max_rank]
             assert rootgraph.connected_parabolics(g, max_rank) == want, (trial, max_rank)
-        for idx in connected_subsets(g):
-            want = brute_shape(g, idx)
-            shapes.add(None if want is None else (want.family, want.affine))
+        shapes |= {None if typ is None else (typ.family, typ.affine) for _, typ in typed}
     assert shapes >= {None, ("A", False), ("D", False), ("E", False), ("A", True), ("D", True)}
 
 
