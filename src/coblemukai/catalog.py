@@ -11,8 +11,10 @@ graph file loader only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import add, sub
 
 from . import exact, lattice, rootgraph
 from .lattice import Lattice
@@ -125,9 +127,10 @@ def _perm_graph_points(sigma):
 
 def build_graph_mii() -> RootGraph:
     grid = [(i, j) for i in range(1, 5) for j in range(1, 5)]
-    perms = sorted(permutations(range(1, 5)), key=_perm_label)
+    name = {s: _perm_label(s) for s in permutations(range(1, 5))}
+    perms = sorted(name, key=name.__getitem__)
     labels = [(f"g:{i}{j}", KIND_ROOT) for i, j in grid]
-    labels += [(_perm_label(s), KIND_CURVE) for s in perms]
+    labels += [(name[s], KIND_CURVE) for s in perms]
     edges = []
     for (i, j), (k, l) in combinations(grid, 2):
         if i == k or j == l:
@@ -135,11 +138,11 @@ def build_graph_mii() -> RootGraph:
     for a, b in combinations(perms, 2):
         common = sum(1 for i in range(4) if a[i] == b[i])
         if common < 2:
-            edges.append((_perm_label(a), _perm_label(b), 2 - common))
+            edges.append((name[a], name[b], 2 - common))
     for i, j in grid:
         for s in perms:
             if s[i - 1] == j:
-                edges.append((f"g:{i}{j}", _perm_label(s), 2))
+                edges.append((f"g:{i}{j}", name[s], 2))
     return rootgraph.from_edges("MII", labels, edges)
 
 
@@ -262,6 +265,11 @@ class BlowupModel:
 
     def root_map(self):
         return dict(self.roots)
+
+    @cached_property
+    def _pair_sums(self):
+        """b + b' for each pair of boundary rows, built once per model."""
+        return [list(map(add, a, b)) for a, b in combinations(self.boundary_vectors(), 2)]
 
     def __post_init__(self):
         nb = len(self.boundaries)
@@ -526,12 +534,13 @@ class RealizationReport:
 
 def _is_minus_one_root(model: BlowupModel, v) -> bool:
     """Is v/den of the shape 2e + (beta + beta')/2 for an exceptional e?"""
-    for ba, bb in combinations(model.boundary_vectors(), 2):
-        rest = [2 * x - y - z for x, y, z in zip(v, ba, bb)]
-        nz = [k for k, x in enumerate(rest) if x]
-        if (len(nz) == 1 and rest[nz[0]] == 4 * model.den
-                and model.basis_labels[nz[0]] in model.exceptional):
-            return True
+    twice = [2 * x for x in v]
+    for s in model._pair_sums:
+        rest = list(map(sub, twice, s))
+        if rest.count(0) == len(rest) - 1:
+            k = next(k for k, x in enumerate(rest) if x)
+            if rest[k] == 4 * model.den and model.basis_labels[k] in model.exceptional:
+                return True
     return False
 
 

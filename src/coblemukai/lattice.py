@@ -512,11 +512,19 @@ def radical_quotient(gram) -> Lattice:
     HNF rows restricted to S are a basis B of L M, where L is spanned by the
     C_j, so the quotient has Gram B M^-1 B^T, which is checked to be
     integral.  G = 0 gives rank 0.
+
+    The rows go to ``exact.hnf_rows`` by descending leading column.  The HNF
+    is canonical, so the order does not change it, but a row then mostly
+    lands on a free pivot or meets one it reduces against in a step or two.
+    On induced subgraphs of VI, MI and MII the given order lets intermediate
+    entries reach 10^50, and this one keeps them below 10^5.
     """
     g = [list(map(int, row)) for row in gram]
     if not exact.is_symmetric(g):
         raise ValueError("Gram matrix must be symmetric")
-    hnf = exact.hnf_rows(g)
+    by_lead = sorted(g, key=lambda row: next((j for j, x in enumerate(row) if x), len(row)),
+                     reverse=True)
+    hnf = exact.hnf_rows(by_lead)
     pivots = [next(i for i, x in enumerate(row) if x) for row in hnf]
     if not pivots:
         return make_lattice([])

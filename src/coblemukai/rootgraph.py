@@ -33,17 +33,17 @@ class RootGraph:
         if len(set(labels)) != len(labels):
             raise ValueError("vertex labels must be unique")
         n = len(labels)
-        mult = tuple(tuple(int(x) for x in row) for row in mult)
+        mult = tuple(tuple(map(int, row)) for row in mult)
         if len(mult) != n or any(len(row) != n for row in mult):
             raise ValueError("multiplicity matrix shape does not match vertex count")
-        for i in range(n):
-            if mult[i][i] != 0:
+        # one pass over the rows, naming the fault a row-major scan meets first
+        for i, (row, col) in enumerate(zip(mult, zip(*mult))):
+            if row[i]:
                 raise ValueError("multiplicity matrix must have zero diagonal")
-            for j in range(n):
-                if mult[i][j] != mult[j][i]:
-                    raise ValueError("multiplicity matrix must be symmetric")
-                if mult[i][j] < 0:
-                    raise ValueError("edge multiplicities must be non-negative")
+            if row != col or min(row) < 0:
+                x, y = next((x, y) for x, y in zip(row, col) if x != y or x < 0)
+                raise ValueError("multiplicity matrix must be symmetric" if x != y
+                                 else "edge multiplicities must be non-negative")
         if kinds is None:
             kinds = (KIND_CURVE,) * n
         else:
@@ -223,42 +223,14 @@ def _classify_tree(members, adj):
     return _STAR_TYPES.get(tuple(legs))
 
 
-def _classify_shape(members, mask, ends, v, single, double):
-    """The definite set ``members`` grown by a neighbor v: (DiagramType,
-    ends) for the new set, or None when it is neither definite nor affine.
-
-    ``mask`` is the bitmask of ``members``; ``ends`` masks the ends of a
-    path A_k (its one vertex for k = 1) and is 0 for D and E.  ``single[u]``
-    and ``double[u]`` mask the neighbors of u along edges of multiplicity 1
-    and 2; higher ones must already be ruled out.  The step is O(1) on
-    bitmasks: a definite set has no double edge, so one into it gives A~1 at
-    size 2 and nothing otherwise; two or more single edges close a cycle,
-    which is A~k only from the two ends of a path; one edge into an end
-    extends the path.  Only a branch vertex, new or old, goes to
-    ``_classify_tree``.  This is the one place that decides ADE/affine shape.
-    """
-    if double[v] & mask:
-        return (_diagram("A", 1, True), 0) if len(members) == 1 else None
-    into = single[v] & mask
-    if into & (into - 1):
-        return (_diagram("A", len(members), True), 0) if into == ends else None
-    if into & ends:
-        # a one-vertex path keeps its vertex as an end
-        return _diagram("A", len(members) + 1, False), (ends ^ into or into) | 1 << v
-    idx = members + [v]
-    typ = _classify_tree(idx, {u: [w for w in idx if single[u] >> w & 1] for u in idx})
-    return None if typ is None else (typ, 0)
-
-
 # --- connected parabolic enumeration ----------------------------------------
 
 def _adjacency_masks(g: RootGraph):
     """Neighbor bitmasks along edges of multiplicity 1, 2 and either."""
     single = [0] * g.n
     double = [0] * g.n
-    for i in range(g.n):
-        for j in range(g.n):
-            m = g.mult[i][j]
+    for i, row in enumerate(g.mult):
+        for j, m in enumerate(row):
             if m == 1:
                 single[i] |= 1 << j
             elif m == 2:
@@ -282,28 +254,63 @@ def _parabolic_search(g: RootGraph):
     single, double, both = _adjacency_masks(g)
     found: list[tuple[list[int], DiagramType]] = []
 
-    def extend(members, mask, ends, ext, nbhd, above):
-        """Grow the definite set ``members`` (``ends`` as in ``_classify_shape``)
-        by each vertex of the bitmask ``ext``; ``above`` masks those > root."""
+    def extend(members, mask, ends, ext, nbhd, above, dbl, one, two):
+        """Grow the definite set ``members`` (bitmask ``mask``) by each vertex
+        of the bitmask ``ext``; ``above`` masks those > root.  With the A~1
+        pairs taken at the root, this is the one place that decides ADE/affine
+        shape.
+
+        ``ends`` masks the ends of a path A_k (its one vertex for k = 1) and
+        is 0 for D and E.  ``dbl`` masks the vertices with a double edge into
+        the set, ``one`` and ``two`` those with at least one and at least two
+        single edges into it.  A definite set has no double edge, so a
+        candidate in ``dbl`` gives nothing; two or more single edges close a
+        cycle, which is A~k only from the two ends of a path.  So every
+        candidate in ``dbl | two`` is dropped in one step, bar the path
+        closers, which come from the ends' masks.  The rest meet the set in
+        one single edge: into an end it extends the path, and only a branch
+        vertex, new or old, goes to ``_classify_tree``.
+        """
+        if ends & (ends - 1):
+            low = ends & -ends
+            closers = ext & two & ~dbl & single[low.bit_length() - 1] & single[(ends ^ low).bit_length() - 1]
+            while closers:
+                v = closers.bit_length() - 1
+                closers ^= 1 << v
+                if single[v] & mask == ends:
+                    found.append((members + [v], _diagram("A", len(members), True)))
+        ext &= ~(dbl | two)
         while ext:
-            # highest vertex first: on MII that tries 9450 candidates,
-            # lowest first 48652 (the visited sets are the same)
             v = ext.bit_length() - 1
             bit = 1 << v
             ext ^= bit
-            got = _classify_shape(members, mask, ends, v, single, double)
-            if got is None:
-                continue
-            typ, new_ends = got
-            if typ.affine:
-                found.append((members + [v], typ))
+            into = single[v] & mask
+            if into & ends:
+                # a one-vertex path keeps its vertex as an end
+                typ, new_ends = _diagram("A", len(members) + 1, False), (ends ^ into or into) | bit
             else:
-                fresh = both[v] & ~nbhd & ~mask & above
-                extend(members + [v], mask | bit, new_ends, ext | fresh, nbhd | both[v], above)
+                idx = members + [v]
+                typ = _classify_tree(idx, {u: [w for w in idx if single[u] >> w & 1] for u in idx})
+                if typ is None:
+                    continue
+                if typ.affine:
+                    found.append((idx, typ))
+                    continue
+                new_ends = 0
+            fresh = both[v] & ~nbhd & ~mask & above
+            extend(members + [v], mask | bit, new_ends, ext | fresh, nbhd | both[v], above,
+                   dbl | double[v], one | single[v], two | one & single[v])
 
+    a1 = _diagram("A", 1, True)
     for root in range(g.n):
         above = -2 << root  # the vertices > root
-        extend([root], 1 << root, 1 << root, both[root] & above, both[root], above)
+        pairs = double[root] & above
+        while pairs:
+            v = pairs.bit_length() - 1
+            pairs ^= 1 << v
+            found.append(([root, v], a1))
+        extend([root], 1 << root, 1 << root, single[root] & above, both[root], above,
+               double[root], single[root], 0)
     # A recursive closure references itself through its cell; deleting it
     # frees what it captured now instead of at the next cyclic GC pass.
     del extend
@@ -746,11 +753,16 @@ def automorphisms(g: RootGraph):
     them by walking its cosets in lex order.  The chain order of the
     returned generators must equal the product of the orbit lengths, else
     AssertionError is raised.
+
+    Every automorphism maps each class of the refined coloring to itself, so
+    when the refinement is discrete (each vertex its own color, as for the
+    empty graph) the group is trivial and ``(1, [])`` is returned at once,
+    without a search (McKay and Piperno, J. Symb. Comp. 60, 2014).
     """
     n = g.n
-    if n == 0:
-        return (1, [])
     colors = _refine_colors(g)
+    if len(set(colors)) == n:
+        return (1, [])
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)

@@ -156,6 +156,20 @@ def test_verify_realization_negative_control():
     assert any("d:12" in f and "d:13" in f for f in rep.failures)
 
 
+@pytest.mark.parametrize("name", ["MI", "MII"])
+def test_verify_realization_flags_swapped_kind_tags(name):
+    g = build_graph(name)
+    root = g.kinds.index(KIND_ROOT)
+    curve = g.kinds.index(KIND_CURVE)
+    kinds = list(g.kinds)
+    kinds[root], kinds[curve] = kinds[curve], kinds[root]
+    swapped = rootgraph.RootGraph(g.labels, g.mult, kinds, name=name)
+    rep = verify_realization(swapped, build_model(name))
+    flagged = [f for f in rep.failures if "kind tag" in f]
+    assert flagged == [f"{g.labels[i]}: kind tag does not match realization"
+                       for i in sorted((root, curve))]
+
+
 def test_coble_mukai_mi():
     cm = coble_mukai(build_model("MI"))
     lat = cm.lattice

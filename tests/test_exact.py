@@ -150,6 +150,32 @@ def test_hnf_rows_basic():
     assert basis == [[1, 1], [0, 2]]
 
 
+def test_hnf_rows_ignores_row_order():
+    # radical_quotient sorts G's rows before the HNF; that is sound only
+    # because every order of the same rows gives the same basis
+    from coblemukai import catalog
+
+    rng = random.Random(23)
+    mats = []
+    for _ in range(40):
+        cols, rank = rng.randint(1, 7), rng.randint(0, 5)
+        base = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rank)]
+        # rank-deficient: combinations of the base rows and a zero row
+        extra = [[sum(rng.randint(-2, 2) * row[j] for row in base) for j in range(cols)]
+                 for _ in range(rng.randint(0, 3))]
+        mats.append(base + extra + [[0] * cols] * rng.randint(0, 1))
+    for k in range(12):
+        source = catalog.build_graph(("VI", "MI", "MII")[k % 3])
+        mats.append(source.induced(rng.sample(source.labels, rng.randint(2, 20))).gram_rows())
+    ranks = set()
+    for m in mats:
+        want = exact.hnf_rows(m)
+        ranks.add(len(want) < len(m))
+        for _ in range(5):
+            assert exact.hnf_rows(rng.sample(m, len(m))) == want, m
+    assert ranks == {True, False}
+
+
 def test_hnf_rows_canonical_reduction():
     for rows in ([[3, 1, 0], [0, 5, 2], [0, 0, 7]], [[1, 3, 0], [0, 2, 2], [0, 0, 3]]):
         basis = exact.hnf_rows(rows)

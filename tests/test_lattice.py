@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -249,6 +250,57 @@ def test_radical_split_check_survives_python_O():
         "raised: radical split failed: d M^-1 times M is not d I\n" * 2
         + "raised: radical split failed: C M C^T is not d^2 G off the pivots\n" * 2
     )
+
+
+# sha256 of repr(radical_quotient(G).gram) for the catalog graphs and 20
+# seeded induced subgraphs of VI, MI and MII (size in the comment), as
+# produced when the rows went to the HNF in the order given
+RADICAL_QUOTIENT_CATALOG_SHA256 = {
+    "I": "a6af15d0ae8e4365d0065e49afe1971eb69d34eb7018597f9abd77442d72cef7",
+    "II": "8371e7f4715ecf234e214c363aa44d3acaf8ff164b04172f5360aa15a43a36a4",
+    "VI": "2b95b49190329be2fa751332766b815020c3442bb1ecf1b7cc64f24561e2ec98",
+    "MI": "34c228839c32ce00f5f4006960e518e725e330b23abd23abca77dbec7ad9bf36",
+    "MII": "6115b9fd7972b0438e0e90d6d23eeebd7a762cf9544cb823104049311905200d",
+}
+RADICAL_QUOTIENT_SUBGRAPH_SHA256 = [
+    "e77febb7092033aa2f8998e713d63d36254b27eb5b455f659fee609a795bb66e",  # 8
+    "fa32f19bbc0ac3ebd34ad52e6c341912f27a021fff2b6ac89cb703d2862bd167",  # 11
+    "654cd3aa54ee2ff64498ae0f2c6420e39bf5ed593ce205465aeea1f8f3cf1378",  # 15
+    "75102b4e83a3adc6421f177883a1c9677708a24c8dcddbeb0ee70fdc3deb8311",  # 16
+    "07071f4660d01370a8ba213dad41eb306e60cb73a6f841d731f94d786cc398e9",  # 11
+    "77b6a1ec15d88615bbe425010ed72860f1ba6f865093b9302b5407b7fcf526c4",  # 34
+    "d26146172c212bdeb8910aa763b19611e7d1e4e60ac07733f28414a56d51b837",  # 17
+    "89c2d911f7521082c317b0a644b01547c5d3318143af1db861322f000ee622be",  # 5
+    "e0f815898705ed3de2167a3aa4069065762fd1ebbefc54c1e9d042d93ea415f9",  # 21
+    "cfc5ab109ea4bee1e5008a1b6a909c09bbde7f41783513fa80d51cfef50a5bcc",  # 20
+    "8b39e6fd7d5311d04fe4cbc564c6c2fe78fbea9f21fc462d18628d4b11775af6",  # 37
+    "4c3a2c8082ee651830d5a389137adc743f0d7d85df7c5f4f35b87d0b0c716e06",  # 24
+    "63627b13e3f7f03414b49cf211b9a9801f1bd355e37ab47fc3f989ca287ea0f1",  # 7
+    "77b03a2e37bd3df80e9708c4899f3a7159fb484f35a0085b047d620968359370",  # 31
+    "8b5ceaa3a82818e5873b92db49b2f54a2056d545f46f9994088602717be7dfcd",  # 30
+    "7e9ff0808bd8d9f8c64baa3286c3e587a94666333ab1cadc9015806387d80e6b",  # 11
+    "15d118d104e961fc1ef2c755999ef09d6a838ee4fd19f51b0e7e73b1bb824680",  # 32
+    "42d11d742e5ca86e14655fca66a8e9c087aeed98d5e5e4f434bc02150987bf2c",  # 38
+    "cca54f492c1457e2286c9e2f86ccb2bb6b1142cc807ae3c47ae9623ffb32759c",  # 20
+    "4ad35c0641d5afbc33d8091f64489ef33004b040bc628681a8ec9bdfe87c7f0b",  # 4
+]
+
+
+def test_radical_quotient_gram_pinned():
+    from coblemukai import catalog
+
+    def digest(g):
+        q = lattice.radical_quotient(g.gram_rows())
+        return hashlib.sha256(repr(q.gram).encode("utf-8")).hexdigest()
+
+    for name, want in RADICAL_QUOTIENT_CATALOG_SHA256.items():
+        assert digest(catalog.build_graph(name)) == want, name
+    rng = random.Random(15)
+    for k, want in enumerate(RADICAL_QUOTIENT_SUBGRAPH_SHA256):
+        source = catalog.build_graph(("VI", "MI", "MII")[k % 3])
+        g = source.induced(rng.sample(source.labels, rng.randint(2, source.n)))
+        assert digest(g) == want, k
+
 
 def test_mod2_nullity_examples():
     assert lattice.mod2_nullity(make_named("A1"))[0] == 0

@@ -285,6 +285,9 @@ def union_graph(rng, max_n, max_order=3000):
 
 def test_automorphisms_match_networkx_matcher():
     rng = random.Random(11)
+    # automorphisms returns (1, []) without a search when color refinement
+    # is discrete; the draws must exercise that exit and the search
+    discrete = set()
     for trial in range(60):
         if trial % 2:
             g, order = union_graph(rng, 12)
@@ -297,6 +300,7 @@ def test_automorphisms_match_networkx_matcher():
                     mult[i][j] = mult[j][i] = rng.choice([1, 1, 2, 3])
             g = rootgraph.RootGraph([f"v{i}" for i in range(n)], mult)
             order = None
+        discrete.add(len(set(rootgraph._refine_colors(g))) == g.n)
         got, gens = rootgraph.automorphisms(g)
         want = networkx_aut_order(g)
         assert got == want, trial
@@ -306,6 +310,7 @@ def test_automorphisms_match_networkx_matcher():
             assert all(
                 g.mult[i][j] == g.mult[p[i]][p[j]] for i in range(g.n) for j in range(g.n)
             ), trial
+    assert discrete == {True, False}
 
 
 def sympy_inertia(m):

@@ -132,6 +132,28 @@ def test_connected_parabolics_on_definite_graph_is_empty():
     assert connected_parabolics(path_graph(5)) == []
 
 
+@pytest.mark.parametrize(
+    "mult, fault",
+    [
+        ([[1, 0], [0, 0]], "multiplicity matrix must have zero diagonal"),
+        ([[0, 1], [2, 0]], "multiplicity matrix must be symmetric"),
+        ([[0, -1], [-1, 0]], "edge multiplicities must be non-negative"),
+        # two faults: a row-major scan names the one it meets first, and at
+        # one entry asymmetry before sign
+        ([[0, -1, 0], [-1, 0, 0], [0, 0, 5]], "edge multiplicities must be non-negative"),
+        ([[1, -1], [-1, 0]], "multiplicity matrix must have zero diagonal"),
+        ([[0, 1], [0, -1]], "multiplicity matrix must be symmetric"),
+        ([[0, 2, -1], [2, 0, 0], [1, 0, 0]], "multiplicity matrix must be symmetric"),
+        ([[0, 0, 0], [0, 0, -1], [0, -1, 3]], "edge multiplicities must be non-negative"),
+        ([[0, 1], [1]], "multiplicity matrix shape does not match vertex count"),
+    ],
+)
+def test_root_graph_names_the_first_fault(mult, fault):
+    with pytest.raises(ValueError) as err:
+        rootgraph.RootGraph([f"v{i}" for i in range(len(mult))], mult)
+    assert str(err.value) == fault
+
+
 def test_connected_parabolics_simple():
     g = cycle_graph(4)
     cps = connected_parabolics(g)
@@ -385,6 +407,23 @@ def test_refine_colors_gives_the_tuple_signature_partition():
         assert set(rootgraph._refine_colors(g)) == {0}
 
 
+def test_discrete_refinement_gives_the_trivial_group_without_a_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("automorphism search ran")
+
+    # the search orders its base before it looks for any automorphism
+    monkeypatch.setattr(rootgraph, "_assignment_order", no_search)
+    monkeypatch.setattr(rootgraph, "_find_automorphism", no_search)
+    # a -1- b -2- c: the three vertices see different multiplicities
+    g = from_edges("G", ["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
+    assert len(set(rootgraph._refine_colors(g))) == g.n
+    assert rootgraph.automorphisms(g) == (1, [])
+    assert rootgraph.automorphisms(rootgraph.RootGraph([], [])) == (1, [])
+    # the patch is live: a path of three has its swap, so the search runs
+    with pytest.raises(AssertionError, match="search ran"):
+        rootgraph.automorphisms(path_graph(3))
+
+
 def test_export_dot():
     empty = rootgraph.RootGraph([], [], name="G")
     assert rootgraph.export_dot(empty).split() == ['graph', '"G"', "{", "}"]
@@ -542,6 +581,24 @@ later = next(m for m in squares if m != squares[0])
 rootgraph._affine_certificate = failing_for(later)
 # a graph searches once, so the lie needs a graph not yet searched
 fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("MI")))
+rootgraph._affine_certificate = certificate
+# Read one single edge of I as double: the search takes the pair it joins
+# for A~1, and the certificate, which reads the true matrix, refuses it.
+masks = rootgraph._adjacency_masks
+
+
+def lying_masks(g):
+    single, double, both = masks(g)
+    i = next(i for i, s in enumerate(single) if s)
+    j = single[i].bit_length() - 1
+    for a, b in ((i, j), (j, i)):
+        single[a] ^= 1 << b
+        double[a] |= 1 << b
+    return single, double, both
+
+
+rootgraph._adjacency_masks = lying_masks
+fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("I")))
 """
 
 
@@ -555,7 +612,8 @@ def test_parabolic_self_check_survives_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    first, second, third = proc.stdout.splitlines()
+    first, second, third, fourth = proc.stdout.splitlines()
     assert first.startswith("raised: component (") and first.endswith("misclassified as E~8")
     assert second.startswith("raised: component (") and second.endswith("misclassified as A~2")
     assert third.startswith("raised: component (") and third.endswith("misclassified as A~3")
+    assert fourth.startswith("raised: component (") and fourth.endswith("misclassified as A~1")
