@@ -452,6 +452,37 @@ def test_inverse_matches_sympy():
         check_inverse(pivot_minor(g.gram_rows()))
 
 
+def test_inverse_with_row_swaps_matches_sympy():
+    # non-symmetric matrices whose elimination must swap rows: a zero corner,
+    # or a zero b x b leading block, so the column order has to be restored
+    from sympy import Matrix
+
+    rng = random.Random(43)
+    swapped = singular = 0
+    for trial in range(120):
+        n = rng.randint(2, 10)
+        m = random_integer_matrix(rng, n, n)
+        if trial % 2:
+            m[0][0] = 0
+        else:
+            b = rng.randint(1, n - 1)
+            for i in range(b):
+                m[i][:b] = [0] * b
+        if any(m[i][0] for i in range(n)):
+            swapped += 1
+        if Matrix(m).to_DM().rank() < n:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                exact.inverse(m)
+        else:
+            check_inverse(m)
+    assert swapped >= 100 and 10 <= singular <= 110, (swapped, singular)
+    # singular only after a swap: column 0 needs row 1, column 2 is dependent
+    for m in ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], [[0, 2, 4], [3, 1, 2], [0, 1, 2]]):
+        with pytest.raises(ValueError, match="singular"):
+            exact.inverse(m)
+
+
 def test_inverse_refuses_singular_and_non_square_matrices():
     for m in ([[0]], [[1, 2], [2, 4]], [[2, 1, 3], [1, 0, 1], [3, 1, 4]]):
         with pytest.raises(ValueError, match="singular"):

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -489,6 +490,91 @@ def test_graph_text_minimal():
 def test_graph_text_errors(text, msg):
     with pytest.raises(rootgraph.GraphFormatError, match=msg):
         parse_graph_text(text)
+
+
+@pytest.mark.parametrize(
+    "text,msg",
+    [
+        ("graph g\ngraph h\n", "line 2: duplicate graph declaration"),
+        ("graph\n", "line 1: expected 'graph <name>'"),
+        ("graph g h\n", "line 1: expected 'graph <name>'"),
+        ("\n# c\nvertex a\n", "line 3: vertex before graph declaration"),
+        ("vertex a\ngraph g\n", "line 1: vertex before graph declaration"),
+        ("graph g\nvertex\n", "line 2: expected 'vertex <label> [kind=-1|-2]'"),
+        ("graph g\nvertex a kind=-1 x\n", "line 2: expected 'vertex <label> [kind=-1|-2]'"),
+        ("graph g\nvertex a\nvertex a kind=-1\n", "line 3: duplicate vertex 'a'"),
+        ("graph g\nvertex a kind=7\n", "line 2: bad kind 'kind=7'"),
+        ("graph g\nvertex a\nedge a\n", "line 3: expected 'edge <a> <b> <mult>'"),
+        ("graph g\nvertex a\nedge a b 1 2\n", "line 3: expected 'edge <a> <b> <mult>'"),
+        ("graph g\nvertex a\nedge a b 1\n", "line 3: edge uses undeclared vertex"),
+        ("graph g\nvertex a\nedge b a 1\n", "line 3: edge uses undeclared vertex"),
+        ("edge a b 1\ngraph g\n", "line 1: edge uses undeclared vertex"),
+        # an undeclared vertex is named before a self-loop
+        ("graph g\nedge x x 1\n", "line 2: edge uses undeclared vertex"),
+        ("graph g\nvertex a\nedge a a 1\n", "line 3: self-loop at 'a'"),
+        # a self-loop is named before a bad multiplicity
+        ("graph g\nvertex a\nedge a a z\n", "line 3: self-loop at 'a'"),
+        ("graph g\nvertex a\nvertex b\nedge a b 1.5\n", "line 4: multiplicity must be an integer"),
+        ("graph g\nvertex a\nvertex b\nedge a b -1\n", "line 4: multiplicity must be >= 1"),
+        ("graph g\nvertex a\nvertex b\nedge a b 0\n", "line 4: multiplicity must be >= 1"),
+        ("graph g\nvertex a\nvertex b\nedge a b 1\nedge a b 2\n",
+         "line 5: duplicate edge 'a' -- 'b'"),
+        ("graph g\nvertex a\nvertex b\nedge a b 1\nedge b a 1\n",
+         "line 5: duplicate edge 'b' -- 'a'"),
+        ("graph g\nvertex a\nvertex b\nedge a b 2\nvertex c\nedge c a 1\nedge b a 1\n",
+         "line 7: duplicate edge 'b' -- 'a'"),
+        # a bad multiplicity is named before a duplicate edge
+        ("graph g\nvertex a\nvertex b\nedge a b 1\nedge b a x\n",
+         "line 5: multiplicity must be an integer"),
+        ("graph g\nvertex a\nvertex b\nedge a b 1\nedge b a 0\n", "line 5: multiplicity must be >= 1"),
+        ("graph g\nfrobnicate\n", "line 2: unknown directive 'frobnicate'"),
+        ("frobnicate\ngraph g\n", "line 1: unknown directive 'frobnicate'"),
+        ("", "missing graph declaration"),
+        ("# only a comment\n\n", "missing graph declaration"),
+    ],
+)
+def test_graph_text_error_full_text(text, msg):
+    with pytest.raises(rootgraph.GraphFormatError, match="^" + re.escape(msg) + r"\Z"):
+        parse_graph_text(text)
+
+
+def random_graph_data(rng, n):
+    """Labels with kinds -1 and -2, and single and double edges."""
+    vertices = [(f"v{i}", rng.choice((rootgraph.KIND_CURVE, rootgraph.KIND_ROOT)))
+                for i in range(n)]
+    edges = [(f"v{i}", f"v{j}", rng.choice((1, 1, 2, 3)))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+    return vertices, edges
+
+
+def graph_text(rng, name, vertices, edges):
+    """Graph text with the edges shuffled, each written either way round and
+    placed anywhere after both its vertices are declared."""
+    pos = {label: k for k, (label, _) in enumerate(vertices)}
+    after = {k: [] for k in range(len(vertices))}
+    for a, b, m in rng.sample(edges, len(edges)):
+        k = rng.randint(max(pos[a], pos[b]), len(vertices) - 1)
+        after[k].append(f"edge {b} {a} {m}" if rng.random() < 0.5 else f"edge {a} {b} {m}")
+    lines = [f"graph {name}"]
+    for k, (label, kind) in enumerate(vertices):
+        lines.append(f"vertex {label}" + rng.choice(("", " kind=-2"))
+                     if kind == rootgraph.KIND_CURVE else f"vertex {label} kind=-1")
+        lines.extend(after[k])
+    return "\n".join(lines) + "\n"
+
+
+def test_graph_text_matches_from_edges_and_roundtrips():
+    from coblemukai import catalog
+
+    for name in ("I", "II", "VI", "MI", "MII"):
+        g = catalog.build_graph(name)
+        assert parse_graph_text(rootgraph.format_graph(g)) == g
+    rng = random.Random(53)
+    for trial in range(50):
+        vertices, edges = random_graph_data(rng, rng.randint(1, 14))
+        g = from_edges(f"R{trial}", vertices, edges)
+        assert parse_graph_text(rootgraph.format_graph(g)) == g
+        assert parse_graph_text(graph_text(rng, f"R{trial}", vertices, edges)) == g
 
 
 def test_graph_text_comments_ignored():
