@@ -33,7 +33,7 @@ def is_symmetric(m: list[list]) -> bool:
     n = len(m)
     if any(len(row) != n for row in m):
         return False
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+    return all(map(tuple.__eq__, map(tuple, m), zip(*m)))
 
 
 def dims(m: list[list]) -> tuple[int, int]:
@@ -264,25 +264,37 @@ def inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
     """(d*M^-1, d) for a nonsingular square integer M, d the least common
     denominator of M^-1.
 
-    Fraction-free Gauss-Jordan on [M | I] ends at [D*I | D*M^-1] with
-    D = +-det M; dividing by the content of D and D*M^-1 gives d.
+    Fraction-free Gauss-Jordan (Bareiss) in place: the step that clears
+    column k of M stores in that column the one column of the adjoined
+    identity that the step fills, so each step updates n columns, not 2n.
+    The end is D*M^-1 with D = +-det M, its columns permuted as the rows
+    were swapped; dividing by the content of D and D*M^-1 gives d.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse requires a square matrix")
-    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a = [[int(x) for x in row] for row in m]
+    perm = list(range(n))  # column k ends as column perm[k] of D*M^-1
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise ValueError("inverse of a singular matrix")
         a[k], a[piv] = a[piv], a[k]
+        perm[k], perm[piv] = perm[piv], perm[k]
         rk, p = a[k], a[k][k]
-        a = [row if i == k else [(p * x - row[k] * y) // prev for x, y in zip(row, rk)]
-             for i, row in enumerate(a)]
+        for i, row in enumerate(a):
+            c = row[k]
+            if c and i != k:
+                row = a[i] = [(p * x - c * y) // prev for x, y in zip(row, rk)]
+                row[k] = -c
+            elif not c and p != prev:
+                a[i] = [p * x // prev for x in row]
+        rk[k] = prev
         prev = p
-    c = gcd(prev, *(x for row in a for x in row[n:])) * (1 if prev > 0 else -1)
-    return [[x // c for x in row[n:]] for row in a], prev // c
+    c = gcd(prev, *(x for row in a for x in row)) * (1 if prev > 0 else -1)
+    order = sorted(range(n), key=perm.__getitem__)
+    return [[row[k] // c for k in order] for row in a], prev // c
 
 
 def int_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:

@@ -413,15 +413,16 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
     cps = [c for c in found if c[1].rank <= target_rank]
     holding = [0] * g.n  # holding[v]: the candidates that contain v
     for j, (_, _, idx) in enumerate(cps):
+        bit = 1 << j
         for v in idx:
-            holding[v] |= 1 << j
+            holding[v] |= bit
     # touching[v]: the candidates that contain v or a neighbor of v
     touching = []
-    for v in range(g.n):
-        m = holding[v]
-        for u in range(g.n):
-            if both[v] >> u & 1:
-                m |= holding[u]
+    for m, rest in zip(holding, both):
+        while rest:
+            low = rest & -rest
+            m |= holding[low.bit_length() - 1]
+            rest ^= low
         touching.append(m)
     # compat[i]: the candidates disjoint from and orthogonal to candidate i
     full = (1 << len(cps)) - 1
@@ -814,48 +815,21 @@ def parse_graph_text(text: str) -> RootGraph:
     order fixes the canonical vertex order; duplicate edges are errors.
     """
     name = None
-    labels: list[str] = []
+    index: dict[str, int] = {}  # label -> vertex, in declaration order
     kinds: list[int] = []
-    edges: list[tuple[str, str, int]] = []
-    seen_pairs = set()
-    declared = set()
+    mult: list[list[int]] = []  # rows grow to the vertex count when an edge needs it
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "graph":
-            if name is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate graph declaration")
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected 'graph <name>'")
-            name = parts[1]
-        elif parts[0] == "vertex":
-            if name is None:
-                raise GraphFormatError(f"line {lineno}: vertex before graph declaration")
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(f"line {lineno}: expected 'vertex <label> [kind=-1|-2]'")
-            label = parts[1]
-            if label in declared:
-                raise GraphFormatError(f"line {lineno}: duplicate vertex {label!r}")
-            kind = KIND_CURVE
-            if len(parts) == 3:
-                if parts[2] == "kind=-1":
-                    kind = KIND_ROOT
-                elif parts[2] == "kind=-2":
-                    kind = KIND_CURVE
-                else:
-                    raise GraphFormatError(f"line {lineno}: bad kind {parts[2]!r}")
-            declared.add(label)
-            labels.append(label)
-            kinds.append(kind)
-        elif parts[0] == "edge":
+        if parts[0] == "edge":  # most lines; the directives exclude each other
             if len(parts) != 4:
                 raise GraphFormatError(f"line {lineno}: expected 'edge <a> <b> <mult>'")
-            a, b, m = parts[1], parts[2], parts[3]
-            if a not in declared or b not in declared:
+            _, a, b, m = parts
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise GraphFormatError(f"line {lineno}: edge uses undeclared vertex")
-            if a == b:
+            if i == j:
                 raise GraphFormatError(f"line {lineno}: self-loop at {a!r}")
             try:
                 mval = int(m)
@@ -863,16 +837,46 @@ def parse_graph_text(text: str) -> RootGraph:
                 raise GraphFormatError(f"line {lineno}: multiplicity must be an integer") from None
             if mval < 1:
                 raise GraphFormatError(f"line {lineno}: multiplicity must be >= 1")
-            key = frozenset((a, b))
-            if key in seen_pairs:
+            if len(mult) < len(kinds):
+                _pad_square(mult, len(kinds))
+            if mult[i][j]:
                 raise GraphFormatError(f"line {lineno}: duplicate edge {a!r} -- {b!r}")
-            seen_pairs.add(key)
-            edges.append((a, b, mval))
+            mult[i][j] = mult[j][i] = mval
+        elif parts[0] == "vertex":
+            if name is None:
+                raise GraphFormatError(f"line {lineno}: vertex before graph declaration")
+            if len(parts) not in (2, 3):
+                raise GraphFormatError(f"line {lineno}: expected 'vertex <label> [kind=-1|-2]'")
+            label = parts[1]
+            if label in index:
+                raise GraphFormatError(f"line {lineno}: duplicate vertex {label!r}")
+            kind = KIND_CURVE
+            if len(parts) == 3:
+                if parts[2] == "kind=-1":
+                    kind = KIND_ROOT
+                elif parts[2] != "kind=-2":
+                    raise GraphFormatError(f"line {lineno}: bad kind {parts[2]!r}")
+            index[label] = len(kinds)
+            kinds.append(kind)
+        elif parts[0] == "graph":
+            if name is not None:
+                raise GraphFormatError(f"line {lineno}: duplicate graph declaration")
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected 'graph <name>'")
+            name = parts[1]
         else:
             raise GraphFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
     if name is None:
         raise GraphFormatError("missing graph declaration")
-    return from_edges(name, list(zip(labels, kinds)), edges)
+    _pad_square(mult, len(kinds))
+    return RootGraph(index, mult, kinds, name)
+
+
+def _pad_square(rows: list[list[int]], n: int) -> None:
+    """Zero-pad a square matrix in place to n x n."""
+    for row in rows:
+        row.extend([0] * (n - len(row)))
+    rows.extend([0] * n for _ in range(n - len(rows)))
 
 
 def format_graph(g: RootGraph) -> str:
