@@ -53,31 +53,39 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _eliminate(a: list[list[int]]) -> int:
+    """Bareiss elimination in place below the diagonal of the square left
+    block of ``a``, across the full row width; its last pivot is +-det.
+    Returns the sign of the row swaps, or 0 when a pivot column is empty."""
+    n = len(a)
+    sign = prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        rk, p = a[k], a[k][k]
+        cols = range(k, len(rk))  # column k ends 0 in the rows below
+        for row in a[k + 1 :]:
+            c = row[k]
+            if c:
+                for j in cols:
+                    row[j] = (p * row[j] - c * rk[j]) // prev
+            elif p != prev:  # a 0 in the pivot column only rescales the row
+                for j in cols:
+                    row[j] = p * row[j] // prev
+        prev = p
+    return sign
+
+
 def det(m: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(m)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in m):
         raise ValueError("det requires a square matrix")
     a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _eliminate(a) * a[-1][-1] if a else 1
 
 
 @dataclass(frozen=True)
@@ -262,39 +270,29 @@ def rank_signature(m: list[list]) -> tuple[int, int, int]:
 
 def inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
     """(d*M^-1, d) for a nonsingular square integer M, d the least common
-    denominator of M^-1.
-
-    Fraction-free Gauss-Jordan (Bareiss) in place: the step that clears
-    column k of M stores in that column the one column of the adjoined
-    identity that the step fills, so each step updates n columns, not 2n.
-    The end is D*M^-1 with D = +-det M, its columns permuted as the rows
-    were swapped; dividing by the content of D and D*M^-1 gives d.
-    """
+    denominator of M^-1.  ``_eliminate`` takes [M | I] to [U | V], U = V M
+    upper triangular with U[n-1][n-1] = D = +-det M.  Back-substitution
+    solves U X = D V; X = D M^-1 = +-adj M is integral, so every division is
+    exact.  Dividing by the content of D and X gives d."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse requires a square matrix")
-    a = [[int(x) for x in row] for row in m]
-    perm = list(range(n))  # column k ends as column perm[k] of D*M^-1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ValueError("inverse of a singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        perm[k], perm[piv] = perm[piv], perm[k]
-        rk, p = a[k], a[k][k]
-        for i, row in enumerate(a):
-            c = row[k]
-            if c and i != k:
-                row = a[i] = [(p * x - c * y) // prev for x, y in zip(row, rk)]
-                row[k] = -c
-            elif not c and p != prev:
-                a[i] = [p * x // prev for x in row]
-        rk[k] = prev
-        prev = p
-    c = gcd(prev, *(x for row in a for x in row)) * (1 if prev > 0 else -1)
-    order = sorted(range(n), key=perm.__getitem__)
-    return [[row[k] // c for k in order] for row in a], prev // c
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    d = _eliminate(a) and a[-1][n - 1] if n else 1
+    if not d:
+        raise ValueError("inverse of a singular matrix")
+    x: list = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = [d * v for v in row[n:]]
+        for j in range(i + 1, n):
+            u, xj = row[j], x[j]
+            if u:
+                for t in range(n):
+                    acc[t] -= u * xj[t]
+        x[i] = [s // row[i] for s in acc]
+    c = gcd(d, *(v for r in x for v in r)) * (1 if d > 0 else -1)
+    return [[v // c for v in r] for r in x], d // c
 
 
 def int_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:

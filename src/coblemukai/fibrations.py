@@ -40,7 +40,7 @@ class KodairaFiber:
             raise ValueError(f"{self.kind} carries no index")
 
 
-_FIBER_RE = re.compile(r"^(I{1,3}|IV)(\d*)(\*?)$")
+_FIBER_RE = re.compile(r"^(I{1,3}|IV)([0-9]*)(\*?)$")  # ASCII digits only
 
 
 def parse_fiber(token: str) -> KodairaFiber:

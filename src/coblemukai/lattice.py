@@ -547,20 +547,30 @@ def radical_quotient(gram) -> Lattice:
 
 # --- text format -----------------------------------------------------------
 
+def _ascii_int(token: str) -> int:
+    """int() of a token split on whitespace, refusing underscores (``0_1``)
+    and non-ASCII decimal digits, so only a sign and ASCII digits pass."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_gram_text(text: str) -> Lattice:
     """Gram matrix file: first line "rank N", then N*N whitespace-split integers."""
     tokens = text.split()
     if len(tokens) < 2 or tokens[0] != "rank":
         raise ValueError('gram file must start with "rank N"')
     try:
-        n = int(tokens[1])
+        n = _ascii_int(tokens[1])
     except ValueError as e:
         raise ValueError("gram file rank is not an integer") from e
+    if n < 0:
+        raise ValueError("gram file rank must be >= 0")
     entries = tokens[2:]
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} matrix entries, found {len(entries)}")
     try:
-        vals = [int(t) for t in entries]
+        vals = [_ascii_int(t) for t in entries]
     except ValueError as e:
         raise ValueError("gram file entries must be integers") from e
     g = [vals[i * n : (i + 1) * n] for i in range(n)]

@@ -159,7 +159,7 @@ def parse_diagram(token: str) -> DiagramType:
     affine = t[1:2] == "~"  # the one place a tilde may stand
     if affine:
         t = t[0] + t[2:]
-    if len(t) < 2 or t[0] not in "ADE" or not t[1:].isdigit():
+    if len(t) < 2 or t[0] not in "ADE" or not (t[1:].isascii() and t[1:].isdigit()):
         raise ValueError(f"bad diagram token: {token!r}")
     family, index = t[0], int(t[1:])
     # the same bounds as the root lattices of lattice.make_named
@@ -253,54 +253,6 @@ def _parabolic_search(g: RootGraph):
     """
     single, double, both = _adjacency_masks(g)
     found: list[tuple[list[int], DiagramType]] = []
-
-    def extend(members, mask, ends, ext, nbhd, above, dbl, one, two):
-        """Grow the definite set ``members`` (bitmask ``mask``) by each vertex
-        of the bitmask ``ext``; ``above`` masks those > root.  With the A~1
-        pairs taken at the root, this is the one place that decides ADE/affine
-        shape.
-
-        ``ends`` masks the ends of a path A_k (its one vertex for k = 1) and
-        is 0 for D and E.  ``dbl`` masks the vertices with a double edge into
-        the set, ``one`` and ``two`` those with at least one and at least two
-        single edges into it.  A definite set has no double edge, so a
-        candidate in ``dbl`` gives nothing; two or more single edges close a
-        cycle, which is A~k only from the two ends of a path.  So every
-        candidate in ``dbl | two`` is dropped in one step, bar the path
-        closers, which come from the ends' masks.  The rest meet the set in
-        one single edge: into an end it extends the path, and only a branch
-        vertex, new or old, goes to ``_classify_tree``.
-        """
-        if ends & (ends - 1):
-            low = ends & -ends
-            closers = ext & two & ~dbl & single[low.bit_length() - 1] & single[(ends ^ low).bit_length() - 1]
-            while closers:
-                v = closers.bit_length() - 1
-                closers ^= 1 << v
-                if single[v] & mask == ends:
-                    found.append((members + [v], _diagram("A", len(members), True)))
-        ext &= ~(dbl | two)
-        while ext:
-            v = ext.bit_length() - 1
-            bit = 1 << v
-            ext ^= bit
-            into = single[v] & mask
-            if into & ends:
-                # a one-vertex path keeps its vertex as an end
-                typ, new_ends = _diagram("A", len(members) + 1, False), (ends ^ into or into) | bit
-            else:
-                idx = members + [v]
-                typ = _classify_tree(idx, {u: [w for w in idx if single[u] >> w & 1] for u in idx})
-                if typ is None:
-                    continue
-                if typ.affine:
-                    found.append((idx, typ))
-                    continue
-                new_ends = 0
-            fresh = both[v] & ~nbhd & ~mask & above
-            extend(members + [v], mask | bit, new_ends, ext | fresh, nbhd | both[v], above,
-                   dbl | double[v], one | single[v], two | one & single[v])
-
     a1 = _diagram("A", 1, True)
     for root in range(g.n):
         above = -2 << root  # the vertices > root
@@ -309,11 +261,54 @@ def _parabolic_search(g: RootGraph):
             v = pairs.bit_length() - 1
             pairs ^= 1 << v
             found.append(([root, v], a1))
-        extend([root], 1 << root, 1 << root, single[root] & above, both[root], above,
-               double[root], single[root], 0)
-    # A recursive closure references itself through its cell; deleting it
-    # frees what it captured now instead of at the next cyclic GC pass.
-    del extend
+        # Each entry grows the definite set ``members`` (bitmask ``mask``) by
+        # each vertex of the bitmask ``ext``; ``above`` masks those > root.
+        # With the A~1 pairs taken at the root, this is the one place that
+        # decides ADE/affine shape.
+        #
+        # ``ends`` masks the ends of a path A_k (its one vertex for k = 1) and
+        # is 0 for D and E.  ``dbl`` masks the vertices with a double edge into
+        # the set, ``one`` and ``two`` those with at least one and at least two
+        # single edges into it.  A definite set has no double edge, so a
+        # candidate in ``dbl`` gives nothing; two or more single edges close a
+        # cycle, which is A~k only from the two ends of a path.  So every
+        # candidate in ``dbl | two`` is dropped in one step, bar the path
+        # closers, which come from the ends' masks.  The rest meet the set in
+        # one single edge: into an end it extends the path, and only a branch
+        # vertex, new or old, goes to ``_classify_tree``.
+        stack = [([root], 1 << root, 1 << root, single[root] & above, both[root],
+                  double[root], single[root], 0)]
+        while stack:
+            members, mask, ends, ext, nbhd, dbl, one, two = stack.pop()
+            if ends & (ends - 1):
+                low = ends & -ends
+                closers = ext & two & ~dbl & single[low.bit_length() - 1] & single[(ends ^ low).bit_length() - 1]
+                while closers:
+                    v = closers.bit_length() - 1
+                    closers ^= 1 << v
+                    if single[v] & mask == ends:
+                        found.append((members + [v], _diagram("A", len(members), True)))
+            ext &= ~(dbl | two)
+            while ext:
+                v = ext.bit_length() - 1
+                bit = 1 << v
+                ext ^= bit
+                into = single[v] & mask
+                if into & ends:
+                    # a one-vertex path keeps its vertex as an end
+                    typ, new_ends = _diagram("A", len(members) + 1, False), (ends ^ into or into) | bit
+                else:
+                    idx = members + [v]
+                    typ = _classify_tree(idx, {u: [w for w in idx if single[u] >> w & 1] for u in idx})
+                    if typ is None:
+                        continue
+                    if typ.affine:
+                        found.append((idx, typ))
+                        continue
+                    new_ends = 0
+                fresh = both[v] & ~nbhd & ~mask & above
+                stack.append((members + [v], mask | bit, new_ends, ext | fresh, nbhd | both[v],
+                              dbl | double[v], one | single[v], two | one & single[v]))
 
     labels, mult = g.labels, g.mult
     out = []
@@ -832,7 +827,7 @@ def parse_graph_text(text: str) -> RootGraph:
             if i == j:
                 raise GraphFormatError(f"line {lineno}: self-loop at {a!r}")
             try:
-                mval = int(m)
+                mval = _ascii_int(m)
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: multiplicity must be an integer") from None
             if mval < 1:
@@ -870,6 +865,14 @@ def parse_graph_text(text: str) -> RootGraph:
         raise GraphFormatError("missing graph declaration")
     _pad_square(mult, len(kinds))
     return RootGraph(index, mult, kinds, name)
+
+
+def _ascii_int(token: str) -> int:
+    """int() of a token split on whitespace, refusing underscores (``0_1``)
+    and non-ASCII decimal digits, so only a sign and ASCII digits pass."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _pad_square(rows: list[list[int]], n: int) -> None:

@@ -725,3 +725,47 @@ def test_graph_info_refuses_above_saturation_bound(tmp_path):
     assert err == (
         "error: discriminant group of order 16777216 is above the saturation bound 65536\n"
     )
+
+
+# int() also reads underscores and non-ASCII decimal digits; the parsers take
+# only an optional sign and ASCII digits
+@pytest.mark.parametrize("mult", ["0_1", "1_0", "٢", "１", "²"])
+def test_graph_multiplicity_must_be_ascii_digits(tmp_path, mult):
+    p = tmp_path / "pair.graph"
+    p.write_text(f"graph pair\nvertex a\nvertex b\nedge a b {mult}\n", encoding="utf-8")
+    code, out, err = run(["graph", "info", str(p)])
+    assert (code, out, err) == (2, "", "error: line 4: multiplicity must be an integer\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rank 1\n-1_0\n", "gram file entries must be integers"),
+    ("rank 1\n٢\n", "gram file entries must be integers"),
+    ("rank 2\n0 1\n1 ０\n", "gram file entries must be integers"),
+    ("rank ١\n3\n", "gram file rank is not an integer"),
+    ("rank 0_1\n3\n", "gram file rank is not an integer"),
+])
+def test_gram_tokens_must_be_ascii_digits(tmp_path, text, message):
+    p = tmp_path / "bad.gram"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(["lattice", "det", f"file:{p}"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("diagram", ["A~٥", "A~²", "D٥", "E８", "A~1_0"])
+def test_diagram_index_must_be_ascii_digits(diagram):
+    code, out, err = run(["fiber", "candidates", diagram])
+    assert (code, out, err) == (2, "", f"error: bad diagram token: {diagram!r}\n")
+
+
+@pytest.mark.parametrize("fiber", ["I٢", "I²", "I٢*", "I1_0"])
+def test_fiber_index_must_be_ascii_digits(fiber):
+    code, out, err = run(["fiber", "lookup", fiber, "I1"])
+    assert (code, out, err) == (2, "", f"error: bad fiber token: {fiber!r}\n")
+
+
+def test_gram_file_refuses_negative_rank(tmp_path):
+    # rank -1 asks for (-1)^2 = 1 entry, which was read as a rank-0 lattice
+    p = tmp_path / "negative.gram"
+    p.write_text("rank -1\n5\n")
+    code, out, err = run(["lattice", "det", f"file:{p}"])
+    assert (code, out, err) == (2, "", "error: gram file rank must be >= 0\n")

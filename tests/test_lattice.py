@@ -252,6 +252,51 @@ def test_radical_split_check_survives_python_O():
     )
 
 
+LYING_ELIMINATION_SCRIPT = """
+import sys
+from coblemukai import catalog, exact, lattice, rootgraph
+if __debug__:
+    sys.exit("not running under -O")
+truthful_eliminate = exact._eliminate
+
+
+def lying_eliminate(a):
+    # the one elimination behind det and inverse ends one off in its last pivot
+    sign = truthful_eliminate(a)
+    a[len(a) - 1][len(a) - 1] += 1
+    return sign
+
+
+exact._eliminate = lying_eliminate
+for check in (lambda: lattice.discriminant_group(lattice.make_named("A2")),
+              lambda: rootgraph.span_lattice(catalog.build_graph("I"))):
+    try:
+        check()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
+"""
+
+
+def test_elimination_self_checks_survive_python_O():
+    # det and inverse share exact._eliminate; a wrong last pivot breaks
+    # |L*/L| = |det L| and (d M^-1) M = d I, two checks independent of it
+    src = str(Path(lattice.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_ELIMINATION_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "raised: discriminant group order does not match |det|\n"
+        "raised: radical split failed: d M^-1 times M is not d I\n"
+    )
+
+
 # sha256 of repr(radical_quotient(G).gram) for the catalog graphs and 20
 # seeded induced subgraphs of VI, MI and MII (size in the comment), as
 # produced when the rows went to the HNF in the order given

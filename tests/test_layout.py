@@ -133,3 +133,17 @@ def test_caller_guard_sees_functions_classes_and_methods():
     }
     assert _unreferenced(sources, ["K().x\n"]) == ["lattice.K.m", "lattice.unused"]
     assert _unreferenced(sources, []) == ["lattice.K", "lattice.K.m", "lattice.unused"]
+
+
+def _calls(tree: ast.Module, function: str) -> set[str]:
+    """Names that the top-level function ``function`` calls directly."""
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {call.func.id for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+def test_det_and_inverse_share_one_elimination():
+    # both reach the one Bareiss loop of exact.py through exact._eliminate
+    tree = ast.parse((SRC / "exact.py").read_text(encoding="utf-8"))
+    assert "_eliminate" in _calls(tree, "det")
+    assert "_eliminate" in _calls(tree, "inverse")

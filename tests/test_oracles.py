@@ -414,6 +414,41 @@ def test_det_matches_sympy():
     assert exact.det([]) == 1 == int(Matrix([]).det())
 
 
+def test_det_matches_sympy_on_sparse_and_block_matrices():
+    # a 0 in the pivot column only rescales a row, or leaves it when the
+    # pivot repeats: glue's K + K(-1) up to rank 18, sparse random matrices
+    # and block-diagonal ones with their rows shuffled
+    from sympy import Matrix
+
+    rng = random.Random(47)
+    mats = []
+    for name in ("A1+A1+A1", "A3+A3", "A4", "A8", "D4", "D9", "E6", "E7", "E8"):
+        g = [list(row) for row in lattice.make_named(name).gram]
+        n = len(g)
+        mats.append([row + [0] * n for row in g] + [[0] * n + [-x for x in row] for row in g])
+    for trial in range(150):
+        n = rng.randint(2, 18)
+        zeros = rng.uniform(0.7, 0.95)
+        m = [[rng.randint(-4, 4) if rng.random() > zeros else 0 for _ in range(n)]
+             for _ in range(n)]
+        if trial % 3:
+            # a nonzero on a shuffled diagonal, so most are nonsingular
+            for i, j in enumerate(rng.sample(range(n), n)):
+                m[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        if trial % 2:
+            cut = sorted(rng.sample(range(1, n), min(n - 1, 2)))
+            blocks = list(zip([0, *cut], [*cut, n]))
+            m = [[x if any(a <= i < b and a <= j < b for a, b in blocks) else 0
+                  for j, x in enumerate(row)] for i, row in enumerate(m)]
+            rng.shuffle(m)
+        mats.append(m)
+    dets = [exact.det(m) for m in mats]
+    assert dets == [int(Matrix(m).to_DM().det()) for m in mats]
+    assert max(map(len, mats)) == 18
+    assert sum(d == 0 for d in dets) >= 20 and sum(d != 0 for d in dets) >= 60
+    assert sum(x == 0 for m in mats for row in m for x in row) >= 0.6 * sum(len(m) ** 2 for m in mats)
+
+
 def check_inverse(m):
     from math import lcm
 

@@ -344,6 +344,33 @@ def test_automorphisms_deep_search_needs_no_recursion():
     assert (order, gens) == (2, [swap])
 
 
+DEEP_PATH_SCRIPT = """
+import sys
+from coblemukai import rootgraph
+n = 300
+g = rootgraph.from_edges("P", [f"v{i}" for i in range(n)],
+                         [(f"v{i}", f"v{i + 1}", 1) for i in range(n - 1)])
+sys.setrecursionlimit(150)
+print(rootgraph.connected_parabolics(g))
+"""
+
+
+def test_parabolic_search_needs_no_recursion():
+    # every definite set on a 300-vertex path grows from its root one
+    # vertex at a time, far deeper than the recursion limit of 150; a fresh
+    # process keeps the test runner's own frames out of that limit
+    src = str(Path(rootgraph.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_PATH_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _tuple_signature_refine_colors(g):
     """Color refinement with (color, sorted (mult, color) pairs)
     signatures, numbered by sorted signature, until the colors repeat."""
