@@ -68,8 +68,12 @@ def _parse_glue(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
+        tokens = chunk.replace(",", " ").split()
+        # Fraction also reads underscores and non-ASCII digits
+        if any(not tok.isascii() or "_" in tok for tok in tokens):
+            raise ValueError(f"glue vector entries must be ASCII rationals: {chunk!r}")
         try:
-            vectors.append(tuple(Fraction(tok) for tok in chunk.replace(",", " ").split()))
+            vectors.append(tuple(Fraction(tok) for tok in tokens))
         except ZeroDivisionError:
             raise ValueError(f"glue vector has a zero denominator: {chunk!r}") from None
     if not vectors:
@@ -362,7 +366,8 @@ def _parser() -> argparse.ArgumentParser:
     pg.add_argument("action", choices=["info", "aut", "parabolics", "vinberg", "dot"])
     pg.add_argument("source", help="builtin:NAME or a graph file path")
     pg.add_argument("--maximal", action="store_true", help="enumerate maximal parabolics")
-    pg.add_argument("--rank", type=int, default=None, help="target rank (default: span rank - 2)")
+    pg.add_argument("--rank", type=lattice.ascii_int, default=None,
+                    help="target rank (default: span rank - 2)")
     pg.add_argument("--json", action="store_true")
     pg.set_defaults(func=_cmd_graph)
 

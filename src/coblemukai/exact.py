@@ -103,12 +103,16 @@ class SnfResult:
 
 def _min_pivot(a, t, rows, cols):
     # Smallest |entry| in the trailing submatrix; row-major scan breaks ties.
-    best = None
+    # A unit ends the scan: nothing is smaller, and later ties lose anyway.
+    best, least = None, 0
     for i in range(t, rows):
+        row = a[i]
         for j in range(t, cols):
-            v = a[i][j]
-            if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                best = (i, j)
+            v = abs(row[j])
+            if v and (best is None or v < least):
+                if v == 1:
+                    return (i, j)
+                best, least = (i, j), v
     return best
 
 
@@ -118,6 +122,9 @@ def snf(m: list[list[int]]) -> SnfResult:
     Kummer-Smith elimination; the pivot is always the entry of minimal
     nonzero absolute value (row-major scan on ties), which keeps coefficient
     growth tame on the matrices of rank at most 18 this package feeds it.
+    A unit pivot stops the scan for the minimum at the first unit and is
+    not tested for dividing the rest of the submatrix, which it always
+    does; the factors and transforms are those of the full scans.
     """
     rows, cols = dims(m)
     a = [[int(x) for x in row] for row in m]
@@ -159,15 +166,17 @@ def snf(m: list[list[int]]) -> SnfResult:
                 dirty = True
         if dirty:
             continue
-        # Pivot must divide the rest of the submatrix before moving on.
+        # Pivot must divide the rest of the submatrix before moving on;
+        # a unit always does.
         fix = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % pivot != 0:
-                    fix = i
+        if pivot not in (1, -1):
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % pivot != 0:
+                        fix = i
+                        break
+                if fix is not None:
                     break
-            if fix is not None:
-                break
         if fix is not None:
             for j in range(cols):
                 a[t][j] += a[fix][j]

@@ -10,6 +10,7 @@ the diagram correspondence.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .rootgraph import DiagramType, parse_diagram
@@ -48,7 +49,8 @@ def parse_fiber(token: str) -> KodairaFiber:
     if not m:
         raise ValueError(f"bad fiber token: {token!r}")
     kind, digits, star = m.groups()
-    if digits and kind != "I":
+    # more digits than int() converts would end in Python's own message
+    if (digits and kind != "I") or 0 < sys.get_int_max_str_digits() < len(digits):
         raise ValueError(f"bad fiber token: {token!r}")
     if kind == "I" and digits:
         return KodairaFiber("I*" if star else "I", int(digits))

@@ -196,13 +196,27 @@ def _in_dual(lat: Lattice, rows, den: int) -> bool:
 
 
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
+    """L*/L from the Smith form of the Gram matrix, its order checked
+    against |det L|; a unimodular L has the trivial group, confirmed by the
+    Hermite form of its Gram matrix instead."""
     return _discriminant_group(lat, det(lat))
 
 
 def _discriminant_group(lat: Lattice, d: int) -> DiscriminantGroup:
-    """``discriminant_group`` given d = det L."""
+    """``discriminant_group`` given d = det L.
+
+    |L*/L| = |d| is checked by a computation that does not use d: the
+    invariant factors of the SNF, or, when |d| = 1, a row HNF of the Gram
+    matrix with rank rows and every pivot 1, which is the trivial group
+    without an SNF.
+    """
     if d == 0:
         raise ValueError("degenerate Gram matrix has no discriminant group")
+    if d in (1, -1):
+        hnf = exact.hnf_rows(lat.gram_rows())
+        if len(hnf) != lat.rank or any(row[i] != 1 for i, row in enumerate(hnf)):
+            raise AssertionError("discriminant group order does not match |det|")
+        return DiscriminantGroup((), ())
     res = exact.snf(lat.gram_rows())
     n = lat.rank
     factors = []
@@ -547,9 +561,10 @@ def radical_quotient(gram) -> Lattice:
 
 # --- text format -----------------------------------------------------------
 
-def _ascii_int(token: str) -> int:
+def ascii_int(token: str) -> int:
     """int() of a token split on whitespace, refusing underscores (``0_1``)
-    and non-ASCII decimal digits, so only a sign and ASCII digits pass."""
+    and non-ASCII decimal digits, so only a sign and ASCII digits pass.
+    Graph and Gram files and the CLI's integer options read integers so."""
     if not token.isascii() or "_" in token:
         raise ValueError(f"not an integer: {token!r}")
     return int(token)
@@ -561,7 +576,7 @@ def parse_gram_text(text: str) -> Lattice:
     if len(tokens) < 2 or tokens[0] != "rank":
         raise ValueError('gram file must start with "rank N"')
     try:
-        n = _ascii_int(tokens[1])
+        n = ascii_int(tokens[1])
     except ValueError as e:
         raise ValueError("gram file rank is not an integer") from e
     if n < 0:
@@ -570,7 +585,7 @@ def parse_gram_text(text: str) -> Lattice:
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} matrix entries, found {len(entries)}")
     try:
-        vals = [_ascii_int(t) for t in entries]
+        vals = [ascii_int(t) for t in entries]
     except ValueError as e:
         raise ValueError("gram file entries must be integers") from e
     g = [vals[i * n : (i + 1) * n] for i in range(n)]

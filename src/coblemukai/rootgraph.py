@@ -10,6 +10,7 @@ automorphism groups, and a small text format plus DOT export.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import lcm
@@ -159,9 +160,12 @@ def parse_diagram(token: str) -> DiagramType:
     affine = t[1:2] == "~"  # the one place a tilde may stand
     if affine:
         t = t[0] + t[2:]
-    if len(t) < 2 or t[0] not in "ADE" or not (t[1:].isascii() and t[1:].isdigit()):
+    digits = t[1:]
+    # more digits than int() converts would end in Python's own message
+    if (len(t) < 2 or t[0] not in "ADE" or not (digits.isascii() and digits.isdigit())
+            or 0 < sys.get_int_max_str_digits() < len(digits)):
         raise ValueError(f"bad diagram token: {token!r}")
-    family, index = t[0], int(t[1:])
+    family, index = t[0], int(digits)
     # the same bounds as the root lattices of lattice.make_named
     if not {"A": index >= 1, "D": index >= 4, "E": index in (6, 7, 8)}[family]:
         raise ValueError(f"no diagram {token.strip()!r}: A needs index >= 1, D >= 4, E 6, 7 or 8")
@@ -827,7 +831,7 @@ def parse_graph_text(text: str) -> RootGraph:
             if i == j:
                 raise GraphFormatError(f"line {lineno}: self-loop at {a!r}")
             try:
-                mval = _ascii_int(m)
+                mval = lattice.ascii_int(m)
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: multiplicity must be an integer") from None
             if mval < 1:
@@ -865,14 +869,6 @@ def parse_graph_text(text: str) -> RootGraph:
         raise GraphFormatError("missing graph declaration")
     _pad_square(mult, len(kinds))
     return RootGraph(index, mult, kinds, name)
-
-
-def _ascii_int(token: str) -> int:
-    """int() of a token split on whitespace, refusing underscores (``0_1``)
-    and non-ASCII decimal digits, so only a sign and ASCII digits pass."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"not an integer: {token!r}")
-    return int(token)
 
 
 def _pad_square(rows: list[list[int]], n: int) -> None:

@@ -119,6 +119,13 @@ def test_usage_errors_exit_2():
     assert run(["graph", "info", "/nonexistent/file.graph"])[0] == 2
     assert run(["catalog", "build", "V"])[0] == 2
     assert run([])[0] == 2
+    # int() and Fraction() read underscores and non-ASCII digits; the CLI does not
+    for argv in (["graph", "parabolics", "builtin:I", "--rank", "٢"],
+                 ["graph", "parabolics", "builtin:I", "--rank", "1_0"],
+                 ["lattice", "overlattice", "U(2)", "--glue", "١/2,0"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert "Traceback" not in err
 
 
 def test_catalog_build_roundtrip():
@@ -577,6 +584,39 @@ RATIONAL_STDOUT_SHA256 = [
         "d90bfdbc22b0d2b3f47b4ee36ebf4b5703692e43aa240d7ef78844c165f3227b",
         "41edbadaa42c9b87a1a469ce45a618f1eae2e3fe2debf587d998a30a3071fa74",
     )),
+    # L*/L of unimodular lattices and of small groups, with the lifts printed
+    (["lattice", "disc", "E8"], (
+        "526c8f9e8d51f742e8866ae7bf2ddb8182f530cff38ed9b4838284bb44073ed5",
+        "8e73b0762c29228168adb0918fad6624b83e3d7e8c10902d26207a55b6a2a7ae",
+    )),
+    (["lattice", "disc", "U"], (
+        "fdb416335fd37b5a90a06b3d191d4cf2665057d23abb272aa6edc5264aa50cdf",
+        "e799d564183480fee2dbc4e9638f3d33cedc6cc6eeac84e2e52aa7702b43fcb5",
+    )),
+    (["lattice", "disc", "E8+U"], (
+        "c8adb2d2e2a6ac241ba4c2a09169a29e30175819c77aacc437d43c71a8b60037",
+        "9e2300d0afe0f98a8ea3495d2a6c82cb3b21bcc494ccd7a3d631812151e61685",
+    )),
+    (["lattice", "disc", "E10"], (
+        "666bc6c3cbe2f5772289d2d79f196beb59b2cd66220ca44dc37d4d504fd1596f",
+        "dae1f8503bbfe3dbdd1718e545e4848853b1004455b59964252a25761ccc9b8f",
+    )),
+    (["lattice", "disc", "D4+D4"], (
+        "2a1cec36bb0d82d68a199742b8dd16e108b59a630f8f5922702a5f8467992d5b",
+        "e49d6016a02410bb67cf2fc42a6786638197847e8f65296206241d94edb21580",
+    )),
+    (["lattice", "disc", "A2+A2+A2+A2"], (
+        "33de30df60daa3803aef019e90b9b20d61e24b87c6cefdbb961c2e5068a64103",
+        "dbc181975840d0601c7a65e5ebf9733897285637a9565db9a815a016f8c7d374",
+    )),
+    (["lattice", "disc", "E7+A1"], (
+        "a2422151cd20a413bf27bf29e8be95f6cde50cf1f3f6de70cf12a1ddad29516f",
+        "2061798087196499c2334af92eb9d7e268887bcb3bc77a497d48ea08aa9d68ff",
+    )),
+    (["lattice", "disc", "A1+A1+A1+A1+A1+A1+A1+A1"], (
+        "a5f2d625f8b197f5e310662778b84d86f9d42e02ff48fc38d525940e4992399d",
+        "f15d0b032a0da1057220fb6ded25f1f9e2d4f8e087f439d3c0f4b820968d9262",
+    )),
     # `catalog model` prints the model text whether or not --json is given
     (["catalog", "model", "MI"], (
         "e4c25b5c490f33ecb148f5b006cf5be3113928c4d651eef1549b8229c947d8e1",
@@ -761,6 +801,16 @@ def test_diagram_index_must_be_ascii_digits(diagram):
 def test_fiber_index_must_be_ascii_digits(fiber):
     code, out, err = run(["fiber", "lookup", fiber, "I1"])
     assert (code, out, err) == (2, "", f"error: bad fiber token: {fiber!r}\n")
+
+
+# int() refuses more than 4300 digits, with its own message
+@pytest.mark.parametrize("argv, message", [
+    (["fiber", "candidates", "A~" + "1" * 5000], "bad diagram token"),
+    (["fiber", "lookup", "I" + "1" * 5000, "I1"], "bad fiber token"),
+], ids=["diagram", "fiber"])
+def test_overlong_index_is_a_bad_token(argv, message):
+    code, out, err = run(argv)
+    assert (code, out, err) == (2, "", f"error: {message}: {argv[2]!r}\n")
 
 
 def test_gram_file_refuses_negative_rank(tmp_path):

@@ -26,15 +26,32 @@ def test_snf_zero_1x1():
     assert res.factors == (0,)
 
 
+def unit_pivot_matrices(rng):
+    """Matrices where the Smith form's unit-pivot shortcuts act: entries in
+    {-1, 0, 1}, rectangular shapes, and one unit last in row-major order
+    among even entries."""
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        yield [[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)]
+        late = [[2 * rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        late[-1][-1] = rng.choice((1, -1))
+        yield late
+    yield [[0, 2, 4], [6, 8, -1]]
+    yield [[2], [4], [-1]]
+    yield [[4, 6, 2, 1]]
+
+
 def test_snf_transforms_are_unimodular():
-    m = [[4, 6, 2], [6, 12, 6], [2, 6, 22]]
-    res = exact.snf(m)
-    assert abs(exact.det([list(r) for r in res.left])) == 1
-    assert abs(exact.det([list(r) for r in res.right])) == 1
-    prod = exact.matmul(exact.matmul([list(r) for r in res.left], m), [list(r) for r in res.right])
-    for i in range(3):
-        for j in range(3):
-            assert prod[i][j] == (res.factors[i] if i == j else 0)
+    matrices = [[[4, 6, 2], [6, 12, 6], [2, 6, 22]], *unit_pivot_matrices(random.Random(5))]
+    for m in matrices:
+        res = exact.snf(m)
+        assert abs(exact.det([list(r) for r in res.left])) == 1
+        assert abs(exact.det([list(r) for r in res.right])) == 1
+        prod = exact.matmul(exact.matmul([list(r) for r in res.left], m),
+                            [list(r) for r in res.right])
+        for i in range(len(m)):
+            for j in range(len(m[0])):
+                assert prod[i][j] == (res.factors[i] if i == j else 0), m
 
 
 def test_snf_divisibility_chain_and_det():

@@ -269,6 +269,7 @@ def lying_eliminate(a):
 
 exact._eliminate = lying_eliminate
 for check in (lambda: lattice.discriminant_group(lattice.make_named("A2")),
+              lambda: lattice.discriminant_group(lattice.make_named("A1")),
               lambda: rootgraph.span_lattice(catalog.build_graph("I"))):
     try:
         check()
@@ -281,7 +282,9 @@ for check in (lambda: lattice.discriminant_group(lattice.make_named("A2")),
 
 def test_elimination_self_checks_survive_python_O():
     # det and inverse share exact._eliminate; a wrong last pivot breaks
-    # |L*/L| = |det L| and (d M^-1) M = d I, two checks independent of it
+    # |L*/L| = |det L| and (d M^-1) M = d I, two checks independent of it.
+    # A1 is made to lie det = -1, so only the HNF that confirms a trivial
+    # L*/L can catch it
     src = str(Path(lattice.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", LYING_ELIMINATION_SCRIPT],
@@ -292,8 +295,8 @@ def test_elimination_self_checks_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "raised: discriminant group order does not match |det|\n"
-        "raised: radical split failed: d M^-1 times M is not d I\n"
+        "raised: discriminant group order does not match |det|\n" * 2
+        + "raised: radical split failed: d M^-1 times M is not d I\n"
     )
 
 

@@ -393,11 +393,19 @@ def test_snf_invariant_factors_match_sympy():
     from sympy.matrices.normalforms import smith_normal_form
 
     rng = random.Random(31)
-    for _ in range(150):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = random_integer_matrix(rng, rows, cols)
+    matrices = [random_integer_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+                for _ in range(150)]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        # entries in {-1, 0, 1}, and a single unit last in row-major order
+        matrices.append([[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)])
+        late = [[2 * rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        late[-1][-1] = rng.choice((1, -1))
+        matrices.append(late)
+    matrices += [[[0, 2, 4], [6, 8, -1]], [[2], [4], [-1]], [[4, 6, 2, 1]]]
+    for m in matrices:
         s = smith_normal_form(Matrix(m), domain=ZZ)
-        want = tuple(abs(int(s[i, i])) for i in range(min(rows, cols)))
+        want = tuple(abs(int(s[i, i])) for i in range(min(len(m), len(m[0]))))
         assert exact.snf(m).factors == want, m
 
 
