@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate
 from math import lcm
 from operator import itemgetter
 
@@ -20,6 +21,8 @@ from . import exact, lattice
 
 KIND_CURVE = -2
 KIND_ROOT = -1
+# far above the 724 components of MI's 247 packings, the most in the catalog
+PACKING_MAX_COMPONENTS = 1 << 20
 
 
 class GraphFormatError(ValueError):
@@ -180,7 +183,7 @@ def multiset_str(types) -> str:
     return "+".join(str(t) for t in sorted(types, key=_type_sort_key))
 
 
-# --- shape classification ---------------------------------------------------
+# --- connected parabolic enumeration ----------------------------------------
 
 # trees with one branch vertex other than D_n, by their sorted leg lengths
 _STAR_TYPES = {
@@ -193,41 +196,6 @@ _STAR_TYPES = {
     (1, 1, 1, 1): DiagramType("D", 4, True),
 }
 
-
-def _classify_tree(members, adj):
-    """DiagramType of a single-edged tree that is not a path, or None.
-
-    ``adj[v]`` lists the neighbors of v inside the subset.  One branch
-    vertex with legs 1, 1, k gives D_n and the other stars are looked up;
-    two branch vertices of degree 3 whose leaves all hang off them give
-    D~(n-1).  Any other tree is indefinite.
-    """
-    n = len(members)
-    deg = {v: len(adj[v]) for v in members}
-    branch = [v for v in members if deg[v] >= 3]
-    if len(branch) == 2:
-        leaves = [v for v in members if deg[v] == 1]
-        forks = all(deg[b] == 3 for b in branch) and len(leaves) == 4
-        if forks and all(adj[v][0] in branch for v in leaves):
-            return DiagramType("D", n - 1, True)
-        return None
-    if len(branch) != 1:
-        return None
-    b = branch[0]
-    legs = []
-    for start in adj[b]:
-        length, prev, cur = 1, b, start
-        while deg[cur] == 2:
-            prev, cur = cur, next(u for u in adj[cur] if u != prev)
-            length += 1
-        legs.append(length)
-    legs.sort()
-    if len(legs) == 3 and legs[1] == 1:
-        return DiagramType("D", n, False)
-    return _STAR_TYPES.get(tuple(legs))
-
-
-# --- connected parabolic enumeration ----------------------------------------
 
 def _adjacency_masks(g: RootGraph):
     """Neighbor bitmasks along edges of multiplicity 1, 2 and either."""
@@ -270,20 +238,21 @@ def _parabolic_search(g: RootGraph):
         # With the A~1 pairs taken at the root, this is the one place that
         # decides ADE/affine shape.
         #
-        # ``ends`` masks the ends of a path A_k (its one vertex for k = 1) and
-        # is 0 for D and E.  ``dbl`` masks the vertices with a double edge into
-        # the set, ``one`` and ``two`` those with at least one and at least two
-        # single edges into it.  A definite set has no double edge, so a
-        # candidate in ``dbl`` gives nothing; two or more single edges close a
-        # cycle, which is A~k only from the two ends of a path.  So every
-        # candidate in ``dbl | two`` is dropped in one step, bar the path
-        # closers, which come from the ends' masks.  The rest meet the set in
-        # one single edge: into an end it extends the path, and only a branch
-        # vertex, new or old, goes to ``_classify_tree``.
-        stack = [([root], 1 << root, 1 << root, single[root] & above, both[root],
+        # ``dbl`` masks the vertices with a double edge into the set, ``one``
+        # and ``two`` those with at least one and at least two single edges
+        # into it.  A definite set has no double edge, so a candidate in
+        # ``dbl`` gives nothing; two or more single edges close a cycle, which
+        # is A~k only from the two ends of a path.  So every candidate in
+        # ``dbl | two`` is dropped in one step, bar the path closers, which
+        # come from the ends' masks.  The rest meet the set in one single edge
+        # at ``into``, decided by the shape carried: the ``ends`` of a path A_k
+        # (its one vertex for k = 1), or a D/E ``tree`` (branch vertex, mask of
+        # leg ends, (length, end) per leg, shortest first).
+        stack = [([root], 1 << root, 1 << root, None, single[root] & above, both[root],
                   double[root], single[root], 0)]
         while stack:
-            members, mask, ends, ext, nbhd, dbl, one, two = stack.pop()
+            members, mask, ends, tree, ext, nbhd, dbl, one, two = stack.pop()
+            k = len(members)
             if ends & (ends - 1):
                 low = ends & -ends
                 closers = ext & two & ~dbl & single[low.bit_length() - 1] & single[(ends ^ low).bit_length() - 1]
@@ -291,7 +260,7 @@ def _parabolic_search(g: RootGraph):
                     v = closers.bit_length() - 1
                     closers ^= 1 << v
                     if single[v] & mask == ends:
-                        found.append((members + [v], _diagram("A", len(members), True)))
+                        found.append((members + [v], _diagram("A", k, True)))
             ext &= ~(dbl | two)
             while ext:
                 v = ext.bit_length() - 1
@@ -300,19 +269,42 @@ def _parabolic_search(g: RootGraph):
                 into = single[v] & mask
                 if into & ends:
                     # a one-vertex path keeps its vertex as an end
-                    typ, new_ends = _diagram("A", len(members) + 1, False), (ends ^ into or into) | bit
+                    new_ends, new_tree = (ends ^ into or into) | bit, None
                 else:
-                    idx = members + [v]
-                    typ = _classify_tree(idx, {u: [w for w in idx if single[u] >> w & 1] for u in idx})
+                    if ends:  # legs 1, d, k - 1 - d; d > 3 leaves both >= 4
+                        a, b, seen = ends & -ends, ends & (ends - 1), ends
+                        for d in (1, 2, 3):
+                            a = single[a.bit_length() - 1] & mask & ~seen
+                            b = single[b.bit_length() - 1] & mask & ~seen
+                            if into & (a | b):
+                                break
+                            seen |= a | b
+                        else:
+                            continue
+                        near = ends & -ends if into == a else ends & (ends - 1)
+                        branch, legs = into, ((1, bit), (d, near), (k - 1 - d, ends ^ near))
+                    else:
+                        branch, tips, legs = tree
+                        if into & tips:
+                            legs = tuple(sorted((n + 1, bit) if e == into else (n, e) for n, e in legs))
+                        elif into == branch:
+                            legs = ((1, bit),) + legs
+                        else:  # a second branch: D~k only from D_k beside its long leg's end
+                            if legs[1][0] == 1 and single[legs[2][1].bit_length() - 1] & mask == into:
+                                found.append((members + [v], _diagram("D", k, True)))
+                            continue
+                    lengths = tuple(n for n, _ in legs)
+                    typ = (_diagram("D", k + 1, False) if len(lengths) == 3 and lengths[1] == 1
+                           else _STAR_TYPES.get(lengths))
                     if typ is None:
                         continue
                     if typ.affine:
-                        found.append((idx, typ))
+                        found.append((members + [v], typ))
                         continue
-                    new_ends = 0
+                    new_ends, new_tree = 0, (branch, legs[0][1] | legs[1][1] | legs[2][1], legs)
                 fresh = both[v] & ~nbhd & ~mask & above
-                stack.append((members + [v], mask | bit, new_ends, ext | fresh, nbhd | both[v],
-                              dbl | double[v], one | single[v], two | one & single[v]))
+                stack.append((members + [v], mask | bit, new_ends, new_tree, ext | fresh,
+                              nbhd | both[v], dbl | double[v], one | single[v], two | one & single[v]))
 
     labels, mult = g.labels, g.mult
     out = []
@@ -402,14 +394,14 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
     """All parabolic subdiagrams of rank exactly target_rank.
 
     Exact backtracking packing of the connected parabolics of rank at most
-    target_rank; components must be pairwise disjoint and orthogonal.  The
-    search visits each packing once, choosing its components in increasing
-    order, so the output comes sorted by component label lists.
+    target_rank, pairwise disjoint and orthogonal: each packing once, its
+    components chosen in increasing order, so sorted by their label lists.
+    Over PACKING_MAX_COMPONENTS components in all packings raise ValueError.
     """
     if target_rank < 0:
         raise ValueError(f"target rank must be >= 0, got {target_rank}")
     found, both = g._parabolics
-    cps = [c for c in found if c[1].rank <= target_rank]
+    cps = [c for c in found if c[1].index <= target_rank]
     holding = [0] * g.n  # holding[v]: the candidates that contain v
     for j, (_, _, idx) in enumerate(cps):
         bit = 1 << j
@@ -431,27 +423,33 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
         for v in idx:
             clash |= touching[v]
         compat.append(full & ~clash)
-    ranks = [t.rank for _, t, _ in cps]
-    chosen: list[int] = []
-    results: list[ParabolicSubdiagram] = []
-
-    def dfs(start: int, allowed: int, total: int):
+    ranks = [t.index for _, t, _ in cps]
+    tail = list(accumulate(reversed(ranks)))[::-1]  # tail[i]: the ranks of i and later
+    named = [c[:2] for c in cps]
+    results, listed = [], 0
+    # per depth: the later candidates left to try, the rank so far, the last choice
+    stack, chosen = [[full, 0]], [-1]
+    while stack:
+        rest, total = frame = stack[-1]
         if total == target_rank:
-            comps = tuple(cps[i][:2] for i in chosen)  # cps is sorted
+            listed += len(chosen) - 1
+            if listed > PACKING_MAX_COMPONENTS:
+                raise ValueError(f"the packings of rank {target_rank} list more than "
+                                 f"PACKING_MAX_COMPONENTS = {PACKING_MAX_COMPONENTS} components")
+            comps = tuple(map(named.__getitem__, chosen[1:]))  # cps is sorted
             results.append(ParabolicSubdiagram(components=comps, rank=target_rank))
-            return
-        rest = allowed >> start << start
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
+            rest = 0
+        # no later candidate helps once even all of them fall short
+        while rest and total + tail[i := (rest & -rest).bit_length() - 1] >= target_rank:
+            rest &= rest - 1
             if total + ranks[i] <= target_rank:
+                frame[0] = rest
+                stack.append([rest & compat[i], total + ranks[i]])
                 chosen.append(i)
-                dfs(i + 1, allowed & compat[i], total + ranks[i])
-                chosen.pop()
-
-    dfs(0, full, 0)
-    del dfs  # see _parabolic_search
+                break
+        else:
+            stack.pop()
+            chosen.pop()
     return results
 
 
@@ -474,8 +472,9 @@ def vinberg_check(g: RootGraph, target_rank: int | None = None) -> VinbergReport
         target_rank = rank - 2
     cps = connected_parabolics(g)
     packs = maximal_parabolics(g, target_rank)
-    used = {comp for p in packs for comp in p.components}
-    witnesses = tuple(c for c in cps if c not in used)
+    # a component's labels fix it, so no DiagramType is hashed
+    used = {labels for p in packs for labels, _ in p.components}
+    witnesses = tuple(c for c in cps if c[0] not in used)
     return VinbergReport(
         passed=not witnesses,
         target_rank=target_rank,

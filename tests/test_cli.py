@@ -767,6 +767,20 @@ def test_graph_info_refuses_above_saturation_bound(tmp_path):
     )
 
 
+def test_graph_maximal_refuses_above_packing_bound(tmp_path):
+    lines = ["graph pairs"] + [f"vertex v{i}" for i in range(2200)]
+    lines += [f"edge v{2 * i} v{2 * i + 1} 2" for i in range(1100)]
+    path = tmp_path / "pairs.graph"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["graph", "parabolics", str(path), "--maximal", "--rank", "1098"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the packings of rank 1098 list more than "
+        "PACKING_MAX_COMPONENTS = 1048576 components\n"
+    )
+
+
 # int() also reads underscores and non-ASCII decimal digits; the parsers take
 # only an optional sign and ASCII digits
 @pytest.mark.parametrize("mult", ["0_1", "1_0", "٢", "１", "²"])

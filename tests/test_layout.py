@@ -147,3 +147,35 @@ def test_det_and_inverse_share_one_elimination():
     tree = ast.parse((SRC / "exact.py").read_text(encoding="utf-8"))
     assert "_eliminate" in _calls(tree, "det")
     assert "_eliminate" in _calls(tree, "inverse")
+
+
+def _shape_outside_search(text: str) -> list[str]:
+    """Reads of ``_STAR_TYPES`` outside ``_parabolic_search``, and any
+    ``_classify_tree``: the growth step is the one place that decides shape."""
+    tree = ast.parse(text)
+    search = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_parabolic_search"]
+    inside = {id(node) for fn in search for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_classify_tree":
+            found.append(f"{node.lineno}: def _classify_tree")
+        elif (isinstance(node, ast.Name) and node.id == "_STAR_TYPES"
+              and isinstance(node.ctx, ast.Load) and id(node) not in inside):
+            found.append(f"{node.lineno}: _STAR_TYPES")
+    return found
+
+
+def test_tree_shapes_are_decided_in_the_growth_step():
+    text = (SRC / "rootgraph.py").read_text(encoding="utf-8")
+    assert _shape_outside_search(text) == []
+
+
+def test_shape_guard_sees_reads_and_the_classifier():
+    bad = (
+        "_STAR_TYPES = {}\n"
+        "def _classify_tree(members, adj):\n"
+        "    return _STAR_TYPES.get(())\n"
+        "def _parabolic_search(g):\n"
+        "    return _STAR_TYPES.get((1,))\n"
+    )
+    assert _shape_outside_search(bad) == ["2: def _classify_tree", "3: _STAR_TYPES"]

@@ -150,6 +150,53 @@ def test_connected_parabolics_matches_powerset_oracle():
     assert shapes >= {None, ("A", False), ("D", False), ("E", False), ("A", True), ("D", True)}
 
 
+def test_connected_parabolics_on_every_small_tree():
+    # every tree of 5-9 vertices, numbered at random, so that each kind of
+    # attachment to a path or a D/E tree meets the growth step; together they
+    # hold every affine tree type of at most 9 vertices
+    import networkx as nx
+
+    rng = random.Random(23)
+    types = set()
+    for n in range(5, 10):
+        for tree in nx.nonisomorphic_trees(n):
+            g = shuffled_graph(rng, n, [(a, b, 1) for a, b in tree.edges])
+            brute = brute_connected_parabolics(g)
+            assert rootgraph.connected_parabolics(g) == brute, sorted(tree.edges)
+            types |= {str(typ) for _, typ in brute}
+    assert types == {"D~4", "D~5", "D~6", "D~7", "D~8", "E~6", "E~7", "E~8"}
+
+
+def test_connected_parabolics_on_random_regular_graphs():
+    # 3- and 4-regular graphs, every other one with one edge doubled
+    import networkx as nx
+
+    rng = random.Random(61)
+    for trial, (d, n) in enumerate([(3, 10), (3, 12), (4, 10), (4, 11)] * 2):
+        h = nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30))
+        edges = [(a, b, 1) for a, b in h.edges]
+        if trial % 2:
+            a, b, _ = edges.pop(rng.randrange(len(edges)))
+            edges.append((a, b, 2))
+        g = shuffled_graph(rng, n, edges)
+        assert rootgraph.connected_parabolics(g) == brute_connected_parabolics(g), trial
+
+
+def test_affine_a_count_matches_chordless_cycles():
+    # on a graph of single edges every chordless cycle of k + 1 >= 3
+    # vertices is an A~k component, and every A~k with k >= 2 is one
+    import networkx as nx
+
+    for n, seed in [(16, 5), (20, 6), (24, 7)]:
+        h = nx.random_regular_graph(3, n, seed=seed)
+        g = rootgraph.from_edges("C", [f"v{i}" for i in range(n)],
+                                 [(f"v{a}", f"v{b}", 1) for a, b in h.edges])
+        cycles = sum(1 for _ in nx.chordless_cycles(h))
+        a_tilde = sum(1 for _, typ in rootgraph.connected_parabolics(g)
+                      if typ.family == "A" and typ.affine and typ.index >= 2)
+        assert a_tilde == cycles, n
+
+
 def brute_maximal_parabolics(g, target):
     cps = brute_connected_parabolics(g)
     results = set()

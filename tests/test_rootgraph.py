@@ -371,6 +371,50 @@ def test_parabolic_search_needs_no_recursion():
     assert proc.stdout == "[]\n"
 
 
+def double_edges(n):
+    """n disjoint double edges: C(n, k) packings of rank n - k, one A~1 each."""
+    labels = [f"v{i}" for i in range(2 * n)]
+    return from_edges("D", labels, [(f"v{2 * i}", f"v{2 * i + 1}", 2) for i in range(n)])
+
+
+DEEP_PACKING_SCRIPT = """
+import sys
+from coblemukai import rootgraph
+n = 300
+g = rootgraph.from_edges("D", [f"v{i}" for i in range(2 * n)],
+                         [(f"v{2 * i}", f"v{2 * i + 1}", 2) for i in range(n)])
+sys.setrecursionlimit(150)
+packs = [p.components for p in rootgraph.maximal_parabolics(g, n - 1)]
+print(len(packs), {len(p) for p in packs}, packs == sorted(packs))
+"""
+
+
+def test_packing_needs_no_recursion():
+    # each of the 300 packings of rank 299 chooses 299 components one at a
+    # time, far deeper than the recursion limit of 150
+    src = str(Path(rootgraph.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_PACKING_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "300 {299} True\n"
+
+
+def test_packing_refuses_above_component_bound():
+    # 1,100 double edges have C(1100, 2) packings of rank 1098 with 1098
+    # components each; the bound stops the listing after 955 of them
+    assert rootgraph.PACKING_MAX_COMPONENTS == 1 << 20
+    with pytest.raises(ValueError) as exc:
+        maximal_parabolics(double_edges(1100), 1098)
+    assert str(exc.value) == (
+        "the packings of rank 1098 list more than PACKING_MAX_COMPONENTS = 1048576 components"
+    )
+
+
 def _tuple_signature_refine_colors(g):
     """Color refinement with (color, sorted (mult, color) pairs)
     signatures, numbered by sorted signature, until the colors repeat."""
