@@ -68,36 +68,18 @@ def _is_transversal(triad, syntheme) -> bool:
 
 
 def build_graph_mi() -> RootGraph:
-    duads = sorted(_duads(range(1, 7)), key=_duad_label)
-    synthemes = _synthemes()
-    triads = sorted(_triads(), key=_triad_label)
-    labels = (
-        [(_duad_label(d), KIND_CURVE) for d in duads]
-        + [(_syntheme_label(s), KIND_CURVE) for s in synthemes]
-        + [(_triad_label(t), KIND_ROOT) for t in triads]
-    )
-    comp = {frozenset(t): frozenset(range(1, 7)) - t for t in triads}
-    edges = []
-    for a, b in combinations(duads, 2):
-        if len(a & b) == 1:
-            edges.append((_duad_label(a), _duad_label(b), 1))
-    for a, b in combinations(synthemes, 2):
-        if not set(a) & set(b):
-            edges.append((_syntheme_label(a), _syntheme_label(b), 1))
-    for d in duads:
-        for s in synthemes:
-            if tuple(sorted(d)) in s:
-                edges.append((_duad_label(d), _syntheme_label(s), 2))
-    for a, b in combinations(triads, 2):
-        edges.append((_triad_label(a), _triad_label(b), 2))
-    for d in duads:
-        for t in triads:
-            if d <= t or d <= comp[t]:
-                edges.append((_duad_label(d), _triad_label(t), 2))
-    for s in synthemes:
-        for t in triads:
-            if _is_transversal(t, s):
-                edges.append((_syntheme_label(s), _triad_label(t), 2))
+    duad = {d: _duad_label(d) for d in sorted(_duads(range(1, 7)), key=_duad_label)}
+    syn = {s: _syntheme_label(s) for s in _synthemes()}
+    triad = {t: _triad_label(t) for t in sorted(_triads(), key=_triad_label)}
+    labels = [(lab, KIND_CURVE) for lab in (*duad.values(), *syn.values())]
+    labels += [(lab, KIND_ROOT) for lab in triad.values()]
+    edges = [(duad[a], duad[b], 1) for a, b in combinations(duad, 2) if len(a & b) == 1]
+    edges += [(syn[a], syn[b], 1) for a, b in combinations(syn, 2) if not set(a) & set(b)]
+    edges += [(duad[d], syn[s], 2) for d in duad for s in syn if tuple(sorted(d)) in s]
+    edges += [(a, b, 2) for a, b in combinations(triad.values(), 2)]
+    # a duad meets a triad when it lies in the triad or in its complement
+    edges += [(duad[d], triad[t], 2) for d in duad for t in triad if d <= t or not d & t]
+    edges += [(syn[s], triad[t], 2) for s in syn for t in triad if _is_transversal(t, s)]
     return rootgraph.from_edges("MI", labels, edges)
 
 
@@ -271,14 +253,18 @@ class BlowupModel:
         """b + b' for each pair of boundary rows, built once per model."""
         return [list(map(add, a, b)) for a, b in combinations(self.boundary_vectors(), 2)]
 
+    @cached_property
+    def _gram(self):
+        """Pairings of the boundary rows, then the root rows, times den**2."""
+        rows = self.boundary_vectors() + [v for _, v in self.roots]
+        return lattice.gram_matrix(self.ambient, rows)
+
     def __post_init__(self):
         nb = len(self.boundaries)
         for name, v in self.boundaries:
             if any(x % self.den for x in v):
                 raise ValueError(f"boundary {name} is not an integral class")
-        gram = lattice.gram_matrix(
-            self.ambient, self.boundary_vectors() + [v for _, v in self.roots]
-        )  # the pairings times den**2
+        gram = self._gram
         scale = self.den * self.den
         for k, (name, _) in enumerate(self.boundaries):
             if gram[k][k] != -4 * scale:
@@ -552,27 +538,26 @@ def verify_realization(graph: RootGraph, model: BlowupModel) -> RealizationRepor
     must reproduce the edge multiplicities entry for entry, kinds must match
     the 2e + half-boundaries shape, and curve/root pairings must be even.
     """
-    failures = []
     rm = model.root_map()
-    for label in graph.labels:
-        if label not in rm:
-            failures.append(f"missing class for vertex {label}")
+    failures = [f"missing class for vertex {label}" for label in graph.labels if label not in rm]
     if failures:
         return RealizationReport(ok=False, failures=tuple(failures))
     n = graph.n
-    rows = [rm[label] for label in graph.labels]
+    # the row of each vertex's class in the model's pairing matrix
+    at = {name: k for k, (name, _) in enumerate(model.roots, start=len(model.boundaries))}
+    pos = [at[label] for label in graph.labels]
     scale = model.den * model.den
-    gram = lattice.gram_matrix(model.ambient, rows)  # the pairings times scale
     for i in range(n):
+        pairs = model._gram[pos[i]]  # the pairings times scale
         for j in range(i + 1, n):
             a, b = graph.labels[i], graph.labels[j]
-            got, want = gram[i][j], graph.mult[i][j]
+            got, want = pairs[pos[j]], graph.mult[i][j]
             if got != want * scale:
                 failures.append(f"pair ({a}, {b}): model {Fraction(got, scale)} != graph {want}")
             if graph.kinds[i] != graph.kinds[j] and got % (2 * scale) != 0:
                 failures.append(f"pair ({a}, {b}): odd curve/root pairing {Fraction(got, scale)}")
-    for label, kind, row in zip(graph.labels, graph.kinds, rows):
-        if _is_minus_one_root(model, row) != (kind == KIND_ROOT):
+    for label, kind in zip(graph.labels, graph.kinds):
+        if _is_minus_one_root(model, rm[label]) != (kind == KIND_ROOT):
             failures.append(f"{label}: kind tag does not match realization")
     return RealizationReport(ok=not failures, failures=tuple(failures))
 

@@ -11,6 +11,7 @@ automorphism groups, and a small text format plus DOT export.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
@@ -114,7 +115,8 @@ class RootGraph:
 
 
 def from_edges(name, vertices, edges) -> RootGraph:
-    """Build a graph from (label, kind) pairs or bare labels plus (a, b, mult) edges."""
+    """Build a graph from (label, kind) pairs or bare labels plus (a, b, mult)
+    edges, mult >= 1 as in the text format."""
     labels = []
     kinds = []
     for v in vertices:
@@ -128,12 +130,17 @@ def from_edges(name, vertices, edges) -> RootGraph:
     n = len(labels)
     mult = [[0] * n for _ in range(n)]
     for a, b, m in edges:
+        if a not in index or b not in index:
+            raise ValueError(f"unknown vertex label: {(b if a in index else a)!r}")
         i, j = index[a], index[b]
         if i == j:
             raise ValueError(f"self-loop at {a!r}")
+        m = int(m)
+        if m < 1:
+            raise ValueError(f"edge {a!r} -- {b!r}: multiplicity must be >= 1")
         if mult[i][j]:
             raise ValueError(f"duplicate edge {a!r} -- {b!r}")
-        mult[i][j] = mult[j][i] = int(m)
+        mult[i][j] = mult[j][i] = m
     return RootGraph(labels, mult, kinds, name)
 
 
@@ -712,39 +719,39 @@ def _find_automorphism(mult, base, want, cands, k: int, u: int):
     return None
 
 
-def _assignment_order(g: RootGraph, colors, by_color):
-    """The search base: each next vertex is as constrained as possible by the
-    ones already placed.  Every edge into the placed prefix constrains its
-    candidates, and so does a non-edge to a placed vertex of the same color,
-    so both count toward the greedy score; ties go to more single edges, a
-    smaller color class, then the smaller index."""
-    n = g.n
-    mult = g.mult
-    single_deg = [row.count(1) for row in mult]
-    score = [0] * n
-    left = list(range(n))
+def _assignment_order(g: RootGraph, colors):
+    """The search base: each next vertex is an unplaced one with the fewest
+    candidates left, the unplaced vertices that share its color and its
+    multiplicities to every placed vertex; ties go to the smaller index.
+    ``cell`` numbers those classes anew after each placement.  This is the
+    target-cell rule of McKay and Piperno in its plainest form."""
+    cell = list(colors)
+    left = list(range(g.n))
     order: list[int] = []
     while left:
-        v = max(left, key=lambda v: (score[v], single_deg[v], -len(by_color[colors[v]]), -v))
+        size = Counter(cell[w] for w in left)
+        v = min(left, key=lambda w: size[cell[w]])  # left is sorted: ties to the smaller index
         left.remove(v)
         order.append(v)
+        split: dict[tuple[int, int], int] = {}
         for w in left:
-            if mult[w][v] or colors[w] == colors[v]:
-                score[w] += 1
+            cell[w] = split.setdefault((cell[w], g.mult[v][w]), len(split))
     return order
 
 
 def automorphisms(g: RootGraph):
     """(order, generators) of the multiplicity-preserving automorphism group.
 
-    Kind tags are ignored.  The group is never listed.  A stabilizer chain
-    along the color-refined greedy base b_0, b_1, ... is searched from the
-    deepest level up: at level k the orbit of b_k under the automorphisms
-    found so far (all of which fix b_0..b_{k-1}) is closed, and one
-    backtracking search per same-color vertex outside it either finds an
-    automorphism fixing b_0..b_{k-1} that sends b_k there, which joins the
-    strong generators and grows the orbit, or shows there is none.  The order
-    is the product of the orbit lengths.
+    Kind tags are ignored.  The group is never listed.  Each next vertex of
+    the search base b_0, b_1, ... has the fewest candidates left: the fewest
+    unplaced vertices sharing its refined color and its multiplicities to the
+    placed ones, ties going to the smaller index.  A stabilizer chain along
+    it is searched from the deepest level up: at level k the orbit of b_k
+    under the automorphisms found so far (all of which fix b_0..b_{k-1}) is
+    closed, and one backtracking search per same-color vertex outside it
+    either finds an automorphism fixing b_0..b_{k-1} that sends b_k there,
+    which joins the strong generators and grows the orbit, or shows there is
+    none.  The order is the product of the orbit lengths.
 
     The generators returned are the lex-greedy ones: each is the lex-least
     element of the group, as a tuple of images, outside the subgroup the
@@ -765,7 +772,7 @@ def automorphisms(g: RootGraph):
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    base = _assignment_order(g, colors, by_color)
+    base = _assignment_order(g, colors)
     mult = g.mult
     cands = [by_color[c] for c in colors]
     want = [None] + [itemgetter(*base[:d])(mult[base[d]]) for d in range(1, n)]

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -100,6 +101,20 @@ def test_graph_info_file_source(tmp_path):
     code, out, _ = run(["graph", "info", str(p)])
     assert code == 0
     assert "vertices: 2" in out
+
+
+def test_graph_aut_on_shuffled_cycle(tmp_path):
+    # the A~39 cycle of an I40 fibre, its vertices declared in a shuffled
+    # order: the search base must not follow the declaration order
+    order = list(range(40))
+    random.Random(40).shuffle(order)
+    lines = ["graph C40"] + [f"vertex v{i}" for i in order]
+    lines += [f"edge v{i} v{(i + 1) % 40} 1" for i in range(40)]
+    p = tmp_path / "c40.graph"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(["graph", "aut", str(p)])
+    assert code == 0
+    assert "order: 80" in out
 
 
 def test_graph_parabolics_listing():

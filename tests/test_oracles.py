@@ -14,10 +14,15 @@ replaced, and span_check's inertia, read off the span, against that of the
 whole Gram matrix.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +363,60 @@ def test_automorphisms_match_networkx_matcher():
                 g.mult[i][j] == g.mult[p[i]][p[j]] for i in range(g.n) for j in range(g.n)
             ), trial
     assert discrete == {True, False}
+
+
+RELABELLED_FAMILIES_SCRIPT = """
+import json
+import random
+import networkx as nx
+from coblemukai import rootgraph
+
+families = [(f"C{n}", nx.cycle_graph(n)) for n in (20, 24, 32, 40)]
+families += [("Q5", nx.hypercube_graph(5)), ("dodecahedron", nx.dodecahedral_graph()),
+             ("cubic30", nx.random_regular_graph(3, 30, seed=1)),
+             ("8C5", nx.disjoint_union_all([nx.cycle_graph(5)] * 8))]
+out = []
+for name, h in families:
+    h = nx.convert_node_labels_to_integers(h)
+    for seed in (1, 2):
+        order = list(h.nodes)
+        random.Random(seed).shuffle(order)
+        g = rootgraph.from_edges(name, [f"v{v}" for v in order],
+                                 [(f"v{a}", f"v{b}", 1) for a, b in h.edges])
+        aut_order, gens = rootgraph.automorphisms(g)
+        out.append([name, g.mult, aut_order, gens])
+print(json.dumps(out))
+"""
+
+
+def test_automorphisms_on_relabelled_vertex_transitive_families():
+    # cycles, the 5-cube, the dodecahedron, a random cubic graph and eight
+    # disjoint 5-cycles, each declared in two shuffled vertex orders; a base
+    # that follows the declaration order takes minutes on these, so a fresh
+    # process with a timeout fails the test instead of hanging the run
+    src = str(Path(rootgraph.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", RELABELLED_FAMILIES_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = {f"C{n}": 2 * n for n in (20, 24, 32, 40)}
+    want.update({"Q5": 3840, "dodecahedron": 120, "8C5": 10 ** 8 * factorial(8)})
+    results = json.loads(proc.stdout)
+    assert len(results) == 16
+    for name, mult, order, gens in results:
+        g = rootgraph.RootGraph([f"v{i}" for i in range(len(mult))], mult)
+        if name == "cubic30":
+            want[name] = networkx_aut_order(g)
+        assert order == want[name], name
+        for p in gens:
+            assert sorted(p) == list(range(g.n)), name
+            assert all(
+                g.mult[i][j] == g.mult[p[i]][p[j]] for i in range(g.n) for j in range(g.n)
+            ), name
 
 
 def sympy_inertia(m):

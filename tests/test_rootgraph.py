@@ -155,6 +155,20 @@ def test_root_graph_names_the_first_fault(mult, fault):
     assert str(err.value) == fault
 
 
+def test_from_edges_refuses_unknown_label():
+    with pytest.raises(ValueError) as err:
+        from_edges("G", ["a"], [("a", "b", 1)])
+    assert str(err.value) == "unknown vertex label: 'b'"
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_from_edges_refuses_multiplicity_below_one(m):
+    # a multiplicity of 0 once read as no edge, so a second a -- b passed
+    with pytest.raises(ValueError) as err:
+        from_edges("G", ["a", "b"], [("a", "b", m), ("a", "b", 1)])
+    assert str(err.value) == "edge 'a' -- 'b': multiplicity must be >= 1"
+
+
 def test_connected_parabolics_simple():
     g = cycle_graph(4)
     cps = connected_parabolics(g)
