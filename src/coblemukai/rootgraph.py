@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 
 from . import exact, lattice
@@ -551,18 +551,32 @@ def _inverse(a):
     return tuple(inv)
 
 
+def _close_orbit(orbit: set, gens) -> set:
+    """Close the point set ``orbit`` under the permutations ``gens``, in place."""
+    stack = list(orbit)
+    while stack:
+        x = stack.pop()
+        for s in gens:
+            y = s[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
+
+
 class _StabilizerChain:
-    """Schreier–Sims chain of a permutation group on 0..n-1 with base 0..n-1.
+    """Schreier–Sims chain of the group that ``gens`` generate on 0..n-1,
+    with base 0..n-1.
 
     Level k holds the orbit of k under the strong generators that fix
     0..k-1, with a transversal: ``trans[k][p]`` sends k to p and
     ``inverse[k][p]`` is its inverse.  ``checked[k][i]`` counts the strong
     generators s of level k whose Schreier generator at the i-th orbit point
-    has been sifted into the levels below.  When all of them have, sifting
-    decides membership and the order is the product of the orbit lengths.
+    has been sifted into the levels below.  When all of them have, the order
+    is the product of the orbit lengths.
     """
 
-    def __init__(self, n: int, gens=()):
+    def __init__(self, n: int, gens):
         self.n = n
         identity = tuple(range(n))
         self.trans = [{k: identity} for k in range(n)]
@@ -573,15 +587,8 @@ class _StabilizerChain:
         for g in gens:
             self.add(g)
 
-    def suffix_orders(self) -> list[int]:
-        """Orders of the level-k stabilizers, k = 0..n (the last is 1)."""
-        out = [1] * (self.n + 1)
-        for k in range(self.n - 1, -1, -1):
-            out[k] = out[k + 1] * len(self.points[k])
-        return out
-
     def order(self) -> int:
-        return self.suffix_orders()[0]
+        return prod(map(len, self.points))
 
     def sift(self, g, level: int = 0):
         """(residue, k): k is the level where sifting g stops, n for a member."""
@@ -593,9 +600,6 @@ class _StabilizerChain:
                     return g, k
                 g = _compose(inv, g)
         return g, self.n
-
-    def contains(self, g) -> bool:
-        return self.sift(g)[1] == self.n
 
     def add(self, g):
         """Enlarge the group by g and complete the chain again."""
@@ -645,31 +649,35 @@ class _StabilizerChain:
         return None
 
 
-def _lex_least_outside(chain: _StabilizerChain, sub: _StabilizerChain):
-    """The lex-least element of the group of ``chain`` outside the proper
-    subgroup of ``sub``.
+def _lex_greedy(chain: _StabilizerChain):
+    """The lex-greedy generators of the group of ``chain``: each is the
+    lex-least element, as a tuple of images, outside the subgroup H that the
+    earlier ones generate.
 
-    Elements with the same images of 0..k-1 form a coset g·G_k of the level-k
-    stabilizer, and its children g·u·G_{k+1} (u in the level-k transversal)
-    are in lex order of g[u[k]].  A coset lies inside the subgroup exactly
-    when g does and the subgroup's level-k stabilizer has the same order as
-    G_k; the walk takes the first child that does not.
+    Elements fixing more leading points are lex-smaller, so the levels m run
+    from the deepest up, and H holds G_{m+1} on reaching level m.  A coset
+    t_p·G_{m+1} then lies in H exactly when p is in the H-orbit of m.  For
+    each p outside it, in ascending order, the coset's lex-least element
+    joins: t_p completed at each later level by the point of least image.
+    The H-orbit of m must end as the chain's orbit, else AssertionError.
     """
-    orders = chain.suffix_orders()
-    full = [a == b for a, b in zip(orders, sub.suffix_orders())]
-    g = tuple(range(chain.n))
-    k = 0
-    while orders[k] > 1:
-        trans = chain.trans[k]
-        for p in sorted(chain.points[k], key=g.__getitem__):
-            child = _compose(g, trans[p])
-            if not (full[k + 1] and sub.contains(child)):
-                g = child
-                break
-        else:
-            raise AssertionError("every coset lies in the subgroup")
-        k += 1
-    return g
+    gens: list[tuple[int, ...]] = []
+    for m in range(chain.n - 1, -1, -1):
+        points = chain.points[m]
+        orbit = _close_orbit({m}, gens)
+        for p in sorted(points):
+            if p in orbit:
+                continue
+            g = chain.trans[m][p]
+            for j in range(m + 1, chain.n):
+                q = min(chain.points[j], key=g.__getitem__)
+                if q != j:
+                    g = _compose(g, chain.trans[j][q])
+            gens.append(g)
+            _close_orbit(orbit, gens)
+        if orbit != set(points):
+            raise AssertionError(f"lex-greedy orbit of {m} has size {len(orbit)}, the chain's {len(points)}")
+    return gens
 
 
 def _find_automorphism(mult, base, want, cands, k: int, u: int):
@@ -753,12 +761,12 @@ def automorphisms(g: RootGraph):
     which joins the strong generators and grows the orbit, or shows there is
     none.  The order is the product of the orbit lengths.
 
-    The generators returned are the lex-greedy ones: each is the lex-least
-    element of the group, as a tuple of images, outside the subgroup the
-    earlier ones generate.  A Schreier–Sims chain with base 0..n-1 finds
-    them by walking its cosets in lex order.  The chain order of the
-    returned generators must equal the product of the orbit lengths, else
-    AssertionError is raised.
+    A Schreier–Sims chain with base 0..n-1, built from the strong
+    generators, must have that order.  The generators returned are the
+    lex-greedy ones, read off that chain by ``_lex_greedy``: each is the
+    lex-least element of the group, as a tuple of images, outside the
+    subgroup the earlier ones generate, and together they must give the
+    chain's orbit at every level.  Either check raises AssertionError.
 
     Every automorphism maps each class of the refined coloring to itself, so
     when the refinement is discrete (each vertex its own color, as for the
@@ -785,29 +793,16 @@ def automorphisms(g: RootGraph):
             if u in orbit:
                 continue
             p = _find_automorphism(mult, base, want, cands, k, u)
-            if p is None:
-                continue
-            strong.append(p)
-            stack = list(orbit)
-            while stack:
-                x = stack.pop()
-                for s in strong:
-                    if s[x] not in orbit:
-                        orbit.add(s[x])
-                        stack.append(s[x])
+            if p is not None:
+                strong.append(p)
+                _close_orbit(orbit, strong)
         order *= len(orbit)
     chain = _StabilizerChain(n, strong)
-    span = _StabilizerChain(n)
-    gens: list[tuple[int, ...]] = []
-    while span.order() < chain.order():
-        p = _lex_least_outside(chain, span)
-        gens.append(p)
-        span.add(p)
-    if span.order() != order:
+    if chain.order() != order:
         raise AssertionError(
-            f"automorphism generators give chain order {span.order()}, the search {order}"
+            f"automorphism generators give chain order {chain.order()}, the search {order}"
         )
-    return (order, gens)
+    return (order, _lex_greedy(chain))
 
 
 # --- text format and DOT -----------------------------------------------------

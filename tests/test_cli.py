@@ -408,6 +408,44 @@ def test_graph_aut_stdout_pinned(name):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
 
 
+def shuffled_graph_text(name, n, edges, seed):
+    """Graph-file text for single edges on v0..v{n-1}, the vertices declared
+    in a seeded random order."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    lines = [f"graph {name}"] + [f"vertex v{i}" for i in order]
+    lines += [f"edge v{a} v{b} 1" for a, b in edges]
+    return "\n".join(lines) + "\n"
+
+
+# graph files beyond the builtins: the A~39 cycle, the 5-cube and eight
+# disjoint 5-cycles, each declared in a seeded vertex order
+AUT_FILE_GRAPHS = {
+    "C40": (40, [(i, (i + 1) % 40) for i in range(40)], 40),
+    "Q5": (32, [(a, a | 1 << k) for a in range(32) for k in range(5) if not a >> k & 1], 5),
+    "8C5": (40, [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(8) for i in range(5)], 8),
+}
+
+# sha256 of `coblemukai graph aut NAME.graph --json` stdout, run from the
+# directory that holds the file, as produced by the two-chain coset walk that
+# the lex-greedy walk of the automorphism group's own chain replaced
+GRAPH_AUT_FILE_SHA256 = {
+    "C40": "da2107ab50bf2d03b36c7f708814b3bc59909f0866bdbb8397492570f7a48874",
+    "Q5": "714ff12ca68bda711a1ac69975117db96a04673e9e09873d4c9691065f6cef5c",
+    "8C5": "60e87151ae7702787efcfa178635b28d0629ecbebb5a8918e103b780f90febfc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_AUT_FILE_SHA256))
+def test_graph_aut_json_pinned_on_graph_files(name, tmp_path, monkeypatch):
+    n, edges, seed = AUT_FILE_GRAPHS[name]
+    (tmp_path / f"{name}.graph").write_text(shuffled_graph_text(name, n, edges, seed))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["graph", "aut", f"{name}.graph", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GRAPH_AUT_FILE_SHA256[name]
+
+
 # sha256 of `coblemukai graph vinberg builtin:X` and `coblemukai graph
 # parabolics builtin:X --maximal` stdout, text then --json, as produced by the
 # list-queue enumeration and k^2 packing table the bitmask search replaced;

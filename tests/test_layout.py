@@ -179,3 +179,38 @@ def test_shape_guard_sees_reads_and_the_classifier():
         "    return _STAR_TYPES.get((1,))\n"
     )
     assert _shape_outside_search(bad) == ["2: def _classify_tree", "3: _STAR_TYPES"]
+
+
+def _second_chain(text: str) -> list[str]:
+    """Every ``_StabilizerChain(...)`` call unless there is exactly one, and
+    any ``_lex_least_outside``: the lex-greedy generators are read off the
+    one chain of the automorphism group itself."""
+    tree = ast.parse(text)
+    calls = [f"{node.lineno}: _StabilizerChain(...)" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_StabilizerChain"]
+    found = [] if len(calls) == 1 else calls or ["no _StabilizerChain(...) call"]
+    found += [f"{node.lineno}: def _lex_least_outside" for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_lex_least_outside"]
+    return found
+
+
+def test_automorphisms_build_one_chain():
+    text = (SRC / "rootgraph.py").read_text(encoding="utf-8")
+    assert _second_chain(text) == []
+
+
+def test_chain_guard_sees_a_second_chain_and_the_coset_walk():
+    bad = (
+        "def _lex_least_outside(chain, sub):\n"
+        "    pass\n"
+        "def automorphisms(g):\n"
+        "    chain = _StabilizerChain(n, strong)\n"
+        "    span = _StabilizerChain(n)\n"
+    )
+    assert _second_chain(bad) == [
+        "4: _StabilizerChain(...)",
+        "5: _StabilizerChain(...)",
+        "1: def _lex_least_outside",
+    ]
+    assert _second_chain("def automorphisms(g):\n    return 1\n") == ["no _StabilizerChain(...) call"]

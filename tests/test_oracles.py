@@ -282,6 +282,12 @@ def test_automorphisms_match_permutation_oracle():
 def networkx_aut_order(g):
     """Order of the multiplicity-preserving automorphism group, counted by
     networkx's VF2 matcher of g against itself."""
+    return len(networkx_automorphisms(g))
+
+
+def networkx_automorphisms(g):
+    """The multiplicity-preserving automorphisms of g as tuples of images,
+    listed by networkx's VF2 matcher of g against itself."""
     import networkx as nx
     from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -294,7 +300,7 @@ def networkx_aut_order(g):
         if g.mult[i][j]
     )
     gm = GraphMatcher(h, h, edge_match=lambda a, b: a["mult"] == b["mult"])
-    return sum(1 for _ in gm.isomorphisms_iter())
+    return [tuple(m[i] for i in range(g.n)) for m in gm.isomorphisms_iter()]
 
 
 def union_graph(rng, max_n, max_order=3000):
@@ -417,6 +423,61 @@ def test_automorphisms_on_relabelled_vertex_transitive_families():
             assert all(
                 g.mult[i][j] == g.mult[p[i]][p[j]] for i in range(g.n) for j in range(g.n)
             ), name
+
+
+def brute_lex_greedy(g):
+    """(order, generators) by definition: the whole group in lex order, each
+    element taken when the group the earlier picks generate misses it."""
+    elements = sorted(networkx_automorphisms(g))
+    group = {elements[0]}  # the identity
+    gens = []
+    for p in elements:
+        if p in group:
+            continue
+        gens.append(p)
+        stack = list(group)
+        while stack:
+            x = stack.pop()
+            for s in gens:
+                y = tuple(s[i] for i in x)
+                if y not in group:
+                    group.add(y)
+                    stack.append(y)
+    assert len(group) == len(elements)
+    return len(elements), gens
+
+
+def test_automorphism_generators_match_lex_greedy_oracle():
+    rng = random.Random(22)
+    graphs = []
+    for _ in range(80):
+        n = rng.randint(3, 10)
+        p_edge = rng.uniform(0.2, 0.8)
+        edges = [(a, b, rng.choice([1, 1, 2, 3]))
+                 for a, b in combinations(range(n), 2) if rng.random() < p_edge]
+        graphs.append(shuffled_graph(rng, n, edges))
+
+    def cycle(k, at=0):
+        return [(at + i, at + (i + 1) % k, 1) for i in range(k)]
+
+    named = [
+        (10, cycle(5) + [(i, 5 + i, 1) for i in range(5)]
+         + [(5 + i, 5 + (i + 2) % 5, 1) for i in range(5)]),  # Petersen
+        (8, cycle(8)),
+        (5, [(a, b, 1) for a, b in combinations(range(5), 2)]),
+        (8, [(a, b, 1) for a, b in combinations(range(8), 2) if bin(a ^ b).count("1") == 1]),  # Q3
+        (6, [(a, b, 1) for a in range(3) for b in range(3, 6)]),
+        (9, cycle(3) + cycle(3, 3) + cycle(3, 6)),
+    ]
+    graphs += [shuffled_graph(rng, n, edges) for n, edges in named]
+    vi = catalog.build_graph("VI")
+    graphs.append(vi.induced([l for l in vi.labels if l.startswith("e:")]))
+    nontrivial = 0
+    for i, g in enumerate(graphs):
+        want = brute_lex_greedy(g)
+        assert rootgraph.automorphisms(g) == want, i
+        nontrivial += want[0] > 1
+    assert nontrivial >= 30
 
 
 def sympy_inertia(m):

@@ -788,3 +788,68 @@ def test_parabolic_self_check_survives_python_O():
     assert second.startswith("raised: component (") and second.endswith("misclassified as A~2")
     assert third.startswith("raised: component (") and third.endswith("misclassified as A~3")
     assert fourth.startswith("raised: component (") and fourth.endswith("misclassified as A~1")
+
+
+LYING_AUTOMORPHISMS_SCRIPT = """
+import sys
+from coblemukai import catalog, rootgraph
+if __debug__:
+    sys.exit("not running under -O")
+
+
+def fires(check):
+    try:
+        check()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
+
+
+# a search whose automorphisms are composed with one more group element no
+# longer fix the base points they should, so its orbit product is wrong
+last = rootgraph.automorphisms(catalog.build_graph("MI"))[1][-1]
+search = rootgraph._find_automorphism
+
+
+def lying_search(*args):
+    p = search(*args)
+    return None if p is None else rootgraph._compose(p, last)
+
+
+rootgraph._find_automorphism = lying_search
+fires(lambda: rootgraph.automorphisms(catalog.build_graph("MI")))
+rootgraph._find_automorphism = search
+
+
+# a chain of the right order whose transversal at its deepest nontrivial
+# level sends that level's point to itself instead of to the least other one
+class LyingChain(rootgraph._StabilizerChain):
+    def __init__(self, n, gens):
+        super().__init__(n, gens)
+        m = max(k for k in range(n) if len(self.points[k]) > 1)
+        p = min(q for q in self.points[m] if q != m)
+        self.trans[m][p] = tuple(range(n))
+
+
+rootgraph._StabilizerChain = LyingChain
+for name in ("MI", "MII", "VI"):
+    fires(lambda: rootgraph.automorphisms(catalog.build_graph(name)))
+"""
+
+
+def test_automorphism_self_checks_survive_python_O():
+    src = str(Path(coblemukai.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_AUTOMORPHISMS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, *walks = proc.stdout.splitlines()
+    assert first == "raised: automorphism generators give chain order 720, the search 384000"
+    assert len(walks) == 3
+    for line in walks:
+        assert re.fullmatch(r"raised: lex-greedy orbit of \d+ has size 1, the chain's 2", line), line
