@@ -231,10 +231,7 @@ def catalog_check(name: str) -> dict:
     rank, sig = rootgraph.span_check(g)
     record("span", rank == 10 and sig == (1, 9), rank=rank, signature=list(sig))
     parity_ok = all(
-        g.mult[i][j] % 2 == 0
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if g.kinds[i] != g.kinds[j]
+        m % 2 == 0 for (i, j), m in g.edges.items() if g.kinds[i] != g.kinds[j]
     )
     record("parity_law", parity_ok)
     vin = rootgraph.vinberg_check(g, rank - 2)

@@ -10,13 +10,15 @@ automorphism groups, and a small text format plus DOT export.
 
 from __future__ import annotations
 
+import operator
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
 from math import lcm, prod
 from operator import itemgetter
+from types import MappingProxyType
 
 from . import exact, lattice
 
@@ -31,33 +33,54 @@ class GraphFormatError(ValueError):
 
 
 class RootGraph:
-    """Immutable labeled graph with non-negative integer edge multiplicities."""
+    """Immutable labeled graph with non-negative integer edge multiplicities.
+
+    The graph keeps its edges once, as the read-only map ``edges`` from vertex
+    pairs (i, j), i < j, to multiplicities m >= 1.  The dense ``mult`` and the
+    neighbor masks of the searches are derived from it once per graph, on
+    first use.
+    """
 
     def __init__(self, labels, mult, kinds=None, name: str = "G"):
         labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("vertex labels must be unique")
         n = len(labels)
-        mult = tuple(tuple(map(int, row)) for row in mult)
-        if len(mult) != n or any(len(row) != n for row in mult):
+        try:
+            rows = [tuple(map(operator.index, row)) for row in mult]
+        except TypeError:
+            raise ValueError("edge multiplicities must be integers") from None
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("multiplicity matrix shape does not match vertex count")
+        edges = {}
         # one pass over the rows, naming the fault a row-major scan meets first
-        for i, (row, col) in enumerate(zip(mult, zip(*mult))):
+        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
             if row[i]:
                 raise ValueError("multiplicity matrix must have zero diagonal")
             if row != col or min(row) < 0:
                 x, y = next((x, y) for x, y in zip(row, col) if x != y or x < 0)
                 raise ValueError("multiplicity matrix must be symmetric" if x != y
                                  else "edge multiplicities must be non-negative")
+            edges.update(((i, j), m) for j, m in enumerate(row[i + 1:], i + 1) if m)
+        self._adopt(labels, edges, kinds, name)
+
+    @classmethod
+    def _of_edges(cls, labels, edges: dict, kinds, name: str) -> "RootGraph":
+        """The graph of an edge map whose pairs and multiplicities are checked."""
+        g = cls.__new__(cls)
+        g._adopt(tuple(labels), edges, kinds, name)
+        return g
+
+    def _adopt(self, labels: tuple, edges: dict, kinds, name: str) -> None:
+        if len(set(labels)) != len(labels):
+            raise ValueError("vertex labels must be unique")
         if kinds is None:
-            kinds = (KIND_CURVE,) * n
+            kinds = (KIND_CURVE,) * len(labels)
         else:
             kinds = tuple(int(k) for k in kinds)
-            if len(kinds) != n or any(k not in (KIND_CURVE, KIND_ROOT) for k in kinds):
+            if len(kinds) != len(labels) or any(k not in (KIND_CURVE, KIND_ROOT) for k in kinds):
                 raise ValueError("vertex kinds must be -2 (curve) or -1 (root)")
         self.labels = labels
         self.kinds = kinds
-        self.mult = mult
+        self.edges = MappingProxyType(edges)
         self.name = name
         self._index = {lab: i for i, lab in enumerate(labels)}
 
@@ -72,9 +95,27 @@ class RootGraph:
             raise ValueError(f"unknown vertex label: {label!r}") from None
 
     def edge_count(self) -> int:
-        return sum(
-            1 for i in range(self.n) for j in range(i + 1, self.n) if self.mult[i][j]
-        )
+        return len(self.edges)
+
+    @cached_property
+    def mult(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n multiplicity matrix, zero off the edges."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for (i, j), m in self.edges.items():
+            rows[i][j] = rows[j][i] = m
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def _masks(self) -> tuple[list[int], list[int], list[int]]:
+        """Neighbor bitmasks along edges of multiplicity 1, 2 and either."""
+        single, double = [0] * self.n, [0] * self.n
+        for (i, j), m in self.edges.items():
+            if m > 2:
+                raise ValueError("edge multiplicity >= 3: Vinberg's criterion hypothesis fails")
+            masks = single if m == 1 else double
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return single, double, [s | d for s, d in zip(single, double)]
 
     def gram_rows(self) -> list[list[int]]:
         return [
@@ -94,12 +135,10 @@ class RootGraph:
 
     def induced(self, labels) -> "RootGraph":
         idx = [self.index(l) for l in labels]
-        return RootGraph(
-            labels=[self.labels[i] for i in idx],
-            mult=[[self.mult[i][j] for j in idx] for i in idx],
-            kinds=[self.kinds[i] for i in idx],
-            name=self.name,
-        )
+        keep = set(idx)
+        return from_edges(self.name, [(self.labels[i], self.kinds[i]) for i in idx],
+                          [(self.labels[i], self.labels[j], m)
+                           for (i, j), m in self.edges.items() if i in keep and j in keep])
 
     def __eq__(self, other):
         return (
@@ -107,7 +146,7 @@ class RootGraph:
             and self.name == other.name
             and self.labels == other.labels
             and self.kinds == other.kinds
-            and self.mult == other.mult
+            and self.edges == other.edges
         )
 
     def __repr__(self):
@@ -116,7 +155,7 @@ class RootGraph:
 
 def from_edges(name, vertices, edges) -> RootGraph:
     """Build a graph from (label, kind) pairs or bare labels plus (a, b, mult)
-    edges, mult >= 1 as in the text format."""
+    edges, mult an integer >= 1 as in the text format."""
     labels = []
     kinds = []
     for v in vertices:
@@ -127,21 +166,24 @@ def from_edges(name, vertices, edges) -> RootGraph:
             labels.append(v[0])
             kinds.append(v[1])
     index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    mult = [[0] * n for _ in range(n)]
+    found: dict[tuple[int, int], int] = {}
     for a, b, m in edges:
         if a not in index or b not in index:
             raise ValueError(f"unknown vertex label: {(b if a in index else a)!r}")
         i, j = index[a], index[b]
         if i == j:
             raise ValueError(f"self-loop at {a!r}")
-        m = int(m)
+        try:
+            m = operator.index(m)
+        except TypeError:
+            raise ValueError(f"edge {a!r} -- {b!r}: multiplicity must be an integer") from None
         if m < 1:
             raise ValueError(f"edge {a!r} -- {b!r}: multiplicity must be >= 1")
-        if mult[i][j]:
+        pair = (i, j) if i < j else (j, i)
+        if pair in found:
             raise ValueError(f"duplicate edge {a!r} -- {b!r}")
-        mult[i][j] = mult[j][i] = m
-    return RootGraph(labels, mult, kinds, name)
+        found[pair] = m
+    return RootGraph._of_edges(labels, found, kinds, name)
 
 
 # --- diagram types ---------------------------------------------------------
@@ -204,33 +246,15 @@ _STAR_TYPES = {
 }
 
 
-def _adjacency_masks(g: RootGraph):
-    """Neighbor bitmasks along edges of multiplicity 1, 2 and either."""
-    single = [0] * g.n
-    double = [0] * g.n
-    for i, row in enumerate(g.mult):
-        for j, m in enumerate(row):
-            if m == 1:
-                single[i] |= 1 << j
-            elif m == 2:
-                double[i] |= 1 << j
-            elif m >= 3:
-                raise ValueError(
-                    "edge multiplicity >= 3: Vinberg's criterion hypothesis fails"
-                )
-    both = [s | d for s, d in zip(single, double)]
-    return single, double, both
-
-
 def _parabolic_search(g: RootGraph):
     """All connected affine subdiagrams as (sorted labels, DiagramType, vertex
-    indices) in label order, and the neighbor masks ``both``.
+    indices) in label order.
 
     Grows connected induced subsets (each visited exactly once) and prunes as
     soon as a subset stops being a definite ADE diagram: proper connected
     induced subsets of affine diagrams are definite, so nothing is missed.
     """
-    single, double, both = _adjacency_masks(g)
+    single, double, both = g._masks
     found: list[tuple[list[int], DiagramType]] = []
     a1 = _diagram("A", 1, True)
     for root in range(g.n):
@@ -313,23 +337,28 @@ def _parabolic_search(g: RootGraph):
                 stack.append((members + [v], mask | bit, new_ends, new_tree, ext | fresh,
                               nbhd | both[v], dbl | double[v], one | single[v], two | one & single[v]))
 
-    labels, mult = g.labels, g.mult
+    labels = g.labels
     out = []
     for idx, typ in found:
         idx.sort(key=labels.__getitem__)
         out.append((tuple(map(labels.__getitem__, idx)), typ, idx))
     out.sort()  # the label tuples all differ, so nothing else is compared
     # sanity: every recorded component really is corank-1 negative semidefinite;
-    # components with the same multiplicity matrix share one certificate
+    # components with the same multiplicity matrix share one certificate.  Both
+    # read the true multiplicities, rows[a][b], from the edge map: one
+    # defaultdict per vertex, so no dense matrix is built
+    rows = [defaultdict(int) for _ in range(g.n)]
+    for (a, b), m in g.edges.items():
+        rows[a][b] = rows[b][a] = m
     certified: dict[bytes, bool] = {}
     for comp, typ, idx in out:
-        key = bytes([mult[a][b] for a in idx for b in idx])
+        key = bytes([rows[a][b] for a in idx for b in idx])
         ok = certified.get(key)
         if ok is None:
-            ok = certified[key] = _affine_certificate(mult, idx, both)
+            ok = certified[key] = _affine_certificate(rows, idx, both)
         if not ok:
             raise AssertionError(f"component {comp} misclassified as {typ}")
-    return out, both
+    return out
 
 
 def _affine_certificate(mult, idx, both) -> bool:
@@ -380,7 +409,7 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
     search."""
     if max_rank is not None and max_rank < 0:
         raise ValueError(f"target rank must be >= 0, got {max_rank}")
-    return [(comp, typ) for comp, typ, _ in g._parabolics[0]
+    return [(comp, typ) for comp, typ, _ in g._parabolics
             if max_rank is None or typ.rank <= max_rank]
 
 
@@ -407,8 +436,7 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
     """
     if target_rank < 0:
         raise ValueError(f"target rank must be >= 0, got {target_rank}")
-    found, both = g._parabolics
-    cps = [c for c in found if c[1].index <= target_rank]
+    cps = [c for c in g._parabolics if c[1].index <= target_rank]
     holding = [0] * g.n  # holding[v]: the candidates that contain v
     for j, (_, _, idx) in enumerate(cps):
         bit = 1 << j
@@ -416,7 +444,7 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
             holding[v] |= bit
     # touching[v]: the candidates that contain v or a neighbor of v
     touching = []
-    for m, rest in zip(holding, both):
+    for m, rest in zip(holding, g._masks[2]):
         while rest:
             low = rest & -rest
             m |= holding[low.bit_length() - 1]
@@ -817,7 +845,7 @@ def parse_graph_text(text: str) -> RootGraph:
     name = None
     index: dict[str, int] = {}  # label -> vertex, in declaration order
     kinds: list[int] = []
-    mult: list[list[int]] = []  # rows grow to the vertex count when an edge needs it
+    edges: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.partition("#")[0].split()
         if not parts:
@@ -837,11 +865,10 @@ def parse_graph_text(text: str) -> RootGraph:
                 raise GraphFormatError(f"line {lineno}: multiplicity must be an integer") from None
             if mval < 1:
                 raise GraphFormatError(f"line {lineno}: multiplicity must be >= 1")
-            if len(mult) < len(kinds):
-                _pad_square(mult, len(kinds))
-            if mult[i][j]:
+            pair = (i, j) if i < j else (j, i)
+            if pair in edges:
                 raise GraphFormatError(f"line {lineno}: duplicate edge {a!r} -- {b!r}")
-            mult[i][j] = mult[j][i] = mval
+            edges[pair] = mval
         elif parts[0] == "vertex":
             if name is None:
                 raise GraphFormatError(f"line {lineno}: vertex before graph declaration")
@@ -868,25 +895,18 @@ def parse_graph_text(text: str) -> RootGraph:
             raise GraphFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
     if name is None:
         raise GraphFormatError("missing graph declaration")
-    _pad_square(mult, len(kinds))
-    return RootGraph(index, mult, kinds, name)
-
-
-def _pad_square(rows: list[list[int]], n: int) -> None:
-    """Zero-pad a square matrix in place to n x n."""
-    for row in rows:
-        row.extend([0] * (n - len(row)))
-    rows.extend([0] * n for _ in range(n - len(rows)))
+    return RootGraph._of_edges(index, edges, kinds, name)
 
 
 def format_graph(g: RootGraph) -> str:
+    for what, word in [("graph name", g.name), *(("vertex label", l) for l in g.labels)]:
+        if "#" in word or word.split() != [word]:  # it would not read back as itself
+            raise ValueError(f"{what} {word!r} is empty or holds whitespace or '#'")
     lines = [f"graph {g.name}"]
     for label, kind in zip(g.labels, g.kinds):
         lines.append(f"vertex {label} kind=-1" if kind == KIND_ROOT else f"vertex {label}")
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.mult[i][j]:
-                lines.append(f"edge {g.labels[i]} {g.labels[j]} {g.mult[i][j]}")
+    for (i, j), m in sorted(g.edges.items()):
+        lines.append(f"edge {g.labels[i]} {g.labels[j]} {m}")
     return "\n".join(lines) + "\n"
 
 
@@ -908,9 +928,7 @@ def export_dot(g: RootGraph) -> str:
     for ident, kind in zip(ids, g.kinds):
         shape = "doublecircle" if kind == KIND_ROOT else "circle"
         out.append(f"  {ident} [shape={shape}];")
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            for _ in range(g.mult[i][j]):
-                out.append(f"  {ids[i]} -- {ids[j]};")
+    for (i, j), m in sorted(g.edges.items()):
+        out.extend([f"  {ids[i]} -- {ids[j]};"] * m)
     out.append("}")
     return "\n".join(out) + "\n"

@@ -103,6 +103,52 @@ def test_graph_info_file_source(tmp_path):
     assert "vertices: 2" in out
 
 
+def test_graph_with_triple_edge_loads_but_is_not_searched(tmp_path):
+    # a -- b triple, b -- c single: info, aut and dot print what the
+    # dense-matrix implementation printed; the searches refuse the graph
+    p = tmp_path / "triple.graph"
+    p.write_text("graph T\nvertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 1\n")
+    assert run(["graph", "info", str(p)]) == (0, (
+        f"command: graph info {p}\npass: true\npayload:\n  name: T\n  vertices: 3\n"
+        "  edges: 2\n  curves: 3\n  roots: 0\n  span_rank: 3\n  signature:\n"
+        "    - 1\n    - 2\n  span_det: 12\n"), "")
+    assert run(["graph", "aut", str(p)]) == (0, (
+        f"command: graph aut {p}\npass: true\npayload:\n  order: 1\n"
+        "  generator_count: 0\n"), "")
+    assert run(["graph", "dot", str(p)]) == (0, (
+        'graph "T" {\n  "a" [shape=circle];\n  "b" [shape=circle];\n'
+        '  "c" [shape=circle];\n' + '  "a" -- "b";\n' * 3 + '  "b" -- "c";\n}\n'), "")
+    for action in ("parabolics", "vinberg"):
+        assert run(["graph", action, str(p)]) == (
+            2, "", "error: edge multiplicity >= 3: Vinberg's criterion hypothesis fails\n")
+
+
+# sha256 of `coblemukai catalog build X` and `coblemukai graph dot builtin:X`
+# stdout, as produced by the implementation that kept a dense multiplicity
+# matrix and wrote edges in its row-major order
+BUILD_DOT_SHA256 = {
+    "I": ("16d8696deae487341fb619d1b8b7606e93f77f7cd71dc5a5a3ed47ed00a86da5",
+          "f13833e57e5754e98937fe45b2b4b17cb743d109fe19c83af66a3c825fb32f7a"),
+    "II": ("33b46f8e95f56274f1c22c314263a55958f118e2e52c39600111fda576c9221c",
+           "7fda9d5013972629eca456cfef9d188fd09eb6e5b0e98fab8cbbb83cc55a2806"),
+    "VI": ("a80fa7325557fc5478d6420f4375cab96c2db33e9567ddabfb1129a19e1cc712",
+           "78bd335178a5af1922b8ceba1301d156c7793c6e404749b142b8e0cd0bc29262"),
+    "MI": ("c717ca9c4cb5ae9111bd5a28e7de5f1f93918306f2ed2bba1254edc507c91f2c",
+           "614f1c7678700ba58584a9cfd3f200d120d08bfc22a1124a75095c972673bf9b"),
+    "MII": ("ee7101abc647b93c3ea84ca403390a4193f4e14b0bcd68f000c75253eeaeac63",
+            "41bb80a8f80af27dfa34be82c7c4c98efe3fcf13c0666adcfb4cd7c0a9e611f5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_DOT_SHA256))
+def test_catalog_build_and_dot_pinned(name):
+    argvs = (["catalog", "build", name], ["graph", "dot", f"builtin:{name}"])
+    for argv, want in zip(argvs, BUILD_DOT_SHA256[name]):
+        code, out, _ = run(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, argv
+
+
 def test_graph_aut_on_shuffled_cycle(tmp_path):
     # the A~39 cycle of an I40 fibre, its vertices declared in a shuffled
     # order: the search base must not follow the declaration order

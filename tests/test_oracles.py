@@ -727,8 +727,7 @@ def star_edges(legs):
 
 
 def certified(g):
-    _, _, both = rootgraph._adjacency_masks(g)
-    return rootgraph._affine_certificate(g.mult, list(range(g.n)), both)
+    return rootgraph._affine_certificate(g.mult, list(range(g.n)), g._masks[2])
 
 
 def test_affine_certificate_matches_inertia():

@@ -169,6 +169,24 @@ def test_from_edges_refuses_multiplicity_below_one(m):
     assert str(err.value) == "edge 'a' -- 'b': multiplicity must be >= 1"
 
 
+def test_non_integral_multiplicities_are_refused():
+    # int() once truncated these: 2.7 read as a double edge, 1.9 as a single one
+    with pytest.raises(ValueError) as err:
+        from_edges("G", ["a", "b"], [("a", "b", 2.7)])
+    assert str(err.value) == "edge 'a' -- 'b': multiplicity must be an integer"
+    with pytest.raises(ValueError) as err:
+        rootgraph.RootGraph(["a", "b"], [[0, 1.9], [1.9, 0]])
+    assert str(err.value) == "edge multiplicities must be integers"
+
+
+def test_numpy_integer_multiplicities_are_read():
+    import numpy as np
+
+    g = rootgraph.RootGraph(["a", "b"], np.array([[0, 2], [2, 0]]))
+    assert g == from_edges("G", ["a", "b"], [("a", "b", np.int64(2))])
+    assert g.mult == ((0, 2), (2, 0)) and type(g.mult[0][1]) is int
+
+
 def test_connected_parabolics_simple():
     g = cycle_graph(4)
     cps = connected_parabolics(g)
@@ -246,8 +264,8 @@ def test_one_parabolic_search_per_graph(monkeypatch):
     from coblemukai import catalog
 
     calls = []
-    masks = rootgraph._adjacency_masks
-    monkeypatch.setattr(rootgraph, "_adjacency_masks", lambda g: calls.append(g) or masks(g))
+    search = rootgraph._parabolic_search
+    monkeypatch.setattr(rootgraph, "_parabolic_search", lambda g: calls.append(g) or search(g))
     g = catalog.build_graph("MI")
     rootgraph.vinberg_check(g, 8)
     rootgraph.maximal_parabolics(g, 8)
@@ -429,6 +447,15 @@ def test_packing_refuses_above_component_bound():
     )
 
 
+def test_packing_refusal_builds_no_dense_matrix():
+    text = "graph D\n" + "".join(f"vertex v{i}\n" for i in range(2200))
+    text += "".join(f"edge v{2 * i} v{2 * i + 1} 2\n" for i in range(1100))
+    for g in (double_edges(1100), parse_graph_text(text)):
+        with pytest.raises(ValueError, match="PACKING_MAX_COMPONENTS = 1048576"):
+            maximal_parabolics(g, 1098)
+        assert "mult" not in vars(g)
+
+
 def _tuple_signature_refine_colors(g):
     """Color refinement with (color, sorted (mult, color) pairs)
     signatures, numbered by sorted signature, until the colors repeat."""
@@ -552,6 +579,20 @@ def test_graph_text_roundtrip():
     g = from_edges("demo", [("a", -2), ("b", -1), ("c", -2)], [("a", "b", 2), ("b", "c", 1)])
     text = rootgraph.format_graph(g)
     assert rootgraph.parse_graph_text(text) == g
+
+
+@pytest.mark.parametrize("name, label", [
+    ("G", "a#b"),  # read back as vertex a
+    ("my graph", "a"),
+    ("G", ""),
+    ("G", "a\tb"),
+    ("G#1", "a"),
+])
+def test_format_graph_refuses_words_that_do_not_read_back(name, label):
+    g = from_edges(name, [label, "z"], [])
+    with pytest.raises(ValueError) as err:
+        rootgraph.format_graph(g)
+    assert repr(label if name == "G" else name) in str(err.value)
 
 
 def test_graph_text_minimal():
@@ -753,23 +794,18 @@ rootgraph._affine_certificate = failing_for(later)
 # a graph searches once, so the lie needs a graph not yet searched
 fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("MI")))
 rootgraph._affine_certificate = certificate
-# Read one single edge of I as double: the search takes the pair it joins
-# for A~1, and the certificate, which reads the true matrix, refuses it.
-masks = rootgraph._adjacency_masks
-
-
-def lying_masks(g):
-    single, double, both = masks(g)
-    i = next(i for i, s in enumerate(single) if s)
-    j = single[i].bit_length() - 1
-    for a, b in ((i, j), (j, i)):
-        single[a] ^= 1 << b
-        double[a] |= 1 << b
-    return single, double, both
-
-
-rootgraph._adjacency_masks = lying_masks
-fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("I")))
+# Read one single edge of I as double in the graph's masks: the search takes
+# the pair it joins for A~1, and the certificate, which reads the true
+# multiplicities, refuses it.
+g = catalog.build_graph("I")
+single, double, both = (list(m) for m in g._masks)
+i = next(i for i, s in enumerate(single) if s)
+j = single[i].bit_length() - 1
+for a, b in ((i, j), (j, i)):
+    single[a] ^= 1 << b
+    double[a] |= 1 << b
+g._masks = single, double, both
+fires(lambda: rootgraph.connected_parabolics(g))
 """
 
 
