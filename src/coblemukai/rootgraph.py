@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
@@ -75,9 +75,12 @@ class RootGraph:
         if kinds is None:
             kinds = (KIND_CURVE,) * len(labels)
         else:
-            kinds = tuple(int(k) for k in kinds)
-            if len(kinds) != len(labels) or any(k not in (KIND_CURVE, KIND_ROOT) for k in kinds):
-                raise ValueError("vertex kinds must be -2 (curve) or -1 (root)")
+            try:
+                kinds = tuple(map(operator.index, kinds))
+                if len(kinds) != len(labels) or not {*kinds} <= {KIND_CURVE, KIND_ROOT}:
+                    raise TypeError
+            except TypeError:
+                raise ValueError("vertex kinds must be -2 (curve) or -1 (root)") from None
         self.labels = labels
         self.kinds = kinds
         self.edges = MappingProxyType(edges)
@@ -373,15 +376,25 @@ def _affine_certificate(mult, idx, both) -> bool:
     2 elsewhere (D~k); with one, b there and b(L+1-t)/(L+1) at distance t
     along a leg of length L, b = lcm(L_i + 1) (D~4, E~6, E~7, E~8).  Then
     connectivity and 2 delta_a = sum_b m_ab delta_b are checked, so nothing
-    is taken from the classifier.
+    is taken from the classifier; nor from the masks ``both``, which must
+    match ``mult`` on idx.
     """
     mask = sum(1 << v for v in idx)
+    deg, adj = {}, {}
+    for a in idx:
+        row, bits, adj[a] = mult[a], 0, []
+        for v in idx:
+            if row[v]:
+                bits |= 1 << v
+                adj[a].append((v, row[v]))
+        if both[a] & mask != bits:
+            return False
+        deg[a] = bits.bit_count()
     seen = reach = 1 << idx[0]
     while reach:
         v = reach.bit_length() - 1
         new = both[v] & mask & ~seen
         seen, reach = seen | new, (reach ^ 1 << v) | new
-    deg = {v: (both[v] & mask).bit_count() for v in idx}
     branch = [v for v in idx if deg[v] >= 3]
     if seen != mask or len(branch) > 2:
         return False
@@ -399,8 +412,15 @@ def _affine_certificate(mult, idx, both) -> bool:
         for leg in legs:
             delta.update((v, top * (len(leg) + 1 - t) // (len(leg) + 1))
                          for t, v in enumerate(leg, 1))
-    return min(delta.values()) > 0 and all(
-        2 * delta[a] == sum(mult[a][v] * delta[v] for v in idx) for a in idx)
+    if min(delta.values()) <= 0:
+        return False
+    for a in idx:
+        total = 0
+        for v, m in adj[a]:
+            total += m * delta[v]
+        if total != 2 * delta[a]:
+            return False
+    return True
 
 
 def connected_parabolics(g: RootGraph, max_rank: int | None = None):
@@ -600,8 +620,8 @@ class _StabilizerChain:
     0..k-1, with a transversal: ``trans[k][p]`` sends k to p and
     ``inverse[k][p]`` is its inverse.  ``checked[k][i]`` counts the strong
     generators s of level k whose Schreier generator at the i-th orbit point
-    has been sifted into the levels below.  When all of them have, the order
-    is the product of the orbit lengths.
+    is 1 or has been sifted into the levels below.  When all of them are,
+    the order is the product of the orbit lengths.
     """
 
     def __init__(self, n: int, gens):
@@ -661,8 +681,9 @@ class _StabilizerChain:
                 i += 1
 
     def _sift_schreier_generators(self, k: int):
-        """Sift the unchecked Schreier generators of level k; on the first
-        that is no member, adjoin its residue and return its level."""
+        """Sift the unchecked Schreier generators of level k but those that
+        are 1; on the first that is no member, adjoin its residue and return
+        its level."""
         gens, trans, inverse = self.gens[k], self.trans[k], self.inverse[k]
         points, checked = self.points[k], self.checked[k]
         for i, p in enumerate(points):
@@ -670,7 +691,10 @@ class _StabilizerChain:
             while checked[i] < len(gens):
                 s = gens[checked[i]]
                 checked[i] += 1
-                h, j = self.sift(_compose(inverse[s[p]], _compose(s, u)), k + 1)
+                su = _compose(s, u)
+                if su == trans[s[p]]:  # t_{s(p)}^-1 s t_p is 1
+                    continue
+                h, j = self.sift(_compose(inverse[s[p]], su), k + 1)
                 if j < self.n:
                     self._adjoin(h, j)
                     return j
@@ -711,9 +735,10 @@ def _lex_greedy(chain: _StabilizerChain):
 def _find_automorphism(mult, base, want, cands, k: int, u: int):
     """An automorphism fixing base[:k] and sending base[k] to u, or None.
 
-    Iterative backtracking over base[k+1:]: the vertex at depth d takes a
-    same-color candidate w whose multiplicities to the images of base[:d]
-    equal ``want[d]``, the multiplicities of base[d] to base[:d].
+    u must lie in base[k]'s cell.  Iterative backtracking over base[k+1:]:
+    the vertex at depth d takes a same-color candidate w whose multiplicities
+    to the images of base[:d] equal ``want[d]``, the multiplicities of
+    base[d] to base[:d].
     """
     n = len(base)
     image = [-1] * n
@@ -721,8 +746,6 @@ def _find_automorphism(mult, base, want, cands, k: int, u: int):
     for v in base[:k]:
         image[v] = v
         used[v] = True
-    if used[u] or (k and itemgetter(*base[:k])(mult[u]) != want[k]):
-        return None
     image[base[k]] = u
     used[u] = True
     # tried[d] counts the candidates of depth d tried under the current prefix
@@ -756,38 +779,43 @@ def _find_automorphism(mult, base, want, cands, k: int, u: int):
 
 
 def _assignment_order(g: RootGraph, colors):
-    """The search base: each next vertex is an unplaced one with the fewest
-    candidates left, the unplaced vertices that share its color and its
-    multiplicities to every placed vertex; ties go to the smaller index.
-    ``cell`` numbers those classes anew after each placement.  This is the
-    target-cell rule of McKay and Piperno in its plainest form."""
-    cell = list(colors)
-    left = list(range(g.n))
-    order: list[int] = []
-    while left:
-        size = Counter(cell[w] for w in left)
-        v = min(left, key=lambda w: size[cell[w]])  # left is sorted: ties to the smaller index
-        left.remove(v)
-        order.append(v)
-        split: dict[tuple[int, int], int] = {}
-        for w in left:
-            cell[w] = split.setdefault((cell[w], g.mult[v][w]), len(split))
-    return order
+    """(base, cells): each next base vertex b_k is the least vertex of a
+    smallest cell, and cells[k] is that cell, sorted.  The cells start as the
+    color classes and split by multiplicity to each placed vertex, so a cell
+    is the unplaced vertices sharing a color and the multiplicities to every
+    placed one: McKay and Piperno's target cell in its plainest form."""
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    cells, base, placed = list(by_color.values()), [], []
+    while cells:
+        cell = min(cells, key=lambda c: (len(c), c[0]))
+        v = cell[0]
+        base.append(v)
+        placed.append(cell)
+        row, split = g.mult[v], []
+        for c in cells:
+            parts = {}
+            for w in c:
+                if w != v:
+                    parts.setdefault(row[w], []).append(w)
+            split += parts.values()
+        cells = split
+    return base, placed
 
 
 def automorphisms(g: RootGraph):
     """(order, generators) of the multiplicity-preserving automorphism group.
 
-    Kind tags are ignored.  The group is never listed.  Each next vertex of
-    the search base b_0, b_1, ... has the fewest candidates left: the fewest
-    unplaced vertices sharing its refined color and its multiplicities to the
-    placed ones, ties going to the smaller index.  A stabilizer chain along
-    it is searched from the deepest level up: at level k the orbit of b_k
-    under the automorphisms found so far (all of which fix b_0..b_{k-1}) is
-    closed, and one backtracking search per same-color vertex outside it
-    either finds an automorphism fixing b_0..b_{k-1} that sends b_k there,
-    which joins the strong generators and grows the orbit, or shows there is
-    none.  The order is the product of the orbit lengths.
+    Kind tags are ignored.  The group is never listed.  Along the search
+    base b_0, b_1, ... of ``_assignment_order``, a stabilizer chain is
+    searched from the deepest level up: at level k the orbit of b_k under
+    the automorphisms found so far (all of which fix b_0..b_{k-1}) is
+    closed, and one backtracking search per vertex of b_k's cell outside it
+    (the cell holds every image b_k can have) either finds an automorphism
+    fixing b_0..b_{k-1} that sends b_k there, which joins the strong
+    generators and grows the orbit, or shows there is none.  The order is
+    the product of the orbit lengths.
 
     A Schreier–Sims chain with base 0..n-1, built from the strong
     generators, must have that order.  The generators returned are the
@@ -796,10 +824,10 @@ def automorphisms(g: RootGraph):
     subgroup the earlier ones generate, and together they must give the
     chain's orbit at every level.  Either check raises AssertionError.
 
-    Every automorphism maps each class of the refined coloring to itself, so
-    when the refinement is discrete (each vertex its own color, as for the
-    empty graph) the group is trivial and ``(1, [])`` is returned at once,
-    without a search (McKay and Piperno, J. Symb. Comp. 60, 2014).
+    Every automorphism keeps each class of the refined coloring, so when the
+    refinement is discrete (as for the empty graph) the group is trivial and
+    ``(1, [])`` is returned without a search (McKay and Piperno, J. Symb.
+    Comp. 60, 2014).
     """
     n = g.n
     colors = _refine_colors(g)
@@ -808,16 +836,15 @@ def automorphisms(g: RootGraph):
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    base = _assignment_order(g, colors)
+    base, cells = _assignment_order(g, colors)
     mult = g.mult
     cands = [by_color[c] for c in colors]
     want = [None] + [itemgetter(*base[:d])(mult[base[d]]) for d in range(1, n)]
     strong: list[tuple[int, ...]] = []
     order = 1
     for k in range(n - 1, -1, -1):
-        b = base[k]
-        orbit = {b}
-        for u in cands[b]:
+        orbit = {base[k]}
+        for u in cells[k]:
             if u in orbit:
                 continue
             p = _find_automorphism(mult, base, want, cands, k, u)

@@ -214,3 +214,44 @@ def test_chain_guard_sees_a_second_chain_and_the_coset_walk():
         "1: def _lex_least_outside",
     ]
     assert _second_chain("def automorphisms(g):\n    return 1\n") == ["no _StabilizerChain(...) call"]
+
+
+def _search_outside_cells(text: str) -> list[str]:
+    """Faults of the automorphism search's scope: ``automorphisms`` must
+    iterate ``cells[k]``, the only images b_k can have, and
+    ``_find_automorphism`` must not test its start vertex against
+    ``want[k]`` again."""
+    tree = ast.parse(text)
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def subscripts(fn: str, name: str) -> list[ast.Subscript]:
+        return [node for node in ast.walk(funcs[fn]) if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == name
+                and isinstance(node.slice, ast.Name) and node.slice.id == "k"]
+
+    loops = {id(node.iter) for node in ast.walk(funcs["automorphisms"]) if isinstance(node, ast.For)}
+    found = [] if any(id(s) in loops for s in subscripts("automorphisms", "cells")) else [
+        "automorphisms: no loop over cells[k]"]
+    found += [f"{node.lineno}: want[k] in _find_automorphism"
+              for node in subscripts("_find_automorphism", "want")]
+    return found
+
+
+def test_automorphism_search_tries_only_cells():
+    text = (SRC / "rootgraph.py").read_text(encoding="utf-8")
+    assert _search_outside_cells(text) == []
+
+
+def test_cell_guard_sees_a_class_loop_and_the_precheck():
+    bad = (
+        "def _find_automorphism(mult, base, want, cands, k, u):\n"
+        "    if k and get(mult[u]) != want[k]:\n"
+        "        return None\n"
+        "def automorphisms(g):\n"
+        "    for u in cands[b]:\n"
+        "        cells[k]\n"
+    )
+    assert _search_outside_cells(bad) == [
+        "automorphisms: no loop over cells[k]",
+        "2: want[k] in _find_automorphism",
+    ]

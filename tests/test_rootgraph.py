@@ -1,3 +1,7 @@
+import functools
+import hashlib
+import importlib.util
+import json
 import os
 import random
 import re
@@ -187,6 +191,24 @@ def test_numpy_integer_multiplicities_are_read():
     assert g.mult == ((0, 2), (2, 0)) and type(g.mult[0][1]) is int
 
 
+def test_non_integral_kinds_are_refused():
+    # int() once truncated these: -1.5 and -1.7 read as roots
+    for build in (lambda: rootgraph.RootGraph(["a"], [[0]], kinds=[-1.5]),
+                  lambda: from_edges("G", [("a", -1.7)], []),
+                  lambda: rootgraph.RootGraph(["a"], [[0]], kinds=["-1"])):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == "vertex kinds must be -2 (curve) or -1 (root)"
+
+
+def test_numpy_integer_kinds_are_read():
+    import numpy as np
+
+    g = rootgraph.RootGraph(["a", "b"], [[0, 1], [1, 0]], kinds=np.array([-1, -2]))
+    assert g.kinds == (-1, -2) and all(type(k) is int for k in g.kinds)
+    assert g == from_edges("G", [("a", np.int8(-1)), ("b", np.int64(-2))], [("a", "b", 1)])
+
+
 def test_connected_parabolics_simple():
     g = cycle_graph(4)
     cps = connected_parabolics(g)
@@ -199,6 +221,21 @@ def test_connected_parabolics_rejects_triple_edges():
     g = from_edges("G", ["a", "b"], [("a", "b", 3)])
     with pytest.raises(ValueError):
         connected_parabolics(g)
+
+
+def test_affine_certificate_refuses_masks_that_disagree_with_mult():
+    # a=b, c=d: two A~1 pairs.  Masks that add the edge b--c make the four a
+    # path on which delta = 1 solves 2 delta_a = sum_b m_ab delta_b, so a
+    # certificate that trusted them for connectivity would pass the set
+    g = from_edges("G", ["a", "b", "c", "d"], [("a", "b", 2), ("c", "d", 2)])
+    both = list(g._masks[2])
+    assert not rootgraph._affine_certificate(g.mult, [0, 1, 2, 3], both)
+    both[1] |= 1 << 2
+    both[2] |= 1 << 1
+    assert not rootgraph._affine_certificate(g.mult, [0, 1, 2, 3], both)
+    # the honest masks still certify each pair
+    assert rootgraph._affine_certificate(g.mult, [0, 1], g._masks[2])
+    assert rootgraph._affine_certificate(g.mult, [2, 3], g._masks[2])
 
 
 def test_connected_parabolics_finds_affine_trees():
@@ -374,6 +411,133 @@ def test_automorphisms_deep_search_needs_no_recursion():
         sys.setrecursionlimit(limit)
     swap = tuple(range(m, 2 * m)) + tuple(range(m))
     assert (order, gens) == (2, [swap])
+
+
+PERFBENCH = Path(coblemukai.__file__).resolve().parent.parent.parent / "perfbench"
+
+
+def benchmark_pool(seed):
+    """The graphs of the benchmark's graph-search workload at ``seed``."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [parse_graph_text(text) for text in inputs.graph_inputs(seed, inputs.load_sources())]
+
+
+@functools.cache
+def pinned_aut_graphs():
+    """The catalog graphs I, II, VI, MI and MII, VI's Petersen block, and the
+    seed-1 and seed-1000 graph-search pools: 166 graphs."""
+    from coblemukai import catalog
+
+    graphs = [catalog.build_graph(x) for x in ("I", "II", "VI", "MI", "MII")]
+    vi = graphs[2]
+    graphs.append(vi.induced([l for l in vi.labels if l.startswith("e:")]))
+    return graphs + benchmark_pool(1) + benchmark_pool(1000)
+
+
+def sha256_json(obj):
+    return hashlib.sha256(json.dumps(obj).encode("utf-8")).hexdigest()
+
+
+def test_automorphisms_pinned_on_catalog_and_benchmark_pools():
+    # sha256 of the (order, generators) of every pinned graph, generators as
+    # label lists as `graph aut --json` prints them, from the search that
+    # tried each base vertex's whole color class
+    graphs = pinned_aut_graphs()
+    assert len(graphs) == 166
+    out = []
+    for g in graphs:
+        order, gens = rootgraph.automorphisms(g)
+        out.append([order, [[g.labels[i] for i in p] for p in gens]])
+    assert [order for order, _ in out[:6]] == [4, 48, 120, 1440, 1152, 120]
+    assert sha256_json(out) == "f3c514523189457f7a808aba515f0449f78e85b52992a32195731315958988dd"
+
+
+def test_assignment_order_keeps_its_base():
+    # sha256 of the search base of every pinned graph, as the base rule
+    # computed it with a Counter of class sizes per placement
+    bases = []
+    for g in pinned_aut_graphs():
+        base, cells = rootgraph._assignment_order(g, rootgraph._refine_colors(g))
+        assert sorted(base) == list(range(g.n))
+        assert all(b == cell[0] and cell == sorted(cell) for b, cell in zip(base, cells))
+        bases.append(base)
+    assert bases[2] == [0, 10, 7, 17, 3, 6, 13, 16, 1, 2, 4, 5, 8, 9, 11, 12, 14, 15, 18, 19]
+    assert sha256_json(bases) == "b5010ba4e243c82ab155986cccf63474525502eee949dabbc2af288bd565774c"
+
+
+def test_automorphism_search_tries_only_base_cells(monkeypatch):
+    # at level k only b_k's cell can hold an image of b_k; trying its whole
+    # color class made 20, 57, 171, 944 and 774 calls, with the same ones
+    # finding an automorphism
+    from coblemukai import catalog
+
+    search, calls = rootgraph._find_automorphism, []
+
+    def counted(*args):
+        p = search(*args)
+        calls.append(p is not None)
+        return p
+
+    monkeypatch.setattr(rootgraph, "_find_automorphism", counted)
+    counts = {}
+    for name in ("I", "II", "VI", "MI", "MII"):
+        calls.clear()
+        rootgraph.automorphisms(catalog.build_graph(name))
+        counts[name] = (len(calls), sum(calls))
+    assert counts == {"I": (2, 2), "II": (6, 5), "VI": (4, 4), "MI": (6, 6), "MII": (6, 6)}
+
+
+NO_SCHREIER_SCRIPT = """
+import sys
+from coblemukai import catalog, rootgraph
+if __debug__:
+    sys.exit("not running under -O")
+
+
+# a chain that takes every Schreier generator for 1 and sifts none
+class NoSchreierChain(rootgraph._StabilizerChain):
+    def _sift_schreier_generators(self, k):
+        return None
+
+
+rootgraph._StabilizerChain = NoSchreierChain
+# vertex i of a copy is the graph's vertex stride * i mod n
+for name, stride in (("MI", 1), ("MII", 1), ("VI", 1), ("MI", 7), ("MII", 7), ("VI", 3)):
+    g = catalog.build_graph(name)
+    order = [stride * i % g.n for i in range(g.n)]
+    g = rootgraph.RootGraph([g.labels[i] for i in order],
+                            [[g.mult[i][j] for j in order] for i in order])
+    try:
+        print(name, stride, "order", rootgraph.automorphisms(g)[0])
+    except AssertionError as exc:
+        print(name, stride, "raised:", exc)
+"""
+
+
+def test_schreier_shortcut_self_check_survives_python_O():
+    # In the catalog's own vertex order the search's strong generators are a
+    # strong generating set for the base 0..n-1 already, so a chain that
+    # sifts no Schreier generator still has the right order there.  In the
+    # renumbered copies it is too small, and the order check must say so.
+    src = str(Path(coblemukai.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", NO_SCHREIER_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "MI 1 order 1440",
+        "MII 1 order 1152",
+        "VI 1 order 120",
+        "MI 7 raised: automorphism generators give chain order 60, the search 1440",
+        "MII 7 raised: automorphism generators give chain order 576, the search 1152",
+        "VI 3 raised: automorphism generators give chain order 60, the search 120",
+    ]
 
 
 DEEP_PATH_SCRIPT = """
