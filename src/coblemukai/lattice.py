@@ -11,10 +11,12 @@ radical.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from . import exact
@@ -145,6 +147,9 @@ def make_named(spec: str) -> Lattice:
         if not m:
             raise ValueError(f"malformed lattice term: {part!r}")
         base, scale = m.group(1), m.group(2)
+        # more digits than int() converts would end in Python's own message
+        if 0 < sys.get_int_max_str_digits() < max(len(base) - 1, len((scale or "").lstrip("-"))):
+            raise ValueError(f"malformed lattice term: {part!r}")
         if base in ("U", "E10"):
             family, n = base, 2 if base == "U" else 10
         else:
@@ -180,14 +185,21 @@ def make_named(spec: str) -> Lattice:
 
 @dataclass(frozen=True)
 class DiscriminantGroup:
-    """L*/L: cyclic invariant factors (>1) with coset-generator lifts as Fraction tuples."""
+    """L*/L: cyclic invariant factors d_i > 1, generator i lifting to rows[i]/den,
+    with den the lcm of the factors (1 for the trivial group).  ``generator_lifts``
+    gives the same lifts as reduced Fraction tuples, built on first read."""
 
     invariant_factors: tuple[int, ...]
-    generator_lifts: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
     @property
     def order(self) -> int:
         return prod(self.invariant_factors)
+
+    @cached_property
+    def generator_lifts(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
 
 
 def _in_dual(lat: Lattice, rows, den: int) -> bool:
@@ -216,19 +228,14 @@ def _discriminant_group(lat: Lattice, d: int) -> DiscriminantGroup:
         hnf = exact.hnf_rows(lat.gram_rows())
         if len(hnf) != lat.rank or any(row[i] != 1 for i, row in enumerate(hnf)):
             raise AssertionError("discriminant group order does not match |det|")
-        return DiscriminantGroup((), ())
+        return DiscriminantGroup((), (), 1)
     res = exact.snf(lat.gram_rows())
-    n = lat.rank
-    factors = []
-    lifts = []
-    for i, di in enumerate(res.factors):
-        if di > 1:
-            lift = [res.right[r][i] % di for r in range(n)]
-            if not _in_dual(lat, [lift], di):
-                raise AssertionError("discriminant generator lift is not in the dual lattice")
-            factors.append(di)
-            lifts.append(tuple(Fraction(x, di) for x in lift))
-    group = DiscriminantGroup(tuple(factors), tuple(lifts))
+    picked = [(i, di) for i, di in enumerate(res.factors) if di > 1]
+    den = lcm(*(di for _, di in picked))
+    rows = tuple(tuple(col[i] % di * (den // di) for col in res.right) for i, di in picked)
+    if not _in_dual(lat, rows, den):
+        raise AssertionError("discriminant generator lift is not in the dual lattice")
+    group = DiscriminantGroup(tuple(di for _, di in picked), rows, den)
     if group.order != abs(d):
         raise AssertionError("discriminant group order does not match |det|")
     return group
@@ -275,8 +282,14 @@ def overlattice(lat: Lattice, glue) -> Lattice:
 
 
 def _overlattice(lat: Lattice, glue, den: int, d: int):
-    """``overlattice`` on glue rows over den, given d = det L: (L', the
-    L'*/L' that its discriminant-form check computed, det L')."""
+    """``overlattice`` on glue rows over den, given d = det L: (L', L'*/L', det L').
+
+    L'*/L' = H-perp/H is checked on generators without listing either group.
+    For L in L' in L'* in L*, H-perp is L'*/L (Nikulin 1979, Prop. 1.4.1).
+    The discriminant lifts of L', written in L coordinates, must lie in L*
+    and pair integrally with the glue; with the glue they must generate a
+    subgroup of L*/L of order |det L| / |H|, which is then all of H-perp.
+    """
     if not _in_dual(lat, glue, den):
         raise ValueError("glue generator is not in the dual lattice")
     for i, row in enumerate(_pairings(lat, glue, glue)):
@@ -291,7 +304,17 @@ def _overlattice(lat: Lattice, glue, den: int, d: int):
     d_out = det(out)
     if d_out * index * index != d:
         raise AssertionError("overlattice index does not match glue subgroup order")
-    group = _check_overlattice_disc_form(lat, out, basis, glue, den, index, d, d_out)
+    group = _discriminant_group(out, d_out)
+    lifts = exact.matmul(group.rows, basis)
+    glue = [[group.den * x for x in g] for g in glue]
+    scale = group.den * den
+    if not _in_dual(lat, lifts, scale):
+        raise AssertionError("overlattice discriminant lift is not in the dual lattice")
+    if any(b % (scale * scale) for row in _pairings(lat, lifts, glue) for b in row):
+        raise AssertionError("overlattice discriminant lift is not orthogonal to the glue")
+    _, order = _adjoin(lat, lifts + glue, scale)
+    if order * index != abs(d):
+        raise AssertionError("discriminant form of overlattice does not match H-perp/H")
     return out, group, d_out
 
 
@@ -303,44 +326,10 @@ def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
     return [[x // (den * den) for x in row] for row in g]
 
 
-def _check_overlattice_disc_form(lat: Lattice, over: Lattice, basis, glue, den, index, d, d_out):
-    """L'*/L' = H-perp/H, checked on generators without listing either group;
-    returns L'*/L'.
-
-    For L in L' in L'* in L*, H-perp is L'*/L (Nikulin 1979, Prop. 1.4.1).
-    The discriminant lifts of L', written in L coordinates, must lie in L*
-    and pair integrally with the glue; with the glue they must generate a
-    subgroup of L*/L of order |det L| / |H|, which is then all of H-perp.
-    Basis and glue are rows over den, the lifts over lift_den*den; d, d_out = det L, L'.
-    """
-    group = _discriminant_group(over, d_out)
-    lift_rows, lift_den = exact.integer_rows(group.generator_lifts)
-    lifts = exact.matmul(lift_rows, basis)
-    glue = [[lift_den * x for x in g] for g in glue]
-    scale = lift_den * den
-    if not _in_dual(lat, lifts, scale):
-        raise AssertionError("overlattice discriminant lift is not in the dual lattice")
-    if any(b % (scale * scale) for row in _pairings(lat, lifts, glue) for b in row):
-        raise AssertionError("overlattice discriminant lift is not orthogonal to the glue")
-    _, order = _adjoin(lat, lifts + glue, scale)
-    if order * index != abs(d):
-        raise AssertionError("discriminant form of overlattice does not match H-perp/H")
-    return group
-
-
-def _disc_table(lat: Lattice, group: DiscriminantGroup):
-    """The generator lifts of L*/L as integer rows over den, and their pairings.
-
-    For coordinates x, y mod the invariant factors, b(x, y) = x^T T y / den^2
-    mod 1 and q(x) = x^T T x / den^2 mod 2.
-    """
-    rows, den = exact.integer_rows(group.generator_lifts)
-    return rows, _pairings(lat, rows, rows), den
-
-
-def _isotropic_classes(group: DiscriminantGroup, table, den: int):
-    """The nonzero classes with q = 0, as coordinates in lexicographic order."""
-    mod = 2 * den * den
+def _isotropic_classes(group: DiscriminantGroup, table):
+    """The nonzero classes with q = 0, as coordinates in lexicographic order.
+    ``table`` is T = R G R^T for the lift rows R, so q(x) = x^T T x / den^2 mod 2."""
+    mod = 2 * group.den * group.den
     for x in product(*map(range, group.invariant_factors)):
         if any(x) and sum(a * sum(map(mul, row, x)) for a, row in zip(x, table)) % mod == 0:
             yield x
@@ -371,18 +360,19 @@ def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
     if not is_even(lat):
         raise ValueError("saturation requires an even lattice")
     group = _discriminant_group(lat, d)
-    lifts, table, den = _disc_table(lat, group)
     if group.order > SATURATE_MAX_ORDER:
         raise ValueError(
             f"discriminant group of order {group.order} is above the saturation bound "
             f"{SATURATE_MAX_ORDER}"
         )
+    lifts, den = group.rows, group.den
+    table = _pairings(lat, lifts, lifts)
     factors = group.invariant_factors
     zero = (0,) * len(factors)
     members = {zero}
     h_gens: list[list[int]] = []
     h_pairs: list[list[int]] = []  # T*h for each generator h of H
-    for x in _isotropic_classes(group, table, den):
+    for x in _isotropic_classes(group, table):
         if x in members or any(sum(map(mul, x, th)) % (den * den) for th in h_pairs):
             continue
         multiples = []
@@ -395,8 +385,8 @@ def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
         h_gens.append(list(x))
         h_pairs.append([sum(map(mul, row, x)) for row in table])
     out, over_group, d_out = _overlattice(lat, exact.matmul(h_gens, lifts), den, d)
-    _, over_table, over_den = _disc_table(out, over_group)
-    if next(_isotropic_classes(over_group, over_table, over_den), None) is not None:
+    over_table = _pairings(out, over_group.rows, over_group.rows)
+    if next(_isotropic_classes(over_group, over_table), None) is not None:
         raise AssertionError("H-perp/H has a nonzero isotropic class after saturation")
     return out, d_out
 

@@ -778,16 +778,14 @@ def _find_automorphism(mult, base, want, cands, k: int, u: int):
     return None
 
 
-def _assignment_order(g: RootGraph, colors):
+def _assignment_order(g: RootGraph, cells):
     """(base, cells): each next base vertex b_k is the least vertex of a
     smallest cell, and cells[k] is that cell, sorted.  The cells start as the
-    color classes and split by multiplicity to each placed vertex, so a cell
-    is the unplaced vertices sharing a color and the multiplicities to every
-    placed one: McKay and Piperno's target cell in its plainest form."""
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    cells, base, placed = list(by_color.values()), [], []
+    given color classes, sorted lists, and split by multiplicity to each
+    placed vertex, so a cell is the unplaced vertices sharing a color and the
+    multiplicities to every placed one: McKay and Piperno's target cell in
+    its plainest form."""
+    base, placed = [], []
     while cells:
         cell = min(cells, key=lambda c: (len(c), c[0]))
         v = cell[0]
@@ -836,7 +834,7 @@ def automorphisms(g: RootGraph):
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         by_color.setdefault(c, []).append(v)
-    base, cells = _assignment_order(g, colors)
+    base, cells = _assignment_order(g, list(by_color.values()))
     mult = g.mult
     cands = [by_color[c] for c in colors]
     want = [None] + [itemgetter(*base[:d])(mult[base[d]]) for d in range(1, n)]

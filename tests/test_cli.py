@@ -920,7 +920,9 @@ def test_fiber_index_must_be_ascii_digits(fiber):
 @pytest.mark.parametrize("argv, message", [
     (["fiber", "candidates", "A~" + "1" * 5000], "bad diagram token"),
     (["fiber", "lookup", "I" + "1" * 5000, "I1"], "bad fiber token"),
-], ids=["diagram", "fiber"])
+    (["lattice", "det", "A1(" + "1" * 5000 + ")"], "malformed lattice term"),
+    (["lattice", "det", "A" + "1" * 5000], "malformed lattice term"),
+], ids=["diagram", "fiber", "lattice-scale", "lattice-index"])
 def test_overlong_index_is_a_bad_token(argv, message):
     code, out, err = run(argv)
     assert (code, out, err) == (2, "", f"error: {message}: {argv[2]!r}\n")

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -83,6 +83,32 @@ def test_discriminant_lifts_are_dual_and_reduced():
     (lift,) = group.generator_lifts
     assert all(0 <= c < 1 for c in lift)
     assert lattice.disc_q(lat, lift) == Fraction(4, 3)
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("spec", [
+    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "D4", "D5", "E6", "E7", "E8", "U(4)",
+    "A1(-2)+A1(2)", "A3+A3(-1)", "D4+A1", "A1+A3", "D4+A3",
+])
+def test_discriminant_lifts_are_rows_over_one_denominator(spec):
+    # lift i is rows[i]/den, den the lcm of the factors, and has exact order
+    # d_i in L*/L; L is Z^n in these coordinates
+    lat = make_named(spec)
+    group = lattice.discriminant_group(lat)
+    factors = group.invariant_factors
+    assert group.order == abs(lattice.det(lat))
+    assert group.den == lcm(*factors)
+    assert len(group.rows) == len(factors) == len(group.generator_lifts)
+    for d_i, row, lift in zip(factors, group.rows, group.generator_lifts):
+        assert lift == tuple(Fraction(x, group.den) for x in row)
+        assert all(x % (group.den // d_i) == 0 for x in row)
+        assert all(sum(c * g for c, g in zip(lift, col)).denominator == 1 for col in lat.gram)
+        assert all((d_i * c).denominator == 1 for c in lift)
+        for p in _primes(d_i):
+            assert any((d_i // p * c).denominator != 1 for c in lift)
 
 
 def test_disc_q_a1():
@@ -186,6 +212,51 @@ def test_saturate_self_check_survives_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised: H-perp/H has a nonzero isotropic class after saturation\n"
 
+
+
+SHORT_OVERLATTICE_GROUP_SCRIPT = """
+import sys
+from fractions import Fraction
+from coblemukai import lattice
+if __debug__:
+    sys.exit("not running under -O")
+# A1+A1 + A1(-1)+A1(-1) glued along its first diagonal pair is U+A1+A1(-1),
+# whose discriminant group Z/2+Z/2 loses its first generator here
+a1 = lattice.make_named("A1+A1")
+lat = lattice.direct_sum(a1, lattice.rescale(a1, -1))
+glue = [(Fraction(1, 2), 0, Fraction(1, 2), 0)]
+over = lattice.overlattice(lat, glue)
+truthful = lattice._discriminant_group
+
+
+def short(l, d):
+    group = truthful(l, d)
+    if l.gram != over.gram:
+        return group
+    return lattice.DiscriminantGroup(group.invariant_factors[1:], group.rows[1:], group.den)
+
+
+lattice._discriminant_group = short
+try:
+    lattice.overlattice(lat, glue)
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("self-check did not fire")
+"""
+
+
+def test_overlattice_form_check_survives_python_O():
+    src = str(Path(lattice.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SHORT_OVERLATTICE_GROUP_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: discriminant form of overlattice does not match H-perp/H\n"
 
 
 LYING_MINOR_SNF_SCRIPT = """

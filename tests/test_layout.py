@@ -255,3 +255,38 @@ def test_cell_guard_sees_a_class_loop_and_the_precheck():
         "automorphisms: no loop over cells[k]",
         "2: want[k] in _find_automorphism",
     ]
+
+
+def _lifts_outside_rows(text: str) -> list[str]:
+    """Reads of ``generator_lifts`` in a private function, and any
+    ``exact.integer_rows`` outside ``_rows``: inside lattice.py the
+    discriminant lifts stay integer rows over one denominator, and rational
+    vectors from callers become rows in one place."""
+    tree = ast.parse(text)
+    funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    rows = {id(node) for fn in funcs if fn.name == "_rows" for node in ast.walk(fn)}
+    found = [f"{node.lineno}: generator_lifts in {fn.name}" for fn in funcs if _private(fn.name)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and node.attr == "generator_lifts"]
+    found += [f"{node.lineno}: exact.integer_rows" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "integer_rows"
+              and isinstance(node.value, ast.Name) and node.value.id == "exact"
+              and id(node) not in rows]
+    return found
+
+
+def test_discriminant_lifts_stay_integer_rows():
+    text = (SRC / "lattice.py").read_text(encoding="utf-8")
+    assert _lifts_outside_rows(text) == []
+
+
+def test_lift_guard_sees_fraction_reads_and_conversions():
+    bad = (
+        "def _rows(lat, vectors):\n"
+        "    return exact.integer_rows(vectors)\n"
+        "def _saturate(lat, d):\n"
+        "    rows, den = exact.integer_rows(group.generator_lifts)\n"
+        "def discriminant_group(lat):\n"
+        "    return group.generator_lifts\n"
+    )
+    assert _lifts_outside_rows(bad) == ["4: generator_lifts in _saturate", "4: exact.integer_rows"]

@@ -997,7 +997,7 @@ def test_overlattice_form_checked_at_order_4096(monkeypatch):
         group = truthful(l, d)
         if l.gram != over.gram:
             return group
-        return lattice.DiscriminantGroup(group.invariant_factors[1:], group.generator_lifts[1:])
+        return lattice.DiscriminantGroup(group.invariant_factors[1:], group.rows[1:], group.den)
 
     monkeypatch.setattr(lattice, "_discriminant_group", short)
     with pytest.raises(AssertionError, match="H-perp/H"):

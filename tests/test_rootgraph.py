@@ -459,7 +459,9 @@ def test_assignment_order_keeps_its_base():
     # computed it with a Counter of class sizes per placement
     bases = []
     for g in pinned_aut_graphs():
-        base, cells = rootgraph._assignment_order(g, rootgraph._refine_colors(g))
+        colors = rootgraph._refine_colors(g)
+        classes = [[v for v in range(g.n) if colors[v] == c] for c in dict.fromkeys(colors)]
+        base, cells = rootgraph._assignment_order(g, classes)
         assert sorted(base) == list(range(g.n))
         assert all(b == cell[0] and cell == sorted(cell) for b, cell in zip(base, cells))
         bases.append(base)
