@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -69,13 +68,15 @@ def _parse_glue(text: str):
         if not chunk:
             continue
         tokens = chunk.replace(",", " ").split()
-        # Fraction also reads underscores and non-ASCII digits
-        if any(not tok.isascii() or "_" in tok for tok in tokens):
-            raise ValueError(f"glue vector entries must be ASCII rationals: {chunk!r}")
         try:
+            # Fraction also reads underscores and non-ASCII digits
+            if any(not tok.isascii() or "_" in tok for tok in tokens):
+                raise ValueError
             vectors.append(tuple(Fraction(tok) for tok in tokens))
         except ZeroDivisionError:
             raise ValueError(f"glue vector has a zero denominator: {chunk!r}") from None
+        except ValueError:  # also int()'s own refusal of too many digits
+            raise ValueError(f"glue vector entries must be ASCII rationals: {chunk!r}") from None
     if not vectors:
         raise ValueError("empty glue specification")
     return vectors
@@ -197,10 +198,7 @@ def _cmd_lattice(args, out) -> int:
             index = 1 << len(basis)
             kind = "half-integer overlattice along the full q-kernel"
         elif args.glue:
-            over = lattice.overlattice(lat, _parse_glue(args.glue))
-            over_det = lattice.det(over)
-            # overlattice checks det(L) == det(L') * index^2
-            index = math.isqrt(lattice.det(lat) // over_det)
+            over, index, over_det = lattice.overlattice_index(lat, _parse_glue(args.glue))
             kind = "overlattice along isotropic glue"
         else:
             raise ValueError("overlattice needs --glue VECTORS or --half-kernel")

@@ -10,7 +10,8 @@ HNF (``hnf_rows``).  Inertia is computed fraction-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
 from operator import mul
 
 
@@ -27,6 +28,21 @@ def matmul(a: list[list], b: list[list]) -> list[list]:
         raise ValueError("matmul shape mismatch")
     bt = transpose(b)
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def product_is(factors: list[list[list[int]]], rhs: list[list[int]]) -> bool:
+    """Is factors[0] @ ... @ factors[-1] == rhs?  Both sides are evaluated at
+    x = (1, B, ..., B^(c-1)) right to left, as matrix-vector products.  E =
+    (product of inner dimensions) * prod max|A_i| + max|rhs| bounds each entry
+    of the difference and B = 2E + 1, so a difference row zero at x is zero."""
+    top = [max(map(abs, chain.from_iterable(a)), default=0) for a in (*factors, rhs)]
+    base = 2 * (prod(map(len, factors[1:])) * prod(top[:-1]) + top[-1]) + 1
+    x = v = [base**j for j in range(next((len(a[0]) for a in (rhs, factors[-1]) if a), 0))]
+    for a in reversed(factors):
+        if any(len(row) != len(v) for row in a):
+            raise ValueError("product_is shape mismatch")
+        v = [sum(map(mul, row, v)) for row in a]
+    return v == [sum(map(mul, row, x)) for row in rhs]
 
 
 def is_symmetric(m: list[list]) -> bool:
@@ -119,12 +135,12 @@ def _min_pivot(a, t, rows, cols):
 def snf(m: list[list[int]]) -> SnfResult:
     """Smith normal form with unimodular transforms.
 
-    Kummer-Smith elimination; the pivot is always the entry of minimal
-    nonzero absolute value (row-major scan on ties), which keeps coefficient
-    growth tame on the matrices of rank at most 18 this package feeds it.
-    A unit pivot stops the scan for the minimum at the first unit and is
-    not tested for dividing the rest of the submatrix, which it always
-    does; the factors and transforms are those of the full scans.
+    Kummer-Smith elimination; the pivot is always the entry of minimal nonzero
+    absolute value (row-major scan on ties), which keeps coefficient growth
+    tame on the matrices of rank at most 18 this package feeds it.  A unit
+    pivot stops the scan for the minimum at the first unit and is not tested
+    for dividing the rest of the submatrix, which it always does; the factors
+    and transforms are those of the full scans.  ``product_is`` checks them.
     """
     rows, cols = dims(m)
     a = [[int(x) for x in row] for row in m]
@@ -191,12 +207,8 @@ def snf(m: list[list[int]]) -> SnfResult:
             for j in range(rows):
                 left[i][j] = -left[i][j]
     factors = tuple(a[i][i] for i in range(min(rows, cols)))
-    check = matmul(matmul(left, [list(r) for r in m]), right)
-    if not all(
-        check[i][j] == (factors[i] if i == j and i < len(factors) else 0)
-        for i in range(rows)
-        for j in range(cols)
-    ):
+    diag = [[factors[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    if not product_is([left, m, right], diag):
         raise AssertionError("SNF internal inconsistency")
     return SnfResult(
         factors=factors,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from operator import mul
 
 from . import exact
@@ -236,7 +236,7 @@ def _discriminant_group(lat: Lattice, d: int) -> DiscriminantGroup:
     if not _in_dual(lat, rows, den):
         raise AssertionError("discriminant generator lift is not in the dual lattice")
     group = DiscriminantGroup(tuple(di for _, di in picked), rows, den)
-    if group.order != abs(d):
+    if prod(res.factors) != abs(d):  # a zero factor, a singular Gram, fails too
         raise AssertionError("discriminant group order does not match |det|")
     return group
 
@@ -276,14 +276,21 @@ def overlattice(lat: Lattice, glue) -> Lattice:
     is never listed.  The result L' satisfies det(L') * |H|^2 = det(L), and
     its discriminant form is checked to be q_L on H-perp/H.
     """
+    return overlattice_index(lat, glue)[0]
+
+
+def overlattice_index(lat: Lattice, glue) -> tuple[Lattice, int, int]:
+    """(``overlattice(lat, glue)``, its index |H| over L, its det)."""
     if not is_even(lat):
         raise ValueError("overlattice gluing requires an even lattice")
-    return _overlattice(lat, *_rows(lat, glue), det(lat))[0]
+    out, _, d_out = _overlattice(lat, *_rows(lat, glue), d := det(lat))
+    return out, isqrt(d // d_out), d_out
 
 
 def _overlattice(lat: Lattice, glue, den: int, d: int):
     """``overlattice`` on glue rows over den, given d = det L: (L', L'*/L', det L').
 
+    det L' = d / index^2 is confirmed by the SNF of L' in ``_discriminant_group``.
     L'*/L' = H-perp/H is checked on generators without listing either group.
     For L in L' in L'* in L*, H-perp is L'*/L (Nikulin 1979, Prop. 1.4.1).
     The discriminant lifts of L', written in L coordinates, must lie in L*
@@ -301,9 +308,9 @@ def _overlattice(lat: Lattice, glue, den: int, d: int):
     out = make_lattice(_basis_gram(lat, basis, den))
     if not is_even(out):
         raise AssertionError("overlattice of an even lattice along isotropic glue must be even")
-    d_out = det(out)
-    if d_out * index * index != d:
+    if d % (index * index):
         raise AssertionError("overlattice index does not match glue subgroup order")
+    d_out = d // (index * index)
     group = _discriminant_group(out, d_out)
     lifts = exact.matmul(group.rows, basis)
     glue = [[group.den * x for x in g] for g in glue]
@@ -349,8 +356,8 @@ def saturate(lat: Lattice) -> Lattice:
 
 
 def saturated_det(lat: Lattice) -> int:
-    """det of ``saturate(lat)``, taking one determinant of L and one of L'
-    (a unimodular L is its own saturation)."""
+    """det of ``saturate(lat)``, taking one determinant, of L: det L' follows
+    from the glue index (a unimodular L is its own saturation)."""
     d = det(lat)
     return d if abs(d) == 1 else _saturate(lat, d)[1]
 
@@ -512,10 +519,9 @@ def radical_quotient(gram) -> Lattice:
     of M^-1.  C M C^T = d^2 G is checked only where it does not follow:
     (d M^-1) M = d I is checked, so C_S = d I and the blocks on rows or
     columns in S hold; on the rows T outside S, C_T M C_T^T = d C_T G[S,T],
-    and the upper triangle of C_T G[S,T] = d G[T,T] is checked.  The
-    HNF rows restricted to S are a basis B of L M, where L is spanned by the
-    C_j, so the quotient has Gram B M^-1 B^T, which is checked to be
-    integral.  G = 0 gives rank 0.
+    and G[T,S] (d M^-1) G[S,T] = d G[T,T] is checked, both by ``exact.product_is``.
+    The HNF rows restricted to S are a basis B of L M (L spanned by the C_j),
+    so the quotient has Gram B M^-1 B^T, checked integral; G = 0 gives rank 0.
 
     The rows go to ``exact.hnf_rows`` by descending leading column.  The HNF
     is canonical, so the order does not change it, but a row then mostly
@@ -534,13 +540,12 @@ def radical_quotient(gram) -> Lattice:
         return make_lattice([])
     m = [[g[i][j] for j in pivots] for i in pivots]
     inv, d = exact.inverse(m)
-    if exact.matmul(inv, m) != [[d * x for x in row] for row in exact.identity(len(m))]:
+    if not exact.product_is([inv, m], [[d * (i == j) for j in pivots] for i in pivots]):
         raise AssertionError("radical split failed: d M^-1 times M is not d I")
     rest = sorted(set(range(len(g))).difference(pivots))
-    rows = [[g[i][j] for j in pivots] for i in rest]  # G[T,S], also the columns of G[S,T]
-    coords = exact.matmul(rows, inv)
-    if any(sum(map(mul, coords[a], rows[b])) != d * g[rest[a]][rest[b]]
-           for a in range(len(rest)) for b in range(a, len(rest))):
+    g_ts = [[g[i][j] for j in pivots] for i in rest]
+    g_st = [[g[i][j] for j in rest] for i in pivots]
+    if not exact.product_is([g_ts, inv, g_st], [[d * g[i][j] for j in rest] for i in rest]):
         raise AssertionError("radical split failed: C M C^T is not d^2 G off the pivots")
     b = [[row[j] for j in pivots] for row in hnf]
     span = exact.matmul(exact.matmul(b, inv), exact.transpose(b))

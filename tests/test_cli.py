@@ -240,6 +240,16 @@ def test_glue_zero_denominator_exit_2():
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_glue_over_long_entries_exit_2_with_glue_message():
+    # Fraction hands these to int(), which refuses more than 4300 digits
+    # with its own text; the CLI names the glue vector instead
+    ones = "1" * 5000
+    for glue in (f"{ones}/2,0", f"1/{ones},0"):
+        code, out, err = run(["lattice", "overlattice", "U(2)", "--glue", glue])
+        assert (code, out) == (2, ""), glue[-8:]
+        assert err == f"error: glue vector entries must be ASCII rationals: {glue!r}\n"
+
+
 def test_glue_lift_length_must_match_rank():
     # a lift longer than the rank is refused, not cut: "1/2,0,7/3" is no "1/2,0"
     for glue in ("1/2,0,7/3", "1/2,0,0", "1/2", "1/2,0;1/2,0,0"):

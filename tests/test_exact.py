@@ -71,6 +71,80 @@ def test_snf_divisibility_chain_and_det():
             assert prod == abs(d)
 
 
+def chain_product(factors, cols):
+    """A_1 ... A_k by the triple loop; ``cols`` is the column count of A_k."""
+    out = factors[0]
+    for k, b in enumerate(factors[1:], 1):
+        width = len(factors[k + 1]) if k + 1 < len(factors) else cols
+        out = [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(width)]
+               for row in out]
+    return out
+
+
+def random_chain(rng):
+    """Integer matrix chains of 1-4 factors, any dimension 0-4.  A third of
+    them fill each factor with one entry of one sign, so every entry of the
+    product is at the bound (product of inner dimensions) * prod max|A_i|."""
+    shape = [rng.randint(0, 4) for _ in range(rng.randint(2, 5))]
+    mode = rng.choice(("small", "large", "extreme"))
+    factors = []
+    for r, c in zip(shape, shape[1:]):
+        if mode == "extreme":
+            v = rng.choice((1, -1)) * rng.choice((1, 7, 10**15))
+            factors.append([[v] * c for _ in range(r)])
+        else:
+            top = 3 if mode == "small" else 10**18
+            factors.append([[rng.randint(-top, top) for _ in range(c)] for _ in range(r)])
+    return factors, shape[-1]
+
+
+def test_product_is_agrees_with_triple_loop():
+    rng = random.Random(26)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        factors, cols = random_chain(rng)
+        rhs = chain_product(factors, cols)
+        assert exact.product_is(factors, rhs)
+        entries = [(i, j) for i, row in enumerate(rhs) for j in range(len(row))]
+        if entries:
+            i, j = rng.choice(entries)
+            bad = [row[:] for row in rhs]
+            bad[i][j] += rng.choice((1, -1))
+            assert not exact.product_is(factors, bad)
+        k = rng.randrange(len(factors))
+        cells = [(i, j) for i, row in enumerate(factors[k]) for j in range(len(row))]
+        if cells:
+            i, j = rng.choice(cells)
+            lied = [[row[:] for row in a] for a in factors]
+            lied[k][i][j] += rng.choice((1, -1))
+            expected = chain_product(lied, cols) == rhs
+            assert exact.product_is(lied, rhs) == expected
+            seen[expected] += 1
+    # a changed factor entry may leave the product alone (a zero row or column)
+    assert seen[True] and seen[False]
+
+
+def test_product_is_base_exceeds_the_bound():
+    # each difference row (D, -1) vanishes at x = (1, D), so it is missed by
+    # any base B <= D; D is the bound E itself, or the base that a bound
+    # without the inner dimensions (2ab + 3 = 3ab with ab = 3) would give
+    for a, b in ((1, 1), (3, 5), (10**9, 7)):
+        p = 2 * a * b  # A = [[a, a]], C = [[b, b], [b, b]]: D = p + (p + 1) = E
+        factors = [[[a, a]], [[b, b], [b, b]]]
+        assert chain_product(factors, 2) == [[p, p]]
+        assert not exact.product_is(factors, [[-(p + 1), p + 1]])
+        assert exact.product_is(factors, [[p, p]])
+    for a, b in ((1, 3), (3, 1)):
+        factors = [[[a] * 3], [[b, 0]] * 3]  # inner dimension 3, product [[3ab, 0]]
+        assert chain_product(factors, 2) == [[3 * a * b, 0]]
+        assert not exact.product_is(factors, [[0, 1]])
+
+
+def test_product_is_refuses_mismatched_shapes():
+    with pytest.raises(ValueError, match="product_is shape mismatch"):
+        exact.product_is([[[1, 2]], [[1, 0]]], [[1]])
+
+
 def test_det_examples():
     assert exact.det([[0, 1], [1, 0]]) == -1
     assert exact.det([[2]]) == 2

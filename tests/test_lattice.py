@@ -371,6 +371,99 @@ def test_elimination_self_checks_survive_python_O():
     )
 
 
+LYING_SNF_TRANSFORMS_SCRIPT = """
+import sys
+from coblemukai import exact, lattice
+if __debug__:
+    sys.exit("not running under -O")
+truthful_identity = exact.identity
+
+
+def sheared_identity(n):
+    # snf's transforms start one shear off the identity, so every row
+    # operation it records is right but the left and right it returns are not
+    start = truthful_identity(n)
+    if n > 1:
+        start[0][n - 1] = 1
+    return start
+
+
+exact.identity = sheared_identity
+for check in (lambda: exact.snf([[2, 0], [0, 3]]),
+              lambda: lattice.discriminant_group(lattice.make_named("A2")),
+              lambda: lattice.saturate(lattice.make_named("D4+D4"))):
+    try:
+        check()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
+"""
+
+
+def test_snf_self_check_survives_python_O():
+    # left @ m @ right == diag(factors) is checked at one evaluation point;
+    # transforms that do not start at the identity fail it
+    src = str(Path(lattice.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_SNF_TRANSFORMS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: SNF internal inconsistency\n" * 3
+
+
+LYING_INDEX_SCRIPT = """
+import sys
+from fractions import Fraction
+from coblemukai import lattice
+if __debug__:
+    sys.exit("not running under -O")
+truthful_adjoin = lattice._adjoin
+
+
+def doubled_adjoin(lat, rows, den):
+    # the HNF basis is right, the index read off its pivots is twice too big
+    basis, index = truthful_adjoin(lat, rows, den)
+    return basis, 2 * index
+
+
+lattice._adjoin = doubled_adjoin
+a1 = lattice.make_named("A1+A1")
+half = Fraction(1, 2)
+for lat, glue in ((lattice.make_named("U(2)"), [(half, 0)]),
+                  (lattice.direct_sum(a1, lattice.rescale(a1, -1)), [(half, 0, half, 0)])):
+    try:
+        lattice.overlattice(lat, glue)
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
+"""
+
+
+def test_overlattice_index_check_survives_python_O():
+    # det L' is taken as det L / index^2.  U(2) has det -4, which 4^2 does
+    # not divide; A1+A1+A1(-1)+A1(-1) has det 16 = 4^2 * 1, but the SNF of
+    # L' = U+A1+A1(-1) finds |L'*/L'| = 4, not 1
+    src = str(Path(lattice.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_INDEX_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "raised: overlattice index does not match glue subgroup order\n"
+        "raised: discriminant group order does not match |det|\n"
+    )
+
+
 # sha256 of repr(radical_quotient(G).gram) for the catalog graphs and 20
 # seeded induced subgraphs of VI, MI and MII (size in the comment), as
 # produced when the rows went to the HNF in the order given
