@@ -11,10 +11,10 @@ is byte-deterministic; ``--json`` switches the report to JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog, fibrations, lattice, rootgraph
 
@@ -63,19 +63,12 @@ def _load_lattice_spec(spec: str) -> lattice.Lattice:
 
 def _parse_glue(text: str):
     vectors = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        tokens = chunk.replace(",", " ").split()
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
         try:
-            # Fraction also reads underscores and non-ASCII digits
-            if any(not tok.isascii() or "_" in tok for tok in tokens):
-                raise ValueError
-            vectors.append(tuple(Fraction(tok) for tok in tokens))
+            vectors.append(tuple(map(lattice.ascii_fraction, chunk.replace(",", " ").split())))
         except ZeroDivisionError:
             raise ValueError(f"glue vector has a zero denominator: {chunk!r}") from None
-        except ValueError:  # also int()'s own refusal of too many digits
+        except ValueError:
             raise ValueError(f"glue vector entries must be ASCII rationals: {chunk!r}") from None
     if not vectors:
         raise ValueError("empty glue specification")
@@ -369,7 +362,8 @@ def _parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("lattice", help="integral lattice invariants")
     pl.add_argument("action", choices=["det", "disc", "mod2", "overlattice"])
     pl.add_argument("spec", help='lattice spec, e.g. "A5+A5+A1+A1" or "U(2)"')
-    pl.add_argument("--glue", default=None, help='dual lifts "1/2,1/2,0 ; ..." for overlattice')
+    pl.add_argument("--glue", default=None, help='dual lifts "1/2,1/2,0 ; ..." for overlattice; '
+                    "each entry is p or p/q in ASCII digits, p with an optional sign")
     pl.add_argument("--half-kernel", action="store_true", help="halve the full mod-2 q-kernel")
     pl.add_argument("--json", action="store_true")
     pl.set_defaults(func=_cmd_lattice)
@@ -400,7 +394,9 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes usage errors, --help and --version to sys.stderr and sys.stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

@@ -10,9 +10,9 @@ the diagram correspondence.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 
+from .lattice import ascii_int
 from .rootgraph import DiagramType, parse_diagram
 
 CHAR_CLASSES = ("generic", "p5", "p3")
@@ -46,15 +46,13 @@ _FIBER_RE = re.compile(r"^(I{1,3}|IV)([0-9]*)(\*?)$")  # ASCII digits only
 
 def parse_fiber(token: str) -> KodairaFiber:
     m = _FIBER_RE.match(token.strip())
-    if not m:
+    if not m or (m[2] and m[1] != "I"):
         raise ValueError(f"bad fiber token: {token!r}")
-    kind, digits, star = m.groups()
-    # more digits than int() converts would end in Python's own message
-    if (digits and kind != "I") or 0 < sys.get_int_max_str_digits() < len(digits):
-        raise ValueError(f"bad fiber token: {token!r}")
-    if kind == "I" and digits:
-        return KodairaFiber("I*" if star else "I", int(digits))
-    return KodairaFiber(kind + star if star else kind)
+    try:
+        index = ascii_int(m[2]) if m[2] else 0
+    except ValueError:
+        raise ValueError(f"bad fiber token: {token!r}") from None
+    return KodairaFiber(m[1] + m[3], index)
 
 
 def fiber_multiset(tokens) -> tuple[KodairaFiber, ...]:

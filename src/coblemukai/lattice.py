@@ -127,7 +127,7 @@ def _ade_gram(family: str, n: int) -> list[list[int]]:
     return g
 
 
-_TERM_RE = re.compile(r"^([A-Z][0-9]*)(?:\((-?[0-9]+)\))?$")
+_TERM_RE = re.compile(r"^([A-Z])([0-9]*)(?:\((-?[0-9]+)\))?$")
 
 
 def make_named(spec: str) -> Lattice:
@@ -146,23 +146,22 @@ def make_named(spec: str) -> Lattice:
         m = _TERM_RE.match(part)
         if not m:
             raise ValueError(f"malformed lattice term: {part!r}")
-        base, scale = m.group(1), m.group(2)
-        # more digits than int() converts would end in Python's own message
-        if 0 < sys.get_int_max_str_digits() < max(len(base) - 1, len((scale or "").lstrip("-"))):
-            raise ValueError(f"malformed lattice term: {part!r}")
-        if base in ("U", "E10"):
-            family, n = base, 2 if base == "U" else 10
-        else:
-            family, idx = base[0], base[1:]
-            if family not in "ADE" or not idx:
-                raise ValueError(f"unknown lattice name: {part!r}")
-            n = int(idx)
-            if family == "A" and n < 1:
-                raise ValueError("A_m requires m >= 1")
-            if family == "D" and n < 4:
-                raise ValueError("D_n requires n >= 4")
-            if family == "E" and n not in (6, 7, 8):
-                raise ValueError("E_k requires k in {6, 7, 8}")
+        family, digits, scale = m.groups()
+        try:
+            n = ascii_int(digits) if digits else None
+            scale = ascii_int(scale) if scale else None
+        except ValueError:
+            raise ValueError(f"malformed lattice term: {part!r}") from None
+        if family + digits in ("U", "E10"):
+            family, n = family + digits, 2 if family == "U" else 10
+        elif family not in "ADE" or n is None:
+            raise ValueError(f"unknown lattice name: {part!r}")
+        elif family == "A" and n < 1:
+            raise ValueError("A_m requires m >= 1")
+        elif family == "D" and n < 4:
+            raise ValueError("D_n requires n >= 4")
+        elif family == "E" and n not in (6, 7, 8):
+            raise ValueError("E_k requires k in {6, 7, 8}")
         terms.append((family, n, scale))
     rank = sum(n for _, n, _ in terms)
     if rank > NAMED_MAX_RANK:
@@ -176,7 +175,7 @@ def make_named(spec: str) -> Lattice:
         else:
             lat = make_lattice(_ade_gram(family, n))
         if scale is not None:
-            lat = rescale(lat, int(scale))
+            lat = rescale(lat, scale)
         summands.append(lat)
     return summands[0] if len(summands) == 1 else direct_sum(*summands)
 
@@ -411,19 +410,13 @@ def _q2(gram: list[list[int]], mask: int, n: int) -> int:
     return (total // 2) % 2
 
 
-def _gf2_kernel(rows: list[int], n: int) -> list[int]:
-    """Kernel basis of an n-column GF(2) matrix given as row bitmasks.
-
-    Columns are eliminated while tracking which unit-vector combination
-    produced them; combinations that reduce to zero span the kernel.
-    """
+def _gf2_kernel(rows: list[int]) -> list[int]:
+    """Kernel basis of a symmetric GF(2) matrix given as row bitmasks, so row i
+    is also column i.  Columns are eliminated while tracking which unit-vector
+    combination produced them; combinations that reduce to zero span the kernel."""
     basis: list[int] = []
     reduced: list[tuple[int, int]] = []  # (column bitmask, combination), pivot-sorted
-    for i in range(n):
-        col = 0
-        for r, row in enumerate(rows):
-            if row >> i & 1:
-                col |= 1 << r
+    for i, col in enumerate(rows):
         comb = 1 << i
         for rc, rcomb in reduced:
             if col & (rc & -rc):
@@ -448,7 +441,7 @@ def mod2_nullity(lat: Lattice) -> tuple[int, int, list[tuple[int, ...]]]:
     n = lat.rank
     g = lat.gram_rows()
     f_rows = [sum((g[i][j] % 2) << j for j in range(n)) for i in range(n)]
-    ker_f = _gf2_kernel(f_rows, n)
+    ker_f = _gf2_kernel(f_rows)
     qvals = [_q2(g, v, n) for v in ker_f]
     if any(qvals):
         # q is linear on ker f; intersect with the hyperplane q = 0
@@ -557,12 +550,24 @@ def radical_quotient(gram) -> Lattice:
 # --- text format -----------------------------------------------------------
 
 def ascii_int(token: str) -> int:
-    """int() of a token split on whitespace, refusing underscores (``0_1``)
-    and non-ASCII decimal digits, so only a sign and ASCII digits pass.
-    Graph and Gram files and the CLI's integer options read integers so."""
-    if not token.isascii() or "_" in token:
+    """The one reader of integer text: an optional sign and ASCII digits.
+    Underscores (``0_1``), non-ASCII digits and whitespace, which int() reads,
+    are refused; more digits than int() converts raise this function's text."""
+    if not (token.isdigit() or token[:1] in ("+", "-") and token[1:].isdigit()) or not token.isascii():
         raise ValueError(f"not an integer: {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # the text is a sign and digits, so only the digit limit is left
+        raise ValueError(f"integer has more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def ascii_fraction(token: str) -> Fraction:
+    """``p`` or ``p/q``: p is read by ascii_int, q is unsigned ASCII digits.
+    No decimal point or exponent; q = 0 raises ZeroDivisionError."""
+    p, slash, q = token.partition("/")
+    if slash and not q.isdigit():
+        raise ValueError(f"not a fraction: {token!r}")
+    return Fraction(ascii_int(p), ascii_int(q) if slash else 1)
 
 
 def parse_gram_text(text: str) -> Lattice:

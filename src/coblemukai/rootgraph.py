@@ -11,7 +11,6 @@ automorphism groups, and a small text format plus DOT export.
 from __future__ import annotations
 
 import operator
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -215,12 +214,13 @@ def parse_diagram(token: str) -> DiagramType:
     affine = t[1:2] == "~"  # the one place a tilde may stand
     if affine:
         t = t[0] + t[2:]
-    digits = t[1:]
-    # more digits than int() converts would end in Python's own message
-    if (len(t) < 2 or t[0] not in "ADE" or not (digits.isascii() and digits.isdigit())
-            or 0 < sys.get_int_max_str_digits() < len(digits)):
+    family, digits = t[:1], t[1:]
+    if family not in ("A", "D", "E") or not digits.isdigit():
         raise ValueError(f"bad diagram token: {token!r}")
-    family, index = t[0], int(digits)
+    try:
+        index = lattice.ascii_int(digits)
+    except ValueError:
+        raise ValueError(f"bad diagram token: {token!r}") from None
     # the same bounds as the root lattices of lattice.make_named
     if not {"A": index >= 1, "D": index >= 4, "E": index in (6, 7, 8)}[family]:
         raise ValueError(f"no diagram {token.strip()!r}: A needs index >= 1, D >= 4, E 6, 7 or 8")

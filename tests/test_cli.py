@@ -3,12 +3,14 @@ import io
 import json
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coblemukai
 from coblemukai import cli, rootgraph
 
 
@@ -181,12 +183,12 @@ def test_usage_errors_exit_2():
     assert run(["catalog", "build", "V"])[0] == 2
     assert run([])[0] == 2
     # int() and Fraction() read underscores and non-ASCII digits; the CLI does not
-    for argv in (["graph", "parabolics", "builtin:I", "--rank", "٢"],
-                 ["graph", "parabolics", "builtin:I", "--rank", "1_0"],
-                 ["lattice", "overlattice", "U(2)", "--glue", "١/2,0"]):
+    for argv, text in ((["graph", "parabolics", "builtin:I", "--rank", "٢"], "argument --rank: invalid"),
+                       (["graph", "parabolics", "builtin:I", "--rank", "1_0"], "argument --rank: invalid"),
+                       (["lattice", "overlattice", "U(2)", "--glue", "١/2,0"], "glue vector entries")):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv
-        assert "Traceback" not in err
+        assert text in err and "Traceback" not in err
 
 
 def test_catalog_build_roundtrip():
@@ -944,3 +946,86 @@ def test_gram_file_refuses_negative_rank(tmp_path):
     p.write_text("rank -1\n5\n")
     code, out, err = run(["lattice", "det", f"file:{p}"])
     assert (code, out, err) == (2, "", "error: gram file rank must be >= 0\n")
+
+
+def test_argparse_writes_to_the_given_streams():
+    code, out, err = run(["--version"])
+    assert (code, out, err) == (0, f"coblemukai {coblemukai.__version__}\n", "")
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: coblemukai ")
+    code, out, err = run(["graph", "info"])
+    assert (code, out) == (2, "") and err.startswith("usage: coblemukai graph ")
+    assert err.endswith("coblemukai graph: error: the following arguments are required: source\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lattice", "overlattice", "A1+A1", "--glue", "1/2,0", "--half-kernel"],
+     "--glue and --half-kernel are mutually exclusive"),
+    (["lattice", "overlattice", "A1+A1"], "overlattice needs --glue VECTORS or --half-kernel"),
+    (["lattice", "overlattice", "A1+A1", "--glue", " ; ;"], "empty glue specification"),
+    (["lattice", "overlattice", "A1", "--glue", "1/0"], "glue vector has a zero denominator: '1/0'"),
+    (["lattice", "det", "A1++A2"], "malformed lattice spec: 'A1++A2'"),
+    (["lattice", "det", "Q9"], "unknown lattice name: 'Q9'"),
+    (["lattice", "det", "A0"], "A_m requires m >= 1"),
+    (["lattice", "det", "D3"], "D_n requires n >= 4"),
+    (["lattice", "det", "E9"], "E_k requires k in {6, 7, 8}"),
+    (["lattice", "det", "A300"], "lattice spec of rank 300 is above the bound 256"),
+    (["fiber", "lookup", "I0", "I1"], "I_n requires n >= 1"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_spec_and_option_refusals_exit_2(argv, message):
+    assert run(argv) == (2, "", f"error: {message}\n")
+
+
+# Every reader of a number token in the CLI: (name, argv with "{}" for the
+# token and FILE for a file holding `text`, the refusal, the refusal of the
+# empty token if it differs); {arg!r} stands for the argument holding the token.
+NUMBER_READERS = [
+    ("graph-rank", ["graph", "parabolics", "builtin:I", "--rank", "{}"], None,
+     "coblemukai graph: error: argument --rank: invalid ascii_int value: {arg!r}", None),
+    ("graph-multiplicity", ["graph", "info", "FILE"], "graph pair\nvertex a\nvertex b\nedge a b {}\n",
+     "error: line 4: multiplicity must be an integer", "error: line 4: expected 'edge <a> <b> <mult>'"),
+    ("gram-rank", ["lattice", "det", "file:FILE"], "rank {}",
+     "error: gram file rank is not an integer", 'error: gram file must start with "rank N"'),
+    ("gram-entry", ["lattice", "det", "file:FILE"], "rank 1\n{}\n",
+     "error: gram file entries must be integers", "error: expected 1 matrix entries, found 0"),
+    ("lattice-index", ["lattice", "det", "A{}"], None,
+     "error: malformed lattice term: {arg!r}", "error: unknown lattice name: {arg!r}"),
+    ("lattice-scale", ["lattice", "det", "A1({})"], None, "error: malformed lattice term: {arg!r}", None),
+    ("glue-numerator", ["lattice", "overlattice", "U(2)", "--glue", "{}/2,0"], None,
+     "error: glue vector entries must be ASCII rationals: {arg!r}", None),
+    ("glue-denominator", ["lattice", "overlattice", "U(2)", "--glue", "1/{},0"], None,
+     "error: glue vector entries must be ASCII rationals: {arg!r}", None),
+    ("fiber-index", ["fiber", "lookup", "I{}", "I1"], None,
+     "error: bad fiber token: {arg!r}", "error: I_n requires n >= 1"),
+    ("diagram-index", ["fiber", "candidates", "A~{}"], None, "error: bad diagram token: {arg!r}", None),
+]
+BAD_NUMBER_TOKENS = {"long": "1" * 5000, "non-ascii": "٢", "underscore": "1_0", "empty": ""}
+
+
+def _number_token_cases():
+    for reader, argv, text, refusal, empty_refusal in NUMBER_READERS:
+        for kind, token in BAD_NUMBER_TOKENS.items():
+            expected = empty_refusal if not token and empty_refusal else refusal
+            yield pytest.param(argv, text, token, expected, id=f"{reader}-{kind}")
+    # Fraction reads these; for the first it builds an integer of ten million digits
+    for form in ("1e10000000", "1e3", "0.5"):
+        yield pytest.param(["lattice", "overlattice", "U(2)", "--glue", "{},0"], None, form,
+                           "error: glue vector entries must be ASCII rationals: {arg!r}", id=f"glue-{form}")
+
+
+@pytest.mark.parametrize("argv, text, token, refusal", list(_number_token_cases()))
+def test_number_tokens_are_refused_in_the_tools_own_words(tmp_path, argv, text, token, refusal):
+    path = tmp_path / "tokens.txt"
+    if text is not None:
+        path.write_text(text.format(token), encoding="utf-8")
+    arg = next((a.format(token) for a in argv if "{}" in a), None)
+    start = time.perf_counter()
+    code, out, err = run([a.format(token).replace("FILE", str(path)) for a in argv])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "Exceeds the limit" not in err and "Traceback" not in err
+    expected = refusal.format(arg=arg) + "\n"
+    if expected.startswith("coblemukai "):  # argparse's refusal follows its usage text
+        assert err.startswith("usage: coblemukai ") and err.endswith(expected)
+    else:
+        assert err == expected

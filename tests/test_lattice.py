@@ -624,3 +624,56 @@ def test_mod2_nullity_any_rank():
     big = lattice.direct_sum(*[make_named("A1")] * 17)
     nullity, rank, _ = lattice.mod2_nullity(big)
     assert nullity + rank == 17
+
+
+@pytest.mark.parametrize("token, value", [
+    ("0", 0), ("7", 7), ("-7", -7), ("+7", 7), ("-0", 0), ("007", 7), ("1" * 300, int("1" * 300)),
+])
+def test_ascii_int_reads_a_sign_and_ascii_digits(token, value):
+    assert lattice.ascii_int(token) == value
+
+
+# int() reads 1_0, the non-ASCII digits ٢ and １, and the tokens with whitespace
+@pytest.mark.parametrize("token", ["", "-", "+", "1_0", "٢", "²", "１", " 1", "1 ", "+-1", "--1", "1.0", "0x1"])
+def test_ascii_int_refuses_other_integer_text(token):
+    with pytest.raises(ValueError, match="^not an integer: "):
+        lattice.ascii_int(token)
+
+
+def test_ascii_int_refuses_more_digits_than_int_converts_in_its_own_words():
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    for token in ("1" * (limit + 1), "-" + "1" * (limit + 1)):
+        with pytest.raises(ValueError) as info:
+            lattice.ascii_int(token)
+        assert str(info.value) == f"integer has more than {limit} digits"
+    assert lattice.ascii_int("-" + "1" * limit) == -int("1" * limit)
+    sys.set_int_max_str_digits(0)  # no limit: the same token is read
+    try:
+        assert lattice.ascii_int("1" * (limit + 1)) == int("1" * (limit + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("3", Fraction(3)), ("-3", Fraction(-3)), ("1/2", Fraction(1, 2)), ("-1/2", Fraction(-1, 2)),
+    ("+2/4", Fraction(1, 2)), ("0/5", Fraction(0)), ("7/03", Fraction(7, 3)),
+])
+def test_ascii_fraction_reads_p_and_p_over_q(token, value):
+    assert lattice.ascii_fraction(token) == value
+
+
+# Fraction reads the decimal, exponent, underscore and non-ASCII forms here
+@pytest.mark.parametrize("token", [
+    "", "/", "1/", "/2", "1/-2", "1/+2", "1/2/3", "1/ 2", "0.5", ".5", "5.", "1e3", "1e-3",
+    "1_0/2", "1/2_0", "٢/3", "1/٢", "nan", "inf", "1/" + "1" * 5000, "1" * 5000 + "/2",
+], ids=lambda t: t if len(t) < 20 else f"{t[:3]}...({len(t)} chars)")
+def test_ascii_fraction_refuses_other_rational_text(token):
+    with pytest.raises(ValueError):
+        lattice.ascii_fraction(token)
+
+
+def test_ascii_fraction_zero_denominator_is_a_zero_division():
+    for token in ("1/0", "0/0", "-5/000"):
+        with pytest.raises(ZeroDivisionError):
+            lattice.ascii_fraction(token)

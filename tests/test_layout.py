@@ -290,3 +290,53 @@ def test_lift_guard_sees_fraction_reads_and_conversions():
         "    return group.generator_lifts\n"
     )
     assert _lifts_outside_rows(bad) == ["4: generator_lifts in _saturate", "4: exact.integer_rows"]
+
+
+def _int_limit_readers(sources: dict[str, str]) -> list[str]:
+    """Where ``sys.get_int_max_str_digits`` is named, as ``module.function``
+    (the outermost function; ``module.<module>`` outside any): only the one
+    reader of integer text, ``lattice.ascii_int``, may decide the digit limit."""
+    found = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first, so an outer function comes first
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), fn.name)
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [node.id] if isinstance(node, ast.Name) else [])
+            if "get_int_max_str_digits" in names:
+                found.add(f"{module}.{owner.get(id(node), '<module>')}")
+    return sorted(found)
+
+
+def _fraction_calls(text: str) -> list[str]:
+    """Calls of ``Fraction`` or ``fractions.Fraction``: the CLI reads
+    rational text through ``lattice.ascii_fraction``, not Fraction's grammar."""
+    return [f"{node.lineno}: Fraction(...)" for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call) and "Fraction" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None))]
+
+
+def test_one_reader_decides_number_text():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert _int_limit_readers(sources) == ["lattice.ascii_int"]
+    assert _fraction_calls(sources["cli"]) == []
+
+
+def test_number_text_guard_sees_limit_reads_and_fraction_calls():
+    bad = {
+        "lattice": "import sys\ndef ascii_int(t):\n    return sys.get_int_max_str_digits()\n"
+                   "LIMIT = sys.get_int_max_str_digits()\n",
+        "rootgraph": "from sys import get_int_max_str_digits\n"
+                     "def parse_diagram(t):\n    def inner():\n        return get_int_max_str_digits()\n",
+    }
+    assert _int_limit_readers(bad) == [
+        "lattice.<module>", "lattice.ascii_int", "rootgraph.<module>", "rootgraph.parse_diagram"]
+    assert _int_limit_readers({"cli": "import sys\nsys.argv\n"}) == []
+    text = ("from fractions import Fraction\nimport fractions\nx = Fraction(1)\n"
+            "y = fractions.Fraction('1/2')\nz = isinstance(x, Fraction)\n")
+    assert _fraction_calls(text) == ["3: Fraction(...)", "4: Fraction(...)"]
