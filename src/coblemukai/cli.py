@@ -363,7 +363,8 @@ def _parser() -> argparse.ArgumentParser:
     pl.add_argument("action", choices=["det", "disc", "mod2", "overlattice"])
     pl.add_argument("spec", help='lattice spec, e.g. "A5+A5+A1+A1" or "U(2)"')
     pl.add_argument("--glue", default=None, help='dual lifts "1/2,1/2,0 ; ..." for overlattice; '
-                    "each entry is p or p/q in ASCII digits, p with an optional sign")
+                    "each entry is p or p/q in ASCII digits, p with an optional sign; "
+                    "write a value that starts with - as --glue=-1/4,0")
     pl.add_argument("--half-kernel", action="store_true", help="halve the full mod-2 q-kernel")
     pl.add_argument("--json", action="store_true")
     pl.set_defaults(func=_cmd_lattice)

@@ -53,12 +53,32 @@ def _rows(lat: Lattice, vectors) -> tuple[list[list[int]], int]:
     return rows, den
 
 
-def _pairings(lat: Lattice, rows, cols) -> list[list[int]]:
-    """V*G*W^T for integer rows V and W."""
+def _times_gram(lat: Lattice, rows) -> list[list[int]]:
+    """V*G for integer rows V, the one place that forms it: row v of V*G is
+    the sum of v_k times row k of G (G is symmetric) over the nonzero v_k."""
     out = []
     for v in rows:
-        vg = [sum(map(mul, v, col)) for col in lat.gram]  # G is symmetric
-        out.append([sum(map(mul, vg, w)) for w in cols])
+        acc = None
+        for a, g in zip(v, lat.gram):
+            if a:
+                acc = [a * y for y in g] if acc is None else [x + a * y for x, y in zip(acc, g)]
+        out.append(acc or [0] * lat.rank)
+    return out
+
+
+def _pairings(lat: Lattice, rows, cols=None) -> list[list[int]]:
+    """V*G*W^T for integer rows V and W, each pairing summed over the nonzero
+    entries of w.  Without ``cols`` this is the Gram V*G*V^T of ``rows``: one
+    triangle is computed and mirrored."""
+    vg = _times_gram(lat, rows)
+    support = [[(k, x) for k, x in enumerate(w) if x] for w in (rows if cols is None else cols)]
+    if cols is not None:
+        return [[sum([u[k] * x for k, x in s]) for s in support] for u in vg]
+    out = [[0] * len(rows) for _ in rows]
+    for j, s in enumerate(support):
+        for i in range(j, len(rows)):
+            u = vg[i]
+            out[i][j] = out[j][i] = sum([u[k] * x for k, x in s])
     return out
 
 
@@ -71,7 +91,7 @@ def gram_matrix(lat: Lattice, vectors, others=None) -> list[list]:
     ``others`` this is the Gram matrix of ``vectors``.
     """
     rows, den = _rows(lat, vectors)
-    cols, col_den = (rows, den) if others is None else _rows(lat, others)
+    cols, col_den = (None, den) if others is None else _rows(lat, others)
     scale = den * col_den
     return [
         [x // scale if x % scale == 0 else Fraction(x, scale) for x in row]
@@ -203,7 +223,7 @@ class DiscriminantGroup:
 
 def _in_dual(lat: Lattice, rows, den: int) -> bool:
     """Do the vectors row/den all pair integrally with L?"""
-    return all(sum(map(mul, col, row)) % den == 0 for row in rows for col in lat.gram)
+    return not any(x % den for row in _times_gram(lat, rows) for x in row)
 
 
 def discriminant_group(lat: Lattice) -> DiscriminantGroup:
@@ -247,7 +267,7 @@ def disc_q(lat: Lattice, x) -> Fraction:
     rows, den = _rows(lat, [x])
     if not _in_dual(lat, rows, den):
         raise ValueError("lift is not in the dual lattice")
-    return Fraction(_pairings(lat, rows, rows)[0][0], den * den) % 2
+    return Fraction(_pairings(lat, rows)[0][0], den * den) % 2
 
 
 def _adjoin(lat: Lattice, rows, den: int) -> tuple[list[list[int]], int]:
@@ -298,7 +318,7 @@ def _overlattice(lat: Lattice, glue, den: int, d: int):
     """
     if not _in_dual(lat, glue, den):
         raise ValueError("glue generator is not in the dual lattice")
-    for i, row in enumerate(_pairings(lat, glue, glue)):
+    for i, row in enumerate(_pairings(lat, glue)):
         for j in range(i, len(row)):
             if row[j] % ((2 if i == j else 1) * den * den):
                 raise ValueError(f"glue subgroup is not isotropic: <g{i + 1}, g{j + 1}> = "
@@ -326,7 +346,7 @@ def _overlattice(lat: Lattice, glue, den: int, d: int):
 
 def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
     """Gram matrix of the basis row/den, which must be integral."""
-    g = _pairings(lat, basis, basis)
+    g = _pairings(lat, basis)
     if any(x % (den * den) for row in g for x in row):
         raise ValueError("non-integral pairing in constructed basis")
     return [[x // (den * den) for x in row] for row in g]
@@ -372,7 +392,7 @@ def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
             f"{SATURATE_MAX_ORDER}"
         )
     lifts, den = group.rows, group.den
-    table = _pairings(lat, lifts, lifts)
+    table = _pairings(lat, lifts)
     factors = group.invariant_factors
     zero = (0,) * len(factors)
     members = {zero}
@@ -391,7 +411,7 @@ def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
         h_gens.append(list(x))
         h_pairs.append([sum(map(mul, row, x)) for row in table])
     out, over_group, d_out = _overlattice(lat, exact.matmul(h_gens, lifts), den, d)
-    over_table = _pairings(out, over_group.rows, over_group.rows)
+    over_table = _pairings(out, over_group.rows)
     if next(_isotropic_classes(over_group, over_table), None) is not None:
         raise AssertionError("H-perp/H has a nonzero isotropic class after saturation")
     return out, d_out

@@ -958,6 +958,15 @@ def test_argparse_writes_to_the_given_streams():
     assert err.endswith("coblemukai graph: error: the following arguments are required: source\n")
 
 
+def test_negative_glue_value_is_joined_with_equals():
+    # argparse takes a separate value that starts with - for an option, so
+    # the README and the --glue help say to write --glue=-1/4,0
+    joined = run(["lattice", "overlattice", "U(4)", "--glue=-1/4,0"])
+    assert joined[0] == 0 and joined == run(["lattice", "overlattice", "U(4)", "--glue", "3/4,0"])
+    code, out, err = run(["lattice", "overlattice", "U(4)", "--glue", "-1/4,0"])
+    assert (code, out) == (2, "") and err.endswith("argument --glue: expected one argument\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["lattice", "overlattice", "A1+A1", "--glue", "1/2,0", "--half-kernel"],
      "--glue and --half-kernel are mutually exclusive"),

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -128,6 +128,49 @@ def test_disc_q_rejects_non_dual_lift():
     a2 = make_named("A2")
     with pytest.raises(ValueError):
         lattice.disc_q(a2, (Fraction(1, 2), 0))
+
+
+# I + J: even, det 5, and no entry of its Gram is zero
+DENSE_EVEN = lattice.make_lattice([[2 if i == j else 1 for j in range(4)] for i in range(4)])
+
+
+@pytest.mark.parametrize("lat", [make_named("A1+A1+A1"), DENSE_EVEN, make_named("D4+A2")],
+                         ids=["A1+A1+A1", "I+J", "D4+A2"])
+def test_lifts_off_the_dual_by_one_coordinate_are_refused(lat):
+    # a lift in L* moved by e_k/m, with m = 2 gcd(row k of G), pairs with
+    # e_j to (row k)_j/m, which is not integral for some j: it leaves L*
+    lifts = [*lattice.discriminant_group(lat).generator_lifts, (0,) * lat.rank]
+    for lift in lifts:
+        assert 0 <= lattice.disc_q(lat, lift) < 2
+        for k, row in enumerate(lat.gram):
+            off = tuple(c + Fraction(j == k, 2 * gcd(*row)) for j, c in enumerate(lift))
+            with pytest.raises(ValueError, match="^lift is not in the dual lattice$"):
+                lattice.disc_q(lat, off)
+            for glue in ([off], [lift, off]):
+                with pytest.raises(ValueError, match="^glue generator is not in the dual lattice$"):
+                    lattice.overlattice(lat, glue)
+
+
+ODD = lattice.make_lattice([[3]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lattice.overlattice(ODD, []), "overlattice gluing requires an even lattice"),
+    (lambda: lattice.saturate(ODD), "saturation requires an even lattice"),
+    (lambda: lattice.saturated_det(ODD), "saturation requires an even lattice"),
+    (lambda: lattice.half_overlattice(ODD, []), "half-integer overlattice requires an even lattice"),
+    (lambda: lattice.disc_q(ODD, (0,)), "discriminant quadratic form is defined only for even lattices"),
+    (lambda: lattice.mod2_subgroup(make_named("A2"), [(1, 2)]),
+     "H generators must be 0/1 vectors of full rank length"),
+    (lambda: lattice.mod2_subgroup(make_named("A2"), [(1,)]),
+     "H generators must be 0/1 vectors of full rank length"),
+    (lambda: lattice.half_overlattice(make_named("A1+A1"), [(1, 0, 1)]),
+     "H generators must be 0/1 vectors of full rank length"),
+])
+def test_lattice_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_overlattice_u2_glue_gives_unimodular():
@@ -257,6 +300,90 @@ def test_overlattice_form_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised: discriminant form of overlattice does not match H-perp/H\n"
+
+
+def _run_under_O(script: str) -> str:
+    src = str(Path(lattice.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LYING_SNF_RIGHT_SCRIPT = """
+import sys
+from dataclasses import replace
+from coblemukai import exact, lattice
+if __debug__:
+    sys.exit("not running under -O")
+truthful_snf = exact.snf
+
+
+def identity_right(m):
+    # the factors are right, but the right transform handed back is the identity
+    return replace(truthful_snf(m), right=tuple(map(tuple, exact.identity(len(m)))))
+
+
+exact.snf = identity_right
+for spec in ("A2", "E6", "A2+A2"):
+    try:
+        lattice.discriminant_group(lattice.make_named(spec))
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
+"""
+
+
+def test_discriminant_dual_check_survives_python_O():
+    # the lifts are read off the columns of the right transform; with the
+    # identity they are unit vectors over d, which A2, E6 and A2+A2 do not
+    # pair integrally
+    assert _run_under_O(LYING_SNF_RIGHT_SCRIPT) == (
+        "raised: discriminant generator lift is not in the dual lattice\n" * 3)
+
+
+LYING_OVERLATTICE_LIFT_SCRIPT = """
+import sys
+from fractions import Fraction
+from coblemukai import exact, lattice
+if __debug__:
+    sys.exit("not running under -O")
+# A1+A1 + A1(-1)+A1(-1) glued along g = (1/2, 0, 1/2, 0); the L' lift handed
+# back is, in L coordinates, first e_1/4 (outside L*), then e_1/2 (in L*, but
+# <e_1/2, g> = -1/2)
+a1 = lattice.make_named("A1+A1")
+lat = lattice.direct_sum(a1, lattice.rescale(a1, -1))
+glue = [(Fraction(1, 2), 0, Fraction(1, 2), 0)]
+over = lattice.overlattice(lat, glue)
+basis, _ = lattice._adjoin(lat, [[1, 0, 1, 0]], 2)  # L' in L coordinates, over 2
+inv, d = exact.inverse(basis)
+(row,) = exact.matmul([[1, 0, 0, 0]], inv)  # row * basis = d * e_1
+truthful = lattice._discriminant_group
+for den in (2 * d, d):
+    def lying(l, det, den=den):
+        if l.gram != over.gram:
+            return truthful(l, det)
+        return lattice.DiscriminantGroup((2,), (tuple(row),), den)
+    lattice._discriminant_group = lying
+    try:
+        lattice.overlattice(lat, glue)
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
+"""
+
+
+def test_overlattice_lift_checks_survive_python_O():
+    assert _run_under_O(LYING_OVERLATTICE_LIFT_SCRIPT) == (
+        "raised: overlattice discriminant lift is not in the dual lattice\n"
+        "raised: overlattice discriminant lift is not orthogonal to the glue\n")
 
 
 LYING_MINOR_SNF_SCRIPT = """

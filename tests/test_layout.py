@@ -340,3 +340,62 @@ def test_number_text_guard_sees_limit_reads_and_fraction_calls():
     text = ("from fractions import Fraction\nimport fractions\nx = Fraction(1)\n"
             "y = fractions.Fraction('1/2')\nz = isinstance(x, Fraction)\n")
     assert _fraction_calls(text) == ["3: Fraction(...)", "4: Fraction(...)"]
+
+
+def _vg_outside_kernel(text: str) -> list[str]:
+    """Loops over a Gram's rows that sum or ``mul`` outside ``_times_gram``,
+    and a ``_pairings`` or ``_in_dual`` that does not call it: lattice.py
+    forms V*G in one kernel, which reads only the nonzero entries of V."""
+    tree = ast.parse(text)
+    funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    kernel = {id(node) for fn in funcs if fn.name == "_times_gram" for node in ast.walk(fn)}
+
+    def reads_gram(expr) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr in ("gram", "gram_rows")
+                   for n in ast.walk(expr))
+
+    def sums(nodes) -> bool:
+        return any(isinstance(n, ast.Name) and n.id in ("sum", "mul")
+                   for node in nodes for n in ast.walk(node))
+
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in kernel:
+            continue
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+            loops, body = node.generators, [node.elt]
+        elif isinstance(node, ast.For):
+            loops, body = [node], node.body
+        else:
+            continue
+        if any(reads_gram(loop.iter) for loop in loops) and sums(body):
+            lines.append(node.lineno)
+    found = [f"{line}: V*G outside _times_gram" for line in sorted(lines)]
+    found += [f"{fn.name} does not call _times_gram" for fn in funcs
+              if fn.name in ("_pairings", "_in_dual") and "_times_gram" not in _calls(tree, fn.name)]
+    return found
+
+
+def test_lattice_forms_vg_in_one_kernel():
+    text = (SRC / "lattice.py").read_text(encoding="utf-8")
+    assert _vg_outside_kernel(text) == []
+
+
+def test_kernel_guard_sees_a_second_vg_loop():
+    bad = (
+        "def _times_gram(lat, rows):\n"
+        "    return [sum(map(mul, v, g)) for v in rows for g in lat.gram]\n"
+        "def _in_dual(lat, rows, den):\n"
+        "    return all(sum(map(mul, col, row)) % den == 0 for row in rows for col in lat.gram)\n"
+        "def _pairings(lat, rows, cols):\n"
+        "    vg = _times_gram(lat, rows)\n"
+        "    for col in lat.gram_rows():\n"
+        "        out.append(sum(col))\n"
+        "def rescale(lat, m):\n"
+        "    return [[m * x for x in row] for row in lat.gram]\n"
+    )
+    assert _vg_outside_kernel(bad) == [
+        "4: V*G outside _times_gram",
+        "7: V*G outside _times_gram",
+        "_in_dual does not call _times_gram",
+    ]

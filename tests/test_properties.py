@@ -1,5 +1,6 @@
 """Property-based checks for the algebraic laws the modules promise."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -43,6 +44,49 @@ def test_gram_matrix_equals_defining_sum(case):
             assert isinstance(cross[i][j], int) == (want.denominator == 1)
         for j, y in enumerate(xs):
             assert gram[i][j] == defining_sum(lat, x, y)
+
+def _sparse_vectors(rng, n, count):
+    """Rational vectors with mostly zero entries, denominators 1, 2 or 3,
+    one of them all zero."""
+    vectors = [(0,) * n]
+    for _ in range(count - 1):
+        vectors.append(tuple(Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3)))
+                             if rng.random() < 0.2 else 0 for _ in range(n)))
+    return vectors
+
+
+def _zero_heavy_cases():
+    """(lattice, xs, ys): K + K(-1) up to rank 18, random Grams at least 70%
+    zero, and all-zero Grams, each with sparse vectors."""
+    rng = random.Random(28)
+    names = ["A1", "A2", "A4", "A5", "D4", "D6", "E6", "E7", "E8", "A1+A1+A1", "A5+A2+A1+A1"]
+    for name in names:
+        k = make_named(name)
+        lat = lattice.direct_sum(k, lattice.rescale(k, -1))
+        yield lat, _sparse_vectors(rng, lat.rank, 5), _sparse_vectors(rng, lat.rank, 4)
+    for n in (3, 5, 8, 12, 18) * 3:
+        gram = [[0] * n for _ in range(n)]
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        for i, j in rng.sample(cells, 3 * n * n // 20):  # each fills at most 2 of the n^2 entries
+            gram[i][j] = gram[j][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+        assert sum(x == 0 for row in gram for x in row) >= 0.7 * n * n
+        yield lattice.make_lattice(gram), _sparse_vectors(rng, n, 4), _sparse_vectors(rng, n, 3)
+    for n in (1, 4, 18):
+        zero = lattice.make_lattice([[0] * n for _ in range(n)])
+        yield zero, _sparse_vectors(rng, n, 3), _sparse_vectors(rng, n, 2)
+
+
+def test_gram_matrix_equals_defining_sum_on_zero_heavy_inputs():
+    for lat, xs, ys in _zero_heavy_cases():
+        gram = lattice.gram_matrix(lat, xs)
+        cross = lattice.gram_matrix(lat, xs, ys)
+        for i, x in enumerate(xs):
+            assert gram[i] == [defining_sum(lat, x, y) for y in xs]
+            for j, y in enumerate(ys):
+                want = defining_sum(lat, x, y)
+                assert cross[i][j] == want
+                assert isinstance(cross[i][j], int) == (want.denominator == 1)
+
 
 NAMES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8", "U"]
 
