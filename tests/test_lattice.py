@@ -166,7 +166,8 @@ ODD = lattice.make_lattice([[3]])
      "H generators must be 0/1 vectors of full rank length"),
     (lambda: lattice.half_overlattice(make_named("A1+A1"), [(1, 0, 1)]),
      "H generators must be 0/1 vectors of full rank length"),
-])
+], ids=["overlattice", "saturate", "saturated_det", "half_overlattice", "disc_q",
+        "mod2_subgroup-entry", "mod2_subgroup-length", "half_overlattice-length"])
 def test_lattice_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError) as info:
         call()
