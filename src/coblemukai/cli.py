@@ -85,38 +85,29 @@ def _fiber_str(fibers) -> str:
 
 # --- graph subcommands -------------------------------------------------------
 
-def _cmd_graph(args, out) -> int:
+def _cmd_graph(args):
     g = _load_graph_source(args.source)
-    echo = f"graph {args.action} {args.source}"
     if args.action == "dot":
-        out.write(rootgraph.export_dot(g))
-        return 0
+        return rootgraph.export_dot(g)
+    passed = True
     if args.action == "info":
         rank, sig = rootgraph.span_check(g)
-        report = {
-            "command": echo,
-            "pass": True,
-            "payload": {
-                "name": g.name,
-                "vertices": g.n,
-                "edges": g.edge_count(),
-                "curves": sum(1 for k in g.kinds if k == rootgraph.KIND_CURVE),
-                "roots": sum(1 for k in g.kinds if k == rootgraph.KIND_ROOT),
-                "span_rank": rank,
-                "signature": list(sig),
-                "span_det": rootgraph.span_det(g),
-            },
+        payload = {
+            "name": g.name,
+            "vertices": g.n,
+            "edges": g.edge_count(),
+            "curves": sum(1 for k in g.kinds if k == rootgraph.KIND_CURVE),
+            "roots": sum(1 for k in g.kinds if k == rootgraph.KIND_ROOT),
+            "span_rank": rank,
+            "signature": list(sig),
+            "span_det": rootgraph.span_det(g),
         }
-        _print_report(report, args.json, out)
-        return 0
-    if args.action == "aut":
+    elif args.action == "aut":
         order, gens = rootgraph.automorphisms(g)
         payload = {"order": order, "generator_count": len(gens)}
         if args.json:
             payload["generators"] = [[g.labels[p[i]] for i in range(g.n)] for p in gens]
-        _print_report({"command": echo, "pass": True, "payload": payload}, args.json, out)
-        return 0
-    if args.action == "parabolics":
+    elif args.action == "parabolics":
         if args.maximal:
             target = args.rank
             if target is None:
@@ -138,25 +129,22 @@ def _cmd_graph(args, out) -> int:
                 "count": len(cps),
                 "components": [f"{typ}: {' '.join(labels)}" for labels, typ in cps],
             }
-        _print_report({"command": echo, "pass": True, "payload": payload}, args.json, out)
-        return 0
-    # vinberg
-    rep = rootgraph.vinberg_check(g, args.rank)
-    payload = {
-        "target_rank": rep.target_rank,
-        "maximal_count": len(rep.maximal),
-        "maximal_types": list(rep.type_multisets()),
-        "witnesses": [f"{typ}: {' '.join(labels)}" for labels, typ in rep.witnesses],
-    }
-    _print_report({"command": echo, "pass": rep.passed, "payload": payload}, args.json, out)
-    return 0 if rep.passed else 1
+    else:  # vinberg
+        rep = rootgraph.vinberg_check(g, args.rank)
+        passed = rep.passed
+        payload = {
+            "target_rank": rep.target_rank,
+            "maximal_count": len(rep.maximal),
+            "maximal_types": list(rep.type_multisets()),
+            "witnesses": [f"{typ}: {' '.join(labels)}" for labels, typ in rep.witnesses],
+        }
+    return {"command": f"graph {args.action} {args.source}", "pass": passed, "payload": payload}
 
 
 # --- lattice subcommands -----------------------------------------------------
 
-def _cmd_lattice(args, out) -> int:
+def _cmd_lattice(args):
     lat = _load_lattice_spec(args.spec)
-    echo = f"lattice {args.action} {args.spec}"
     if args.action == "det":
         pos, neg, zero = lattice.signature(lat)
         payload = {
@@ -203,8 +191,7 @@ def _cmd_lattice(args, out) -> int:
             "even": lattice.is_even(over),
             "gram": [" ".join(str(x) for x in row) for row in over.gram],
         }
-    _print_report({"command": echo, "pass": True, "payload": payload}, args.json, out)
-    return 0
+    return {"command": f"lattice {args.action} {args.spec}", "pass": True, "payload": payload}
 
 
 # --- catalog subcommands -----------------------------------------------------
@@ -295,35 +282,28 @@ def catalog_check(name: str) -> dict:
     }
 
 
-def _cmd_catalog(args, out) -> int:
+def _cmd_catalog(args):
     if args.action == "build":
-        out.write(rootgraph.format_graph(catalog.build_graph(args.name)))
-        return 0
+        return rootgraph.format_graph(catalog.build_graph(args.name))
     if args.action == "model":
-        out.write(catalog.format_model(catalog.build_model(args.name)))
-        return 0
-    report = catalog_check(args.name)
-    _print_report(report, args.json, out)
-    return 0 if report["pass"] else 1
+        return catalog.format_model(catalog.build_model(args.name))
+    return catalog_check(args.name)
 
 
 # --- fiber subcommands ---------------------------------------------------------
 
-def _cmd_fiber(args, out) -> int:
+def _cmd_fiber(args):
     if args.action == "lookup":
         fibers = fibrations.fiber_multiset(args.tokens)
-        ok = fibrations.extremal_lookup(fibers, args.char)
-        report = {
+        return {
             "command": f"fiber lookup --char {args.char} {' '.join(args.tokens)}",
-            "pass": ok,
+            "pass": fibrations.extremal_lookup(fibers, args.char),
             "payload": {"configuration": _fiber_str(fibers), "char": args.char},
         }
-        _print_report(report, args.json, out)
-        return 0 if ok else 1
     # candidates
     types = [rootgraph.parse_diagram(t) for t in args.diagram.split("+")]
     found = fibrations.admissible_assignments(types, args.char)
-    report = {
+    return {
         "command": f"fiber candidates --char {args.char} {args.diagram}",
         "pass": bool(found),
         "payload": {
@@ -332,8 +312,6 @@ def _cmd_fiber(args, out) -> int:
             "assignments": [_fiber_str(f) for f in found],
         },
     }
-    _print_report(report, args.json, out)
-    return 0 if found else 1
 
 
 # --- parser --------------------------------------------------------------------
@@ -401,8 +379,14 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        return args.func(args, out)
-    except (ValueError, OSError, rootgraph.GraphFormatError) as exc:
+        # a handler returns raw text (exit 0) or a report (exit 0 on pass, else 1)
+        result = args.func(args)
+        if isinstance(result, str):
+            out.write(result)
+            return 0
+        _print_report(result, args.json, out)
+        return 0 if result["pass"] else 1
+    except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

@@ -299,6 +299,36 @@ def test_half_integral_boundary_is_refused():
     assert all(row == [0] for row in lattice.gram_matrix(amb, cm.twice, [integral]))
 
 
+def _small_model(boundaries, roots):
+    """A model on hu, hv, e1, e2 with den 1; rows in that basis."""
+    amb, labels = catalog._quadric_ambient(["e1", "e2"])
+    return catalog.BlowupModel(ambient=amb, basis_labels=labels, exceptional=labels[2:],
+                               boundaries=tuple(boundaries), roots=tuple(roots), den=1)
+
+
+TWO_E1 = ("B", (0, 0, 2, 0))  # self-pairing -4
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _small_model([("B", (0, 0, 1, 0))], []), "boundary B does not have self-pairing -4"),
+    (lambda: _small_model([TWO_E1], [("r", (0, 0, 0, 1))]), "root class r does not have self-pairing -2"),
+    (lambda: _small_model([TWO_E1], [("r", (0, 0, 1, -1))]), "root class r meets boundary B"),
+    (lambda: coble_mukai(_small_model([TWO_E1, ("B2", (0, 0, 2, 0))], [("r", (1, -1, 0, 0))])),
+     "boundary classes must be pairwise orthogonal"),
+], ids=["boundary-square", "root-square", "root-meets-boundary", "boundaries-orthogonal"])
+def test_model_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_small_model_is_accepted():
+    # each refused model above differs from this one in a single class;
+    # the complement of 2e1 is hu, hv, e2
+    model = _small_model([TWO_E1], [("r", (1, -1, 0, 0))])
+    assert coble_mukai(model).lattice.gram == ((0, 1, 0), (1, 0, 0), (0, 0, -1))
+
+
 def test_r_invariant_rows():
     rep = r_invariant_check(q_kernel_invariant("A5+A5+A1+A1"), p=3, expect_nullity=3)
     assert rep.ok and rep.h_rank == 3 and rep.nullity == 3

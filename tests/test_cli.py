@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coblemukai
-from coblemukai import cli, rootgraph
+from coblemukai import catalog, cli, rootgraph
 
 
 def run(argv):
@@ -210,6 +210,25 @@ def test_catalog_check_small():
     report = json.loads(out)
     assert report["pass"] is True
     assert report["payload"]["checks"]["span"]["ok"] is True
+
+
+def test_failing_catalog_check_exits_1_with_the_whole_report(monkeypatch):
+    # no built-in entry fails, so a wrong claimed |Aut| is patched in
+    code, text, _ = run(["catalog", "check", "MI"])
+    _, js, _ = run(["catalog", "check", "MI", "--json"])
+    assert code == 0
+    monkeypatch.setitem(catalog.CLAIMED_GRAPH_AUT, "MI", 1441)
+    passing = "automorphisms:\n      ok: true\n      order: 1440\n      claimed: 1440\n"
+    failing = "automorphisms:\n      ok: false\n      order: 1440\n      claimed: 1441\n"
+    assert text.count("pass: true\n") == 1 and text.count(passing) == 1
+    assert run(["catalog", "check", "MI"]) == (
+        1, text.replace("pass: true\n", "pass: false\n").replace(passing, failing), "")
+    code, out, err = run(["catalog", "check", "MI", "--json"])
+    assert (code, err) == (1, "")
+    want = json.loads(js)
+    want["pass"] = False
+    want["payload"]["checks"]["automorphisms"].update(ok=False, claimed=1441)
+    assert json.loads(out) == want
 
 
 def test_determinism_across_runs():
@@ -980,6 +999,9 @@ def test_negative_glue_value_is_joined_with_equals():
     (["lattice", "det", "E9"], "E_k requires k in {6, 7, 8}"),
     (["lattice", "det", "A300"], "lattice spec of rank 300 is above the bound 256"),
     (["fiber", "lookup", "I0", "I1"], "I_n requires n >= 1"),
+    (["catalog", "build", "X"], "unknown built-in graph: 'X' (have I, II, VI, MI, MII)"),
+    (["graph", "info", "builtin:X"], "unknown built-in graph: 'X' (have I, II, VI, MI, MII)"),
+    (["catalog", "model", "I"], "no blow-up model for 'I' (have MI, MII)"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_spec_and_option_refusals_exit_2(argv, message):
     assert run(argv) == (2, "", f"error: {message}\n")

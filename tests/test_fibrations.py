@@ -26,6 +26,17 @@ def test_parse_fiber_tokens():
             parse_fiber(bad)
 
 
+@pytest.mark.parametrize("kind, index, message", [
+    ("V", 0, "unknown Kodaira kind 'V'"),
+    ("I*", -1, "I_n* requires n >= 0"),
+    ("II", 1, "II carries no index"),
+])
+def test_kodaira_fiber_refusals_name_their_reason(kind, index, message):
+    with pytest.raises(ValueError) as info:
+        KodairaFiber(kind, index)
+    assert str(info.value) == message
+
+
 def test_diagram_of_examples():
     assert diagram_of(parse_fiber("I6")) == DiagramType("A", 5, True)
     assert diagram_of(parse_fiber("II")) is None

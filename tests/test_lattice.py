@@ -152,6 +152,8 @@ def test_lifts_off_the_dual_by_one_coordinate_are_refused(lat):
 
 
 ODD = lattice.make_lattice([[3]])
+ODD_UNIMODULAR = lattice.make_lattice([[1]])
+ODD_INDEFINITE = lattice.make_lattice([[1, 0], [0, -1]])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -166,12 +168,25 @@ ODD = lattice.make_lattice([[3]])
      "H generators must be 0/1 vectors of full rank length"),
     (lambda: lattice.half_overlattice(make_named("A1+A1"), [(1, 0, 1)]),
      "H generators must be 0/1 vectors of full rank length"),
+    # odd unimodular: det +-1 is not taken for "its own saturation"
+    (lambda: lattice.saturate(ODD_UNIMODULAR), "saturation requires an even lattice"),
+    (lambda: lattice.saturated_det(ODD_UNIMODULAR), "saturation requires an even lattice"),
+    (lambda: lattice.saturate(ODD_INDEFINITE), "saturation requires an even lattice"),
+    (lambda: lattice.saturated_det(ODD_INDEFINITE), "saturation requires an even lattice"),
 ], ids=["overlattice", "saturate", "saturated_det", "half_overlattice", "disc_q",
-        "mod2_subgroup-entry", "mod2_subgroup-length", "half_overlattice-length"])
+        "mod2_subgroup-entry", "mod2_subgroup-length", "half_overlattice-length",
+        "saturate-det-1", "saturated_det-det-1", "saturate-det-minus-1", "saturated_det-det-minus-1"])
 def test_lattice_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec", ["E8", "U", "E8(-1)+U"])
+def test_even_unimodular_is_its_own_saturation(spec):
+    lat = make_named(spec)
+    assert lattice.saturated_det(lat) == lattice.det(lat) in (1, -1)
+    assert lattice.saturate(lat).gram == lat.gram
 
 
 def test_overlattice_u2_glue_gives_unimodular():

@@ -399,3 +399,51 @@ def test_kernel_guard_sees_a_second_vg_loop():
         "7: V*G outside _times_gram",
         "_in_dual does not call _times_gram",
     ]
+
+
+def _report_path_faults(text: str) -> list[str]:
+    """Faults of the CLI's one report path: ``_print_report`` called outside
+    ``run``, ``.write`` called outside ``run`` and ``_print_report``, and a
+    ``_cmd_*`` handler that takes an ``out`` stream.  Handlers return a report
+    or raw text; ``run`` alone writes it and picks the exit code."""
+    found = []
+    for top in ast.parse(text).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        if owner.startswith("_cmd_"):
+            a = top.args
+            if "out" in [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)]:
+                found.append(f"{top.lineno}: {owner} takes out")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name) and node.func.id == "_print_report" and owner != "run":
+                found.append(f"{node.lineno}: _print_report in {owner}")
+            elif (isinstance(node.func, ast.Attribute) and node.func.attr == "write"
+                  and owner not in ("run", "_print_report")):
+                found.append(f"{node.lineno}: .write in {owner}")
+    return sorted(found, key=lambda f: int(f.split(":")[0]))
+
+
+def test_cli_writes_reports_in_run_alone():
+    assert _report_path_faults((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_report_guard_sees_a_handler_that_prints_its_own_report():
+    bad = (
+        "def _print_report(report, as_json, out):\n"
+        "    out.write(text)\n"
+        "def _cmd_graph(args, out):\n"
+        "    _print_report(report, args.json, out)\n"
+        "    out.write(dot)\n"
+        "    return 0\n"
+        "def run(argv, out=None, err=None):\n"
+        "    _print_report(args.func(args), args.json, out)\n"
+        "    err.write('error')\n"
+        "sys.stdout.write('x')\n"
+    )
+    assert _report_path_faults(bad) == [
+        "3: _cmd_graph takes out",
+        "4: _print_report in _cmd_graph",
+        "5: .write in _cmd_graph",
+        "10: .write in <module>",
+    ]

@@ -761,6 +761,24 @@ def test_format_graph_refuses_words_that_do_not_read_back(name, label):
     assert repr(label if name == "G" else name) in str(err.value)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: from_edges("g", ["a", "a"], []), "vertex labels must be unique"),
+    (lambda: from_edges("g", ["a"], [("a", "a", 1)]), "self-loop at 'a'"),
+    (lambda: from_edges("g", ["a", "b"], [("a", "b", 1), ("b", "a", 1)]), "duplicate edge 'b' -- 'a'"),
+    (lambda: from_edges("g", ["a"], [("a", "b", 1)]), "unknown vertex label: 'b'"),
+    (lambda: from_edges("g", ["a", "b"], [("a", "b", 1.0)]), "edge 'a' -- 'b': multiplicity must be an integer"),
+    (lambda: from_edges("g", ["a", "b"], [("a", "b", 0)]), "edge 'a' -- 'b': multiplicity must be >= 1"),
+    (lambda: rootgraph.RootGraph(["a"], [[0]], kinds=[0]), "vertex kinds must be -2 (curve) or -1 (root)"),
+    (lambda: rootgraph.RootGraph(["a"], [[0]], kinds=[-2, -2]), "vertex kinds must be -2 (curve) or -1 (root)"),
+    (lambda: from_edges("g", ["a"], []).index("b"), "unknown vertex label: 'b'"),
+], ids=["unique-labels", "self-loop", "duplicate-edge", "unknown-label", "integer-multiplicity",
+        "positive-multiplicity", "kind", "kind-count", "index"])
+def test_graph_refusals_name_their_reason(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_graph_text_minimal():
     g = parse_graph_text("graph tiny\nvertex only\n")
     assert g.n == 1 and g.labels == ("only",)
