@@ -72,25 +72,44 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _eliminate(a: list[list[int]]) -> int:
     """Bareiss elimination in place below the diagonal of the square left
     block of ``a``, across the full row width; its last pivot is +-det.
-    Returns the sign of the row swaps, or 0 when a pivot column is empty."""
+    Returns the sign of the row swaps, or 0 when a pivot column is empty.
+
+    A row with a 0 in the pivot column is not touched at that step, where
+    eager Bareiss multiplies it by p_k / p_(k-1).  ``scale[i]`` is the pivot
+    row i was last updated with (1 at the start); the skipped factors
+    telescope to prev / scale[i].  So a stale row is eliminated as
+    (p * row - c * rk) // scale[i], which is eager Bareiss's
+    (p * row' - c' * rk) // prev on row' = row * prev / scale[i], and the pivot
+    row, the last row included, is brought up to date once, as row * prev //
+    scale[i].  Each result is a Bareiss entry, a minor of the input
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968), so every division
+    is exact and ``a`` ends as eager Bareiss leaves it.  A zero test needs no
+    rescale: the factor is nonzero."""
     n = len(a)
     sign = prev = 1
-    for k in range(n - 1):
+    scale = [1] * n
+    for k in range(n):  # the last row's step only brings it up to date
         if not a[k][k]:
             piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
                 return 0
             a[k], a[piv], sign = a[piv], a[k], -sign
-        rk, p = a[k], a[k][k]
+            scale[k], scale[piv] = scale[piv], scale[k]
+        rk = a[k]
         cols = range(k, len(rk))  # column k ends 0 in the rows below
-        for row in a[k + 1 :]:
+        s = scale[k]
+        if s != prev:
+            for j in cols:
+                rk[j] = rk[j] * prev // s
+        p = rk[k]
+        for i in range(k + 1, n):
+            row = a[i]
             c = row[k]
             if c:
+                s = scale[i]
                 for j in cols:
-                    row[j] = (p * row[j] - c * rk[j]) // prev
-            elif p != prev:  # a 0 in the pivot column only rescales the row
-                for j in cols:
-                    row[j] = p * row[j] // prev
+                    row[j] = (p * row[j] - c * rk[j]) // s
+                scale[i] = p
         prev = p
     return sign
 
@@ -331,14 +350,17 @@ def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:
     """Canonical row Hermite normal form basis of the lattice the rows span.
 
     Pivots are positive, entries above each pivot are reduced into
-    [0, pivot); zero rows are dropped.
+    [0, pivot); zero rows are dropped.  A row reduced at column c and the
+    basis row with pivot c both vanish before c, so the reduction and the
+    xgcd combination work in place on columns c onward only, and the row
+    vanishes up to c + 1 afterwards.  The top-down pass reduces by row k
+    from its pivot column onward, for the same reason.
     """
     by_pivot: dict[int, list[int]] = {}
     for row_in in rows_in:
         v = list(map(int, row_in))
         c, n = 0, len(v)
         while True:
-            # reducing at column c leaves v zero up to c, so the scan resumes there
             while c < n and not v[c]:
                 c += 1
             if c == n:
@@ -347,25 +369,31 @@ def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:
             if row is None:
                 by_pivot[c] = v
                 break
-            if v[c] % row[c] == 0:
-                q = v[c] // row[c]
-                v = [b - q * a for a, b in zip(row, v)]
+            rc, vc = row[c], v[c]
+            if vc % rc == 0:
+                q = vc // rc
+                for j in range(c, n):
+                    v[j] -= q * row[j]
             else:
-                # 2x2 unimodular combination; both vectors vanish before c.
-                g, x, y = xgcd(row[c], v[c])
-                rc, vc = row[c], v[c]
-                by_pivot[c] = [x * a + y * b for a, b in zip(row, v)]
-                v = [(-(vc // g)) * a + (rc // g) * b for a, b in zip(row, v)]
-    basis = [by_pivot[c] for c in sorted(by_pivot)]
-    for row in basis:
-        c = next(i for i, x in enumerate(row) if x != 0)
+                # 2x2 unimodular combination on the tails
+                g, x, y = xgcd(rc, vc)
+                rc, vc = rc // g, vc // g
+                for j in range(c, n):
+                    a, b = row[j], v[j]
+                    row[j], v[j] = x * a + y * b, rc * b - vc * a
+            c += 1
+    pivots = sorted(by_pivot)
+    basis = [by_pivot[c] for c in pivots]
+    for c, row in zip(pivots, basis):
         if row[c] < 0:
-            row[:] = [-x for x in row]
+            row[c:] = [-x for x in row[c:]]
     # top-down: reducing by row k leaves the pivot columns of rows above k alone
-    for k in range(len(basis)):
-        c = next(i for i, x in enumerate(basis[k]) if x != 0)
-        for i in range(k):
-            q = basis[i][c] // basis[k][c]
+    for k, c in enumerate(pivots):
+        rk = basis[k]
+        p = rk[c]
+        for row in basis[:k]:
+            q = row[c] // p
             if q:
-                basis[i] = [a - q * b for a, b in zip(basis[i], basis[k])]
+                for j in range(c, len(rk)):
+                    row[j] -= q * rk[j]
     return basis

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -136,6 +140,37 @@ def test_mii_transposition_conic_regression():
     # (p1,p2), (p2,p1), (p3,p3), (p4,p4)
     pts = catalog.mii_curve_points("p:(12)")
     assert sorted(pts) == [(1, 2), (2, 1), (3, 3), (4, 4)]
+
+
+WRONG_MII_EQUATION_SCRIPT = """
+import sys
+from coblemukai import catalog
+if __debug__:
+    sys.exit("not running under -O")
+# the identity's curve is given the equation of (12)(34)
+catalog.MII_EQUATIONS["p:id"] = catalog.MII_EQUATIONS["p:(12)(34)"]
+try:
+    catalog.build_model_mii()
+except AssertionError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("self-check did not fire")
+"""
+
+
+def test_mii_curve_check_survives_python_O():
+    src = str(Path(catalog.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_MII_EQUATION_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "raised: curve p:id: F3 evaluation gives [(1, 2), (2, 1), (3, 4), (4, 3)], "
+        "not the permutation graph\n")
 
 
 def test_verify_realization_passes():

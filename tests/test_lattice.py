@@ -607,6 +607,104 @@ def test_overlattice_index_check_survives_python_O():
     )
 
 
+LYING_HNF_SCRIPT = """
+import sys
+from fractions import Fraction
+from coblemukai import catalog, exact, lattice
+if __debug__:
+    sys.exit("not running under -O")
+half = Fraction(1, 2)
+u2 = lattice.make_named("U(2)")
+model = catalog.build_model("MI")
+truthful_hnf = exact.hnf_rows
+
+
+def fires(check):
+    try:
+        check()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
+
+
+# the HNF loses its last row: the span of den*I and the glue, or of 2*I and
+# the boundaries, is then short of full rank
+exact.hnf_rows = lambda rows: truthful_hnf(rows)[:-1]
+fires(lambda: lattice.overlattice(u2, [(half, 0)]))
+fires(lambda: catalog.coble_mukai(model))
+# the HNF halves each row that is even: [[-2]] spans 2Z, [[1]] all of Z
+exact.hnf_rows = lambda rows: [
+    [x // 2 for x in row] if all(x % 2 == 0 for x in row) else row for row in truthful_hnf(rows)
+]
+fires(lambda: lattice.radical_quotient([[-2]]))
+"""
+
+
+def test_hnf_backed_self_checks_survive_python_O():
+    # _adjoin and coble_mukai count the HNF's rows; radical_quotient's
+    # B M^-1 B^T with B = [[1]], M = [[-2]] is -1/2
+    assert _run_under_O(LYING_HNF_SCRIPT) == (
+        "raised: overlattice basis does not have full rank\n"
+        "raised: half-boundary extension does not have full rank\n"
+        "raised: span Gram B M^-1 B^T is not integral\n")
+
+
+LYING_HELPERS_SCRIPT = """
+import sys
+from fractions import Fraction
+from coblemukai import lattice
+if __debug__:
+    sys.exit("not running under -O")
+half = Fraction(1, 2)
+a1 = lattice.make_named("A1+A1")
+a1a1 = lattice.direct_sum(a1, lattice.rescale(a1, -1))
+
+
+def fires(check):
+    try:
+        check()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
+
+
+truthful_subgroup = lattice.mod2_subgroup
+
+
+def one_more(lat, h_gens):
+    # H gains a class: the span [0, 3] of (1, 1) on A1+A1 becomes [0, 1, 3]
+    span, anisotropic = truthful_subgroup(lat, h_gens)
+    return sorted({*span, 1}), anisotropic
+
+
+lattice.mod2_subgroup = one_more
+fires(lambda: lattice.half_overlattice(a1, [(1, 1)]))
+lattice.mod2_subgroup = truthful_subgroup
+truthful_basis_gram = lattice._basis_gram
+
+
+def odd_corner(lat, basis, den):
+    # the Gram of L' gains 1 in its first diagonal entry
+    g = truthful_basis_gram(lat, basis, den)
+    g[0][0] += 1
+    return g
+
+
+lattice._basis_gram = odd_corner
+fires(lambda: lattice.overlattice(a1a1, [(half, 0, half, 0)]))
+"""
+
+
+def test_half_overlattice_and_evenness_checks_survive_python_O():
+    # |H| is read off the span mod2_subgroup lists; L' is even by the
+    # evenness of L and the isotropy of the glue, so an odd Gram cannot pass
+    assert _run_under_O(LYING_HELPERS_SCRIPT) == (
+        "raised: half-overlattice index does not match |H|\n"
+        "raised: overlattice of an even lattice along isotropic glue must be even\n")
+
+
 # sha256 of repr(radical_quotient(G).gram) for the catalog graphs and 20
 # seeded induced subgraphs of VI, MI and MII (size in the comment), as
 # produced when the rows went to the HNF in the order given

@@ -624,6 +624,126 @@ def test_det_matches_sympy_on_sparse_and_block_matrices():
     assert sum(x == 0 for m in mats for row in m for x in row) >= 0.6 * sum(len(m) ** 2 for m in mats)
 
 
+def block_sum(*blocks):
+    n = sum(map(len, blocks))
+    out, at = [], 0
+    for b in blocks:
+        out += [[0] * at + row + [0] * (n - at - len(b)) for row in b]
+        at += len(b)
+    return out
+
+
+def test_lazy_rescale_matches_sympy_on_stale_rows():
+    # _eliminate leaves a row with a 0 in the pivot column as it is and
+    # brings it up to date only when it is eliminated, becomes the pivot or
+    # is the last row
+    from sympy import Matrix
+
+    nonsingular = [
+        # rows 2 and 3 sit out steps 0 and 1; row 3 is swapped in as pivot
+        # 2, and row 2, swapped down, is the stale last row
+        [[2, 1, 0, 0], [1, 3, 0, 1], [0, 0, 0, 5], [0, 0, 7, 1]],
+        # row 1, eliminated at step 0, and the stale row 2 change places at
+        # step 1, and so do their scales
+        [[2, 0, 3, 1], [2, 0, 3, 0], [0, 3, 0, 0], [3, 3, 0, 0]],
+        # the last row sits out every step but the first
+        [[3, 1, 0, 2], [1, 2, 0, 0], [0, 1, 4, 0], [6, 2, 0, 1]],
+        # a stale row eliminated at a later step, by a pivot it never saw
+        [[2, 0, 1, 0, 0], [0, 0, 3, 1, 0], [0, 4, 0, 0, 1], [1, 1, 0, 0, 3], [0, 0, 0, 2, 1]],
+        # block-diagonal: the second block's rows, and in inverse their
+        # identity part, sit out the first block's steps
+        block_sum(*[[list(r) for r in lattice.make_named(s).gram] for s in ("A2", "A2(-1)")]),
+        block_sum(*[[list(r) for r in lattice.make_named(s).gram] for s in ("D4", "A1", "E6(-1)")]),
+        block_sum([[2, 1], [1, 3]], [[0, 5], [7, 0]], [[-4]]),
+    ]
+    k = [list(r) for r in lattice.make_named("E8").gram]
+    nonsingular.append(block_sum(k, [[-x for x in r] for r in k]))
+    nonsingular.append(nonsingular[-1][8:] + nonsingular[-1][:8])  # a swap at each of steps 0-7
+    for m in nonsingular:
+        assert exact.det(m) == int(Matrix(m).det()) != 0, m
+        check_inverse(m)
+    singular = [
+        # rows 1 and 2 are stale until they become pivots, and the last row,
+        # 0 after step 0, is stale to the end
+        [[2, 0, 0, 1], [0, 3, 0, 0], [0, 0, 5, 0], [4, 0, 0, 2]],
+        # a stale row is all that is left below an empty pivot column
+        [[2, 1, 0], [4, 2, 0], [0, 0, 3]],
+        block_sum([[2, 1], [1, 3]], [[1, 2], [2, 4]], [[5]]),
+    ]
+    for m in singular:
+        assert exact.det(m) == 0 == Matrix(m).det(), m
+        with pytest.raises(ValueError, match="singular"):
+            exact.inverse(m)
+    assert exact._eliminate([]) == 1
+    assert exact.det([]) == 1
+    assert exact.inverse([]) == ([], 1)
+
+
+def test_lazy_rescale_matches_sympy_on_sparse_block_inverses():
+    # [M | I] for sparse block-diagonal M with shuffled rows: the stale rows'
+    # identity part is brought up to date with the rest of the row
+    rng = random.Random(59)
+    inverted = 0
+    for trial in range(60):
+        blocks = []
+        for _ in range(rng.randint(2, 4)):
+            b = rng.randint(1, 4)
+            block = [[rng.randint(-3, 3) if rng.random() < 0.4 else 0 for _ in range(b)]
+                     for _ in range(b)]
+            for i, j in enumerate(rng.sample(range(b), b)):
+                block[i][j] = rng.choice((-2, -1, 1, 2, 3))  # mostly nonsingular
+            blocks.append(block)
+        m = block_sum(*blocks)
+        rng.shuffle(m)
+        if exact.det(m):
+            check_inverse(m)
+            inverted += 1
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                exact.inverse(m)
+    assert 30 <= inverted < 60, inverted
+
+
+def hnf_reduce(basis, v):
+    """v less the integer combination of the HNF rows that clears each pivot
+    in turn; 0 exactly when v lies in their span."""
+    v = list(v)
+    for row in basis:
+        c = next(i for i, x in enumerate(row) if x)
+        q = v[c] // row[c]
+        v = [a - q * b for a, b in zip(v, row)]
+    return v
+
+
+def test_hnf_rows_on_rows_with_long_zero_heads(monkeypatch):
+    # rows that vanish on long heads meet at late pivots, and leading entries
+    # that do not divide each other take the xgcd combination on the tails
+    rng = random.Random(61)
+    combined = []
+    truthful = exact.xgcd
+    monkeypatch.setattr(exact, "xgcd", lambda a, b: combined.append((a, b)) or truthful(a, b))
+    for trial in range(60):
+        width = rng.randint(4, 16)
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            head = rng.randint(width // 2, width) if rng.random() < 0.8 else rng.randint(0, width)
+            rows.append([0] * head + [rng.randint(-30, 30) if rng.random() < 0.6 else 0
+                                      for _ in range(width - head)])
+        basis = exact.hnf_rows(rows)
+        pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
+        assert pivots == sorted(set(pivots)), basis
+        for k, c in enumerate(pivots):
+            assert basis[k][c] > 0 and all(0 <= basis[i][c] < basis[k][c] for i in range(k))
+        assert not any(x for row in rows for x in hnf_reduce(basis, row)), rows
+        # the rows lie in the span of the basis, and both have the same rank
+        # and the same index in their saturation, so the spans are equal
+        want = [f for f in exact.snf(rows).factors if f]
+        assert [f for f in exact.snf(basis).factors if f] == want and len(basis) == len(want)
+        for _ in range(3):
+            assert exact.hnf_rows(rng.sample(rows, len(rows))) == basis, rows
+    assert len(combined) >= 100, len(combined)
+
+
 def check_inverse(m):
     from math import lcm
 
