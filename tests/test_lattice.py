@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coblemukai import lattice
+from coblemukai import exact, lattice
 from coblemukai.lattice import make_named
 
 
@@ -523,8 +523,8 @@ truthful_identity = exact.identity
 
 
 def sheared_identity(n):
-    # snf's transforms start one shear off the identity, so every row
-    # operation it records is right but the left and right it returns are not
+    # snf's right transform starts one shear off the identity, so every
+    # column operation it records is right but the transform it returns is not
     start = truthful_identity(n)
     if n > 1:
         start[0][n - 1] = 1
@@ -532,8 +532,7 @@ def sheared_identity(n):
 
 
 exact.identity = sheared_identity
-for check in (lambda: exact.snf([[2, 0], [0, 3]]),
-              lambda: lattice.discriminant_group(lattice.make_named("A2")),
+for check in (lambda: lattice.discriminant_group(lattice.make_named("A2")),
               lambda: lattice.saturate(lattice.make_named("D4+D4"))):
     try:
         check()
@@ -545,18 +544,73 @@ for check in (lambda: exact.snf([[2, 0], [0, 3]]),
 
 
 def test_snf_self_check_survives_python_O():
-    # left @ m @ right == diag(factors) is checked at one evaluation point;
-    # transforms that do not start at the identity fail it
-    src = str(Path(lattice.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", LYING_SNF_TRANSFORMS_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised: SNF internal inconsistency\n" * 3
+    # snf checks nothing itself; its caller reads the lifts off the right
+    # transform, and a transform that does not start at the identity gives
+    # lifts outside L*
+    assert _run_under_O(LYING_SNF_TRANSFORMS_SCRIPT) == (
+        "raised: discriminant generator lift is not in the dual lattice\n" * 2)
+
+
+TRIPLED_SNF_RIGHT_SCRIPT = """
+import sys
+from dataclasses import replace
+from coblemukai import exact, lattice
+if __debug__:
+    sys.exit("not running under -O")
+truthful_snf = exact.snf
+
+
+def tripled_right(m):
+    # the factors are right and the lifts stay in L*, but 3 times each
+    res = truthful_snf(m)
+    return replace(res, right=tuple(tuple(3 * x for x in row) for row in res.right))
+
+
+exact.snf = tripled_right
+for spec in ("A2", "E6+A2", "A1+A1", "D4", "A3"):
+    lat = lattice.make_named(spec)
+    try:
+        group = lattice.discriminant_group(lat)
+    except AssertionError as exc:
+        print(f"{spec} raised:", exc)
+    else:
+        print(f"{spec} passed:", group.invariant_factors)
+"""
+
+
+def test_discriminant_generation_check_survives_python_O():
+    # 3 times a basis of L*/L generates nothing where L*/L is 3-torsion, so
+    # the HNF index check fires on A2 and E6+A2; where 3 is a unit mod every
+    # d_i the tripled lifts are still a basis, and nothing fires
+    assert _run_under_O(TRIPLED_SNF_RIGHT_SCRIPT) == (
+        "A2 raised: discriminant lifts do not generate L*/L\n"
+        "E6+A2 raised: discriminant lifts do not generate L*/L\n"
+        "A1+A1 passed: (2, 2)\n"
+        "D4 passed: (2, 2)\n"
+        "A3 passed: (4,)\n")
+
+
+SHORT_KERNEL_HNF_SCRIPT = """
+import sys
+from coblemukai import exact
+if __debug__:
+    sys.exit("not running under -O")
+truthful_hnf = exact.hnf_rows
+# the HNF of (Mx, x) loses its last row, a kernel vector
+exact.hnf_rows = lambda rows: truthful_hnf(rows)[:-1]
+for m in ([[2, 4]], [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]):
+    try:
+        exact.int_kernel(m)
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit("self-check did not fire")
+"""
+
+
+def test_int_kernel_check_survives_python_O():
+    assert _run_under_O(SHORT_KERNEL_HNF_SCRIPT) == (
+        "raised: integer kernel: HNF of (Mx, x) is not of rank cols, or M K != 0\n" * 2)
 
 
 LYING_INDEX_SCRIPT = """
@@ -918,3 +972,23 @@ def test_ascii_fraction_zero_denominator_is_a_zero_division():
     for token in ("1/0", "0/0", "-5/000"):
         with pytest.raises(ZeroDivisionError):
             lattice.ascii_fraction(token)
+
+
+NON_SYMMETRIC = [[2, 1], [0, 2]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exact.matmul([[1, 2]], [[1, 2]]), "matmul shape mismatch"),
+    (lambda: exact.det([[1, 2]]), "det requires a square matrix"),
+    (lambda: exact.inverse([[1, 2]]), "inverse requires a square matrix"),
+    (lambda: lattice.make_lattice(NON_SYMMETRIC), "Gram matrix must be symmetric"),
+    (lambda: lattice.radical_quotient(NON_SYMMETRIC), "Gram matrix must be symmetric"),
+    (lambda: lattice.rescale(make_named("A1"), 0), "rescale factor must be nonzero"),
+    (lambda: lattice.discriminant_group(lattice.make_lattice([[0, 0], [0, -2]])),
+     "degenerate Gram matrix has no discriminant group"),
+], ids=["matmul-shape", "det-non-square", "inverse-non-square", "Lattice-non-symmetric",
+        "radical_quotient-non-symmetric", "rescale-zero", "discriminant_group-degenerate"])
+def test_exact_and_lattice_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -951,7 +951,7 @@ def snf_congruence_span(g):
     leading r x r block is the Gram matrix of the span."""
     gram = g.gram_rows()
     res = exact.snf(gram)
-    r = res.rank
+    r = sum(1 for d in res.factors if d)
     m = exact.matmul(exact.matmul(exact.transpose(res.right), gram), res.right)
     assert all(m[i][j] == 0 for i in range(g.n) for j in range(g.n) if i >= r or j >= r)
     return lattice.make_lattice([row[:r] for row in m[:r]])

@@ -126,13 +126,15 @@ def test_mod2_law_on_random_sums(parts):
     q = [0] * (1 << n)
     for x in anisotropic:
         q[x] = 1
+    # f(x, y) = sum of G[i][j] over i in x, j in y, mod 2: the parity of the
+    # popcounts of row_i & y over i in x, row_i the mask of G's odd entries
+    # in row i, which is the popcount of (XOR of row_i over i in x) & y
+    odd = [sum(1 << j for j in range(n) if lat.gram[i][j] % 2) for i in range(n)]
     for x in range(min(1 << n, 64)):
+        rows_x = 0
+        for i in range(n):
+            if x >> i & 1:
+                rows_x ^= odd[i]
         for y in range(min(1 << n, 64)):
-            f = sum(
-                lat.gram[i][j] % 2
-                for i in range(n)
-                if x >> i & 1
-                for j in range(n)
-                if y >> j & 1
-            )
+            f = (rows_x & y).bit_count()
             assert q[x ^ y] == (q[x] + q[y] + f) % 2

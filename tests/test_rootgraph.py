@@ -1,3 +1,4 @@
+import copy
 import functools
 import hashlib
 import importlib.util
@@ -373,6 +374,18 @@ def test_automorphisms_k4_double_edges():
 def test_automorphisms_cycle():
     order, _ = rootgraph.automorphisms(cycle_graph(5))
     assert order == 10
+
+
+def test_stabilizer_chain_add_of_a_member_changes_nothing():
+    # the dihedral group of the hexagon, order 12; r^2 s is already in it
+    r, s = (1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)
+    chain = rootgraph._StabilizerChain(6, [r, s])
+    levels = [chain.trans, chain.inverse, chain.points, chain.gens, chain.checked]
+    before = copy.deepcopy(levels)
+    assert chain.order() == 12
+    chain.add(tuple(r[r[s[i]]] for i in range(6)))
+    assert chain.order() == 12
+    assert [chain.trans, chain.inverse, chain.points, chain.gens, chain.checked] == before
 
 
 def test_automorphisms_generators_close_to_order():
