@@ -1,19 +1,20 @@
 """Exact integer linear algebra; no floating point is used anywhere.
 
-Matrices are plain lists of lists of int.  Rational vectors are one integer
-matrix plus a common denominator, the pair ``(rows, den)``: ``integer_rows``
-makes it from tuples of int or Fraction where a public function receives
-vectors.  A lattice is compared or tested for membership by its canonical
-HNF (``hnf_rows``), which also gives ``int_kernel``.  Inertia is computed
-fraction-free.
+Matrices are rows (lists or tuples) of Python ints, checked where they enter
+the package: ``lattice.make_lattice``, ``lattice.radical_quotient`` and
+``RootGraph``; rational vectors, one pair ``(rows, den)``, in ``integer_rows``.
+The kernels convert no entry and copy with ``list(row)`` only the rows they
+mutate.  A lattice is compared or tested for membership by its canonical HNF
+(``hnf_rows``), which also gives ``int_kernel``.  Inertia is fraction-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 
 
 def identity(n: int) -> list[list[int]]:
@@ -120,7 +121,7 @@ def det(m: list[list[int]]) -> int:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("det requires a square matrix")
-    a = [[int(x) for x in row] for row in m]
+    a = [list(row) for row in m]
     return _eliminate(a) * a[-1][-1] if a else 1
 
 
@@ -162,7 +163,7 @@ def snf(m: list[list[int]]) -> SnfResult:
     operations; no product is checked here.
     """
     rows, cols = dims(m)
-    a = [[int(x) for x in row] for row in m]
+    a = [list(row) for row in m]
     right = identity(cols)
     t = 0
     while t < min(rows, cols):
@@ -218,19 +219,20 @@ def snf(m: list[list[int]]) -> SnfResult:
 
 
 def integer_rows(vectors) -> tuple[list[list[int]], int]:
-    """(rows, den) with rows integral and rows[i][j] / den == vectors[i][j].
-
-    ``den`` is the least common denominator of every entry (1 for integer
-    input); entries may be ints or Fractions.
-    """
-    vecs = [tuple(v) for v in vectors]
+    """(rows, den), rows of Python ints with rows[i][j] / den == vectors[i][j]
+    and den the least common denominator (1 for integer input).  An entry is a
+    Fraction or an integer, read by ``operator.index``; a float or str is refused."""
+    try:
+        vecs = [[c if isinstance(c, Fraction) else index(c) for c in v] for v in vectors]
+    except TypeError:
+        raise ValueError("vector entries must be integers or Fractions") from None
     # a set, not a generator: star-expanding n*n entries churns tuple sizes
     den = lcm(*{c.denominator for v in vecs for c in v})
     return [[c.numerator * (den // c.denominator) for c in v] for v in vecs], den
 
 
 def rank_signature(m: list[list]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric matrix, exactly.
+    """(positive, negative, zero) inertia of a symmetric integer matrix, exactly.
 
     Fraction-free symmetric elimination.  Pivots prefer the first nonzero
     diagonal entry; if the diagonal is exhausted, the first nonzero
@@ -240,12 +242,9 @@ def rank_signature(m: list[list]) -> tuple[int, int, int]:
     the Schur complement, and then divides by the block's content; both are
     positive rescalings, so every step is a congruence up to a positive factor.
     """
-    n = len(m)
-    if n == 0:
-        return (0, 0, 0)
     if not is_symmetric(m):
         raise ValueError("rank_signature requires a symmetric matrix")
-    a, _ = integer_rows(m)
+    a = [list(row) for row in m]
     pos = neg = 0
     while a:
         size = len(a)
@@ -286,7 +285,7 @@ def rank_signature(m: list[list]) -> tuple[int, int, int]:
         if content > 1:
             block = [[x // content for x in row] for row in block]
         a = block
-    return (pos, neg, n - pos - neg)
+    return (pos, neg, len(m) - pos - neg)
 
 
 def inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -298,7 +297,7 @@ def inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse requires a square matrix")
-    a = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a = [[*row, *e] for row, e in zip(m, identity(n))]
     d = _eliminate(a) and a[-1][n - 1] if n else 1
     if not d:
         raise ValueError("inverse of a singular matrix")
@@ -321,7 +320,7 @@ def int_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:
     rows (M e_j | e_j) span {(Mx, x)}, and the tails of its HNF rows that
     vanish on M's part span its vectors with Mx = 0."""
     rows, cols = dims(m)
-    hnf = hnf_rows([[*col, *(int(i == j) for i in range(cols))] for j, col in enumerate(zip(*m))])
+    hnf = hnf_rows([[*col, *e] for col, e in zip(zip(*m), identity(cols))])
     kernel = [tuple(row[rows:]) for row in hnf if not any(row[:rows])]
     if len(hnf) != cols or any(map(any, matmul(m, transpose(kernel)))):
         raise AssertionError("integer kernel: HNF of (Mx, x) is not of rank cols, or M K != 0")
@@ -340,7 +339,7 @@ def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:
     """
     by_pivot: dict[int, list[int]] = {}
     for row_in in rows_in:
-        v = list(map(int, row_in))
+        v = list(row_in)
         c, n = 0, len(v)
         while True:
             while c < n and not v[c]:

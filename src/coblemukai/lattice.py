@@ -10,6 +10,7 @@ radical.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -37,12 +38,14 @@ class Lattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def gram_rows(self) -> list[list[int]]:
-        return [list(row) for row in self.gram]
-
 
 def make_lattice(gram: list[list[int]]) -> Lattice:
-    return Lattice(gram=tuple(tuple(int(x) for x in row) for row in gram))
+    """Entries are read by ``operator.index``: a float, Fraction or str is refused."""
+    try:
+        gram = tuple(tuple(map(operator.index, row)) for row in gram)
+    except TypeError:
+        raise ValueError("Gram entries must be integers") from None
+    return Lattice(gram=gram)
 
 
 def _rows(lat: Lattice, vectors) -> tuple[list[list[int]], int]:
@@ -100,11 +103,11 @@ def gram_matrix(lat: Lattice, vectors, others=None) -> list[list]:
 
 
 def det(lat: Lattice) -> int:
-    return exact.det(lat.gram_rows())
+    return exact.det(lat.gram)
 
 
 def signature(lat: Lattice) -> tuple[int, int, int]:
-    return exact.rank_signature(lat.gram_rows())
+    return exact.rank_signature(lat.gram)
 
 
 def is_even(lat: Lattice) -> bool:
@@ -112,13 +115,9 @@ def is_even(lat: Lattice) -> bool:
 
 
 def direct_sum(*lats: Lattice) -> Lattice:
-    n = sum(l.rank for l in lats)
-    g = [[0] * n for _ in range(n)]
-    off = 0
+    n, off, g = sum(l.rank for l in lats), 0, []
     for l in lats:
-        for i in range(l.rank):
-            for j in range(l.rank):
-                g[off + i][off + j] = l.gram[i][j]
+        g += [[0] * off + list(row) + [0] * (n - off - l.rank) for row in l.gram]
         off += l.rank
     return make_lattice(g)
 
@@ -248,11 +247,11 @@ def _discriminant_group(lat: Lattice, d: int) -> DiscriminantGroup:
     if d == 0:
         raise ValueError("degenerate Gram matrix has no discriminant group")
     if d in (1, -1):
-        hnf = exact.hnf_rows(lat.gram_rows())
+        hnf = exact.hnf_rows(lat.gram)
         if len(hnf) != lat.rank or any(row[i] != 1 for i, row in enumerate(hnf)):
             raise AssertionError("discriminant group order does not match |det|")
         return DiscriminantGroup((), (), 1)
-    res = exact.snf(lat.gram_rows())
+    res = exact.snf(lat.gram)
     picked = [(i, di) for i, di in enumerate(res.factors) if di > 1]
     den = lcm(*(di for _, di in picked))
     rows = [[col[i] % di * (den // di) for col in res.right] for i, di in picked]
@@ -465,10 +464,9 @@ def mod2_nullity(lat: Lattice) -> tuple[int, int, list[tuple[int, ...]]]:
     if not is_even(lat):
         raise ValueError("mod-2 quadratic form is defined only for even lattices")
     n = lat.rank
-    g = lat.gram_rows()
-    f_rows = [sum((g[i][j] % 2) << j for j in range(n)) for i in range(n)]
+    f_rows = [sum((lat.gram[i][j] % 2) << j for j in range(n)) for i in range(n)]
     ker_f = _gf2_kernel(f_rows)
-    qvals = [_q2(g, v, n) for v in ker_f]
+    qvals = [_q2(lat.gram, v, n) for v in ker_f]
     if any(qvals):
         # q is linear on ker f; intersect with the hyperplane q = 0
         p = qvals.index(1)
@@ -499,8 +497,7 @@ def mod2_subgroup(lat: Lattice, h_gens) -> tuple[list[int], list[int]]:
         mask = sum(c << i for i, c in enumerate(h))
         span |= {x ^ mask for x in span}
     span = sorted(span)
-    g = lat.gram_rows()
-    return span, [v for v in span if _q2(g, v, n)]
+    return span, [v for v in span if _q2(lat.gram, v, n)]
 
 
 def half_overlattice(lat: Lattice, h_gens) -> Lattice:
@@ -548,7 +545,10 @@ def radical_quotient(gram) -> Lattice:
     On induced subgraphs of VI, MI and MII the given order lets intermediate
     entries reach 10^50, and this one keeps them below 10^5.
     """
-    g = [list(map(int, row)) for row in gram]
+    try:  # lists, not make_lattice's tuples, which would fill the interpreter's tuple free list
+        g = [list(map(operator.index, row)) for row in gram]
+    except TypeError:
+        raise ValueError("Gram entries must be integers") from None
     if not exact.is_symmetric(g):
         raise ValueError("Gram matrix must be symmetric")
     by_lead = sorted(g, key=lambda row: next((j for j, x in enumerate(row) if x), len(row)),

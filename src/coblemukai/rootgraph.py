@@ -543,7 +543,7 @@ def span_check(g: RootGraph) -> tuple[int, tuple[int, int]]:
     read off the span's r x r Gram, which the graph builds once for this and
     ``span_det``: ``lattice.radical_quotient`` checks G = C M C^T with M
     congruent to it, so G has the same inertia (Sylvester's law)."""
-    pos, neg, _ = exact.rank_signature(g._span.gram_rows())
+    pos, neg, _ = exact.rank_signature(g._span.gram)
     return (pos + neg, (pos, neg))
 
 

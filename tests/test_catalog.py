@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -241,6 +242,19 @@ def test_coble_mukai_contains_all_roots():
         assert cm.contains([[2 * x for x in roots[0]]], 2 * model.den)
         off = [2 * x + (k == 0) for k, x in enumerate(roots[0])]
         assert not cm.contains([off], 2 * model.den)
+
+
+def test_coble_mukai_contains_leaves_twice_unchanged():
+    # contains hands the rows of twice to exact.hnf_rows, which copies the
+    # rows it reduces; so a second call sees the same basis and answers alike
+    model = build_model("MI")
+    cm = coble_mukai(model)
+    before = copy.deepcopy(cm.twice)
+    roots = [v for _, v in model.roots]
+    for rows, want in ((roots, True), ([model.boundary_vectors()[0]], False)):
+        assert cm.contains(rows, model.den) is want
+        assert cm.contains(rows, model.den) is want
+        assert cm.twice == before
 
 
 def sympy_solve_in_rows(rows, target):

@@ -1,9 +1,10 @@
+import copy
 import random
 
 import pytest
 import sympy
 
-from coblemukai import exact
+from coblemukai import exact, lattice
 
 
 def diag(*entries):
@@ -283,3 +284,33 @@ def test_hnf_rows_canonical_reduction():
             assert row[c] > 0
             for r2 in basis[:i]:
                 assert 0 <= r2[c] < row[c]
+
+
+# Symmetric, so every kernel takes them.  Zero diagonals and zero leading
+# entries make det and inverse swap rows, rank_signature fold and swap, and
+# the Smith form move its pivot; the third is singular (affine A2).
+KERNEL_INPUTS = [
+    [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
+    [[0, 0, 2], [0, -2, 1], [2, 1, 0]],
+    [[-2, 1, 1], [1, -2, 1], [1, 1, -2]],
+    [[4, 6], [6, 4]],
+]
+
+
+@pytest.mark.parametrize("kernel", [exact.det, exact.snf, exact.inverse, exact.hnf_rows,
+                                    exact.rank_signature, exact.int_kernel],
+                         ids=lambda f: f.__name__)
+def test_kernels_leave_their_argument_unchanged(kernel):
+    # the kernels copy only the rows they mutate, so a list-of-lists argument
+    # stays as it was, and a Lattice.gram of tuples is read as it is
+    def outcome(m):
+        before = copy.deepcopy(m)
+        try:
+            got = kernel(m)
+        except ValueError as exc:  # inverse of the singular input
+            got = str(exc)
+        assert m == before, (kernel.__name__, before)
+        return got
+
+    for rows in [*KERNEL_INPUTS, [list(row) for row in lattice.make_named("D4").gram]]:
+        assert outcome(rows) == outcome(lattice.make_lattice(rows).gram), rows

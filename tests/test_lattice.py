@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coblemukai import exact, lattice
@@ -823,7 +824,7 @@ def test_mod2_nullity_kernel_vectors_annihilate_f():
         lat = make_named(name)
         nullity, rank, basis = lattice.mod2_nullity(lat)
         assert nullity + rank == lat.rank
-        g = lat.gram_rows()
+        g = lat.gram
         for v in basis:
             norm = sum(v[i] * g[i][j] * v[j] for i in range(lat.rank) for j in range(lat.rank))
             assert norm % 4 == 0  # q(v) = <v, v>/2 is 0 mod 2
@@ -992,3 +993,57 @@ def test_exact_and_lattice_refusals(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# Entries are checked where they enter: a Gram entry must be an integer, a
+# vector entry an integer or a Fraction.  An integer is read by
+# operator.index, so a numpy integer or a bool comes out as a Python int,
+# and a float, a Fraction Gram entry or a str is refused, not truncated.
+GRAM_ENTRIES = "Gram entries must be integers"
+VECTOR_ENTRIES = "vector entries must be integers or Fractions"
+WIDE = lattice.make_lattice([[2**30, 0], [0, 2]])
+ENTRY_POINTS = {
+    "make_lattice": lambda x: lattice.make_lattice([[x, 0], [0, 2]]).gram,
+    "rescale": lambda x: lattice.rescale(make_named("A1"), x).gram,
+    "radical_quotient": lambda x: lattice.radical_quotient([[x, 0], [0, -2]]).gram,
+    "gram_matrix": lambda x: lattice.gram_matrix(make_named("A1"), [[x]]),
+    "gram_matrix-array": lambda x: lattice.gram_matrix(WIDE, np.array([[x, 1]])),
+    "overlattice": lambda x: lattice.overlattice(make_named("U(2)"), [[x, 0]]).gram,
+    "disc_q": lambda x: [[lattice.disc_q(make_named("A1"), [x])]],
+}
+
+
+def _entry_case(entry_point, entry, outcome):
+    return pytest.param(entry_point, entry, outcome, id=f"{entry_point}-{type(entry).__name__}")
+
+
+@pytest.mark.parametrize("entry_point, entry, outcome", [
+    *(_entry_case(name, entry, GRAM_ENTRIES)
+      for name in ("make_lattice", "rescale", "radical_quotient")
+      for entry in (1.5, Fraction(1, 2), "3")),
+    *(_entry_case(name, entry, VECTOR_ENTRIES)
+      for name in ("gram_matrix", "gram_matrix-array", "overlattice", "disc_q")
+      for entry in (1.5, "3")),
+    _entry_case("gram_matrix", Fraction(1, 2), [[Fraction(-1, 2)]]),
+    _entry_case("overlattice", Fraction(1, 2), ((0, 1), (1, 0))),
+    _entry_case("disc_q", Fraction(1, 2), [[Fraction(3, 2)]]),
+    _entry_case("make_lattice", np.int64(3), ((3, 0), (0, 2))),
+    _entry_case("make_lattice", True, ((1, 0), (0, 2))),
+    _entry_case("rescale", np.int64(3), ((-6,),)),
+    _entry_case("radical_quotient", np.int64(3), ((3, 0), (0, -2))),
+    _entry_case("radical_quotient", True, ((1, 0), (0, -2))),
+    _entry_case("gram_matrix", np.int64(3), [[-18]]),
+    _entry_case("overlattice", True, ((0, 2), (2, 0))),
+    # int64 products would wrap 2^110 + 2 to 2: array entries must become Python ints
+    _entry_case("gram_matrix-array", 2**40, [[2**110 + 2]]),
+])
+def test_entries_are_checked_where_they_enter(entry_point, entry, outcome):
+    call = ENTRY_POINTS[entry_point]
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as exc:
+            call(entry)
+        assert str(exc.value) == outcome
+        return
+    got = call(entry)
+    assert got == outcome
+    assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in outcome]

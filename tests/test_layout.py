@@ -342,6 +342,65 @@ def test_number_text_guard_sees_limit_reads_and_fraction_calls():
     assert _fraction_calls(text) == ["3: Fraction(...)", "4: Fraction(...)"]
 
 
+def _entry_conversions(sources: dict[str, str]) -> list[str]:
+    """Where integer entries are read, as ``module.owner`` (the outermost
+    function or class; ``module.<module>`` outside any): each
+    ``operator.index``, or ``index`` imported from operator.  Also each
+    ``int(...)`` or ``map(int, ...)`` in exact.py, as ``exact.owner: int``,
+    and a ``gram_rows`` method of ``lattice.Lattice``: entries are checked
+    once, where they enter, and the kernels of exact.py trust their rows."""
+    found = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owner = {id(node): top.name for top in tree.body
+                 if isinstance(top, (ast.FunctionDef, ast.ClassDef)) for node in ast.walk(top)}
+        imported = {a.asname or a.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "operator"
+                    for a in node.names if a.name == "index"}
+        for node in ast.walk(tree):
+            where = f"{module}.{owner.get(id(node), '<module>')}"
+            if (isinstance(node, ast.Attribute) and node.attr == "index"
+                    and isinstance(node.value, ast.Name) and node.value.id == "operator"
+                    or isinstance(node, ast.Name) and node.id in imported):
+                found.add(where)
+            elif module == "exact" and isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                args = [a.id for a in node.args[:1] if isinstance(a, ast.Name)]
+                if node.func.id == "int" or node.func.id == "map" and args == ["int"]:
+                    found.add(f"{where}: int")
+            elif (module == "lattice" and isinstance(node, ast.ClassDef) and node.name == "Lattice"
+                  and any(isinstance(f, ast.FunctionDef) and f.name == "gram_rows" for f in node.body)):
+                found.add("lattice.Lattice.gram_rows")
+    return sorted(found)
+
+
+def test_integer_entries_are_checked_where_they_enter():
+    # from_edges is the RootGraph constructor of edge lists
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert _entry_conversions(sources) == [
+        "exact.integer_rows", "lattice.make_lattice", "lattice.radical_quotient",
+        "rootgraph.RootGraph", "rootgraph.from_edges",
+    ]
+
+
+def test_entry_guard_sees_kernel_conversions_and_gram_rows():
+    bad = {
+        "exact": "import operator\nfrom operator import index as ix\n"
+                 "def det(m):\n    a = [[int(x) for x in row] for row in m]\n"
+                 "def hnf_rows(rows):\n    return [list(map(int, r)) for r in rows]\n"
+                 "def snf(m):\n    return ix(m[0][0])\n"
+                 "def integer_rows(v):\n    return operator.index(v)\n",
+        "lattice": "import operator\nclass Lattice:\n    def gram_rows(self):\n"
+                   "        return [list(row) for row in self.gram]\n"
+                   "def _rows(lat, v):\n    return list(map(operator.index, v))\n",
+        # int() outside exact.py, and an ``index`` not from operator, are not entries
+        "rootgraph": "def index(label):\n    return int(label)\nindex('a')\n",
+    }
+    assert _entry_conversions(bad) == [
+        "exact.det: int", "exact.hnf_rows: int", "exact.integer_rows", "exact.snf",
+        "lattice.Lattice.gram_rows", "lattice._rows",
+    ]
+
+
 def _vg_outside_kernel(text: str) -> list[str]:
     """Loops over a Gram's rows that sum or ``mul`` outside ``_times_gram``,
     and a ``_pairings`` or ``_in_dual`` that does not call it: lattice.py
