@@ -15,10 +15,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from functools import cached_property, reduce
+from itertools import compress, product
 from math import isqrt, lcm, prod
-from operator import mul
+from operator import mul, xor
 
 from . import exact
 
@@ -350,11 +350,24 @@ def _overlattice(lat: Lattice, glue, den: int, d: int):
 
 
 def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
-    """Gram matrix of the basis row/den, which must be integral."""
-    g = _pairings(lat, basis)
-    if any(x % (den * den) for row in g for x in row):
-        raise ValueError("non-integral pairing in constructed basis")
-    return [[x // (den * den) for x in row] for row in g]
+    """Gram matrix of the basis row/den of ``_adjoin``, which must be integral.
+
+    A row equal to den*e_i as a whole, not only at its pivot, pairs as row i
+    of G, so G is copied; only the other (moved) rows are paired and checked.
+    """
+    n, dd = lat.rank, den * den
+    out = [list(row) for row in lat.gram]
+    moved = [i for i, row in enumerate(basis) if row[i] != den or row.count(0) != n - 1]
+    for i, u in zip(moved, _times_gram(lat, [basis[i] for i in moved])):
+        row = [den * x for x in u]  # <u, den*e_j>; the moved j are overwritten
+        for j in moved:
+            row[j] = sum(map(mul, u, basis[j]))
+        if any(x % dd for x in row):
+            raise ValueError("non-integral pairing in constructed basis")
+        out[i] = [x // dd for x in row]
+        for j, x in enumerate(out[i]):
+            out[j][i] = x
+    return out
 
 
 def _isotropic_classes(group: DiscriminantGroup, table):
@@ -455,6 +468,11 @@ def _gf2_kernel(rows: list[int]) -> list[int]:
     return basis
 
 
+def _f_rows(lat: Lattice) -> list[int]:
+    """f(x, y) = <x, y> mod 2 on K/2K as row bitmasks: bit j of row i is G[i][j] mod 2."""
+    return [sum((lat.gram[i][j] % 2) << j for j in range(lat.rank)) for i in range(lat.rank)]
+
+
 def mod2_nullity(lat: Lattice) -> tuple[int, int, list[tuple[int, ...]]]:
     """(nullity, rank, kernel basis) of q on K/2K.
 
@@ -464,8 +482,7 @@ def mod2_nullity(lat: Lattice) -> tuple[int, int, list[tuple[int, ...]]]:
     if not is_even(lat):
         raise ValueError("mod-2 quadratic form is defined only for even lattices")
     n = lat.rank
-    f_rows = [sum((lat.gram[i][j] % 2) << j for j in range(n)) for i in range(n)]
-    ker_f = _gf2_kernel(f_rows)
+    ker_f = _gf2_kernel(_f_rows(lat))
     qvals = [_q2(lat.gram, v, n) for v in ker_f]
     if any(qvals):
         # q is linear on ker f; intersect with the hyperplane q = 0
@@ -487,17 +504,25 @@ def mod2_subgroup(lat: Lattice, h_gens) -> tuple[list[int], list[int]]:
     """Span H of 0/1 generators in K/2K, and the classes of H with q != 0.
 
     Both are sorted bitmasks whose set bits select basis vectors; H is
-    isotropic exactly when the second list is empty.
+    isotropic exactly when the second list is empty.  ``_q2`` runs once per
+    generator h; each class x keeps q(x) and the mask of f(x, .), and x + h
+    takes q(x) + q(h) + f(x, h), f(x, h) being the parity of f(x, .) & h.
     """
+    if not is_even(lat):
+        raise ValueError("mod-2 quadratic form is defined only for even lattices")
     n = lat.rank
-    span = {0}
+    f_rows = _f_rows(lat)
+    classes = {0: (0, 0)}  # x -> (q(x), f(x, .))
     for h in h_gens:
         if len(h) != n or any(c not in (0, 1) for c in h):
             raise ValueError("H generators must be 0/1 vectors of full rank length")
         mask = sum(c << i for i, c in enumerate(h))
-        span |= {x ^ mask for x in span}
-    span = sorted(span)
-    return span, [v for v in span if _q2(lat.gram, v, n)]
+        qh, fh = _q2(lat.gram, mask, n), reduce(xor, compress(f_rows, h), 0)
+        for x, (qx, fx) in list(classes.items()):
+            if x ^ mask not in classes:
+                classes[x ^ mask] = (qx ^ qh ^ ((fx & mask).bit_count() & 1), fx ^ fh)
+    span = sorted(classes)
+    return span, [v for v in span if classes[v][0]]
 
 
 def half_overlattice(lat: Lattice, h_gens) -> Lattice:

@@ -169,13 +169,14 @@ ODD_INDEFINITE = lattice.make_lattice([[1, 0], [0, -1]])
      "H generators must be 0/1 vectors of full rank length"),
     (lambda: lattice.half_overlattice(make_named("A1+A1"), [(1, 0, 1)]),
      "H generators must be 0/1 vectors of full rank length"),
+    (lambda: lattice.mod2_subgroup(ODD, [(1,)]), "mod-2 quadratic form is defined only for even lattices"),
     # odd unimodular: det +-1 is not taken for "its own saturation"
     (lambda: lattice.saturate(ODD_UNIMODULAR), "saturation requires an even lattice"),
     (lambda: lattice.saturated_det(ODD_UNIMODULAR), "saturation requires an even lattice"),
     (lambda: lattice.saturate(ODD_INDEFINITE), "saturation requires an even lattice"),
     (lambda: lattice.saturated_det(ODD_INDEFINITE), "saturation requires an even lattice"),
 ], ids=["overlattice", "saturate", "saturated_det", "half_overlattice", "disc_q",
-        "mod2_subgroup-entry", "mod2_subgroup-length", "half_overlattice-length",
+        "mod2_subgroup-entry", "mod2_subgroup-length", "half_overlattice-length", "mod2_subgroup-odd",
         "saturate-det-1", "saturated_det-det-1", "saturate-det-minus-1", "saturated_det-det-minus-1"])
 def test_lattice_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError) as info:

@@ -11,9 +11,12 @@ every chain of isotropic subgroups, and the form of an overlattice against
 q on H-perp/H.  The span lattice built at the span's rank is checked against
 sympy's rank, Smith form and inertia and against the n x n SNF congruence it
 replaced, and span_check's inertia, read off the span, against that of the
-whole Gram matrix.
+whole Gram matrix.  mod2_subgroup's q is checked against <x, x>/2 on every
+class it lists, and the Gram of every basis _adjoin builds for gluing, half
+overlattices and saturation against B G B^T.
 """
 
+import importlib.util
 import json
 import os
 import random
@@ -1122,3 +1125,139 @@ def test_overlattice_form_checked_at_order_4096(monkeypatch):
     monkeypatch.setattr(lattice, "_discriminant_group", short)
     with pytest.raises(AssertionError, match="H-perp/H"):
         lattice.overlattice(lat, glue)
+
+
+def q_by_definition(lat, x):
+    """<v, v>/2 mod 2 for the 0/1 vector v with bitmask x, summed entry by entry."""
+    bits = [i for i in range(lat.rank) if x >> i & 1]
+    return sum(lat.gram[i][j] for i in bits for j in bits) // 2 % 2
+
+
+def check_mod2_subgroup(lat, gens):
+    """mod2_subgroup against its definition; returns the number of anisotropic classes."""
+    span, anisotropic = lattice.mod2_subgroup(lat, gens)
+    want = {0}
+    for h in gens:
+        mask = sum(c << i for i, c in enumerate(h))
+        want |= {x ^ mask for x in want}
+    assert span == sorted(want), gens
+    assert anisotropic == [x for x in span if q_by_definition(lat, x)], gens
+    return len(anisotropic)
+
+
+def repeated_and_dependent(rng, gens, n):
+    """gens with a repeat, a sum of two of them and the zero vector, shuffled."""
+    a, b = rng.choice(gens), rng.choice(gens)
+    out = gens + [a, tuple((x + y) % 2 for x, y in zip(a, b)), (0,) * n]
+    rng.shuffle(out)
+    return out
+
+
+def test_mod2_subgroup_matches_definition_on_ade_sums():
+    # q is spread from the generators by the mod-2 law, so it is checked here
+    # against <x, x>/2 on every class, the law itself not used
+    rng = random.Random(33)
+    names = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "D6", "E6", "E7", "E8"]
+    specs = ["E6+E6", "A1+A1+A1+A1", "D4+D4", "E8+A2+A2"]
+    while len(specs) < 12:
+        spec = "+".join(rng.choices(names, k=rng.randint(1, 3)))
+        if lattice.make_named(spec).rank <= 12:
+            specs.append(spec)
+    anisotropic = 0
+    for spec in specs:
+        lat = lattice.make_named(spec)
+        n = lat.rank
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        anisotropic += check_mod2_subgroup(lat, units)
+        picked = rng.sample(units, rng.randint(1, n))
+        anisotropic += check_mod2_subgroup(lat, repeated_and_dependent(rng, picked, n))
+        vectors = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        anisotropic += check_mod2_subgroup(lat, repeated_and_dependent(rng, vectors, n))
+    assert anisotropic > 0
+
+
+def test_mod2_subgroup_matches_definition_on_catalog_r_invariants():
+    # each row's H is isotropic; H with seeded vectors added is not
+    rng = random.Random(34)
+    anisotropic = 0
+    for key in catalog.TABLE1_KEYS:
+        rinv = catalog.q_kernel_invariant(catalog.table1(key).k_spec)
+        n = rinv.k.rank
+        assert check_mod2_subgroup(rinv.k, list(rinv.h_gens)) == 0, key
+        extra = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(3)]
+        anisotropic += check_mod2_subgroup(rinv.k, repeated_and_dependent(rng, [*rinv.h_gens, *extra], n))
+    assert anisotropic > 0
+
+
+PERFBENCH = Path(lattice.__file__).resolve().parent.parent.parent / "perfbench"
+
+
+def glue_workload_inputs(seed):
+    """(K, the generator indices to glue) of the benchmark's glue workload at ``seed``."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    out = []
+    for item in inputs.glue_inputs(seed):
+        k = lattice.make_lattice(item["gram"])
+        m = len(lattice.discriminant_group(k).invariant_factors)
+        out.append((k, inputs.chosen_generators(item["pick"], m)))
+    return out
+
+
+def check_basis_gram(lat, basis, den):
+    """_basis_gram against B G B^T / den^2; True when that is integral."""
+    g = exact.matmul(exact.matmul(basis, [list(r) for r in lat.gram]), exact.transpose(basis))
+    if any(x % (den * den) for row in g for x in row):
+        with pytest.raises(ValueError, match="non-integral pairing in constructed basis"):
+            lattice._basis_gram(lat, basis, den)
+        return False
+    assert lattice._basis_gram(lat, basis, den) == [[x // (den * den) for x in row] for row in g]
+    return True
+
+
+def test_basis_gram_matches_matmul_on_every_adjoined_basis(monkeypatch):
+    # every basis _adjoin builds while gluing the glue workload's K + K(-1),
+    # taking half overlattices along their q-kernels and saturating
+    seen = []
+    truthful = lattice._adjoin
+
+    def recording(lat, rows, den):
+        basis, index = truthful(lat, rows, den)
+        seen.append((lat, [list(r) for r in basis], den))
+        return basis, index
+
+    monkeypatch.setattr(lattice, "_adjoin", recording)
+    for k, chosen in glue_workload_inputs(1):
+        lifts = lattice.discriminant_group(k).generator_lifts
+        lattice.overlattice(lattice.direct_sum(k, lattice.rescale(k, -1)),
+                            [tuple(lifts[i]) * 2 for i in chosen])
+        try:
+            lattice.half_overlattice(k, lattice.mod2_nullity(k)[2])
+        except ValueError as exc:
+            assert str(exc) == "non-integral pairing in constructed basis"
+    for spec in ("A1+A1+A1+A1", "A1+A1+A1+A1+A1+A1+A1+A1", "D4+D4", "A3+A3", "A7+A1", "E7+A1",
+                 "A2+A2+A2", "D6+A1+A1"):
+        lattice.saturate(lattice.make_named(spec))
+    monkeypatch.undo()
+    integral = [check_basis_gram(*args) for args in seen]
+    assert integral.count(True) >= 40 and integral.count(False) >= 10
+    # bases with no row, some rows and every row other than den*e_i all occur
+    units = [sum(row == [den * (i == j) for j in range(len(row))] for i, row in enumerate(basis))
+             for _, basis, den in seen]
+    assert {min(u, 1) + (u == len(b)) for u, (_, b, _) in zip(units, seen)} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("gram, basis, den, want", [
+    # e0 + e1/2 has its pivot at den, and a tail only whole-row detection sees
+    ([[2, 0], [0, 4]], [[2, 1], [0, 2]], 2, [[3, 2], [2, 4]]),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 4]], [[2, 0, 1], [0, 2, 0], [0, 0, 2]], 2,
+     [[3, 0, 2], [0, 2, 0], [2, 0, 4]]),
+    # den*e_i in another row than i, as a basis not in Hermite order gives it
+    ([[2, 1], [1, 4]], [[0, 2], [2, 0]], 2, [[4, 1], [1, 2]]),
+    ([[2, 0], [0, 4]], [[2, 1], [0, 2]], 1, [[12, 8], [8, 16]]),
+], ids=["pivot-den-tail", "pivot-den-tail-3", "unit-row-out-of-place", "den-1"])
+def test_basis_gram_on_hand_built_bases(gram, basis, den, want):
+    lat = lattice.make_lattice(gram)
+    assert check_basis_gram(lat, basis, den)
+    assert lattice._basis_gram(lat, basis, den) == want
