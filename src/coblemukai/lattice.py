@@ -320,6 +320,8 @@ def _overlattice(lat: Lattice, glue, den: int, d: int):
     The discriminant lifts of L', written in L coordinates, must lie in L*
     and pair integrally with the glue; with the glue they must generate a
     subgroup of L*/L of order |det L| / |H|, which is then all of H-perp.
+    For a unimodular L' (no lifts, den 1) that HNF would repeat the glued
+    basis's, a deterministic result, so its index is reused.
     """
     if not _in_dual(lat, glue, den):
         raise ValueError("glue generator is not in the dual lattice")
@@ -343,7 +345,7 @@ def _overlattice(lat: Lattice, glue, den: int, d: int):
         raise AssertionError("overlattice discriminant lift is not in the dual lattice")
     if any(b % (scale * scale) for row in _pairings(lat, lifts, glue) for b in row):
         raise AssertionError("overlattice discriminant lift is not orthogonal to the glue")
-    _, order = _adjoin(lat, lifts + glue, scale)
+    order = _adjoin(lat, lifts + glue, scale)[1] if lifts else index
     if order * index != abs(d):
         raise AssertionError("discriminant form of overlattice does not match H-perp/H")
     return out, group, d_out
@@ -551,8 +553,40 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
 
 # --- radical quotients ---------------------------------------------------
 
+class RadicalSplit:
+    """The split of a symmetric integer Gram G that ``radical_quotient``
+    builds on, its rows taken as given: the pivot columns S of the HNF of G,
+    M = G[S,S] and d M^-1, with both checks run; ``det`` is taken on first read."""
+
+    def __init__(self, g: list[list[int]]):
+        # rows by descending leading column land on a free pivot or reduce in a
+        # step or two: entries stay below 10^5, not 10^50, on subgraphs of VI, MI, MII
+        self.hnf = exact.hnf_rows(sorted(
+            g, key=lambda row: next((j for j, x in enumerate(row) if x), len(row)), reverse=True))
+        self.pivots = pivots = [next(i for i, x in enumerate(row) if x) for row in self.hnf]
+        self.minor = m = [[g[i][j] for j in pivots] for i in pivots]
+        self.inverse, self.den = inv, d = exact.inverse(m)
+        if not exact.product_is([inv, m], [[d * (i == j) for j in pivots] for i in pivots]):
+            raise AssertionError("radical split failed: d M^-1 times M is not d I")
+        rest = sorted(set(range(len(g))).difference(pivots))
+        g_ts = [[g[i][j] for j in pivots] for i in rest]
+        g_st = [[g[i][j] for j in rest] for i in pivots]
+        if not exact.product_is([g_ts, inv, g_st], [[d * g[i][j] for j in rest] for i in rest]):
+            raise AssertionError("radical split failed: C M C^T is not d^2 G off the pivots")
+
+    @cached_property
+    def det(self) -> int:
+        """det of the quotient, (prod p_i)^2 / det M, checked exact."""
+        square = prod(row[j] for row, j in zip(self.hnf, self.pivots)) ** 2
+        q, r = divmod(square, exact.det(self.minor))
+        if r:
+            raise AssertionError("radical split failed: det M does not divide (prod p_i)^2")
+        return q
+
+
 def radical_quotient(gram) -> Lattice:
-    """Z^n modulo the radical of a symmetric integer Gram G, with its form.
+    """Z^n modulo the radical of a symmetric integer Gram G, with its form;
+    G may come as its ``RadicalSplit``, whose rows are not checked again.
 
     The pivot columns S of the HNF of G index r rows spanning its row space,
     so M = G[S,S] is nonsingular and e_S is a basis of Q^n/rad, where e_j has
@@ -562,40 +596,25 @@ def radical_quotient(gram) -> Lattice:
     columns in S hold; on the rows T outside S, C_T M C_T^T = d C_T G[S,T],
     and G[T,S] (d M^-1) G[S,T] = d G[T,T] is checked, both by ``exact.product_is``.
     The HNF rows restricted to S are a basis B of L M (L spanned by the C_j),
-    so the quotient has Gram B M^-1 B^T, checked integral; G = 0 gives rank 0.
-
-    The rows go to ``exact.hnf_rows`` by descending leading column.  The HNF
-    is canonical, so the order does not change it, but a row then mostly
-    lands on a free pivot or meets one it reduces against in a step or two.
-    On induced subgraphs of VI, MI and MII the given order lets intermediate
-    entries reach 10^50, and this one keeps them below 10^5.
+    upper triangular with the HNF pivots p_i on its diagonal, so the quotient
+    has Gram B M^-1 B^T, checked integral, and det (prod p_i)^2 / det M;
+    G = 0 gives rank 0.
     """
-    try:  # lists, not make_lattice's tuples, which would fill the interpreter's tuple free list
-        g = [list(map(operator.index, row)) for row in gram]
-    except TypeError:
-        raise ValueError("Gram entries must be integers") from None
-    if not exact.is_symmetric(g):
-        raise ValueError("Gram matrix must be symmetric")
-    by_lead = sorted(g, key=lambda row: next((j for j, x in enumerate(row) if x), len(row)),
-                     reverse=True)
-    hnf = exact.hnf_rows(by_lead)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in hnf]
-    if not pivots:
-        return make_lattice([])
-    m = [[g[i][j] for j in pivots] for i in pivots]
-    inv, d = exact.inverse(m)
-    if not exact.product_is([inv, m], [[d * (i == j) for j in pivots] for i in pivots]):
-        raise AssertionError("radical split failed: d M^-1 times M is not d I")
-    rest = sorted(set(range(len(g))).difference(pivots))
-    g_ts = [[g[i][j] for j in pivots] for i in rest]
-    g_st = [[g[i][j] for j in rest] for i in pivots]
-    if not exact.product_is([g_ts, inv, g_st], [[d * g[i][j] for j in rest] for i in rest]):
-        raise AssertionError("radical split failed: C M C^T is not d^2 G off the pivots")
-    b = [[row[j] for j in pivots] for row in hnf]
-    span = exact.matmul(exact.matmul(b, inv), exact.transpose(b))
-    if any(x % d for row in span for x in row):
+    if isinstance(gram, RadicalSplit):
+        split = gram
+    else:
+        try:  # lists, not make_lattice's tuples, which would fill the interpreter's tuple free list
+            g = [list(map(operator.index, row)) for row in gram]
+        except TypeError:
+            raise ValueError("Gram entries must be integers") from None
+        if not exact.is_symmetric(g):
+            raise ValueError("Gram matrix must be symmetric")
+        split = RadicalSplit(g)
+    b = [[row[j] for j in split.pivots] for row in split.hnf]
+    span = exact.matmul(exact.matmul(b, split.inverse), exact.transpose(b))
+    if any(x % split.den for row in span for x in row):
         raise AssertionError("span Gram B M^-1 B^T is not integral")
-    return make_lattice([[x // d for x in row] for row in span])
+    return make_lattice([[x // split.den for x in row] for row in span])
 
 
 # --- text format -----------------------------------------------------------

@@ -14,7 +14,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import lcm, prod
 from operator import itemgetter
 from types import MappingProxyType
@@ -120,15 +120,15 @@ class RootGraph:
         return single, double, [s | d for s, d in zip(single, double)]
 
     def gram_rows(self) -> list[list[int]]:
-        return [
-            [-2 if i == j else self.mult[i][j] for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        rows = [[0] * i + [-2] + [0] * (self.n - 1 - i) for i in range(self.n)]
+        for (i, j), m in self.edges.items():
+            rows[i][j] = rows[j][i] = m
+        return rows
 
     @cached_property
     def _span(self):
-        """Z^n modulo the radical of the Gram matrix, built once per graph."""
-        return lattice.radical_quotient(self.gram_rows())
+        """The radical split of the Gram matrix, made once per graph."""
+        return lattice.RadicalSplit(self.gram_rows())
 
     @cached_property
     def _parabolics(self):
@@ -282,10 +282,10 @@ def _parabolic_search(g: RootGraph):
         # at ``into``, decided by the shape carried: the ``ends`` of a path A_k
         # (its one vertex for k = 1), or a D/E ``tree`` (branch vertex, mask of
         # leg ends, (length, end) per leg, shortest first).
-        stack = [([root], 1 << root, 1 << root, None, single[root] & above, both[root],
+        stack = [([root], 1 << root, 1 << root, None, single[root] & above,
                   double[root], single[root], 0)]
         while stack:
-            members, mask, ends, tree, ext, nbhd, dbl, one, two = stack.pop()
+            members, mask, ends, tree, ext, dbl, one, two = stack.pop()
             k = len(members)
             if ends & (ends - 1):
                 low = ends & -ends
@@ -336,9 +336,9 @@ def _parabolic_search(g: RootGraph):
                         found.append((members + [v], typ))
                         continue
                     new_ends, new_tree = 0, (branch, legs[0][1] | legs[1][1] | legs[2][1], legs)
-                fresh = both[v] & ~nbhd & ~mask & above
+                fresh = both[v] & ~(one | dbl | mask) & above
                 stack.append((members + [v], mask | bit, new_ends, new_tree, ext | fresh,
-                              nbhd | both[v], dbl | double[v], one | single[v], two | one & single[v]))
+                              dbl | double[v], one | single[v], two | one & single[v]))
 
     labels = g.labels
     out = []
@@ -347,7 +347,8 @@ def _parabolic_search(g: RootGraph):
         out.append((tuple(map(labels.__getitem__, idx)), typ, idx))
     out.sort()  # the label tuples all differ, so nothing else is compared
     # sanity: every recorded component really is corank-1 negative semidefinite;
-    # components with the same multiplicity matrix share one certificate.  Both
+    # components with the same multiplicity matrix share one certificate, keyed
+    # on its upper triangle (zero diagonal; its length gives the size).  Both
     # read the true multiplicities, rows[a][b], from the edge map: one
     # defaultdict per vertex, so no dense matrix is built
     rows = [defaultdict(int) for _ in range(g.n)]
@@ -355,7 +356,7 @@ def _parabolic_search(g: RootGraph):
         rows[a][b] = rows[b][a] = m
     certified: dict[bytes, bool] = {}
     for comp, typ, idx in out:
-        key = bytes([rows[a][b] for a in idx for b in idx])
+        key = bytes([rows[a][b] for a, b in combinations(idx, 2)])
         ok = certified.get(key)
         if ok is None:
             ok = certified[key] = _affine_certificate(rows, idx, both)
@@ -540,19 +541,19 @@ def vinberg_check(g: RootGraph, target_rank: int | None = None) -> VinbergReport
 
 def span_check(g: RootGraph) -> tuple[int, tuple[int, int]]:
     """Rank and signature of the span of the roots under the graph Gram,
-    read off the span's r x r Gram, which the graph builds once for this and
-    ``span_det``: ``lattice.radical_quotient`` checks G = C M C^T with M
-    congruent to it, so G has the same inertia (Sylvester's law)."""
-    pos, neg, _ = exact.rank_signature(g._span.gram)
+    read off the minor M = G[S,S] of the graph's ``lattice.RadicalSplit``:
+    the checked G = C M C^T and the span Gram B M^-1 B^T, not built here,
+    are congruent over Q to M plus zeros, so share its inertia (Sylvester)."""
+    pos, neg, _ = exact.rank_signature(g._span.minor)
     return (pos + neg, (pos, neg))
 
 
 def span_lattice(g: RootGraph):
-    """The lattice generated by the roots modulo its radical, built at the
-    span's rank from independent roots by ``lattice.radical_quotient``."""
-    if g._span.rank == 0:
+    """The lattice generated by the roots modulo its radical: the Gram
+    B M^-1 B^T that ``lattice.radical_quotient`` builds from the graph's split."""
+    if not g._span.pivots:
         raise ValueError("graph Gram has zero rank")
-    return g._span
+    return lattice.radical_quotient(g._span)
 
 
 def span_det(g: RootGraph) -> int:
@@ -563,8 +564,11 @@ def span_det(g: RootGraph) -> int:
     gluing a maximal isotropic subgroup of its discriminant form
     (``lattice.saturate``); that is the largest even lattice the roots can
     generate in any ambient, and every maximal subgroup gives the same det.
+    The span's det is the split's (prod p_i)^2 / det M; a span of (-2)-roots
+    is even, so at det +-1 it is its own saturation and its Gram is not built.
     """
-    return lattice.saturated_det(span_lattice(g))
+    d = g._span.det  # 1 at rank 0, where span_lattice refuses
+    return d if abs(d) == 1 and g._span.pivots else lattice.saturated_det(span_lattice(g))
 
 
 # --- automorphisms ----------------------------------------------------------
@@ -574,10 +578,14 @@ def _refine_colors(g: RootGraph):
     adds no class.  Only the partition matters, as ``automorphisms`` reads
     colors through equality and class sizes alone.  A vertex's signature is
     its color and the sorted codes m*n + c of its neighbors (multiplicity m,
-    color c < n), so equal signatures mean equal colors and neighbor multisets.
+    color c < n), so equal signatures mean equal colors and neighbor multisets;
+    the neighbor lists come from the edge map.
     """
     n = g.n
-    nbrs = [[(m * n, u) for u, m in enumerate(row) if m] for row in g.mult]
+    nbrs = [[] for _ in range(n)]
+    for (u, v), m in g.edges.items():
+        nbrs[u].append((m * n, v))
+        nbrs[v].append((m * n, u))
     colors, count = [0] * n, 1
     while True:
         sigs = [(colors[v], *sorted([mn + colors[u] for mn, u in nb])) for v, nb in enumerate(nbrs)]

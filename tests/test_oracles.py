@@ -1053,6 +1053,37 @@ def test_radical_quotient_on_random_degenerate_grams():
         check_radical_quotient(m)
 
 
+def check_split_identities(g):
+    """What the readers of a graph's radical split rely on, against sympy: the
+    span Gram B M^-1 B^T has det (prod p_i)^2 / det M for the HNF pivots p_i,
+    and the inertia of M (Sylvester); span_det, which builds that Gram only
+    to saturate, agrees with saturated_det of the built span."""
+    from sympy import Matrix
+
+    fresh = g.induced(g.labels)  # a graph of its own, whose split nothing has read
+    split, span = g._span, rootgraph.span_lattice(g)
+    pivots = prod(row[j] for row, j in zip(split.hnf, split.pivots))
+    det_m = int(Matrix(split.minor).to_DM().det())
+    det_span = int(Matrix(span.gram).to_DM().det())
+    assert det_span * det_m == pivots**2 and split.det == det_span, g
+    assert sympy_inertia(split.minor) == sympy_inertia(span.gram), g
+    assert rootgraph.span_det(fresh) == lattice.saturated_det(span), g
+    return det_span
+
+
+def test_radical_split_identities_match_sympy():
+    dets = [check_split_identities(catalog.build_graph(name))
+            for name in ("I", "II", "VI", "MI", "MII")]
+    assert dets == [-4, -4, -1, -4, -1]
+    rng = random.Random(36)
+    for trial in range(40):
+        source = catalog.build_graph(("VI", "MI", "MII")[trial % 3])
+        size = rng.randint(16, min(32, source.n))
+        dets.append(check_split_identities(source.induced(rng.sample(source.labels, size))))
+    # both readers of the det: spans that are their own saturation, and others
+    assert sum(abs(d) == 1 for d in dets) >= 10 and sum(abs(d) > 1 for d in dets) >= 10, dets
+
+
 def test_radical_quotient_of_zero_gram():
     assert lattice.radical_quotient([[0, 0], [0, 0]]).rank == 0
     with pytest.raises(ValueError, match="zero rank"):

@@ -635,6 +635,46 @@ def test_packing_refusal_builds_no_dense_matrix():
         assert "mult" not in vars(g)
 
 
+def test_searches_and_unimodular_span_build_no_dense_matrix(monkeypatch):
+    # the colour refinement reads the edge map, and span_det reads the
+    # radical split's det: a graph with a discrete refinement and a
+    # unimodular span builds neither the dense mult nor the span Gram
+    from coblemukai import catalog, lattice
+
+    rng = random.Random(36)
+    for trial in range(60):
+        source = catalog.build_graph(("VI", "MI", "MII")[trial % 3])
+        size = rng.randint(16, min(32, source.n))
+        probe = source.induced(rng.sample(source.labels, size))
+        if abs(probe._span.det) == 1 and len(set(rootgraph._refine_colors(probe))) == probe.n:
+            break
+    else:
+        pytest.fail("no seeded subgraph with a discrete refinement and a unimodular span")
+    built = []
+    quotient = lattice.radical_quotient
+    monkeypatch.setattr(lattice, "radical_quotient", lambda gram: built.append(gram) or quotient(gram))
+    g = probe.induced(probe.labels)
+    rank, _ = span_check(g)
+    vinberg_check(g, rank - 2)
+    assert rootgraph.automorphisms(g) == (1, [])
+    assert abs(span_det(g)) == 1
+    assert "mult" not in vars(g) and built == []
+    mi = catalog.build_graph("MI")  # a span of det -4, saturated to det -1
+    assert span_det(mi) == -1 and mi._span.det == -4 and built == [mi._span]
+
+
+def test_split_det_is_checked_exact(monkeypatch):
+    # det M must divide the squared product of the HNF pivots
+    from coblemukai import exact, lattice
+
+    split = lattice.RadicalSplit(rootgraph.RootGraph(["a", "b"], [[0, 1], [1, 0]]).gram_rows())
+    assert split.det == 3
+    monkeypatch.setattr(exact, "det", lambda m: 2)
+    message = "radical split failed: det M does not divide (prod p_i)^2"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        lattice.RadicalSplit(rootgraph.RootGraph(["a", "b"], [[0, 1], [1, 0]]).gram_rows()).det
+
+
 def _tuple_signature_refine_colors(g):
     """Color refinement with (color, sorted (mult, color) pairs)
     signatures, numbered by sorted signature, until the colors repeat."""
