@@ -396,9 +396,9 @@ def saturate(lat: Lattice) -> Lattice:
 
 def saturated_det(lat: Lattice) -> int:
     """det of ``saturate(lat)``, taking one determinant, of L: det L' follows
-    from the glue index (an even unimodular L is its own saturation)."""
-    d = det(lat)
-    return d if abs(d) == 1 and is_even(lat) else _saturate(lat, d)[1]
+    from the glue index (an even unimodular L is its own saturation, with a
+    trivial discriminant group and no glue)."""
+    return _saturate(lat, det(lat))[1]
 
 
 def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:

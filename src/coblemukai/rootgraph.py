@@ -288,13 +288,14 @@ def _parabolic_search(g: RootGraph):
             members, mask, ends, tree, ext, dbl, one, two = stack.pop()
             k = len(members)
             if ends & (ends - 1):
+                # ext meets the parent's set in at most one single edge and no
+                # double one, so a closer's two single edges go to the two ends
                 low = ends & -ends
                 closers = ext & two & ~dbl & single[low.bit_length() - 1] & single[(ends ^ low).bit_length() - 1]
                 while closers:
                     v = closers.bit_length() - 1
                     closers ^= 1 << v
-                    if single[v] & mask == ends:
-                        found.append((members + [v], _diagram("A", k, True)))
+                    found.append((members + [v], _diagram("A", k, True)))
             ext &= ~(dbl | two)
             while ext:
                 v = ext.bit_length() - 1
@@ -622,14 +623,17 @@ def _close_orbit(orbit: set, gens) -> set:
 
 class _StabilizerChain:
     """Schreier–Sims chain of the group that ``gens`` generate on 0..n-1,
-    with base 0..n-1.
+    with base 0..n-1, built once.
 
     Level k holds the orbit of k under the strong generators that fix
     0..k-1, with a transversal: ``trans[k][p]`` sends k to p and
-    ``inverse[k][p]`` is its inverse.  ``checked[k][i]`` counts the strong
-    generators s of level k whose Schreier generator at the i-th orbit point
-    is 1 or has been sifted into the levels below.  When all of them are,
-    the order is the product of the orbit lengths.
+    ``inverse[k][p]`` is its inverse.  Each generator is sifted and adjoined
+    if it is no member yet.  Then the levels are completed from the deepest
+    up: level k is complete when each of its Schreier generators sifts
+    through the complete levels below it.  A residue that does not is
+    adjoined where it stopped, which changes that level and those above it
+    only, so the pass starts again there.  The order is then the product of
+    the orbit lengths (Seress, Permutation Group Algorithms, 2003).
     """
 
     def __init__(self, n: int, gens):
@@ -639,9 +643,14 @@ class _StabilizerChain:
         self.inverse = [{k: identity} for k in range(n)]
         self.points = [[k] for k in range(n)]
         self.gens: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-        self.checked = [[0] for _ in range(n)]
         for g in gens:
-            self.add(g)
+            g, k = self.sift(g)
+            if k < n:
+                self._adjoin(g, k)
+        k = n - 1
+        while k >= 0:
+            j = self._sift_schreier_generators(k)
+            k = k - 1 if j is None else j
 
     def order(self) -> int:
         return prod(map(len, self.points))
@@ -657,22 +666,10 @@ class _StabilizerChain:
                 g = _compose(inv, g)
         return g, self.n
 
-    def add(self, g):
-        """Enlarge the group by g and complete the chain again."""
-        g, k = self.sift(g)
-        if k == self.n:
-            return
-        self._adjoin(g, k)
-        # deepest level first, so every sift runs through complete levels
-        while k >= 0:
-            j = self._sift_schreier_generators(k)
-            k = k - 1 if j is None else j
-
     def _adjoin(self, g, j: int):
         """Make g, which fixes 0..j-1 and moves j, a strong generator."""
         for k in range(j + 1):
-            gens, trans, inverse = self.gens[k], self.trans[k], self.inverse[k]
-            points, checked = self.points[k], self.checked[k]
+            gens, trans, inverse, points = self.gens[k], self.trans[k], self.inverse[k], self.points[k]
             gens.append(g)
             # the old points need only the new generator, the new ones all
             i, new_from = 0, len(points)
@@ -685,20 +682,15 @@ class _StabilizerChain:
                         trans[q] = u
                         inverse[q] = _inverse(u)
                         points.append(q)
-                        checked.append(0)
                 i += 1
 
     def _sift_schreier_generators(self, k: int):
-        """Sift the unchecked Schreier generators of level k but those that
-        are 1; on the first that is no member, adjoin its residue and return
-        its level."""
+        """Sift the Schreier generators of level k but those that are 1; on
+        the first that is no member, adjoin its residue and return its level."""
         gens, trans, inverse = self.gens[k], self.trans[k], self.inverse[k]
-        points, checked = self.points[k], self.checked[k]
-        for i, p in enumerate(points):
+        for p in self.points[k]:
             u = trans[p]
-            while checked[i] < len(gens):
-                s = gens[checked[i]]
-                checked[i] += 1
+            for s in gens:
                 su = _compose(s, u)
                 if su == trans[s[p]]:  # t_{s(p)}^-1 s t_p is 1
                     continue

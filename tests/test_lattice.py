@@ -175,9 +175,14 @@ ODD_INDEFINITE = lattice.make_lattice([[1, 0], [0, -1]])
     (lambda: lattice.saturated_det(ODD_UNIMODULAR), "saturation requires an even lattice"),
     (lambda: lattice.saturate(ODD_INDEFINITE), "saturation requires an even lattice"),
     (lambda: lattice.saturated_det(ODD_INDEFINITE), "saturation requires an even lattice"),
+    # ragged Grams: a short last row, a short first row
+    (lambda: lattice.make_lattice([[0, 1], [1]]), "Gram matrix must be symmetric"),
+    (lambda: lattice.make_lattice([[2], [1, 2]]), "Gram matrix must be symmetric"),
+    (lambda: lattice.radical_quotient([[0, 1], [1]]), "Gram matrix must be symmetric"),
 ], ids=["overlattice", "saturate", "saturated_det", "half_overlattice", "disc_q",
         "mod2_subgroup-entry", "mod2_subgroup-length", "half_overlattice-length", "mod2_subgroup-odd",
-        "saturate-det-1", "saturated_det-det-1", "saturate-det-minus-1", "saturated_det-det-minus-1"])
+        "saturate-det-1", "saturated_det-det-1", "saturate-det-minus-1", "saturated_det-det-minus-1",
+        "make_lattice-ragged-last", "make_lattice-ragged-first", "radical_quotient-ragged"])
 def test_lattice_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError) as info:
         call()

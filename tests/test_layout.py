@@ -20,11 +20,12 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _module_aliases(tree: ast.Module, own: str) -> dict[str, str]:
-    """Local names bound to other package modules, e.g. ``from . import exact``."""
+def _module_aliases(tree: ast.Module, own: str | None) -> dict[str, str]:
+    """Local names bound to other package modules, e.g. ``from . import exact``
+    or ``from coblemukai import exact``."""
     aliases = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "coblemukai")):
             for a in node.names:
                 if a.name in PACKAGE_MODULES and a.name != own:
                     aliases[a.asname or a.name] = a.name
@@ -102,19 +103,56 @@ def _public_definitions(tree: ast.Module, module: str) -> list[str]:
     return defs
 
 
+def _references(tree: ast.Module, own: str | None) -> tuple[set[str], set[str]]:
+    """(qualified, attributes) that ``tree``, package module ``own`` or a
+    user text for None, refers to.  ``qualified`` holds ``module.name`` for
+    an attribute of an alias of a package module, an imported name
+    (``from .module import name`` or ``from coblemukai.module import name``)
+    that is then used, and, in a package module, any other bare name as its
+    own; ``attributes`` holds every attribute name, qualified or not."""
+    aliases = _module_aliases(tree, own)
+    imported = {}  # local name -> module.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.level <= 1:
+            module = node.module if node.level else node.module.partition("coblemukai.")[2]
+            if module in PACKAGE_MODULES:
+                imported.update((a.asname or a.name, f"{module}.{a.name}") for a in node.names)
+    qualified, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            if node.id in imported:
+                qualified.add(imported[node.id])
+            elif own:
+                qualified.add(f"{own}.{node.id}")
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                qualified.add(f"{aliases[node.value.id]}.{node.attr}")
+    return qualified, attributes
+
+
 def _unreferenced(sources: dict[str, str], users: list[str]) -> list[str]:
     """Public names of the package modules in ``sources`` (stem -> text) that
-    no Name or Attribute node in a package module or in a ``users`` text
-    carries.  ``__init__`` re-exports do not count; a definition is not a
-    reference to itself, but a use in its own module is.  Names are matched
-    without their module, so a name that another definition shares counts
-    as referenced."""
+    nothing in a package module or in a ``users`` text refers to.
+
+    A top-level function or class counts as referenced only with its module:
+    as an attribute of an alias of that module, as a name imported from it
+    and then used, or as a bare name inside it.  A method counts as
+    referenced when any attribute carries its name, as its receiver cannot
+    be resolved statically.  ``__init__`` re-exports do not count; a
+    definition is not a reference to itself, but a use in its own module is.
+    """
     trees = {m: ast.parse(text) for m, text in sources.items() if m != "__init__"}
-    refs = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in [*trees.values(), *map(ast.parse, users)]
-            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
-    return sorted(d for m, tree in trees.items() for d in _public_definitions(tree, m)
-                  if d.rsplit(".", 1)[1] not in refs)
+    qualified, attributes = set(), set()
+    for tree, own in [*((t, m) for m, t in trees.items()), *((ast.parse(u), None) for u in users)]:
+        q, a = _references(tree, own)
+        qualified |= q
+        attributes |= a
+
+    def referenced(d: str) -> bool:
+        return d in qualified if d.count(".") == 1 else d.rsplit(".", 1)[1] in attributes
+
+    return sorted(d for m, tree in trees.items() for d in _public_definitions(tree, m) if not referenced(d))
 
 
 def test_every_public_name_has_a_caller():
@@ -131,8 +169,28 @@ def test_caller_guard_sees_functions_classes_and_methods():
         "catalog": "from . import lattice\nlattice.inner()\n",
         "__init__": "from .lattice import unused, K\n",
     }
-    assert _unreferenced(sources, ["K().x\n"]) == ["lattice.K.m", "lattice.unused"]
+    assert _unreferenced(sources, ["from coblemukai.lattice import K\nK().x\n"]) == [
+        "lattice.K.m", "lattice.unused"]
+    assert _unreferenced(sources, ["K().x\n"]) == ["lattice.K", "lattice.K.m", "lattice.unused"]
     assert _unreferenced(sources, []) == ["lattice.K", "lattice.K.m", "lattice.unused"]
+
+
+def test_caller_guard_matches_names_with_their_module():
+    # rootgraph reads a method det, a variable det and exact.det, none of
+    # them lattice.det; a match without the module took any of them for it
+    sources = {
+        "lattice": "def det(): pass\ndef hnf(): pass\n",
+        "rootgraph": "from . import exact\nclass Split:\n    def det(self): pass\n"
+                     "Split().det()\ndet = exact.det\n",
+        "catalog": "from .lattice import hnf as h\nh()\n",
+    }
+    assert _unreferenced(sources, []) == ["lattice.det"]
+    assert _unreferenced(sources, ["from coblemukai import lattice as lat\nlat.det()\n"]) == []
+    assert _unreferenced(sources, ["from coblemukai.lattice import det\n"]) == ["lattice.det"]
+    assert _unreferenced(sources, ["from coblemukai.lattice import det\ndet()\n"]) == []
+    # an import that is never used calls nothing
+    sources["catalog"] = "from .lattice import hnf\n"
+    assert _unreferenced(sources, []) == ["lattice.det", "lattice.hnf"]
 
 
 def _calls(tree: ast.Module, function: str) -> set[str]:

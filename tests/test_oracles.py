@@ -205,9 +205,12 @@ def test_affine_a_count_matches_chordless_cycles():
         assert a_tilde == cycles, n
 
 
-def brute_maximal_parabolics(g, target):
-    cps = brute_connected_parabolics(g)
+def packings_by_recursion(g, cps, target):
+    """(packings, overshoots): the sets of pairwise disjoint and orthogonal
+    members of ``cps`` whose ranks sum to ``target``, sorted, and how often
+    a member was passed over because it would overshoot the target."""
     results = set()
+    overshoots = 0
 
     def compatible(a, b):
         for la in a:
@@ -217,18 +220,24 @@ def brute_maximal_parabolics(g, target):
         return True
 
     def rec(start, chosen, total):
+        nonlocal overshoots
         if total == target:
             results.add(tuple(sorted(chosen)))
             return
         for i in range(start, len(cps)):
             labels, typ = cps[i]
             if total + typ.rank > target:
+                overshoots += 1
                 continue
             if all(compatible(labels, c[0]) for c in chosen):
                 rec(i + 1, chosen + [cps[i]], total + typ.rank)
 
     rec(0, [], 0)
-    return sorted(results)
+    return sorted(results), overshoots
+
+
+def brute_maximal_parabolics(g, target):
+    return packings_by_recursion(g, brute_connected_parabolics(g), target)[0]
 
 
 def test_maximal_parabolics_matches_packing_oracle():
@@ -242,6 +251,26 @@ def test_maximal_parabolics_matches_packing_oracle():
         brute = brute_maximal_parabolics(g, target)
         fast = sorted(p.components for p in rootgraph.maximal_parabolics(g, target))
         assert fast == brute, (trial, target)
+
+
+def test_maximal_parabolics_below_span_rank_match_recursion():
+    # below span rank - 2 a component can overshoot the target rank, and the
+    # packing must pass it over: II, VI and seeded induced subgraphs of VI,
+    # MI and MII at every target below 8, against a recursion fed from
+    # connected_parabolics
+    rng = random.Random(71)
+    graphs = [catalog.build_graph("II"), catalog.build_graph("VI")]
+    for trial in range(6):
+        source = catalog.build_graph(("VI", "MI", "MII")[trial % 3])
+        graphs.append(source.induced(rng.sample(source.labels, rng.randint(12, 20))))
+    overshoots = 0
+    for g in graphs:
+        for target in range(8):
+            want, skipped = packings_by_recursion(g, rootgraph.connected_parabolics(g, target), target)
+            got = sorted(p.components for p in rootgraph.maximal_parabolics(g, target))
+            assert got == want, (g.name, g.labels, target)
+            overshoots += skipped
+    assert overshoots > 0
 
 
 def test_vinberg_check_below_span_rank_matches_definition():

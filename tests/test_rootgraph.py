@@ -1,4 +1,3 @@
-import copy
 import functools
 import hashlib
 import importlib.util
@@ -376,16 +375,83 @@ def test_automorphisms_cycle():
     assert order == 10
 
 
-def test_stabilizer_chain_add_of_a_member_changes_nothing():
+def test_stabilizer_chain_member_generator_changes_nothing():
     # the dihedral group of the hexagon, order 12; r^2 s is already in it
     r, s = (1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)
-    chain = rootgraph._StabilizerChain(6, [r, s])
-    levels = [chain.trans, chain.inverse, chain.points, chain.gens, chain.checked]
-    before = copy.deepcopy(levels)
-    assert chain.order() == 12
-    chain.add(tuple(r[r[s[i]]] for i in range(6)))
-    assert chain.order() == 12
-    assert [chain.trans, chain.inverse, chain.points, chain.gens, chain.checked] == before
+    a = rootgraph._StabilizerChain(6, [r, s])
+    b = rootgraph._StabilizerChain(6, [r, s, tuple(r[r[s[i]]] for i in range(6))])
+    assert a.order() == b.order() == 12
+    assert [a.trans, a.inverse, a.points, a.gens] == [b.trans, b.inverse, b.points, b.gens]
+
+
+def group_closure(gens, n):
+    """Every element of the group that ``gens`` generate on 0..n-1."""
+    closure = {tuple(range(n))}
+    frontier = list(closure)
+    while frontier:
+        x = frontier.pop()
+        for q in gens:
+            y = tuple(x[q[i]] for i in range(n))
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return closure
+
+
+class ResidueCountingChain(rootgraph._StabilizerChain):
+    """A chain that counts the residues its Schreier sifts adjoin."""
+
+    def __init__(self, n, gens):
+        self.residues = 0
+        super().__init__(n, gens)
+
+    def _sift_schreier_generators(self, k):
+        j = super()._sift_schreier_generators(k)
+        self.residues += j is not None
+        return j
+
+
+@pytest.mark.parametrize("n, gens, order", [
+    (4, [(1, 2, 3, 0), (1, 0, 2, 3)], 24),  # S4 from (0 1 2 3) and (0 1)
+    (5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], 60),  # A5 from (0 1 2 3 4) and (0 1 2)
+], ids=["S4", "A5"])
+def test_stabilizer_chain_adjoins_residues_of_a_non_strong_generating_set(n, gens, order):
+    # neither set generates the stabilizer of 0, so the chain is complete
+    # only once Schreier generators that sift to a residue are adjoined
+    chain = ResidueCountingChain(n, gens)
+    assert chain.order() == len(group_closure(gens, n)) == order
+    assert chain.residues > 0
+
+
+def relabelled(name, stride):
+    """The catalog graph with vertex i taken from vertex stride * i mod n."""
+    from coblemukai import catalog
+
+    g = catalog.build_graph(name)
+    order = [stride * i % g.n for i in range(g.n)]
+    return rootgraph.RootGraph([g.labels[i] for i in order],
+                               [[g.mult[i][j] for j in order] for i in order])
+
+
+@pytest.mark.parametrize("name, stride, order, residues", [
+    ("MI", 7, 1440, 2), ("MII", 7, 1152, 1), ("VI", 3, 120, 1),
+])
+def test_automorphisms_of_relabelled_graphs_adjoin_residues(monkeypatch, name, stride, order, residues):
+    # in these vertex orders the search's strong generators are not strong
+    # for the base 0..n-1, so the chain must adjoin residues to reach the order
+    chains = []
+
+    def recording(n, gens):
+        chains.append(ResidueCountingChain(n, gens))
+        return chains[-1]
+
+    monkeypatch.setattr(rootgraph, "_StabilizerChain", recording)
+    g = relabelled(name, stride)
+    got, gens = rootgraph.automorphisms(g)
+    assert got == order == len(group_closure(gens, g.n))
+    assert [c.residues for c in chains] == [residues]
+    for p in gens:
+        assert all(g.mult[i][j] == g.mult[p[i]][p[j]] for i in range(g.n) for j in range(g.n))
 
 
 def test_automorphisms_generators_close_to_order():
