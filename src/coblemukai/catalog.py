@@ -486,6 +486,13 @@ class CobleMukaiLattice:
 
 
 def coble_mukai(model: BlowupModel) -> CobleMukaiLattice:
+    """beta-perp in L + sum Z beta_j/2, for the ambient L and the boundaries
+    beta_j, which must be pairwise orthogonal.
+
+    Its Gram is integral with no test: y = x + sum c_j beta_j/2 with x in L
+    is in beta-perp when <x, beta_j> = 2 c_j, as ``BlowupModel`` forces
+    beta_j^2 = -4, and then <y, y'> = <x, x'> + sum c_j c'_j.
+    """
     amb = model.ambient
     n = amb.rank
     # integral, see BlowupModel
@@ -505,8 +512,6 @@ def coble_mukai(model: BlowupModel) -> CobleMukaiLattice:
     kernel = exact.int_kernel(lattice.gram_matrix(amb, betas, ext2))
     twice = exact.hnf_rows(exact.matmul(kernel, ext2))
     gram4 = lattice.gram_matrix(amb, twice)  # four times the Gram of the basis
-    if any(x % 4 for row in gram4 for x in row):
-        raise ValueError("non-integral Gram: boundaries violate the half-class precondition")
     return CobleMukaiLattice(lattice.make_lattice([[x // 4 for x in row] for row in gram4]), twice)
 
 

@@ -71,10 +71,22 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _eliminate(a: list[list[int]]) -> int:
+def _eliminate(a: list[list[int]]) -> tuple[int, list[int], bool]:
     """Bareiss elimination in place below the diagonal of the square left
     block of ``a``, across the full row width; its last pivot is +-det.
-    Returns the sign of the row swaps, or 0 when a pivot column is empty.
+    Returns (sign, order, congruent): det is sign times the last pivot, and
+    sign is 0 when a pivot column is empty; column k of the left block is
+    now column order[k] of the input; congruent is False once a row was
+    swapped alone.
+
+    A zero pivot at step k is replaced first by the first later row i whose
+    diagonal entry is nonzero: rows k and i, and columns k and i of the left
+    block, change places.  That is a congruence P M P^T, so det keeps its
+    sign, and a[i][i] is, up to a nonzero factor, the principal minor on
+    the rows and columns of steps 0..k-1 and i.  While every swap is of this
+    kind the pivots are the leading principal minors D_1..D_n of P M P^T.
+    Only when no later diagonal entry is nonzero is the first later row with
+    a nonzero in column k swapped in alone, which flips the sign.
 
     A row with a 0 in the pivot column is not touched at that step, where
     eager Bareiss multiplies it by p_k / p_(k-1).  ``scale[i]`` is the pivot
@@ -90,12 +102,21 @@ def _eliminate(a: list[list[int]]) -> int:
     n = len(a)
     sign = prev = 1
     scale = [1] * n
+    order = list(range(n))
+    congruent = True
     for k in range(n):  # the last row's step only brings it up to date
         if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv], sign = a[piv], a[k], -sign
+            piv = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if piv is not None:
+                for row in a:
+                    row[k], row[piv] = row[piv], row[k]
+                order[k], order[piv] = order[piv], order[k]
+            else:
+                piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if piv is None:
+                    return 0, order, congruent
+                sign, congruent = -sign, False
+            a[k], a[piv] = a[piv], a[k]
             scale[k], scale[piv] = scale[piv], scale[k]
         rk = a[k]
         cols = range(k, len(rk))  # column k ends 0 in the rows below
@@ -113,7 +134,7 @@ def _eliminate(a: list[list[int]]) -> int:
                     row[j] = (p * row[j] - c * rk[j]) // s
                 scale[i] = p
         prev = p
-    return sign
+    return sign, order, congruent
 
 
 def det(m: list[list[int]]) -> int:
@@ -122,7 +143,7 @@ def det(m: list[list[int]]) -> int:
     if any(len(row) != n for row in m):
         raise ValueError("det requires a square matrix")
     a = [list(row) for row in m]
-    return _eliminate(a) * a[-1][-1] if a else 1
+    return _eliminate(a)[0] * a[-1][-1] if a else 1
 
 
 @dataclass(frozen=True)
@@ -223,7 +244,8 @@ def integer_rows(vectors) -> tuple[list[list[int]], int]:
     and den the least common denominator (1 for integer input).  An entry is a
     Fraction or an integer, read by ``operator.index``; a float or str is refused."""
     try:
-        vecs = [[c if isinstance(c, Fraction) else index(c) for c in v] for v in vectors]
+        vecs = [[c if type(c) is int or isinstance(c, Fraction) else index(c) for c in v]
+                for v in vectors]
     except TypeError:
         raise ValueError("vector entries must be integers or Fractions") from None
     # a set, not a generator: star-expanding n*n entries churns tuple sizes
@@ -288,17 +310,32 @@ def rank_signature(m: list[list]) -> tuple[int, int, int]:
     return (pos, neg, len(m) - pos - neg)
 
 
-def inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
+class Inverse(tuple):
+    """What ``inverse`` returns: the pair (d*M^-1, d), as it unpacks, with
+    det M as ``det`` and, unless the elimination swapped a row alone, the
+    leading principal minors D_1..D_n of P M P^T as ``minors`` (D_n = det M;
+    None otherwise), P the permutation of its symmetric swaps."""
+
+    def __new__(cls, x, den, det, minors):
+        pair = super().__new__(cls, (x, den))
+        pair.det, pair.minors = det, minors
+        return pair
+
+
+def inverse(m: list[list[int]]) -> Inverse:
     """(d*M^-1, d) for a nonsingular square integer M, d the least common
-    denominator of M^-1.  ``_eliminate`` takes [M | I] to [U | V], U = V M
-    upper triangular with U[n-1][n-1] = D = +-det M.  Back-substitution
-    solves U X = D V; X = D M^-1 = +-adj M is integral, so every division is
-    exact.  Dividing by the content of D and X gives d."""
+    denominator of M^-1, with det M and the minors of ``Inverse``.
+    ``_eliminate`` takes [M | I] to [U | V], U = V M Q^T upper triangular
+    with U[n-1][n-1] = D = +-det M, Q the column order it swapped M's block
+    into.  Back-substitution solves U X = D V; X = D Q M^-1 = +-Q adj M is
+    integral, so every division is exact, and row k of X is row order[k] of
+    D M^-1.  Dividing by the content of D and X gives d."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse requires a square matrix")
     a = [[*row, *e] for row, e in zip(m, identity(n))]
-    d = _eliminate(a) and a[-1][n - 1] if n else 1
+    sign, order, congruent = _eliminate(a)
+    d = sign and a[-1][n - 1] if n else 1
     if not d:
         raise ValueError("inverse of a singular matrix")
     x: list = [None] * n
@@ -312,7 +349,11 @@ def inverse(m: list[list[int]]) -> tuple[list[list[int]], int]:
                     acc[t] -= u * xj[t]
         x[i] = [s // row[i] for s in acc]
     c = gcd(d, *(v for r in x for v in r)) * (1 if d > 0 else -1)
-    return [[v // c for v in r] for r in x], d // c
+    out: list = [None] * n
+    for k, r in zip(order, x):
+        out[k] = [v // c for v in r]
+    minors = tuple(a[k][k] for k in range(n)) if congruent else None
+    return Inverse(out, d // c, sign * d, minors)
 
 
 def int_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:

@@ -394,11 +394,13 @@ def saturate(lat: Lattice) -> Lattice:
     return _saturate(lat, det(lat))[0]
 
 
-def saturated_det(lat: Lattice) -> int:
-    """det of ``saturate(lat)``, taking one determinant, of L: det L' follows
-    from the glue index (an even unimodular L is its own saturation, with a
-    trivial discriminant group and no glue)."""
-    return _saturate(lat, det(lat))[1]
+def saturated_det(lat: Lattice, d: int | None = None) -> int:
+    """det of ``saturate(lat)``, taking at most one determinant, of L: det L'
+    follows from the glue index (an even unimodular L is its own saturation,
+    with a trivial discriminant group and no glue).  A caller that holds
+    d = det L passes it, and no determinant is taken; the discriminant group
+    checks |L*/L| = |d| all the same."""
+    return _saturate(lat, det(lat) if d is None else d)[1]
 
 
 def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
@@ -556,7 +558,10 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
 class RadicalSplit:
     """The split of a symmetric integer Gram G that ``radical_quotient``
     builds on, its rows taken as given: the pivot columns S of the HNF of G,
-    M = G[S,S] and d M^-1, with both checks run; ``det`` is taken on first read."""
+    M = G[S,S] and d M^-1, with both checks run.  One elimination of M also
+    gives ``minor_det`` = det M and ``inertia`` = (positive, negative) of M
+    by Jacobi's rule, or None when it swapped a row alone; ``det`` is taken
+    on first read."""
 
     def __init__(self, g: list[list[int]]):
         # rows by descending leading column land on a free pivot or reduce in a
@@ -565,7 +570,14 @@ class RadicalSplit:
             g, key=lambda row: next((j for j, x in enumerate(row) if x), len(row)), reverse=True))
         self.pivots = pivots = [next(i for i, x in enumerate(row) if x) for row in self.hnf]
         self.minor = m = [[g[i][j] for j in pivots] for i in pivots]
-        self.inverse, self.den = inv, d = exact.inverse(m)
+        solved = exact.inverse(m)
+        self.inverse, self.den = inv, d = solved
+        self.minor_det, minors = solved.det, solved.minors
+        if minors is None:
+            self.inertia = None
+        else:  # negative eigenvalues: the sign changes along 1, D_1, ..., D_r
+            neg = sum((a < 0) != (b < 0) for a, b in zip((1, *minors), minors))
+            self.inertia = (len(minors) - neg, neg)
         if not exact.product_is([inv, m], [[d * (i == j) for j in pivots] for i in pivots]):
             raise AssertionError("radical split failed: d M^-1 times M is not d I")
         rest = sorted(set(range(len(g))).difference(pivots))
@@ -578,7 +590,7 @@ class RadicalSplit:
     def det(self) -> int:
         """det of the quotient, (prod p_i)^2 / det M, checked exact."""
         square = prod(row[j] for row, j in zip(self.hnf, self.pivots)) ** 2
-        q, r = divmod(square, exact.det(self.minor))
+        q, r = divmod(square, self.minor_det)
         if r:
             raise AssertionError("radical split failed: det M does not divide (prod p_i)^2")
         return q

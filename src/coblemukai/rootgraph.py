@@ -544,8 +544,14 @@ def span_check(g: RootGraph) -> tuple[int, tuple[int, int]]:
     """Rank and signature of the span of the roots under the graph Gram,
     read off the minor M = G[S,S] of the graph's ``lattice.RadicalSplit``:
     the checked G = C M C^T and the span Gram B M^-1 B^T, not built here,
-    are congruent over Q to M plus zeros, so share its inertia (Sylvester)."""
-    pos, neg, _ = exact.rank_signature(g._span.minor)
+    are congruent over Q to M plus zeros, so share its inertia (Sylvester).
+    The split's elimination of M gives that inertia; only when it swapped a
+    row alone is M's inertia taken by ``exact.rank_signature``."""
+    split = g._span
+    if split.inertia is None:
+        pos, neg, _ = exact.rank_signature(split.minor)
+    else:
+        pos, neg = split.inertia
     return (pos + neg, (pos, neg))
 
 
@@ -565,11 +571,12 @@ def span_det(g: RootGraph) -> int:
     gluing a maximal isotropic subgroup of its discriminant form
     (``lattice.saturate``); that is the largest even lattice the roots can
     generate in any ambient, and every maximal subgroup gives the same det.
-    The span's det is the split's (prod p_i)^2 / det M; a span of (-2)-roots
-    is even, so at det +-1 it is its own saturation and its Gram is not built.
+    The span's det is the split's (prod p_i)^2 / det M, handed to the
+    saturation; a span of (-2)-roots is even, so at det +-1 it is its own
+    saturation and its Gram is not built.
     """
     d = g._span.det  # 1 at rank 0, where span_lattice refuses
-    return d if abs(d) == 1 and g._span.pivots else lattice.saturated_det(span_lattice(g))
+    return d if abs(d) == 1 and g._span.pivots else lattice.saturated_det(span_lattice(g), d)
 
 
 # --- automorphisms ----------------------------------------------------------

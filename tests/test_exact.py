@@ -287,8 +287,9 @@ def test_hnf_rows_canonical_reduction():
 
 
 # Symmetric, so every kernel takes them.  Zero diagonals and zero leading
-# entries make det and inverse swap rows, rank_signature fold and swap, and
-# the Smith form move its pivot; the third is singular (affine A2).
+# entries make det and inverse swap a row alone (the first) or a row with its
+# column (the second), rank_signature fold and swap, and the Smith form move
+# its pivot; the third is singular (affine A2).
 KERNEL_INPUTS = [
     [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
     [[0, 0, 2], [0, -2, 1], [2, 1, 0]],

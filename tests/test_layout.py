@@ -640,3 +640,25 @@ def test_self_check_guard_sees_unnamed_messages():
     assert _unfired_self_checks({"m.py": src}, tests) == [
         "m.py: span is not integral", "m.py: 7: no literal message", "m.py: 9: no literal message",
     ]
+
+
+def test_mutant_snippets_occur_once_and_killers_exist():
+    # tools/mutants.py applies each snippet by exact text: one that a refactor
+    # moved or duplicated, or a killer that was renamed, must be updated there
+    import importlib.util
+
+    root = SRC.parent.parent
+    spec = importlib.util.spec_from_file_location("mutants", root / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) >= 28
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    texts = {}
+    for m in mutants.MUTANTS:
+        text = texts.setdefault(m.path, (root / m.path).read_text(encoding="utf-8"))
+        assert text.count(m.snippet) == 1 and m.replacement != m.snippet, m.name
+        assert m.path.startswith("src/coblemukai/") and m.killers, m.name
+        for killer in m.killers:
+            path, _, name = killer.partition("::")
+            test = texts.setdefault(path, (root / path).read_text(encoding="utf-8"))
+            assert f"\ndef {name}(" in test, (m.name, killer)

@@ -23,8 +23,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations, permutations
-from math import factorial, prod
+from math import factorial, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,113 @@ def test_automorphisms_match_networkx_matcher():
     assert discrete == {True, False}
 
 
+def compose(p, q):
+    """The permutation i -> p[q[i]], permutations as image tuples."""
+    return tuple(map(p.__getitem__, q))
+
+
+def invert(p):
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def close_group(gens, degree):
+    """Every product of the generators, by a breadth-first walk from 1."""
+    identity = tuple(range(degree))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        images = {tuple(map(p.__getitem__, s)) for p in frontier for s in gens}
+        frontier = [q for q in images if q not in group]
+        group.update(frontier)
+    return group
+
+
+def element_order(p):
+    """The lcm of the cycle lengths."""
+    order, seen = 1, [False] * len(p)
+    for start in range(len(p)):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i, length = p[i], length + 1
+        if length:
+            order = lcm(order, length)
+    return order
+
+
+def group_fingerprint(gens, degree):
+    """(order, centre order, derived-subgroup order, element-order histogram)
+    of the group the permutations generate.  The derived subgroup is the
+    normal closure of the commutators of the generators: its generating set
+    grows by the conjugates that fall outside its span until none do."""
+    group = close_group(gens, degree)
+    centre = sum(all(compose(z, s) == compose(s, z) for s in gens) for z in group)
+    sub = list({compose(compose(invert(a), invert(b)), compose(a, b)) for a in gens for b in gens})
+    while True:
+        derived = close_group(sub, degree)
+        outside = {compose(compose(invert(g), h), g) for g in gens for h in sub} - derived
+        if not outside:
+            break
+        sub += outside
+    return len(group), centre, len(derived), dict(Counter(map(element_order, group)))
+
+
+def pgammal_2_9():
+    """PGammaL(2, 9) on the 10 points of P^1(F_9), F_9 = F_3[i] with i^2 = -1
+    and None for infinity: z + 1, (1 + i) z (1 + i has order 8), -1/z and
+    the Frobenius z^3."""
+    field = [(a, b) for a in range(3) for b in range(3)]  # a + b i
+    points = [*field, None]
+
+    def mul(x, y):
+        return ((x[0] * y[0] - x[1] * y[1]) % 3, (x[0] * y[1] + x[1] * y[0]) % 3)
+
+    def minus_inverse(z):
+        if z is None:
+            return (0, 0)
+        return next((y for y in field if mul(z, y) == (2, 0)), None)
+
+    maps = [
+        lambda z: z and ((z[0] + 1) % 3, z[1]),
+        lambda z: z and mul((1, 1), z),
+        minus_inverse,
+        lambda z: z and mul(mul(z, z), z),
+    ]
+    return [tuple(points.index(f(z)) for z in points) for f in maps]
+
+
+def test_graph_groups_fingerprint_the_papers_group_names():
+    # Table 1 names the groups of MI, MII and VI's Petersen block Aut(S6),
+    # (S4 x S4).Z/2 and S5; VI's whole group is S5 as well.  Each closed
+    # group is compared with one built here, PGammaL(2, 9) = Aut(S6) from F_9
+    # arithmetic, S4 wr Z/2 on 8 points and S5 on 5, by order, centre,
+    # derived-subgroup order and element-order histogram.  These invariants
+    # are a fingerprint, not a proof of isomorphism: groups that share all
+    # four need not be isomorphic.
+    s5 = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+    wreath = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 0, 4, 5, 6, 7), (4, 5, 6, 7, 0, 1, 2, 3)]
+    want = {
+        "MI": group_fingerprint(pgammal_2_9(), 10),
+        "MII": group_fingerprint(wreath, 8),
+        "S5": group_fingerprint(s5, 5),
+    }
+    assert want == {
+        "MI": (1440, 1, 360, {1: 1, 2: 111, 3: 80, 4: 360, 5: 144, 6: 240, 8: 360, 10: 144}),
+        "MII": (1152, 1, 288, {1: 1, 2: 123, 3: 80, 4: 372, 6: 336, 8: 144, 12: 96}),
+        "S5": (120, 1, 60, {1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}),
+    }
+    vi = catalog.build_graph("VI")
+    prefix, _ = catalog.CLAIMED_BLOCK_AUT["VI"]
+    graphs = {"MI": catalog.build_graph("MI"), "MII": catalog.build_graph("MII"), "VI": vi,
+              "VI block": vi.induced([l for l in vi.labels if l.startswith(prefix)])}
+    for name, g in graphs.items():
+        order, gens = rootgraph.automorphisms(g)
+        got = group_fingerprint(gens, g.n)
+        assert got[0] == order and got == want.get(name, want["S5"]), name
+
+
 RELABELLED_FAMILIES_SCRIPT = """
 import json
 import random
@@ -616,7 +724,7 @@ def test_det_matches_sympy():
         n = rng.randint(1, 7)
         m = random_integer_matrix(rng, n, n)
         if rng.random() < 0.3:
-            m[0][0] = 0  # send Bareiss through a row swap
+            m[0][0] = 0  # send Bareiss through a swap, nearly always of a row with its column
         assert exact.det(m) == int(Matrix(m).det()), m
     assert exact.det([]) == 1 == int(Matrix([]).det())
 
@@ -665,48 +773,85 @@ def block_sum(*blocks):
     return out
 
 
+def check_pivot_path(m, path):
+    """det, d*M^-1 and d against sympy, and ``path`` = (sign, order,
+    congruent) against ``_eliminate``: while every swap was symmetric the
+    minors ``inverse`` returns are the leading principal minors of the
+    matrix with its rows and columns taken in ``order``."""
+    from sympy import Matrix
+
+    a = [list(row) for row in m]
+    assert exact._eliminate(a) == path, m
+    sign, order, congruent = path
+    solved = exact.inverse(m)
+    assert solved.det == exact.det(m) == int(Matrix(m).det()) != 0, m
+    check_inverse(m)
+    p = Matrix([[m[i][j] for j in order] for i in order])
+    want = tuple(int(p[:k, :k].det()) for k in range(1, len(m) + 1))
+    assert solved.minors == (want if congruent else None), m
+
+
 def test_lazy_rescale_matches_sympy_on_stale_rows():
     # _eliminate leaves a row with a 0 in the pivot column as it is and
     # brings it up to date only when it is eliminated, becomes the pivot or
-    # is the last row
+    # is the last row; a zero pivot takes a later nonzero diagonal entry with
+    # its row and column (a symmetric swap) and only without one a row alone
     from sympy import Matrix
 
-    nonsingular = [
-        # rows 2 and 3 sit out steps 0 and 1; row 3 is swapped in as pivot
-        # 2, and row 2, swapped down, is the stale last row
-        [[2, 1, 0, 0], [1, 3, 0, 1], [0, 0, 0, 5], [0, 0, 7, 1]],
-        # row 1, eliminated at step 0, and the stale row 2 change places at
-        # step 1, and so do their scales
-        [[2, 0, 3, 1], [2, 0, 3, 0], [0, 3, 0, 0], [3, 3, 0, 0]],
+    e8 = [list(r) for r in lattice.make_named("E8").gram]
+    e8_sum = block_sum(e8, [[-x for x in r] for r in e8])
+    paths = [
+        # rows 2 and 3 sit out steps 0 and 1; row 3, stale, is swapped in
+        # with its column as pivot 2, and row 2, swapped down, is a stale
+        # row eliminated at step 2
+        ([[2, 1, 0, 0], [1, 3, 0, 1], [0, 0, 0, 5], [0, 0, 7, 1]], (1, [0, 1, 3, 2], True)),
+        # rows 1 and 3, both eliminated at step 0, change places at step 1;
+        # at step 2 the stale row 2 and row 1 change places, and so do their
+        # scales, and row 2 is eliminated with its own
+        ([[2, 0, 3, 1], [2, 0, 3, 0], [0, 3, 0, 0], [3, 3, 0, 0]], (1, [0, 3, 1, 2], True)),
         # the last row sits out every step but the first
-        [[3, 1, 0, 2], [1, 2, 0, 0], [0, 1, 4, 0], [6, 2, 0, 1]],
-        # a stale row eliminated at a later step, by a pivot it never saw
-        [[2, 0, 1, 0, 0], [0, 0, 3, 1, 0], [0, 4, 0, 0, 1], [1, 1, 0, 0, 3], [0, 0, 0, 2, 1]],
+        ([[3, 1, 0, 2], [1, 2, 0, 0], [0, 1, 4, 0], [6, 2, 0, 1]], (1, [0, 1, 2, 3], True)),
+        # rows 1 and 4, both stale, change places at step 1; row 1 is then
+        # eliminated at step 2, by a pivot it never saw
+        ([[2, 0, 1, 0, 0], [0, 0, 3, 1, 0], [0, 4, 0, 0, 1], [1, 1, 0, 0, 3], [0, 0, 0, 2, 1]],
+         (1, [0, 4, 3, 2, 1], True)),
         # block-diagonal: the second block's rows, and in inverse their
         # identity part, sit out the first block's steps
-        block_sum(*[[list(r) for r in lattice.make_named(s).gram] for s in ("A2", "A2(-1)")]),
-        block_sum(*[[list(r) for r in lattice.make_named(s).gram] for s in ("D4", "A1", "E6(-1)")]),
-        block_sum([[2, 1], [1, 3]], [[0, 5], [7, 0]], [[-4]]),
+        (block_sum(*[[list(r) for r in lattice.make_named(s).gram] for s in ("A2", "A2(-1)")]),
+         (1, [0, 1, 2, 3], True)),
+        (block_sum(*[[list(r) for r in lattice.make_named(s).gram] for s in ("D4", "A1", "E6(-1)")]),
+         (1, list(range(11)), True)),
+        # both kinds: the stale row 4 is swapped in with its column at step
+        # 2, and then the [[0, 5], [7, 0]] block has no nonzero diagonal
+        # entry left, so its rows are swapped alone at step 3
+        (block_sum([[2, 1], [1, 3]], [[0, 5], [7, 0]], [[-4]]), (-1, [0, 1, 4, 3, 2], False)),
+        # a row alone: no diagonal entry is nonzero
+        ([[0, 1], [1, 0]], (-1, [0, 1], False)),
+        ([[0, 5], [7, 0]], (-1, [0, 1], False)),
+        (e8_sum, (1, list(range(16)), True)),
+        # E8 + E8(-1) with its rows rotated by 8: a row alone at each even
+        # step up to 14, a symmetric swap with a stale row at each odd one
+        (e8_sum[8:] + e8_sum[:8], (1, [0, 8, 2, 9, 4, 11, 6, 13, 1, 10, 3, 12, 5, 14, 7, 15], False)),
     ]
-    k = [list(r) for r in lattice.make_named("E8").gram]
-    nonsingular.append(block_sum(k, [[-x for x in r] for r in k]))
-    nonsingular.append(nonsingular[-1][8:] + nonsingular[-1][:8])  # a swap at each of steps 0-7
-    for m in nonsingular:
-        assert exact.det(m) == int(Matrix(m).det()) != 0, m
-        check_inverse(m)
+    for m, path in paths:
+        check_pivot_path(m, path)
     singular = [
         # rows 1 and 2 are stale until they become pivots, and the last row,
         # 0 after step 0, is stale to the end
         [[2, 0, 0, 1], [0, 3, 0, 0], [0, 0, 5, 0], [4, 0, 0, 2]],
-        # a stale row is all that is left below an empty pivot column
+        # the stale row 2 is swapped in with its column at step 1, and the
+        # row it displaces is all that is left below an empty pivot column
         [[2, 1, 0], [4, 2, 0], [0, 0, 3]],
+        # stale rows with a zero diagonal are all that is left below an
+        # empty pivot column
+        [[2, 1, 0, 0], [4, 2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
         block_sum([[2, 1], [1, 3]], [[1, 2], [2, 4]], [[5]]),
     ]
     for m in singular:
         assert exact.det(m) == 0 == Matrix(m).det(), m
         with pytest.raises(ValueError, match="singular"):
             exact.inverse(m)
-    assert exact._eliminate([]) == 1
+    assert exact._eliminate([]) == (1, [], True)
     assert exact.det([]) == 1
     assert exact.inverse([]) == ([], 1)
 
@@ -815,8 +960,9 @@ def test_inverse_matches_sympy():
 
 
 def test_inverse_with_row_swaps_matches_sympy():
-    # non-symmetric matrices whose elimination must swap rows: a zero corner,
-    # or a zero b x b leading block, so the column order has to be restored
+    # non-symmetric matrices whose elimination must swap: a zero corner, or a
+    # zero b x b leading block; nearly every one swaps a row with its column,
+    # so the rows of the solution have to be put back in order
     from sympy import Matrix
 
     rng = random.Random(43)
@@ -1085,8 +1231,9 @@ def test_radical_quotient_on_random_degenerate_grams():
 def check_split_identities(g):
     """What the readers of a graph's radical split rely on, against sympy: the
     span Gram B M^-1 B^T has det (prod p_i)^2 / det M for the HNF pivots p_i,
-    and the inertia of M (Sylvester); span_det, which builds that Gram only
-    to saturate, agrees with saturated_det of the built span."""
+    and the inertia of M (Sylvester), which the split reads off its minors;
+    span_det, which builds that Gram only to saturate, agrees with
+    saturated_det of the built span."""
     from sympy import Matrix
 
     fresh = g.induced(g.labels)  # a graph of its own, whose split nothing has read
@@ -1096,6 +1243,8 @@ def check_split_identities(g):
     det_span = int(Matrix(span.gram).to_DM().det())
     assert det_span * det_m == pivots**2 and split.det == det_span, g
     assert sympy_inertia(split.minor) == sympy_inertia(span.gram), g
+    # Jacobi's rule on the split's minors; none of these needs the fallback
+    assert split.inertia is not None and (*split.inertia, 0) == sympy_inertia(split.minor), g
     assert rootgraph.span_det(fresh) == lattice.saturated_det(span), g
     return det_span
 

@@ -735,10 +735,26 @@ def test_split_det_is_checked_exact(monkeypatch):
 
     split = lattice.RadicalSplit(rootgraph.RootGraph(["a", "b"], [[0, 1], [1, 0]]).gram_rows())
     assert split.det == 3
-    monkeypatch.setattr(exact, "det", lambda m: 2)
+    truthful = exact.inverse
+    monkeypatch.setattr(exact, "inverse", lambda m: exact.Inverse(*truthful(m), 2, None))
     message = "radical split failed: det M does not divide (prod p_i)^2"
     with pytest.raises(AssertionError, match=re.escape(message)):
         lattice.RadicalSplit(rootgraph.RootGraph(["a", "b"], [[0, 1], [1, 0]]).gram_rows()).det
+
+
+def test_span_check_falls_back_after_a_row_swapped_alone(monkeypatch):
+    # the double-edge star c = l1, c = l2 has M = G, whose diagonal is 0 below
+    # the first pivot, so the split's elimination swaps a row alone and
+    # span_check takes M's inertia from rank_signature
+    from coblemukai import exact
+
+    g = rootgraph.from_edges("star", ["c", "l1", "l2"], [("c", "l1", 2), ("c", "l2", 2)])
+    assert g._span.minor == [[-2, 2, 2], [2, -2, 0], [2, 0, -2]]
+    assert g._span.inertia is None and g._span.minor_det == 8
+    truthful, calls = exact.rank_signature, []
+    monkeypatch.setattr(exact, "rank_signature", lambda m: calls.append(m) or truthful(m))
+    assert span_check(g) == (3, (1, 2))
+    assert calls == [g._span.minor]
 
 
 def _tuple_signature_refine_colors(g):

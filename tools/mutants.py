@@ -1,0 +1,208 @@
+"""Run the committed mutants of ``src/`` against the tests that must kill them.
+
+    python tools/mutants.py [mutant name ...]
+
+Each mutant replaces one exact snippet of one package file.  The script
+copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` to a
+temporary directory and runs the killer tests of the chosen mutants there
+once unmutated; they must pass.  Then, for each mutant, it applies the
+replacement to the copy, runs only that mutant's killer tests (``pytest -x``,
+the copy's ``src`` on PYTHONPATH), and puts the file back.  A mutant whose
+killers all pass survived.  One line per mutant is printed, then the count;
+the exit status is 1 if any survived.  A run that exceeds TIMEOUT seconds
+counts as killed.  Needs only the standard library and pytest.
+
+``tests/test_layout.py`` checks that every snippet still occurs exactly once
+in its file and that every killer names a test function, so a refactor that
+moves a snippet updates this list in the same change.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+TIMEOUT = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the root of the checkout
+    snippet: str
+    replacement: str
+    killers: tuple[str, ...]  # pytest node ids
+
+
+EXACT, LATTICE, ROOTGRAPH = "src/coblemukai/exact.py", "src/coblemukai/lattice.py", "src/coblemukai/rootgraph.py"
+STALE = "tests/test_oracles.py::test_lazy_rescale_matches_sympy_on_stale_rows"
+SPARSE = "tests/test_oracles.py::test_lazy_rescale_matches_sympy_on_sparse_block_inverses"
+DET = "tests/test_oracles.py::test_det_matches_sympy"
+INVERSE = "tests/test_oracles.py::test_inverse_matches_sympy"
+SPLIT = "tests/test_oracles.py::test_radical_split_identities_match_sympy"
+FALLBACK = "tests/test_rootgraph.py::test_span_check_falls_back_after_a_row_swapped_alone"
+HNF = "tests/test_oracles.py::test_hnf_rows_on_rows_with_long_zero_heads"
+BASIS_GRAM = "tests/test_oracles.py::test_basis_gram_on_hand_built_bases"
+ADJOINED = "tests/test_oracles.py::test_basis_gram_matches_matmul_on_every_adjoined_basis"
+MOD2_ADE = "tests/test_oracles.py::test_mod2_subgroup_matches_definition_on_ade_sums"
+MOD2_CATALOG = "tests/test_oracles.py::test_mod2_subgroup_matches_definition_on_catalog_r_invariants"
+MOD2_LAW = "tests/test_properties.py::test_mod2_law_on_random_sums"
+R_ISOTROPIC = "tests/test_catalog.py::test_r_invariant_rejects_non_isotropic"
+SPAN_DETS = "tests/test_acceptance.py::test_criterion_5_coble_mukai_and_span_dets"
+
+MUTANTS = (
+    # the pivot choice of _eliminate: a diagonal entry with its column first
+    Mutant("eliminate: no diagonal pivot", EXACT,
+           "piv = next((i for i in range(k + 1, n) if a[i][i]), None)", "piv = None",
+           (STALE, SPLIT)),
+    Mutant("eliminate: diagonal pivot read in the pivot column", EXACT,
+           "range(k + 1, n) if a[i][i]), None)", "range(k + 1, n) if a[i][k]), None)",
+           (STALE, DET)),
+    Mutant("eliminate: symmetric swap without its column", EXACT,
+           "                    row[k], row[piv] = row[piv], row[k]\n", "                    pass\n",
+           (STALE, INVERSE)),
+    Mutant("eliminate: symmetric swap flips the sign", EXACT,
+           "                order[k], order[piv] = order[piv], order[k]\n",
+           "                order[k], order[piv] = order[piv], order[k]\n                sign = -sign\n",
+           (DET, STALE)),
+    Mutant("eliminate: column order not recorded", EXACT,
+           "                order[k], order[piv] = order[piv], order[k]\n", "                pass\n",
+           (INVERSE, STALE)),
+    Mutant("eliminate: a row swapped alone stays congruent", EXACT,
+           "sign, congruent = -sign, False", "sign = -sign",
+           (FALLBACK, STALE)),
+    Mutant("eliminate: a row swapped alone keeps the sign", EXACT,
+           "sign, congruent = -sign, False", "congruent = False",
+           (DET, STALE)),
+    Mutant("inverse: solution rows not put back", EXACT,
+           "for k, r in zip(order, x):", "for k, r in enumerate(x):",
+           (INVERSE, STALE)),
+    Mutant("inverse: det without the sign", EXACT,
+           "Inverse(out, d // c, sign * d, minors)", "Inverse(out, d // c, d, minors)",
+           (STALE, SPLIT)),
+    Mutant("inverse: minors after a row swapped alone", EXACT,
+           "tuple(a[k][k] for k in range(n)) if congruent else None", "tuple(a[k][k] for k in range(n))",
+           (FALLBACK, STALE)),
+    Mutant("split: Jacobi count without the leading 1", LATTICE,
+           "zip((1, *minors), minors)", "zip(minors, minors[1:])",
+           (SPLIT, SPAN_DETS)),
+    Mutant("split: Jacobi counts sign agreements", LATTICE,
+           "(a < 0) != (b < 0)", "(a < 0) == (b < 0)",
+           (SPLIT, SPAN_DETS)),
+    Mutant("span_check: never falls back", ROOTGRAPH,
+           "    if split.inertia is None:\n", "    if False:\n",
+           (FALLBACK,)),
+    Mutant("span_det: saturation handed -det", ROOTGRAPH,
+           "lattice.saturated_det(span_lattice(g), d)", "lattice.saturated_det(span_lattice(g), -d)",
+           (SPAN_DETS, SPLIT)),
+    # the lazy rescale of _eliminate
+    Mutant("eliminate: no scale swap", EXACT,
+           "            scale[k], scale[piv] = scale[piv], scale[k]\n", "",
+           (STALE, SPARSE)),
+    Mutant("eliminate: no pivot rescale", EXACT,
+           "rk[j] = rk[j] * prev // s", "rk[j] = rk[j]",
+           (STALE, SPARSE)),
+    Mutant("eliminate: stale row divided by prev", EXACT,
+           "row[j] = (p * row[j] - c * rk[j]) // s", "row[j] = (p * row[j] - c * rk[j]) // prev",
+           (STALE, SPARSE)),
+    Mutant("eliminate: prev recorded as the scale", EXACT,
+           "                scale[i] = p\n", "                scale[i] = prev\n",
+           (STALE, SPARSE)),
+    Mutant("eliminate: last row's step skipped", EXACT,
+           "for k in range(n):  # the last row's step", "for k in range(n - 1):  # the last row's step",
+           (STALE, SPARSE)),
+    # the in-place tails of hnf_rows
+    Mutant("hnf_rows: reduction one column late", EXACT,
+           "q = vc // rc\n                for j in range(c, n):", "q = vc // rc\n                for j in range(c + 1, n):",
+           (HNF,)),
+    Mutant("hnf_rows: xgcd combination one column late", EXACT,
+           "for j in range(c, n):\n                    a, b = row[j], v[j]",
+           "for j in range(c + 1, n):\n                    a, b = row[j], v[j]",
+           (HNF,)),
+    Mutant("hnf_rows: top-down pass one column late", EXACT,
+           "for j in range(c, len(rk)):\n                    row[j] -= q * rk[j]",
+           "for j in range(c + 1, len(rk)):\n                    row[j] -= q * rk[j]",
+           (HNF,)),
+    Mutant("hnf_rows: next scan one column late", EXACT,
+           "            c += 1\n    pivots = sorted(by_pivot)", "            c += 2\n    pivots = sorted(by_pivot)",
+           (HNF,)),
+    # the moved-row Gram and the mod-2 span
+    Mutant("basis_gram: moved rows found by the pivot alone", LATTICE,
+           "if row[i] != den or row.count(0) != n - 1]", "if row[i] != den]",
+           (BASIS_GRAM, ADJOINED)),
+    Mutant("basis_gram: moved x moved block dropped", LATTICE,
+           "        for j in moved:\n            row[j] = sum(map(mul, u, basis[j]))\n", "",
+           (BASIS_GRAM, ADJOINED)),
+    Mutant("mod2_subgroup: <x, h> term dropped", LATTICE,
+           "(qx ^ qh ^ ((fx & mask).bit_count() & 1), fx ^ fh)", "(qx ^ qh, fx ^ fh)",
+           (MOD2_ADE, MOD2_CATALOG, MOD2_LAW)),
+    Mutant("mod2_subgroup: q(h) term dropped", LATTICE,
+           "(qx ^ qh ^ ((fx & mask).bit_count() & 1), fx ^ fh)", "(qx ^ ((fx & mask).bit_count() & 1), fx ^ fh)",
+           (MOD2_ADE, MOD2_CATALOG, R_ISOTROPIC)),
+    Mutant("mod2_subgroup: q(h) flipped for e0", LATTICE,
+           "qh, fh = _q2(lat.gram, mask, n), ", "qh, fh = _q2(lat.gram, mask, n) ^ (mask == 1), ",
+           (MOD2_ADE, R_ISOTROPIC)),
+)
+
+
+def _pytest(root: str, killers) -> tuple[bool, str]:
+    """(passed, last line of output) of the killer tests in the copy at root."""
+    # no bytecode: a mutant of the same size and second could be read back from it
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-o", "addopts=", *killers]
+    try:
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT} s"
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode == 0, lines[-1] if lines else proc.stderr.strip()[-200:]
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    if names and len(chosen) != len(set(names)):
+        print("unknown mutant:", sorted(set(names) - {m.name for m in chosen}))
+        return 2
+    with tempfile.TemporaryDirectory() as root:
+        for item in COPIED:
+            src = os.path.join(ROOT, item)
+            if os.path.isdir(src):
+                shutil.copytree(src, os.path.join(root, item),
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy(src, root)
+        ok, last = _pytest(root, sorted({k for m in chosen for k in m.killers}))
+        if not ok:
+            print("killer tests fail before any mutation:", last)
+            return 2
+        survivors = 0
+        for m in chosen:
+            path = os.path.join(root, m.path)
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            if text.count(m.snippet) != 1:
+                print(f"{m.name}: snippet does not occur exactly once in {m.path}")
+                return 2
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text.replace(m.snippet, m.replacement))
+            start = time.perf_counter()
+            try:
+                passed, last = _pytest(root, m.killers)
+            finally:
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(text)
+            survivors += passed
+            verdict = "SURVIVED" if passed else "killed"
+            print(f"{verdict}: {m.name} ({time.perf_counter() - start:.1f} s; {last})", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed, {survivors} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
