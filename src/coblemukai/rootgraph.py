@@ -253,9 +253,13 @@ def _parabolic_search(g: RootGraph):
     """All connected affine subdiagrams as (sorted labels, DiagramType, vertex
     indices) in label order.
 
-    Grows connected induced subsets (each visited exactly once) and prunes as
+    Grows connected induced subsets (each visited at most once) and prunes as
     soon as a subset stops being a definite ADE diagram: proper connected
     induced subsets of affine diagrams are definite, so nothing is missed.
+    A definite set is not pushed when every candidate left to it has a
+    double edge into it, as it could then neither close nor grow.  Each
+    component is certified (``_affine_certificate``) before the label sort,
+    keyed on its matrix in the order the search lists its vertices.
     """
     single, double, both = g._masks
     found: list[tuple[list[int], DiagramType]] = []
@@ -337,32 +341,35 @@ def _parabolic_search(g: RootGraph):
                         found.append((members + [v], typ))
                         continue
                     new_ends, new_tree = 0, (branch, legs[0][1] | legs[1][1] | legs[2][1], legs)
-                fresh = both[v] & ~(one | dbl | mask) & above
-                stack.append((members + [v], mask | bit, new_ends, new_tree, ext | fresh,
-                              dbl | double[v], one | single[v], two | one & single[v]))
+                # a pop closes and grows only inside ext & ~dbl, so a set
+                # with none of that left is not pushed
+                new_ext, new_dbl = ext | both[v] & ~(one | dbl | mask) & above, dbl | double[v]
+                if new_ext & ~new_dbl:
+                    stack.append((members + [v], mask | bit, new_ends, new_tree, new_ext,
+                                  new_dbl, one | single[v], two | one & single[v]))
 
-    labels = g.labels
-    out = []
-    for idx, typ in found:
-        idx.sort(key=labels.__getitem__)
-        out.append((tuple(map(labels.__getitem__, idx)), typ, idx))
-    out.sort()  # the label tuples all differ, so nothing else is compared
     # sanity: every recorded component really is corank-1 negative semidefinite;
-    # components with the same multiplicity matrix share one certificate, keyed
-    # on its upper triangle (zero diagonal; its length gives the size).  Both
-    # read the true multiplicities, rows[a][b], from the edge map: one
-    # defaultdict per vertex, so no dense matrix is built
+    # components with the same multiplicity matrix, in the order the search
+    # lists their vertices, share one certificate, keyed on its upper
+    # triangle (zero diagonal; its length gives the size).  Both read the
+    # true multiplicities, rows[a][b], from the edge map: one defaultdict per
+    # vertex, so no dense matrix is built
     rows = [defaultdict(int) for _ in range(g.n)]
     for (a, b), m in g.edges.items():
         rows[a][b] = rows[b][a] = m
     certified: dict[bytes, bool] = {}
-    for comp, typ, idx in out:
+    labels, out = g.labels, []
+    for idx, typ in found:
         key = bytes([rows[a][b] for a, b in combinations(idx, 2)])
         ok = certified.get(key)
         if ok is None:
             ok = certified[key] = _affine_certificate(rows, idx, both)
+        idx.sort(key=labels.__getitem__)
+        comp = tuple(map(labels.__getitem__, idx))
         if not ok:
             raise AssertionError(f"component {comp} misclassified as {typ}")
+        out.append((comp, typ, idx))
+    out.sort(key=itemgetter(0))  # the label tuples all differ
     return out
 
 
@@ -583,11 +590,12 @@ def span_det(g: RootGraph) -> int:
 
 def _refine_colors(g: RootGraph):
     """Color refinement by edge multiplicity, from one color until a round
-    adds no class.  Only the partition matters, as ``automorphisms`` reads
-    colors through equality and class sizes alone.  A vertex's signature is
-    its color and the sorted codes m*n + c of its neighbors (multiplicity m,
-    color c < n), so equal signatures mean equal colors and neighbor multisets;
-    the neighbor lists come from the edge map.
+    adds no class or every vertex has its own, as a discrete partition
+    cannot split further.  Only the partition matters, as ``automorphisms``
+    reads colors through equality and class sizes alone.  A vertex's
+    signature is its color and the sorted codes m*n + c of its neighbors
+    (multiplicity m, color c < n), so equal signatures mean equal colors and
+    neighbor multisets; the neighbor lists come from the edge map.
     """
     n = g.n
     nbrs = [[] for _ in range(n)]
@@ -595,12 +603,13 @@ def _refine_colors(g: RootGraph):
         nbrs[u].append((m * n, v))
         nbrs[v].append((m * n, u))
     colors, count = [0] * n, 1
-    while True:
+    while count < n:
         sigs = [(colors[v], *sorted([mn + colors[u] for mn, u in nb])) for v, nb in enumerate(nbrs)]
         palette = {s: c for c, s in enumerate(set(sigs))}
         if len(palette) == count:
-            return colors
+            break
         colors, count = [palette[s] for s in sigs], len(palette)
+    return colors
 
 
 def _compose(a, b):

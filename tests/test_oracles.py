@@ -991,6 +991,37 @@ def test_inverse_with_row_swaps_matches_sympy():
             exact.inverse(m)
 
 
+def test_det_and_inverse_match_sympy_after_a_row_swapped_alone():
+    # m[i][i] = 0 and m[i][0] * m[0][i] = 0 below the first pivot, so step 0
+    # leaves the diagonal below it all zero: step 1 finds no diagonal entry
+    # to swap in with its column and swaps a row alone, which flips det's sign
+    from sympy import Matrix
+
+    rng = random.Random(39)
+    alone = singular = 0
+    for trial in range(60):
+        n = rng.randint(3, 8)
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        m[0][0] = rng.choice((-3, -2, -1, 1, 2, 3))
+        for i in range(1, n):
+            m[i][i] = 0
+            if rng.random() < 0.5:
+                m[0][i] = 0
+            else:
+                m[i][0] = 0
+        _, _, congruent = exact._eliminate([list(row) for row in m])
+        alone += not congruent
+        want = int(Matrix(m).det())
+        assert exact.det(m) == want, m
+        if want:
+            check_inverse(m)
+        else:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                exact.inverse(m)
+    assert alone >= 30 and singular < 30, (alone, singular)
+
+
 def test_inverse_refuses_singular_and_non_square_matrices():
     for m in ([[0]], [[1, 2], [2, 4]], [[2, 1, 3], [1, 0, 1], [3, 1, 4]]):
         with pytest.raises(ValueError, match="singular"):

@@ -790,10 +790,17 @@ def petersen_graph():
 
 
 def test_refine_colors_gives_the_tuple_signature_partition():
+    # _refine_colors stops as soon as the partition is discrete, the tuple
+    # refinement only when a round adds no class; the partitions must agree
     from coblemukai import catalog
 
-    graphs = [catalog.build_graph(name) for name in ("I", "II", "VI", "MI", "MII")]
-    graphs += [cycle_graph(5), petersen_graph(), rootgraph.RootGraph([], [])]
+    sources = [catalog.build_graph(name) for name in ("I", "II", "VI", "MI", "MII")]
+    graphs = sources + [cycle_graph(5), petersen_graph(), rootgraph.RootGraph([], []),
+                        rootgraph.RootGraph(["v"], [[0]])]
+    rng = random.Random(39)
+    for trial in range(40):
+        source = sources[2 + trial % 3]
+        graphs.append(source.induced(rng.sample(source.labels, rng.randint(2, source.n))))
     # codes m + c without the factor n collide here and merge two classes
     collide = [[0, 2, 3, 1, 0], [2, 0, 0, 0, 3], [3, 0, 0, 0, 1], [1, 0, 0, 0, 2], [0, 3, 1, 2, 0]]
     graphs.append(rootgraph.RootGraph([f"v{i}" for i in range(5)], collide))
@@ -810,13 +817,16 @@ def test_refine_colors_gives_the_tuple_signature_partition():
             # two copies, so that refinement keeps classes of size two
             mult = [row + [0] * n for row in mult] + [[0] * n + row for row in mult]
         graphs.append(rootgraph.RootGraph([f"v{i}" for i in range(len(mult))], mult))
-    class_counts = set()
+    class_counts, discrete = set(), 0
     for g in graphs:
         colors = rootgraph._refine_colors(g)
         assert all(0 <= c < max(g.n, 1) for c in colors)
         assert _partition(colors) == _partition(_tuple_signature_refine_colors(g)), g.name
         class_counts.add(len(set(colors)))
+        discrete += len(set(colors)) == g.n
     assert len(class_counts) > 5
+    # both exits: a discrete partition, and a stable one that is not
+    assert 20 <= discrete <= len(graphs) - 20, discrete
     for g in (cycle_graph(5), petersen_graph()):
         assert set(rootgraph._refine_colors(g)) == {0}
 
@@ -1099,15 +1109,20 @@ def failing_for(block):
 triangle = [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
 rootgraph._affine_certificate = failing_for(triangle)
 fires(lambda: rootgraph.connected_parabolics(catalog.build_graph("VI")))
-# It is shared by the exact matrix, not by the type: MI's A~3 squares come in
-# three label orders; fail only for one that is not the first square's.
-mi = catalog.build_graph("MI")
-rootgraph._affine_certificate = certificate
-squares = []
-for labels, typ in rootgraph.connected_parabolics(mi):
-    idx = [mi.index(l) for l in labels]
-    if str(typ) == "A~3":
-        squares.append([[-2 if a == b else mi.mult[a][b] for b in idx] for a in idx])
+# It is shared by the exact matrix, not by the type: the certificate sees
+# MI's A~3 squares in more than one vertex order (the order the search lists
+# them in); fail only for one that is not the first square's.
+received = []
+
+
+def recording(mult, idx, both):
+    received.append([[-2 if a == b else mult[a][b] for b in idx] for a in idx])
+    return certificate(mult, idx, both)
+
+
+rootgraph._affine_certificate = recording
+rootgraph.connected_parabolics(catalog.build_graph("MI"))
+squares = [m for m in received if len(m) == 4]  # A~3 is the one affine type on 4 vertices
 later = next(m for m in squares if m != squares[0])
 rootgraph._affine_certificate = failing_for(later)
 # a graph searches once, so the lie needs a graph not yet searched

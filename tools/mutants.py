@@ -45,6 +45,7 @@ STALE = "tests/test_oracles.py::test_lazy_rescale_matches_sympy_on_stale_rows"
 SPARSE = "tests/test_oracles.py::test_lazy_rescale_matches_sympy_on_sparse_block_inverses"
 DET = "tests/test_oracles.py::test_det_matches_sympy"
 INVERSE = "tests/test_oracles.py::test_inverse_matches_sympy"
+ROW_ALONE = "tests/test_oracles.py::test_det_and_inverse_match_sympy_after_a_row_swapped_alone"
 SPLIT = "tests/test_oracles.py::test_radical_split_identities_match_sympy"
 FALLBACK = "tests/test_rootgraph.py::test_span_check_falls_back_after_a_row_swapped_alone"
 HNF = "tests/test_oracles.py::test_hnf_rows_on_rows_with_long_zero_heads"
@@ -55,6 +56,14 @@ MOD2_CATALOG = "tests/test_oracles.py::test_mod2_subgroup_matches_definition_on_
 MOD2_LAW = "tests/test_properties.py::test_mod2_law_on_random_sums"
 R_ISOTROPIC = "tests/test_catalog.py::test_r_invariant_rejects_non_isotropic"
 SPAN_DETS = "tests/test_acceptance.py::test_criterion_5_coble_mukai_and_span_dets"
+POWERSET = "tests/test_oracles.py::test_connected_parabolics_matches_powerset_oracle"
+CYCLES = "tests/test_oracles.py::test_affine_a_count_matches_chordless_cycles"
+LYING = "tests/test_rootgraph.py::test_parabolic_self_check_survives_python_O"
+MASKS = "tests/test_rootgraph.py::test_affine_certificate_refuses_masks_that_disagree_with_mult"
+REFINE = "tests/test_rootgraph.py::test_refine_colors_gives_the_tuple_signature_partition"
+PACKING = "tests/test_oracles.py::test_maximal_parabolics_matches_packing_oracle"
+BELOW_SPAN = "tests/test_oracles.py::test_maximal_parabolics_below_span_rank_match_recursion"
+ORTHOGONAL = "tests/test_rootgraph.py::test_maximal_parabolics_requires_orthogonality"
 
 MUTANTS = (
     # the pivot choice of _eliminate: a diagonal entry with its column first
@@ -79,7 +88,7 @@ MUTANTS = (
            (FALLBACK, STALE)),
     Mutant("eliminate: a row swapped alone keeps the sign", EXACT,
            "sign, congruent = -sign, False", "congruent = False",
-           (DET, STALE)),
+           (ROW_ALONE, DET, STALE)),
     Mutant("inverse: solution rows not put back", EXACT,
            "for k, r in zip(order, x):", "for k, r in enumerate(x):",
            (INVERSE, STALE)),
@@ -148,6 +157,29 @@ MUTANTS = (
     Mutant("mod2_subgroup: q(h) flipped for e0", LATTICE,
            "qh, fh = _q2(lat.gram, mask, n), ", "qh, fh = _q2(lat.gram, mask, n) ^ (mask == 1), ",
            (MOD2_ADE, R_ISOTROPIC)),
+    # the parabolic search, its certificate, the colour refinement and the packing
+    Mutant("parabolic search: prune also masks two", ROOTGRAPH,
+           "if new_ext & ~new_dbl:", "if new_ext & ~(new_dbl | two | one & single[v]):",
+           (POWERSET, CYCLES)),
+    Mutant("parabolic search: certificate keyed on size only", ROOTGRAPH,
+           "key = bytes([rows[a][b] for a, b in combinations(idx, 2)])", "key = bytes([len(idx)])",
+           (LYING,)),
+    Mutant("parabolic search: certificate keyed on type only", ROOTGRAPH,
+           "key = bytes([rows[a][b] for a, b in combinations(idx, 2)])", "key = typ",
+           (LYING,)),
+    Mutant("affine certificate: masks not checked against mult", ROOTGRAPH,
+           "        if both[a] & mask != bits:\n            return False\n", "",
+           (MASKS,)),
+    Mutant("refine colors: stops at n - 1 classes", ROOTGRAPH,
+           "    while count < n:\n", "    while count < n - 1:\n",
+           (REFINE,)),
+    Mutant("maximal parabolics: tail bound strict", ROOTGRAPH,
+           "total + tail[i := (rest & -rest).bit_length() - 1] >= target_rank",
+           "total + tail[i := (rest & -rest).bit_length() - 1] > target_rank",
+           (PACKING, BELOW_SPAN)),
+    Mutant("maximal parabolics: compat from holding", ROOTGRAPH,
+           "clash |= touching[v]", "clash |= holding[v]",
+           (ORTHOGONAL, PACKING)),
 )
 
 
