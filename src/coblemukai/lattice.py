@@ -394,17 +394,10 @@ def saturate(lat: Lattice) -> Lattice:
     return _saturate(lat, det(lat))[0]
 
 
-def saturated_det(lat: Lattice, d: int | None = None) -> int:
-    """det of ``saturate(lat)``, taking at most one determinant, of L: det L'
-    follows from the glue index (an even unimodular L is its own saturation,
-    with a trivial discriminant group and no glue).  A caller that holds
-    d = det L passes it, and no determinant is taken; the discriminant group
-    checks |L*/L| = |d| all the same."""
-    return _saturate(lat, det(lat) if d is None else d)[1]
-
-
 def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
-    """(``saturate(lat)``, its det) given d = det L."""
+    """(``saturate(lat)``, its det) given d = det L.  det L' = d / index^2
+    follows from the glue index, so no determinant is taken; an even
+    unimodular L is its own saturation, with a trivial group and no glue."""
     if not is_even(lat):
         raise ValueError("saturation requires an even lattice")
     group = _discriminant_group(lat, d)
@@ -538,17 +531,17 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
     <h, h'> is 0 mod 4, which isotropy does not force.  So a full q-kernel
     can be refused with "non-integral pairing in constructed basis": D4,
     A1+A1+A1 and A1+A1+A1+A1 are, while E8+A1+A1 is accepted.  The result
-    need not be even: norm -1 vectors are allowed.
+    need not be even: norm -1 vectors are allowed.  Its index over K must be
+    |H|, read off the glued basis: det K_H |H|^2 = det K says nothing at det 0.
     """
     if not is_even(lat):
         raise ValueError("half-integer overlattice requires an even lattice")
     span, anisotropic = mod2_subgroup(lat, h_gens)
     if anisotropic:
         raise ValueError("H is not isotropic for the mod-2 quadratic form")
-    basis, _ = _adjoin(lat, list(h_gens), 2)
+    basis, index = _adjoin(lat, list(h_gens), 2)
     out = make_lattice(_basis_gram(lat, basis, 2))  # raises on non-integral pairing
-    index = len(span)
-    if det(out) * index * index != det(lat):
+    if index != len(span) or det(out) * index * index != det(lat):
         raise AssertionError("half-overlattice index does not match |H|")
     return out
 
@@ -556,12 +549,23 @@ def half_overlattice(lat: Lattice, h_gens) -> Lattice:
 # --- radical quotients ---------------------------------------------------
 
 class RadicalSplit:
-    """The split of a symmetric integer Gram G that ``radical_quotient``
-    builds on, its rows taken as given: the pivot columns S of the HNF of G,
-    M = G[S,S] and d M^-1, with both checks run.  One elimination of M also
-    gives ``minor_det`` = det M and ``inertia`` = (positive, negative) of M
-    by Jacobi's rule, or None when it swapped a row alone; ``det`` is taken
-    on first read."""
+    """Z^n modulo the radical of a symmetric integer Gram G, its rows taken
+    as given: the one owner of its rank, inertia, Gram and saturated det,
+    each built on first read.  Both split checks run on construction.
+
+    The pivot columns S of the HNF of G index r rows spanning its row space,
+    so M = G[S,S] is nonsingular and e_S is a basis of Q^n/rad, where e_j has
+    coordinates C_j = G[j,S] M^-1, rows over the least common denominator d
+    of M^-1.  C M C^T = d^2 G is checked only where it does not follow:
+    (d M^-1) M = d I is checked, so C_S = d I and the blocks on rows or
+    columns in S hold; on the rows T outside S, C_T M C_T^T = d C_T G[S,T],
+    and G[T,S] (d M^-1) G[S,T] = d G[T,T] is checked, both by
+    ``exact.product_is``.  The HNF rows restricted to S are a basis B of
+    L M (L spanned by the C_j), upper triangular with the HNF pivots p_i on
+    its diagonal.  The one elimination of M, in ``exact.inverse``, also gives
+    ``minor_det`` = det M and ``minors``, the leading principal minors of
+    P M P^T, or None after a row swapped alone.  G = 0 gives rank 0.
+    """
 
     def __init__(self, g: list[list[int]]):
         # rows by descending leading column land on a free pivot or reduce in a
@@ -570,14 +574,10 @@ class RadicalSplit:
             g, key=lambda row: next((j for j, x in enumerate(row) if x), len(row)), reverse=True))
         self.pivots = pivots = [next(i for i, x in enumerate(row) if x) for row in self.hnf]
         self.minor = m = [[g[i][j] for j in pivots] for i in pivots]
+        self.even = not any(row[i] % 2 for i, row in enumerate(g))
         solved = exact.inverse(m)
         self.inverse, self.den = inv, d = solved
-        self.minor_det, minors = solved.det, solved.minors
-        if minors is None:
-            self.inertia = None
-        else:  # negative eigenvalues: the sign changes along 1, D_1, ..., D_r
-            neg = sum((a < 0) != (b < 0) for a, b in zip((1, *minors), minors))
-            self.inertia = (len(minors) - neg, neg)
+        self.minor_det, self.minors = solved.det, solved.minors
         if not exact.product_is([inv, m], [[d * (i == j) for j in pivots] for i in pivots]):
             raise AssertionError("radical split failed: d M^-1 times M is not d I")
         rest = sorted(set(range(len(g))).difference(pivots))
@@ -585,6 +585,19 @@ class RadicalSplit:
         g_st = [[g[i][j] for j in rest] for i in pivots]
         if not exact.product_is([g_ts, inv, g_st], [[d * g[i][j] for j in rest] for i in rest]):
             raise AssertionError("radical split failed: C M C^T is not d^2 G off the pivots")
+
+    @cached_property
+    def inertia(self) -> tuple[int, int]:
+        """(positive, negative) of M, and so of G and of ``quotient``: the
+        checked G = C M C^T and B M^-1 B^T are congruent over Q to M plus
+        zeros (Sylvester).  Jacobi's rule reads it off ``minors``; only after
+        a row swapped alone is it taken by ``exact.rank_signature`` of M."""
+        minors = self.minors
+        if minors is None:
+            return exact.rank_signature(self.minor)[:2]
+        # negative eigenvalues: the sign changes along 1, D_1, ..., D_r
+        neg = sum((a < 0) != (b < 0) for a, b in zip((1, *minors), minors))
+        return len(minors) - neg, neg
 
     @cached_property
     def det(self) -> int:
@@ -595,38 +608,36 @@ class RadicalSplit:
             raise AssertionError("radical split failed: det M does not divide (prod p_i)^2")
         return q
 
+    @cached_property
+    def quotient(self) -> Lattice:
+        """The quotient lattice: Gram B M^-1 B^T from the HNF rows held, checked integral."""
+        b = [[row[j] for j in self.pivots] for row in self.hnf]
+        span = exact.matmul(exact.matmul(b, self.inverse), exact.transpose(b))
+        if any(x % self.den for row in span for x in row):
+            raise AssertionError("span Gram B M^-1 B^T is not integral")
+        return make_lattice([[x // self.den for x in row] for row in span])
+
+    @cached_property
+    def saturated_det(self) -> int:
+        """det of ``saturate(quotient)``, taking no determinant: ``det`` is
+        handed to the saturation (a root graph's span can sit at finite index
+        in its ambient, where multiple fibers halve isotropic classes).  An
+        even quotient (G's diagonal even, as a root graph's) is its own
+        saturation at det +-1, and no Gram is built; an odd one is refused."""
+        d = self.det
+        return d if abs(d) == 1 and self.even else _saturate(self.quotient, d)[1]
+
 
 def radical_quotient(gram) -> Lattice:
-    """Z^n modulo the radical of a symmetric integer Gram G, with its form;
-    G may come as its ``RadicalSplit``, whose rows are not checked again.
-
-    The pivot columns S of the HNF of G index r rows spanning its row space,
-    so M = G[S,S] is nonsingular and e_S is a basis of Q^n/rad, where e_j has
-    coordinates C_j = G[j,S] M^-1, rows over the least common denominator d
-    of M^-1.  C M C^T = d^2 G is checked only where it does not follow:
-    (d M^-1) M = d I is checked, so C_S = d I and the blocks on rows or
-    columns in S hold; on the rows T outside S, C_T M C_T^T = d C_T G[S,T],
-    and G[T,S] (d M^-1) G[S,T] = d G[T,T] is checked, both by ``exact.product_is``.
-    The HNF rows restricted to S are a basis B of L M (L spanned by the C_j),
-    upper triangular with the HNF pivots p_i on its diagonal, so the quotient
-    has Gram B M^-1 B^T, checked integral, and det (prod p_i)^2 / det M;
-    G = 0 gives rank 0.
-    """
-    if isinstance(gram, RadicalSplit):
-        split = gram
-    else:
-        try:  # lists, not make_lattice's tuples, which would fill the interpreter's tuple free list
-            g = [list(map(operator.index, row)) for row in gram]
-        except TypeError:
-            raise ValueError("Gram entries must be integers") from None
-        if not exact.is_symmetric(g):
-            raise ValueError("Gram matrix must be symmetric")
-        split = RadicalSplit(g)
-    b = [[row[j] for j in split.pivots] for row in split.hnf]
-    span = exact.matmul(exact.matmul(b, split.inverse), exact.transpose(b))
-    if any(x % split.den for row in span for x in row):
-        raise AssertionError("span Gram B M^-1 B^T is not integral")
-    return make_lattice([[x // split.den for x in row] for row in span])
+    """Z^n modulo the radical of a symmetric integer Gram G, with its form:
+    the ``quotient`` of its ``RadicalSplit``."""
+    try:  # lists, not make_lattice's tuples, which would fill the interpreter's tuple free list
+        g = [list(map(operator.index, row)) for row in gram]
+    except TypeError:
+        raise ValueError("Gram entries must be integers") from None
+    if not exact.is_symmetric(g):
+        raise ValueError("Gram matrix must be symmetric")
+    return RadicalSplit(g).quotient
 
 
 # --- text format -----------------------------------------------------------

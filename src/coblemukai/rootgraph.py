@@ -19,7 +19,7 @@ from math import lcm, prod
 from operator import itemgetter
 from types import MappingProxyType
 
-from . import exact, lattice
+from . import lattice
 
 KIND_CURVE = -2
 KIND_ROOT = -1
@@ -548,42 +548,25 @@ def vinberg_check(g: RootGraph, target_rank: int | None = None) -> VinbergReport
 
 
 def span_check(g: RootGraph) -> tuple[int, tuple[int, int]]:
-    """Rank and signature of the span of the roots under the graph Gram,
-    read off the minor M = G[S,S] of the graph's ``lattice.RadicalSplit``:
-    the checked G = C M C^T and the span Gram B M^-1 B^T, not built here,
-    are congruent over Q to M plus zeros, so share its inertia (Sylvester).
-    The split's elimination of M gives that inertia; only when it swapped a
-    row alone is M's inertia taken by ``exact.rank_signature``."""
-    split = g._span
-    if split.inertia is None:
-        pos, neg, _ = exact.rank_signature(split.minor)
-    else:
-        pos, neg = split.inertia
+    """Rank and signature of the span of the roots under the graph Gram: the
+    inertia of the graph's ``lattice.RadicalSplit``."""
+    pos, neg = g._span.inertia
     return (pos + neg, (pos, neg))
 
 
 def span_lattice(g: RootGraph):
-    """The lattice generated by the roots modulo its radical: the Gram
-    B M^-1 B^T that ``lattice.radical_quotient`` builds from the graph's split."""
+    """The lattice generated by the roots modulo its radical."""
     if not g._span.pivots:
         raise ValueError("graph Gram has zero rank")
-    return lattice.radical_quotient(g._span)
+    return g._span.quotient
 
 
 def span_det(g: RootGraph) -> int:
-    """Determinant of the saturated lattice generated by the roots.
-
-    The raw span can sit at finite index inside the ambient lattice (multiple
-    fibers halve some isotropic classes there), so the span is saturated by
-    gluing a maximal isotropic subgroup of its discriminant form
-    (``lattice.saturate``); that is the largest even lattice the roots can
-    generate in any ambient, and every maximal subgroup gives the same det.
-    The span's det is the split's (prod p_i)^2 / det M, handed to the
-    saturation; a span of (-2)-roots is even, so at det +-1 it is its own
-    saturation and its Gram is not built.
-    """
-    d = g._span.det  # 1 at rank 0, where span_lattice refuses
-    return d if abs(d) == 1 and g._span.pivots else lattice.saturated_det(span_lattice(g), d)
+    """Determinant of the saturated lattice generated by the roots: the
+    largest even lattice they can generate in any ambient."""
+    if not g._span.pivots:
+        raise ValueError("graph Gram has zero rank")
+    return g._span.saturated_det
 
 
 # --- automorphisms ----------------------------------------------------------

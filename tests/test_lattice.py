@@ -160,7 +160,7 @@ ODD_INDEFINITE = lattice.make_lattice([[1, 0], [0, -1]])
 @pytest.mark.parametrize("call, message", [
     (lambda: lattice.overlattice(ODD, []), "overlattice gluing requires an even lattice"),
     (lambda: lattice.saturate(ODD), "saturation requires an even lattice"),
-    (lambda: lattice.saturated_det(ODD), "saturation requires an even lattice"),
+    (lambda: lattice.RadicalSplit(ODD.gram).saturated_det, "saturation requires an even lattice"),
     (lambda: lattice.half_overlattice(ODD, []), "half-integer overlattice requires an even lattice"),
     (lambda: lattice.disc_q(ODD, (0,)), "discriminant quadratic form is defined only for even lattices"),
     (lambda: lattice.mod2_subgroup(make_named("A2"), [(1, 2)]),
@@ -172,9 +172,9 @@ ODD_INDEFINITE = lattice.make_lattice([[1, 0], [0, -1]])
     (lambda: lattice.mod2_subgroup(ODD, [(1,)]), "mod-2 quadratic form is defined only for even lattices"),
     # odd unimodular: det +-1 is not taken for "its own saturation"
     (lambda: lattice.saturate(ODD_UNIMODULAR), "saturation requires an even lattice"),
-    (lambda: lattice.saturated_det(ODD_UNIMODULAR), "saturation requires an even lattice"),
+    (lambda: lattice.RadicalSplit(ODD_UNIMODULAR.gram).saturated_det, "saturation requires an even lattice"),
     (lambda: lattice.saturate(ODD_INDEFINITE), "saturation requires an even lattice"),
-    (lambda: lattice.saturated_det(ODD_INDEFINITE), "saturation requires an even lattice"),
+    (lambda: lattice.RadicalSplit(ODD_INDEFINITE.gram).saturated_det, "saturation requires an even lattice"),
     # ragged Grams: a short last row, a short first row
     (lambda: lattice.make_lattice([[0, 1], [1]]), "Gram matrix must be symmetric"),
     (lambda: lattice.make_lattice([[2], [1, 2]]), "Gram matrix must be symmetric"),
@@ -192,7 +192,7 @@ def test_lattice_refusals_name_their_reason(call, message):
 @pytest.mark.parametrize("spec", ["E8", "U", "E8(-1)+U"])
 def test_even_unimodular_is_its_own_saturation(spec):
     lat = make_named(spec)
-    assert lattice.saturated_det(lat) == lattice.det(lat) in (1, -1)
+    assert lattice.det(lattice.saturate(lat)) == lattice.det(lat) in (1, -1)
     assert lattice.saturate(lat).gram == lat.gram
 
 
@@ -744,6 +744,18 @@ def one_more(lat, h_gens):
 lattice.mod2_subgroup = one_more
 fires(lambda: lattice.half_overlattice(a1, [(1, 1)]))
 lattice.mod2_subgroup = truthful_subgroup
+truthful_adjoin = lattice._adjoin
+
+
+def one_less(lat, rows, den):
+    # the glued basis loses its last generator; on the rank-2 zero form,
+    # of det 0, det K_H * |H|^2 = det K holds all the same
+    return truthful_adjoin(lat, rows[:-1], den)
+
+
+lattice._adjoin = one_less
+fires(lambda: lattice.half_overlattice(lattice.make_lattice([[0, 0], [0, 0]]), [(1, 0), (0, 1)]))
+lattice._adjoin = truthful_adjoin
 truthful_basis_gram = lattice._basis_gram
 
 
@@ -760,9 +772,11 @@ fires(lambda: lattice.overlattice(a1a1, [(half, 0, half, 0)]))
 
 
 def test_half_overlattice_and_evenness_checks_survive_python_O():
-    # |H| is read off the span mod2_subgroup lists; L' is even by the
-    # evenness of L and the isotropy of the glue, so an odd Gram cannot pass
+    # |H| is read off the span mod2_subgroup lists and must be the index of
+    # the glued basis; L' is even by the evenness of L and the isotropy of
+    # the glue, so an odd Gram cannot pass
     assert _run_under_O(LYING_HELPERS_SCRIPT) == (
+        "raised: half-overlattice index does not match |H|\n"
         "raised: half-overlattice index does not match |H|\n"
         "raised: overlattice of an even lattice along isotropic glue must be even\n")
 

@@ -86,6 +86,10 @@ PERFBENCH = SRC.parent.parent / "perfbench"
 # public names that nothing in the package or the benchmark calls, and why they stay
 UNREFERENCED_ALLOWED = {
     "lattice.saturate": "test oracles and the -O overlattice self-check build the saturation itself",
+    "lattice.radical_quotient": "the library entry for a raw Gram: it checks entries and symmetry, "
+                                "then reads RadicalSplit.quotient, which rootgraph reads directly",
+    "rootgraph.span_lattice": "the span Gram of a graph for library callers and test oracles; "
+                              "span_det reads the split's saturated det without it",
     "fibrations.fibers_of": "the reference inverse of diagram_of in acceptance and the assignment oracle",
 }
 
@@ -205,6 +209,42 @@ def test_det_and_inverse_share_one_elimination():
     tree = ast.parse((SRC / "exact.py").read_text(encoding="utf-8"))
     assert "_eliminate" in _calls(tree, "det")
     assert "_eliminate" in _calls(tree, "inverse")
+
+
+def _span_reads_outside_split(text: str) -> list[str]:
+    """Faults of the span's one owner, ``lattice.RadicalSplit``: rootgraph.py
+    binding ``exact`` (as a module alias or by importing from it) or reading
+    the split's ``minor``, ``minors`` or ``minor_det``.  Its span functions
+    read what the split answers, never the minor it eliminates."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound = _module_aliases(ast.Module(body=[node], type_ignores=[]), "rootgraph")
+            found += [f"{node.lineno}: exact alias {a}" for a, m in bound.items() if m == "exact"]
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "exact":
+                found.append(f"{node.lineno}: from exact import")
+        elif isinstance(node, ast.Attribute) and node.attr in ("minor", "minors", "minor_det"):
+            found.append(f"{node.lineno}: .{node.attr}")
+    return sorted(found, key=lambda f: int(f.split(":")[0]))
+
+
+def test_rootgraph_reads_the_span_from_its_split():
+    assert _span_reads_outside_split((SRC / "rootgraph.py").read_text(encoding="utf-8")) == []
+
+
+def test_span_guard_sees_exact_and_minor_reads():
+    bad = (
+        "from . import exact as ex, lattice\n"
+        "from .exact import rank_signature\n"
+        "def span_check(g):\n"
+        "    if g._span.minors is None:\n"
+        "        return ex.rank_signature(g._span.minor)\n"
+        "    return g._span.inertia, g._span.minor_det\n"
+    )
+    assert _span_reads_outside_split(bad) == [
+        "1: exact alias ex", "2: from exact import", "4: .minors", "5: .minor", "6: .minor_det"]
+    assert _span_reads_outside_split("import coblemukai.exact\nfrom . import lattice\n") == [
+        "1: exact alias coblemukai.exact"]
 
 
 def _shape_outside_search(text: str) -> list[str]:

@@ -1259,12 +1259,13 @@ def test_radical_quotient_on_random_degenerate_grams():
         check_radical_quotient(m)
 
 
-def check_split_identities(g):
+def check_split_identities(g, row_alone=False):
     """What the readers of a graph's radical split rely on, against sympy: the
     span Gram B M^-1 B^T has det (prod p_i)^2 / det M for the HNF pivots p_i,
-    and the inertia of M (Sylvester), which the split reads off its minors;
-    span_det, which builds that Gram only to saturate, agrees with
-    saturated_det of the built span."""
+    and the inertia of M (Sylvester), which the split reads off its minors,
+    or by rank_signature when the elimination of M swapped a row alone, as
+    ``row_alone`` says it must; span_det, which builds that Gram only to
+    saturate, agrees with det(saturate(.)) of the built span."""
     from sympy import Matrix
 
     fresh = g.induced(g.labels)  # a graph of its own, whose split nothing has read
@@ -1274,9 +1275,9 @@ def check_split_identities(g):
     det_span = int(Matrix(span.gram).to_DM().det())
     assert det_span * det_m == pivots**2 and split.det == det_span, g
     assert sympy_inertia(split.minor) == sympy_inertia(span.gram), g
-    # Jacobi's rule on the split's minors; none of these needs the fallback
-    assert split.inertia is not None and (*split.inertia, 0) == sympy_inertia(split.minor), g
-    assert rootgraph.span_det(fresh) == lattice.saturated_det(span), g
+    assert (split.minors is None) == row_alone, g
+    assert (*split.inertia, 0) == sympy_inertia(split.minor), g
+    assert rootgraph.span_det(fresh) == lattice.det(lattice.saturate(span)), g
     return det_span
 
 
@@ -1291,6 +1292,18 @@ def test_radical_split_identities_match_sympy():
         dets.append(check_split_identities(source.induced(rng.sample(source.labels, size))))
     # both readers of the det: spans that are their own saturation, and others
     assert sum(abs(d) == 1 for d in dets) >= 10 and sum(abs(d) > 1 for d in dets) >= 10, dets
+
+
+def test_radical_split_identities_after_a_row_swapped_alone():
+    # the double-edge star with k >= 2 leaves: after the centre's pivot every
+    # leaf's diagonal entry is 0, so the elimination of M swaps a row alone
+    dets = []
+    for k in range(2, 9):
+        leaves = [f"l{i}" for i in range(1, k + 1)]
+        g = rootgraph.from_edges(f"star{k}", ["c", *leaves], [("c", leaf, 2) for leaf in leaves])
+        dets.append(check_split_identities(g, row_alone=True))
+        assert rootgraph.span_check(g) == (k + 1, (1, k)), g
+    assert dets == [8, -32, 96, -256, 640, -1536, 3584]
 
 
 def test_radical_quotient_of_zero_gram():

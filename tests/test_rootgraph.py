@@ -717,8 +717,9 @@ def test_searches_and_unimodular_span_build_no_dense_matrix(monkeypatch):
     else:
         pytest.fail("no seeded subgraph with a discrete refinement and a unimodular span")
     built = []
-    quotient = lattice.radical_quotient
-    monkeypatch.setattr(lattice, "radical_quotient", lambda gram: built.append(gram) or quotient(gram))
+    quotient = lattice.RadicalSplit.quotient.func  # hooked as a plain property: each build counts
+    monkeypatch.setattr(lattice.RadicalSplit, "quotient",
+                        property(lambda split: built.append(split) or quotient(split)))
     g = probe.induced(probe.labels)
     rank, _ = span_check(g)
     vinberg_check(g, rank - 2)
@@ -744,13 +745,13 @@ def test_split_det_is_checked_exact(monkeypatch):
 
 def test_span_check_falls_back_after_a_row_swapped_alone(monkeypatch):
     # the double-edge star c = l1, c = l2 has M = G, whose diagonal is 0 below
-    # the first pivot, so the split's elimination swaps a row alone and
-    # span_check takes M's inertia from rank_signature
+    # the first pivot, so the split's elimination swaps a row alone, leaves
+    # no minors and takes M's inertia from rank_signature
     from coblemukai import exact
 
     g = rootgraph.from_edges("star", ["c", "l1", "l2"], [("c", "l1", 2), ("c", "l2", 2)])
     assert g._span.minor == [[-2, 2, 2], [2, -2, 0], [2, 0, -2]]
-    assert g._span.inertia is None and g._span.minor_det == 8
+    assert g._span.minors is None and g._span.minor_det == 8
     truthful, calls = exact.rank_signature, []
     monkeypatch.setattr(exact, "rank_signature", lambda m: calls.append(m) or truthful(m))
     assert span_check(g) == (3, (1, 2))

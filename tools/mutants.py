@@ -48,6 +48,20 @@ INVERSE = "tests/test_oracles.py::test_inverse_matches_sympy"
 ROW_ALONE = "tests/test_oracles.py::test_det_and_inverse_match_sympy_after_a_row_swapped_alone"
 SPLIT = "tests/test_oracles.py::test_radical_split_identities_match_sympy"
 FALLBACK = "tests/test_rootgraph.py::test_span_check_falls_back_after_a_row_swapped_alone"
+SPLIT_ROW_ALONE = "tests/test_oracles.py::test_radical_split_identities_after_a_row_swapped_alone"
+ODD_SPLIT = "tests/test_lattice.py::test_lattice_refusals_name_their_reason"
+SNF_CHAIN = "tests/test_exact.py::test_snf_divisibility_chain_and_det"
+SNF_SYMPY = "tests/test_oracles.py::test_snf_invariant_factors_match_sympy"
+SNF_UNIMODULAR = "tests/test_exact.py::test_snf_transforms_are_unimodular"
+DISC_GROUP = "tests/test_lattice.py::test_discriminant_group_examples"
+PRODUCT = "tests/test_exact.py::test_product_is_agrees_with_triple_loop"
+PRODUCT_BOUND = "tests/test_exact.py::test_product_is_base_exceeds_the_bound"
+RESIDUES = "tests/test_rootgraph.py::test_stabilizer_chain_adjoins_residues_of_a_non_strong_generating_set"
+RELABELLED = "tests/test_rootgraph.py::test_automorphisms_of_relabelled_graphs_adjoin_residues"
+AUT_ORACLE = "tests/test_oracles.py::test_automorphisms_match_permutation_oracle"
+ISOTROPIC_CHAIN = "tests/test_oracles.py::test_span_det_matches_isotropic_chain_oracle"
+SATURATE_O = "tests/test_lattice.py::test_saturate_self_check_survives_python_O"
+HALF_O = "tests/test_lattice.py::test_half_overlattice_and_evenness_checks_survive_python_O"
 HNF = "tests/test_oracles.py::test_hnf_rows_on_rows_with_long_zero_heads"
 BASIS_GRAM = "tests/test_oracles.py::test_basis_gram_on_hand_built_bases"
 ADJOINED = "tests/test_oracles.py::test_basis_gram_matches_matmul_on_every_adjoined_basis"
@@ -104,12 +118,15 @@ MUTANTS = (
     Mutant("split: Jacobi counts sign agreements", LATTICE,
            "(a < 0) != (b < 0)", "(a < 0) == (b < 0)",
            (SPLIT, SPAN_DETS)),
-    Mutant("span_check: never falls back", ROOTGRAPH,
-           "    if split.inertia is None:\n", "    if False:\n",
-           (FALLBACK,)),
-    Mutant("span_det: saturation handed -det", ROOTGRAPH,
-           "lattice.saturated_det(span_lattice(g), d)", "lattice.saturated_det(span_lattice(g), -d)",
+    Mutant("span_check: never falls back", LATTICE,
+           "        if minors is None:\n", "        if False:\n",
+           (FALLBACK, SPLIT_ROW_ALONE)),
+    Mutant("span_det: saturation handed -det", LATTICE,
+           "_saturate(self.quotient, d)[1]", "_saturate(self.quotient, -d)[1]",
            (SPAN_DETS, SPLIT)),
+    Mutant("split: an odd unimodular quotient taken as its own saturation", LATTICE,
+           "abs(d) == 1 and self.even", "abs(d) == 1",
+           (ODD_SPLIT,)),
     # the lazy rescale of _eliminate
     Mutant("eliminate: no scale swap", EXACT,
            "            scale[k], scale[piv] = scale[piv], scale[k]\n", "",
@@ -158,6 +175,37 @@ MUTANTS = (
            "qh, fh = _q2(lat.gram, mask, n), ", "qh, fh = _q2(lat.gram, mask, n) ^ (mask == 1), ",
            (MOD2_ADE, R_ISOTROPIC)),
     # the parabolic search, its certificate, the colour refinement and the packing
+    # the Smith form, the product check, the stabilizer chain, the saturation
+    Mutant("snf: pivot left when it does not divide the rest", EXACT,
+           "        if fix is not None:\n            for j in range(cols):\n",
+           "        if False:\n            for j in range(cols):\n",
+           (SNF_CHAIN, SNF_SYMPY)),
+    Mutant("snf: column step not applied to the transform", EXACT,
+           "                for i in range(cols):\n                    right[i][j] -= q * right[i][t]\n", "",
+           (SNF_UNIMODULAR, DISC_GROUP)),
+    Mutant("product_is: bound without the inner dimensions", EXACT,
+           "base = 2 * (prod(map(len, factors[1:])) * prod(top[:-1]) + top[-1]) + 1",
+           "base = 2 * (prod(top[:-1]) + top[-1]) + 1",
+           (PRODUCT_BOUND,)),
+    Mutant("product_is: evaluated at the all-ones vector", EXACT,
+           "x = v = [base**j for j in", "x = v = [1 for j in",
+           (PRODUCT,)),
+    Mutant("stabilizer chain: no restart at the residue's level", ROOTGRAPH,
+           "k = k - 1 if j is None else j", "k = k - 1",
+           (RESIDUES, RELABELLED)),
+    Mutant("stabilizer chain: new points see only the new generator", ROOTGRAPH,
+           "for s in gens if i >= new_from else (g,):", "for s in (g,):",
+           (RESIDUES, AUT_ORACLE)),
+    Mutant("saturate: H not kept orthogonal", LATTICE,
+           "if x in members or any(sum(map(mul, x, th)) % (den * den) for th in h_pairs):",
+           "if x in members:",
+           (ISOTROPIC_CHAIN, SPAN_DETS)),
+    Mutant("saturate: no anisotropy check", LATTICE,
+           "if next(_isotropic_classes(over_group, over_table), None) is not None:", "if False:",
+           (SATURATE_O,)),
+    Mutant("half_overlattice: index not compared with |H|", LATTICE,
+           "if index != len(span) or det(out)", "if det(out)",
+           (HALF_O,)),
     Mutant("parabolic search: prune also masks two", ROOTGRAPH,
            "if new_ext & ~new_dbl:", "if new_ext & ~(new_dbl | two | one & single[v]):",
            (POWERSET, CYCLES)),
