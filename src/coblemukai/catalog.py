@@ -588,6 +588,11 @@ class RInvariantReport:
 
 
 def _valuation(n: int, p: int) -> int:
+    """The exponent of p in n = |det K|, refused where it is not finite."""
+    if p < 2:
+        raise ValueError(f"p-adic valuation needs p >= 2, got p = {p}")
+    if n == 0:
+        raise ValueError("det K = 0: a degenerate K has no p-adic valuation")
     v = 0
     while n % p == 0:
         n //= p

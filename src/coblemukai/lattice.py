@@ -382,22 +382,30 @@ def _isotropic_classes(group: DiscriminantGroup, table):
 
 
 def saturate(lat: Lattice) -> Lattice:
-    """Even overlattice of L along a maximal isotropic subgroup H of q_L.
+    """Even overlattice L' of L along a maximal isotropic subgroup H of q_L.
 
-    One greedy pass over L*/L finds H: a class that is isotropic, orthogonal
-    to H and not in H extends H, and a class passed over stays so as H
-    grows.  Every maximal H has the same order, because the anisotropic form
-    H-perp/H is unique up to isometry (Nikulin 1979, section 1), so det of
-    the result does not depend on the walk.  The group walked is capped at
-    SATURATE_MAX_ORDER elements.
+    L' is glued one isotropic class at a time.  A class x of L*/L with
+    q(x) = 0 spans an isotropic <x>, and L+<x> has discriminant group
+    <x>-perp/<x> (Nikulin 1979, Prop. 1.4.1), where the next class is
+    sought.  So L'*/L' = H-perp/H for the H glued so far, and when it has
+    no isotropic class H is maximal: an isotropic class of H-perp/H would
+    extend H.  Every maximal H has the same order, because the anisotropic
+    form H-perp/H is unique up to isometry (Nikulin 1979, section 1), so
+    det L' = det L / |H|^2 does not depend on the classes picked; the Gram
+    of L' may.  L*/L is capped at SATURATE_MAX_ORDER elements, and det L is
+    the one determinant taken.
     """
     return _saturate(lat, det(lat))[0]
 
 
 def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
-    """(``saturate(lat)``, its det) given d = det L.  det L' = d / index^2
-    follows from the glue index, so no determinant is taken; an even
-    unimodular L is its own saturation, with a trivial group and no glue."""
+    """(``saturate(lat)``, its det) given d = det L.  Each step glues the
+    first isotropic class of the current group through ``_overlattice``,
+    which checks the glued form and returns L'*/L' and det L' = d / index^2.
+    The loop ends when the scan finds no isotropic class, which is the
+    anisotropy check; an even unimodular or anisotropic L is its own
+    saturation.  A step whose det does not shrink glued nothing, so its
+    class is still isotropic and the loop would not end: refused."""
     if not is_even(lat):
         raise ValueError("saturation requires an even lattice")
     group = _discriminant_group(lat, d)
@@ -406,30 +414,12 @@ def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
             f"discriminant group of order {group.order} is above the saturation bound "
             f"{SATURATE_MAX_ORDER}"
         )
-    lifts, den = group.rows, group.den
-    table = _pairings(lat, lifts)
-    factors = group.invariant_factors
-    zero = (0,) * len(factors)
-    members = {zero}
-    h_gens: list[list[int]] = []
-    h_pairs: list[list[int]] = []  # T*h for each generator h of H
-    for x in _isotropic_classes(group, table):
-        if x in members or any(sum(map(mul, x, th)) % (den * den) for th in h_pairs):
-            continue
-        multiples = []
-        y = x
-        while y != zero:
-            multiples.append(y)
-            y = tuple((a + b) % d for a, b, d in zip(y, x, factors))
-        members |= {tuple((a + b) % d for a, b, d in zip(m, k, factors))
-                    for m in members for k in multiples}
-        h_gens.append(list(x))
-        h_pairs.append([sum(map(mul, row, x)) for row in table])
-    out, over_group, d_out = _overlattice(lat, exact.matmul(h_gens, lifts), den, d)
-    over_table = _pairings(out, over_group.rows)
-    if next(_isotropic_classes(over_group, over_table), None) is not None:
-        raise AssertionError("H-perp/H has a nonzero isotropic class after saturation")
-    return out, d_out
+    while (x := next(_isotropic_classes(group, _pairings(lat, group.rows)), None)) is not None:
+        lat, group, d_next = _overlattice(lat, exact.matmul([x], group.rows), group.den, d)
+        if abs(d_next) >= abs(d):
+            raise AssertionError("H-perp/H has a nonzero isotropic class after saturation")
+        d = d_next
+    return lat, d
 
 
 # --- mod-2 quadratic form on K/2K ----------------------------------------

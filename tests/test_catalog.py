@@ -421,6 +421,35 @@ def test_r_invariant_flags_nullity_below_dim_h_and_unexpected_nullity():
     assert not rep.ok and rep.failures == ("nullity 0 != expected 1",)
 
 
+VALUATION_REFUSALS_SCRIPT = """
+from coblemukai import catalog, lattice
+zero = catalog.RInvariant(lattice.make_lattice([[0, 0], [0, 0]]), ())
+for rinv, p in [(zero, 3), (catalog.q_kernel_invariant("A1+A1"), 1)]:
+    try:
+        catalog.r_invariant_check(rinv, p=p)
+    except ValueError as exc:
+        print("refused:", exc)
+"""
+
+
+def test_r_invariant_valuation_refuses_det_zero_and_p_below_two():
+    # a valuation of 0, or to a base p < 2, would divide forever: the
+    # subprocess's timeout turns a hang into a failure
+    src = str(Path(catalog.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", VALUATION_REFUSALS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "refused: det K = 0: a degenerate K has no p-adic valuation\n"
+        "refused: p-adic valuation needs p >= 2, got p = 1\n"
+    )
+
+
 def test_verify_realization_flags_a_vertex_with_no_class():
     g = build_graph("MI")
     labels = list(g.labels)

@@ -7,8 +7,9 @@ orders on larger graphs are also counted by networkx's VF2 matcher.
 Exact inverses are checked against sympy, and the affine certificate of
 parabolic components against the exact inertia.  Discriminant forms are
 checked by listing L*/L: span_det against a DFS over
-every chain of isotropic subgroups, and the form of an overlattice against
-q on H-perp/H.  The span lattice built at the span's rank is checked against
+every chain of isotropic subgroups, saturations of two or more steps for
+evenness, index and anisotropy by a listing from sympy's inverse, and the
+form of an overlattice against q on H-perp/H.  The span lattice built at the span's rank is checked against
 sympy's rank, Smith form and inertia and against the n x n SNF congruence it
 replaced, and span_check's inertia, read off the span, against that of the
 whole Gram matrix.  mod2_subgroup's q is checked against <x, x>/2 on every
@@ -25,7 +26,7 @@ import sys
 from fractions import Fraction
 from collections import Counter
 from itertools import combinations, permutations
-from math import factorial, lcm, prod
+from math import factorial, isqrt, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -1152,6 +1153,61 @@ def test_span_det_matches_isotropic_chain_oracle():
 
 
 
+def inverse_columns(gram):
+    """The columns of G^-1 by sympy, as Fractions: in basis coordinates they
+    generate L*, so ``coset_span`` of them lists L*/L with no code of ``lattice``."""
+    from sympy import Matrix
+
+    inv = Matrix([list(row) for row in gram]).to_DM().to_field().inv().to_Matrix()
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in inv.col(j)) for j in range(len(gram))]
+
+
+def multi_step_saturations():
+    """(name, graph, saturated span det) for graphs whose saturation glues
+    two or more isotropic classes.  For A1^k, -2 times the identity, q(x) is
+    wt(x)/2 mod 2 on F_2^k, so a maximal H is a largest doubly-even code, of
+    dimension 4, 5 and 8 at k = 8, 12 and 16.  The K_{m,m} dets are pinned.
+    D4+D4, which lies in E8 at index 4, and two graphs of the graph-search
+    workload are small enough for brute_span_det, which gives their det
+    (None here)."""
+    def complete_bipartite(m):
+        a, b = [f"a{i}" for i in range(m)], [f"b{i}" for i in range(m)]
+        return rootgraph.from_edges(f"K{m},{m}", a + b, [(x, y, 1) for x in a for y in b])
+
+    out = [(f"A1^{k}", rootgraph.from_edges("A1^k", [f"v{i}" for i in range(k)], []), want)
+           for k, want in ((8, 1), (12, 4), (16, 1))]
+    out += [(f"K{m},{m}", complete_bipartite(m), want) for m, want in ((4, -3), (5, -21), (6, -8))]
+    stars = [(f"{c}0", f"{c}{i}", 1) for c in "xy" for i in (1, 2, 3)]
+    out.append(("D4+D4", rootgraph.from_edges("D4+D4", [f"{c}{i}" for c in "xy" for i in range(4)],
+                                              stars), None))
+    pool = graph_workload_inputs(1)
+    out += [(f"seed-1 pool graph {i}", pool[i], None) for i in (60, 69)]
+    return out
+
+
+def test_multi_step_saturations_are_even_anisotropic_and_of_index_h_squared():
+    from sympy import Matrix
+
+    for name, g, want in multi_step_saturations():
+        span = rootgraph.span_lattice(g)
+        sat = lattice.saturate(span)
+        out = sat.gram
+        assert all(row[i] % 2 == 0 for i, row in enumerate(out)), name
+        d, d_out = (int(Matrix([list(row) for row in m]).to_DM().det()) for m in (span.gram, out))
+        assert d % d_out == 0, name
+        h = isqrt(d // d_out)  # |H|, so d / d_out must be a square above 1
+        assert d == d_out * h * h and h > 1, name
+        classes = coset_span(sat, inverse_columns(out))
+        assert len(classes) == abs(d_out), name
+        values = [sum(v[i] * x * v[j] for i, row in enumerate(out) for j, x in enumerate(row))
+                  for v in classes if any(v)]
+        assert all(q % 2 for q in values), name
+        if want is None:
+            want = brute_span_det(g)
+        assert rootgraph.span_det(g) == d_out == want, name
+
+
+
 # --- span lattices at the span's rank ------------------------------------------------
 
 def snf_congruence_span(g):
@@ -1445,11 +1501,22 @@ def test_mod2_subgroup_matches_definition_on_catalog_r_invariants():
 PERFBENCH = Path(lattice.__file__).resolve().parent.parent.parent / "perfbench"
 
 
-def glue_workload_inputs(seed):
-    """(K, the generator indices to glue) of the benchmark's glue workload at ``seed``."""
+def perfbench_inputs():
     spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def graph_workload_inputs(seed):
+    """The graphs of the benchmark's graph-search workload at ``seed``."""
+    inputs = perfbench_inputs()
+    return [rootgraph.parse_graph_text(text) for text in inputs.graph_inputs(seed, inputs.load_sources())]
+
+
+def glue_workload_inputs(seed):
+    """(K, the generator indices to glue) of the benchmark's glue workload at ``seed``."""
+    inputs = perfbench_inputs()
     out = []
     for item in inputs.glue_inputs(seed):
         k = lattice.make_lattice(item["gram"])

@@ -61,6 +61,7 @@ RELABELLED = "tests/test_rootgraph.py::test_automorphisms_of_relabelled_graphs_a
 AUT_ORACLE = "tests/test_oracles.py::test_automorphisms_match_permutation_oracle"
 ISOTROPIC_CHAIN = "tests/test_oracles.py::test_span_det_matches_isotropic_chain_oracle"
 SATURATE_O = "tests/test_lattice.py::test_saturate_self_check_survives_python_O"
+SATURATES_TO_E8 = "tests/test_rootgraph.py::test_span_det_saturates_to_e8"
 HALF_O = "tests/test_lattice.py::test_half_overlattice_and_evenness_checks_survive_python_O"
 HNF = "tests/test_oracles.py::test_hnf_rows_on_rows_with_long_zero_heads"
 BASIS_GRAM = "tests/test_oracles.py::test_basis_gram_on_hand_built_bases"
@@ -196,12 +197,11 @@ MUTANTS = (
     Mutant("stabilizer chain: new points see only the new generator", ROOTGRAPH,
            "for s in gens if i >= new_from else (g,):", "for s in (g,):",
            (RESIDUES, AUT_ORACLE)),
-    Mutant("saturate: H not kept orthogonal", LATTICE,
-           "if x in members or any(sum(map(mul, x, th)) % (den * den) for th in h_pairs):",
-           "if x in members:",
-           (ISOTROPIC_CHAIN, SPAN_DETS)),
     Mutant("saturate: no anisotropy check", LATTICE,
-           "if next(_isotropic_classes(over_group, over_table), None) is not None:", "if False:",
+           "    while (x := next(_isotropic_classes(", "    if (x := next(_isotropic_classes(",
+           (ISOTROPIC_CHAIN, SATURATES_TO_E8)),
+    Mutant("saturate: progress guard dropped", LATTICE,
+           "if abs(d_next) >= abs(d):", "if False:",
            (SATURATE_O,)),
     Mutant("half_overlattice: index not compared with |H|", LATTICE,
            "if index != len(span) or det(out)", "if det(out)",
