@@ -10,7 +10,6 @@ graph file loader only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -18,6 +17,7 @@ from operator import add, sub
 
 from . import exact, lattice, rootgraph
 from .lattice import Lattice
+from .record import Record
 from .rootgraph import KIND_CURVE, KIND_ROOT, RootGraph
 
 BUILTIN_GRAPHS = ("I", "II", "VI", "MI", "MII")
@@ -224,8 +224,7 @@ def build_graph(name: str) -> RootGraph:
 
 # --- blow-up intersection models ---------------------------------------------
 
-@dataclass(frozen=True)
-class BlowupModel:
+class BlowupModel(Record):
     """Picard-type lattice of a blown-up quadric with boundary and root classes.
 
     The ambient basis is two ruling classes (square 0, pairing 1) followed by
@@ -235,12 +234,37 @@ class BlowupModel:
     integral classes; root classes may be half-integral.
     """
 
-    ambient: Lattice
-    basis_labels: tuple[str, ...]
-    exceptional: tuple[str, ...]
-    boundaries: tuple[tuple[str, tuple[int, ...]], ...]
-    roots: tuple[tuple[str, tuple[int, ...]], ...]
-    den: int
+    __match_args__ = ("ambient", "basis_labels", "exceptional", "boundaries", "roots", "den")
+
+    def __init__(
+        self,
+        ambient: Lattice,
+        basis_labels: tuple[str, ...],
+        exceptional: tuple[str, ...],
+        boundaries: tuple[tuple[str, tuple[int, ...]], ...],
+        roots: tuple[tuple[str, tuple[int, ...]], ...],
+        den: int,
+    ):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis_labels", basis_labels)
+        object.__setattr__(self, "exceptional", exceptional)
+        object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "den", den)
+        for name, v in boundaries:
+            if any(x % den for x in v):
+                raise ValueError(f"boundary {name} is not an integral class")
+        gram = self._gram
+        scale = den * den
+        for k, (name, _) in enumerate(boundaries):
+            if gram[k][k] != -4 * scale:
+                raise ValueError(f"boundary {name} does not have self-pairing -4")
+        for k, (name, _) in enumerate(roots, start=len(boundaries)):
+            if gram[k][k] != -2 * scale:
+                raise ValueError(f"root class {name} does not have self-pairing -2")
+            for m, (bname, _) in enumerate(boundaries):
+                if gram[k][m] != 0:
+                    raise ValueError(f"root class {name} meets boundary {bname}")
 
     def boundary_vectors(self):
         return [v for _, v in self.boundaries]
@@ -258,23 +282,6 @@ class BlowupModel:
         """Pairings of the boundary rows, then the root rows, times den**2."""
         rows = self.boundary_vectors() + [v for _, v in self.roots]
         return lattice.gram_matrix(self.ambient, rows)
-
-    def __post_init__(self):
-        nb = len(self.boundaries)
-        for name, v in self.boundaries:
-            if any(x % self.den for x in v):
-                raise ValueError(f"boundary {name} is not an integral class")
-        gram = self._gram
-        scale = self.den * self.den
-        for k, (name, _) in enumerate(self.boundaries):
-            if gram[k][k] != -4 * scale:
-                raise ValueError(f"boundary {name} does not have self-pairing -4")
-        for k, (name, _) in enumerate(self.roots, start=nb):
-            if gram[k][k] != -2 * scale:
-                raise ValueError(f"root class {name} does not have self-pairing -2")
-            for m, (bname, _) in enumerate(self.boundaries):
-                if gram[k][m] != 0:
-                    raise ValueError(f"root class {name} meets boundary {bname}")
 
 
 def _quadric_ambient(exc_labels) -> tuple[Lattice, tuple[str, ...]]:
@@ -465,16 +472,18 @@ def build_model(name: str) -> BlowupModel:
 
 # --- Coble-Mukai lattice ------------------------------------------------------
 
-@dataclass(frozen=True)
-class CobleMukaiLattice:
+class CobleMukaiLattice(Record):
     """Orthogonal complement of the boundaries in the half-boundary extension.
 
     ``twice`` is the canonical integer HNF of twice the basis, in ambient
     coordinates, and ``lattice`` is the Gram matrix of that basis.
     """
 
-    lattice: Lattice
-    twice: list[list[int]]
+    __match_args__ = ("lattice", "twice")
+
+    def __init__(self, lattice: Lattice, twice: list[list[int]]):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "twice", twice)
 
     def contains(self, rows, den: int) -> bool:
         """Is every row/den an integer combination of the basis?  Exactly
@@ -517,10 +526,12 @@ def coble_mukai(model: BlowupModel) -> CobleMukaiLattice:
 
 # --- realization verifier ------------------------------------------------------
 
-@dataclass(frozen=True)
-class RealizationReport:
-    ok: bool
-    failures: tuple[str, ...]
+class RealizationReport(Record):
+    __match_args__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failures", failures)
 
 
 def _is_minus_one_root(model: BlowupModel, v) -> bool:
@@ -569,22 +580,27 @@ def verify_realization(graph: RootGraph, model: BlowupModel) -> RealizationRepor
 
 # --- R-invariants ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RInvariant:
+class RInvariant(Record):
     """Root lattice K with an isotropic subgroup H of K/2K (0/1 generators)."""
 
-    k: Lattice
-    h_gens: tuple[tuple[int, ...], ...]
+    __match_args__ = ("k", "h_gens")
+
+    def __init__(self, k: Lattice, h_gens: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "h_gens", h_gens)
 
 
-@dataclass(frozen=True)
-class RInvariantReport:
-    ok: bool
-    h_rank: int
-    nullity: int
-    det_k: int
-    p_valuation: int | None
-    failures: tuple[str, ...]
+class RInvariantReport(Record):
+    __match_args__ = ("ok", "h_rank", "nullity", "det_k", "p_valuation", "failures")
+
+    def __init__(self, ok: bool, h_rank: int, nullity: int, det_k: int, p_valuation: int | None,
+                 failures: tuple[str, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "h_rank", h_rank)
+        object.__setattr__(self, "nullity", nullity)
+        object.__setattr__(self, "det_k", det_k)
+        object.__setattr__(self, "p_valuation", p_valuation)
+        object.__setattr__(self, "failures", failures)
 
 
 def _valuation(n: int, p: int) -> int:
@@ -633,17 +649,20 @@ def q_kernel_invariant(k_spec: str) -> RInvariant:
 
 # --- summary table ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Table1Row:
-    key: str
-    type: str
-    p: str
-    n: int
-    k: int
-    aut: str
-    aut_order: int
-    k_spec: str
-    h_rank: int
+class Table1Row(Record):
+    __match_args__ = ("key", "type", "p", "n", "k", "aut", "aut_order", "k_spec", "h_rank")
+
+    def __init__(self, key: str, type: str, p: str, n: int, k: int, aut: str, aut_order: int,
+                 k_spec: str, h_rank: int):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "aut", aut)
+        object.__setattr__(self, "aut_order", aut_order)
+        object.__setattr__(self, "k_spec", k_spec)
+        object.__setattr__(self, "h_rank", h_rank)
 
     @property
     def r_invariant(self) -> str:
@@ -684,12 +703,14 @@ CLAIMED_GRAPH_AUT = {"MI": 1440, "MII": 1152}
 CLAIMED_BLOCK_AUT = {"VI": ("e:", 120)}  # the Petersen part
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    graph: RootGraph
-    model: BlowupModel | None
-    row: Table1Row
+class CatalogEntry(Record):
+    __match_args__ = ("name", "graph", "model", "row")
+
+    def __init__(self, name: str, graph: RootGraph, model: BlowupModel | None, row: Table1Row):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "row", row)
 
 
 def get_entry(name: str) -> CatalogEntry:

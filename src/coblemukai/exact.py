@@ -10,11 +10,12 @@ mutate.  A lattice is compared or tested for membership by its canonical HNF
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import index, mul
+
+from .record import Record
 
 
 def identity(n: int) -> list[list[int]]:
@@ -146,14 +147,16 @@ def det(m: list[list[int]]) -> int:
     return _eliminate(a)[0] * a[-1][-1] if a else 1
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Smith normal form through its column transform: m @ right == W @ D for
     D = diag(factors) and some unimodular W, ``right`` unimodular.  ``snf``
     does not check this; its caller does (``lattice._discriminant_group``)."""
 
-    factors: tuple[int, ...]
-    right: tuple[tuple[int, ...], ...]
+    __match_args__ = ("factors", "right")
+
+    def __init__(self, factors: tuple[int, ...], right: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "right", right)
 
 
 def _min_pivot(a, t, rows, cols):

@@ -10,18 +10,30 @@ the diagram correspondence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .lattice import ascii_int
+from .record import OrderedRecord
 from .rootgraph import DiagramType, parse_diagram
 
 CHAR_CLASSES = ("generic", "p5", "p3")
 
 
-@dataclass(frozen=True, order=True)
-class KodairaFiber:
-    kind: str  # "I", "I*", "II", "II*", "III", "III*", "IV", "IV*"
-    index: int = 0  # only I_n (n>=1) and I*_n (n>=0) carry an index
+class KodairaFiber(OrderedRecord):
+    __match_args__ = ("kind", "index")
+
+    # kind: "I", "I*", "II", "II*", "III", "III*", "IV", "IV*";
+    # only I_n (n>=1) and I*_n (n>=0) carry an index
+    def __init__(self, kind: str, index: int = 0):
+        if kind not in ("I", "I*", "II", "II*", "III", "III*", "IV", "IV*"):
+            raise ValueError(f"unknown Kodaira kind {kind!r}")
+        if kind == "I" and index < 1:
+            raise ValueError("I_n requires n >= 1")
+        if kind == "I*" and index < 0:
+            raise ValueError("I_n* requires n >= 0")
+        if kind not in ("I", "I*") and index != 0:
+            raise ValueError(f"{kind} carries no index")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
 
     def __str__(self):
         if self.kind == "I":
@@ -29,16 +41,6 @@ class KodairaFiber:
         if self.kind == "I*":
             return f"I{self.index}*"
         return self.kind
-
-    def __post_init__(self):
-        if self.kind not in ("I", "I*", "II", "II*", "III", "III*", "IV", "IV*"):
-            raise ValueError(f"unknown Kodaira kind {self.kind!r}")
-        if self.kind == "I" and self.index < 1:
-            raise ValueError("I_n requires n >= 1")
-        if self.kind == "I*" and self.index < 0:
-            raise ValueError("I_n* requires n >= 0")
-        if self.kind not in ("I", "I*") and self.index != 0:
-            raise ValueError(f"{self.kind} carries no index")
 
 
 _FIBER_RE = re.compile(r"^(I{1,3}|IV)([0-9]*)(\*?)$")  # ASCII digits only

@@ -13,7 +13,6 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import compress, product
@@ -21,18 +20,19 @@ from math import isqrt, lcm, prod
 from operator import mul, xor
 
 from . import exact
+from .record import Record
 
 NAMED_MAX_RANK = 256
 SATURATE_MAX_ORDER = 1 << 16
 
 
-@dataclass(frozen=True)
-class Lattice:
-    gram: tuple[tuple[int, ...], ...]
+class Lattice(Record):
+    __match_args__ = ("gram",)
 
-    def __post_init__(self):
-        if not exact.is_symmetric(self.gram):
+    def __init__(self, gram: tuple[tuple[int, ...], ...]):
+        if not exact.is_symmetric(gram):
             raise ValueError("Gram matrix must be symmetric")
+        object.__setattr__(self, "gram", gram)
 
     @property
     def rank(self) -> int:
@@ -146,18 +146,25 @@ def _ade_gram(family: str, n: int) -> list[list[int]]:
     return g
 
 
-_TERM_RE = re.compile(r"^([A-Z])([0-9]*)(?:\((-?[0-9]+)\))?$")
+_TERM_RE = re.compile(r"^([A-Z])([0-9]*)(?:\(([+-]?[0-9]+)\))?$")
 
 
 def make_named(spec: str) -> Lattice:
     """Build a lattice from a name expression, e.g. "A5+A5+A1+A1" or "U(2)".
 
     Terms are A<m> (m>=1), D<n> (n>=4), E<k> (k in 6,7,8), U and E10, each
-    optionally rescaled by an integer in parentheses; "+" is orthogonal sum.
-    A spec of total rank above NAMED_MAX_RANK is refused before any Gram
-    matrix is built.
+    optionally rescaled by an integer in parentheses; "+" outside them is
+    orthogonal sum.  A spec of total rank above NAMED_MAX_RANK is refused
+    before any Gram matrix is built.
     """
-    parts = [p.strip() for p in spec.split("+")]
+    # split at each "+" outside parentheses (inside, it is a scale's sign),
+    # in one pass so that a long sum stays linear
+    cuts, depth = [-1], 0
+    for i, c in enumerate(spec):
+        depth += (c == "(") - (c == ")")
+        if c == "+" and depth <= 0:
+            cuts.append(i)
+    parts = [spec[a + 1 : b].strip() for a, b in zip(cuts, cuts[1:] + [len(spec)])]
     if not parts or any(not p for p in parts):
         raise ValueError(f"malformed lattice spec: {spec!r}")
     terms = []
@@ -201,15 +208,17 @@ def make_named(spec: str) -> Lattice:
 
 # --- discriminant group and forms ----------------------------------------
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(Record):
     """L*/L: cyclic invariant factors d_i > 1, generator i lifting to rows[i]/den,
     with den the lcm of the factors (1 for the trivial group).  ``generator_lifts``
     gives the same lifts as reduced Fraction tuples, built on first read."""
 
-    invariant_factors: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    den: int
+    __match_args__ = ("invariant_factors", "rows", "den")
+
+    def __init__(self, invariant_factors: tuple[int, ...], rows: tuple[tuple[int, ...], ...], den: int):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
 
     @property
     def order(self) -> int:

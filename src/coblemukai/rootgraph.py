@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, combinations
 from math import lcm, prod
@@ -20,6 +19,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from . import lattice
+from .record import OrderedRecord, Record
 
 KIND_CURVE = -2
 KIND_ROOT = -1
@@ -190,11 +190,13 @@ def from_edges(name, vertices, edges) -> RootGraph:
 
 # --- diagram types ---------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class DiagramType:
-    family: str  # "A", "D" or "E"
-    index: int
-    affine: bool
+class DiagramType(OrderedRecord):
+    __match_args__ = ("family", "index", "affine")
+
+    def __init__(self, family: str, index: int, affine: bool):  # family "A", "D" or "E"
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "affine", affine)
 
     def __str__(self):
         return f"{self.family}~{self.index}" if self.affine else f"{self.family}{self.index}"
@@ -205,7 +207,7 @@ class DiagramType:
 
 
 # one shared instance per type: the parabolic search names tens of thousands
-# of subsets, and a frozen dataclass is slow to build
+# of subsets, and a cache lookup costs less than building each
 _diagram = cache(DiagramType)
 
 
@@ -444,12 +446,14 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
 
 # --- parabolic subdiagrams and Vinberg ---------------------------------------
 
-@dataclass(frozen=True)
-class ParabolicSubdiagram:
+class ParabolicSubdiagram(Record):
     """Disjoint orthogonal union of connected affine diagrams."""
 
-    components: tuple[tuple[tuple[str, ...], DiagramType], ...]
-    rank: int
+    __match_args__ = ("components", "rank")
+
+    def __init__(self, components: tuple[tuple[tuple[str, ...], DiagramType], ...], rank: int):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "rank", rank)
 
     def type_multiset(self) -> str:
         return multiset_str([t for _, t in self.components])
@@ -517,12 +521,17 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
     return results
 
 
-@dataclass(frozen=True)
-class VinbergReport:
-    passed: bool
-    target_rank: int
-    witnesses: tuple  # connected parabolics that extend to no maximal one
-    maximal: tuple  # the rank-target parabolic subdiagrams
+class VinbergReport(Record):
+    """``witnesses``: the connected parabolics that extend to no maximal one;
+    ``maximal``: the rank-target parabolic subdiagrams."""
+
+    __match_args__ = ("passed", "target_rank", "witnesses", "maximal")
+
+    def __init__(self, passed: bool, target_rank: int, witnesses: tuple, maximal: tuple):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "target_rank", target_rank)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "maximal", maximal)
 
     def type_multisets(self) -> tuple[str, ...]:
         return tuple(sorted({p.type_multiset() for p in self.maximal}))

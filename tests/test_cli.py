@@ -1060,3 +1060,19 @@ def test_number_tokens_are_refused_in_the_tools_own_words(tmp_path, argv, text, 
         assert err.startswith("usage: coblemukai ") and err.endswith(expected)
     else:
         assert err == expected
+
+
+def test_a_signed_scale_reads_as_its_value():
+    # "+" sums terms only outside parentheses, so ascii_int reads the sign
+    for signed, plain in (("U(+2)", "U(2)"), ("A1(+2)+A1", "A1(2)+A1")):
+        for fmt in ([], ["--json"]):
+            code, out, err = run(["lattice", "det", signed, *fmt])
+            assert (code, err) == (0, "")
+            assert out == run(["lattice", "det", plain, *fmt])[1].replace(plain, signed)
+    for term in ("A1(+)", "A1(2"):
+        assert run(["lattice", "det", term]) == (2, "", f"error: malformed lattice term: {term!r}\n")
+    # the terms are found in one pass: a long sum is refused at once
+    start = time.perf_counter()
+    assert run(["lattice", "det", "A1+" * 40000 + "A1"]) == (
+        2, "", "error: lattice spec of rank 40001 is above the bound 256\n")
+    assert time.perf_counter() - start < 1.0

@@ -254,8 +254,19 @@ from coblemukai import lattice
 if __debug__:
     sys.exit("not running under -O")
 # saturate glues through the helper behind overlattice, which also returns
-# L'*/L' and det L'; this one glues nothing
-lattice._overlattice = lambda lat, glue, den, d: (lat, lattice.discriminant_group(lat), d)
+# L'*/L' and det L'; this one glues nothing, and ends the process on its
+# third call, so a saturate that never stops fails at once
+calls = []
+
+
+def glue_nothing(lat, glue, den, d):
+    calls.append(glue)
+    if len(calls) == 3:
+        sys.exit("saturate glued nothing 3 times and did not stop")
+    return lat, lattice.discriminant_group(lat), d
+
+
+lattice._overlattice = glue_nothing
 try:
     lattice.saturate(lattice.make_named("A8"))
 except AssertionError as exc:
@@ -340,7 +351,6 @@ def _run_under_O(script: str) -> str:
 
 LYING_SNF_RIGHT_SCRIPT = """
 import sys
-from dataclasses import replace
 from coblemukai import exact, lattice
 if __debug__:
     sys.exit("not running under -O")
@@ -349,7 +359,7 @@ truthful_snf = exact.snf
 
 def identity_right(m):
     # the factors are right, but the right transform handed back is the identity
-    return replace(truthful_snf(m), right=tuple(map(tuple, exact.identity(len(m)))))
+    return exact.SnfResult(truthful_snf(m).factors, tuple(map(tuple, exact.identity(len(m)))))
 
 
 exact.snf = identity_right
@@ -561,7 +571,6 @@ def test_snf_self_check_survives_python_O():
 
 TRIPLED_SNF_RIGHT_SCRIPT = """
 import sys
-from dataclasses import replace
 from coblemukai import exact, lattice
 if __debug__:
     sys.exit("not running under -O")
@@ -571,7 +580,7 @@ truthful_snf = exact.snf
 def tripled_right(m):
     # the factors are right and the lifts stay in L*, but 3 times each
     res = truthful_snf(m)
-    return replace(res, right=tuple(tuple(3 * x for x in row) for row in res.right))
+    return exact.SnfResult(res.factors, tuple(tuple(3 * x for x in row) for row in res.right))
 
 
 exact.snf = tripled_right
