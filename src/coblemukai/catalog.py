@@ -506,9 +506,8 @@ def coble_mukai(model: BlowupModel) -> CobleMukaiLattice:
     n = amb.rank
     # integral, see BlowupModel
     betas = [[x // model.den for x in v] for v in model.boundary_vectors()]
-    beta_gram = lattice.gram_matrix(amb, betas)
     for a, b in combinations(range(len(betas)), 2):
-        if beta_gram[a][b] != 0:
+        if model._gram[a][b]:  # the pairing times den**2
             raise ValueError("boundary classes must be pairwise orthogonal")
     two = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     if not betas:

@@ -1,10 +1,11 @@
 """Kodaira fiber types, their affine diagrams, and the extremal tables.
 
 The extremal rational elliptic configurations are stored verbatim, one
-column per characteristic class (generic means p not in {2,3,5}), plus the
-char-3 quasi-elliptic list.  Nothing here is derived from Weierstrass data;
-the tables are the ground truth and the only computations are lookups and
-the diagram correspondence.
+column per characteristic class (generic means p not in {2,3,5}; 16 rows
+generic, 16 at p = 5 and 14 at p = 3), plus the char-3 quasi-elliptic
+list.  Nothing here is derived from Weierstrass data; the tables are the
+ground truth and the only computations are lookups and the diagram
+correspondence.
 """
 
 from __future__ import annotations

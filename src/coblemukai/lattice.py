@@ -5,7 +5,9 @@ here cover named ADE/U constructions, determinants, discriminant groups and
 the discriminant quadratic form, Nikulin overlattice gluing and saturation,
 the kernel and isotropic subgroups of the mod-2 quadratic form on L/2L with
 their half-integer overlattices, and quotients of a degenerate Gram by its
-radical.
+radical.  A public function converts the rational vectors it receives once,
+by ``_rows``, and works on integers; ``Fraction`` appears only in what it
+returns (``gram_matrix``, ``generator_lifts``, ``disc_q``) and in errors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import compress, product
+from itertools import compress, islice, product
 from math import isqrt, lcm, prod
 from operator import mul, xor
 
@@ -27,6 +29,8 @@ SATURATE_MAX_ORDER = 1 << 16
 
 
 class Lattice(Record):
+    """An integral lattice, just its symmetric Gram matrix: a lattice carries no name."""
+
     __match_args__ = ("gram",)
 
     def __init__(self, gram: tuple[tuple[int, ...], ...]):
@@ -383,11 +387,17 @@ def _basis_gram(lat: Lattice, basis, den: int) -> list[list[int]]:
 
 def _isotropic_classes(group: DiscriminantGroup, table):
     """The nonzero classes with q = 0, as coordinates in lexicographic order.
-    ``table`` is T = R G R^T for the lift rows R, so q(x) = x^T T x / den^2 mod 2."""
+    ``table`` is T = R G R^T for the lift rows R, so q(x) = x^T T x / den^2 mod 2.
+    A scan lists at most SATURATE_MAX_ORDER classes: one that would go on
+    past them is refused."""
     mod = 2 * group.den * group.den
-    for x in product(*map(range, group.invariant_factors)):
+    classes = product(*map(range, group.invariant_factors))
+    for x in islice(classes, SATURATE_MAX_ORDER):
         if any(x) and sum(a * sum(map(mul, row, x)) for a, row in zip(x, table)) % mod == 0:
             yield x
+    if next(classes, None) is not None:
+        raise ValueError(f"the saturation scan of a discriminant group of order {group.order} "
+                         f"would list more than SATURATE_MAX_ORDER = {SATURATE_MAX_ORDER} classes")
 
 
 def saturate(lat: Lattice) -> Lattice:
@@ -401,8 +411,8 @@ def saturate(lat: Lattice) -> Lattice:
     extend H.  Every maximal H has the same order, because the anisotropic
     form H-perp/H is unique up to isometry (Nikulin 1979, section 1), so
     det L' = det L / |H|^2 does not depend on the classes picked; the Gram
-    of L' may.  L*/L is capped at SATURATE_MAX_ORDER elements, and det L is
-    the one determinant taken.
+    of L' may.  No scan for an isotropic class lists more than
+    SATURATE_MAX_ORDER classes, and det L is the one determinant taken.
     """
     return _saturate(lat, det(lat))[0]
 
@@ -418,11 +428,6 @@ def _saturate(lat: Lattice, d: int) -> tuple[Lattice, int]:
     if not is_even(lat):
         raise ValueError("saturation requires an even lattice")
     group = _discriminant_group(lat, d)
-    if group.order > SATURATE_MAX_ORDER:
-        raise ValueError(
-            f"discriminant group of order {group.order} is above the saturation bound "
-            f"{SATURATE_MAX_ORDER}"
-        )
     while (x := next(_isotropic_classes(group, _pairings(lat, group.rows)), None)) is not None:
         lat, group, d_next = _overlattice(lat, exact.matmul([x], group.rows), group.den, d)
         if abs(d_next) >= abs(d):

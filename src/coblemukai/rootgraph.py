@@ -109,7 +109,9 @@ class RootGraph:
 
     @cached_property
     def _masks(self) -> tuple[list[int], list[int], list[int]]:
-        """Neighbor bitmasks along edges of multiplicity 1, 2 and either."""
+        """Neighbor bitmasks along edges of multiplicity 1, 2 and either, in
+        O(edges) when a search first asks; there an edge of multiplicity
+        >= 3, outside the hypothesis of Vinberg's criterion, is refused."""
         single, double = [0] * self.n, [0] * self.n
         for (i, j), m in self.edges.items():
             if m > 2:

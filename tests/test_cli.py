@@ -889,12 +889,26 @@ def test_graph_info_four_a7_chains(tmp_path):
 
 
 def test_graph_info_refuses_above_saturation_bound(tmp_path):
-    code, out, err = run(["graph", "info", chains_file(tmp_path, 24, 1)])
+    # det -66045 is square-free, so L*/L is anisotropic and the closing scan
+    # would list all 66045 classes; at multiplicity 255 (det -65021) it answers
+    path = tmp_path / "m257.graph"
+    path.write_text("graph m257\nvertex a\nvertex b\nedge a b 257\n")
+    code, out, err = run(["graph", "info", str(path)])
     assert code == 2
     assert out == ""
     assert err == (
-        "error: discriminant group of order 16777216 is above the saturation bound 65536\n"
+        "error: the saturation scan of a discriminant group of order 66045 "
+        "would list more than SATURATE_MAX_ORDER = 65536 classes\n"
     )
+
+
+def test_graph_info_saturates_24_isolated_vertices(tmp_path):
+    # L*/L = (Z/2)^24 is above the saturation bound, but each scan stops at
+    # its first isotropic class: A1^24 lies in the Niemeier lattice of root
+    # system A1^24, so its saturation is unimodular
+    code, out, err = run(["graph", "info", chains_file(tmp_path, 24, 1), "--json"])
+    assert code == 0, err
+    assert json.loads(out)["payload"]["span_det"] == 1
 
 
 def test_graph_maximal_refuses_above_packing_bound(tmp_path):

@@ -533,6 +533,32 @@ def test_automorphisms_pinned_on_catalog_and_benchmark_pools():
     assert sha256_json(out) == "f3c514523189457f7a808aba515f0449f78e85b52992a32195731315958988dd"
 
 
+def test_results_do_not_depend_on_vertex_numbering():
+    # the built-ins and ten seeded graphs of the seed-1 pool, each renumbered
+    # by a seeded shuffle of its labels: the span, the group order and the
+    # parabolic type counts must not move
+    from collections import Counter
+
+    from coblemukai import catalog
+
+    rng = random.Random(7)
+    graphs = [catalog.build_graph(x) for x in ("I", "II", "VI", "MI", "MII")]
+    graphs += rng.sample(benchmark_pool(1), 10)
+
+    def invariants(g):
+        span = span_check(g)
+        return (span, span_det(g), rootgraph.automorphisms(g)[0],
+                Counter(t for _, t in connected_parabolics(g)),
+                Counter(p.type_multiset() for p in maximal_parabolics(g, span[0] - 2)))
+
+    for k, g in enumerate(graphs):
+        labels = list(g.labels)
+        rng.shuffle(labels)
+        h = g.induced(labels)
+        assert h.labels != g.labels
+        assert invariants(h) == invariants(g), k
+
+
 def test_assignment_order_keeps_its_base():
     # sha256 of the search base of every pinned graph, as the base rule
     # computed it with a Counter of class sizes per placement

@@ -62,6 +62,7 @@ AUT_ORACLE = "tests/test_oracles.py::test_automorphisms_match_permutation_oracle
 ISOTROPIC_CHAIN = "tests/test_oracles.py::test_span_det_matches_isotropic_chain_oracle"
 SATURATE_O = "tests/test_lattice.py::test_saturate_self_check_survives_python_O"
 SATURATES_TO_E8 = "tests/test_rootgraph.py::test_span_det_saturates_to_e8"
+SATURATION_BOUND = "tests/test_cli.py::test_graph_info_refuses_above_saturation_bound"
 HALF_O = "tests/test_lattice.py::test_half_overlattice_and_evenness_checks_survive_python_O"
 HNF = "tests/test_oracles.py::test_hnf_rows_on_rows_with_long_zero_heads"
 BASIS_GRAM = "tests/test_oracles.py::test_basis_gram_on_hand_built_bases"
@@ -203,6 +204,9 @@ MUTANTS = (
     Mutant("saturate: progress guard dropped", LATTICE,
            "if abs(d_next) >= abs(d):", "if False:",
            (SATURATE_O,)),
+    Mutant("saturate: scan lists past the bound", LATTICE,
+           "for x in islice(classes, SATURATE_MAX_ORDER):", "for x in classes:",
+           (SATURATION_BOUND,)),
     Mutant("half_overlattice: index not compared with |H|", LATTICE,
            "if index != len(span) or det(out)", "if det(out)",
            (HALF_O,)),
