@@ -36,6 +36,7 @@ from .rootgraph import (
     span_check,
     span_det,
     span_lattice,
+    type_multisets,
     vinberg_check,
 )
 from .catalog import (

@@ -274,8 +274,16 @@ class BlowupModel(Record):
 
     @cached_property
     def _pair_sums(self):
-        """b + b' for each pair of boundary rows, built once per model."""
-        return [list(map(add, a, b)) for a, b in combinations(self.boundary_vectors(), 2)]
+        """(off, index): ``off`` lists the coordinates of the basis classes
+        that are not exceptional, and ``index`` maps each tuple of entries
+        there to the sums b + b' of pairs of boundary rows that have them, in
+        pair order; built once per model."""
+        off = [k for k, label in enumerate(self.basis_labels) if label not in self.exceptional]
+        index = {}
+        for a, b in combinations(self.boundary_vectors(), 2):
+            s = list(map(add, a, b))
+            index.setdefault(tuple([s[k] for k in off]), []).append(s)
+        return off, index
 
     @cached_property
     def _gram(self):
@@ -534,9 +542,14 @@ class RealizationReport(Record):
 
 
 def _is_minus_one_root(model: BlowupModel, v) -> bool:
-    """Is v/den of the shape 2e + (beta + beta')/2 for an exceptional e?"""
+    """Is v/den of the shape 2e + (beta + beta')/2 for an exceptional e?
+
+    2v and beta + beta' then differ only at e, so they agree off the
+    exceptional classes: only the pair sums that the model's index files
+    under 2v's entries there are compared in full."""
     twice = [2 * x for x in v]
-    for s in model._pair_sums:
+    off, index = model._pair_sums
+    for s in index.get(tuple([twice[k] for k in off]), ()):
         rest = list(map(sub, twice, s))
         if rest.count(0) == len(rest) - 1:
             k = next(k for k, x in enumerate(rest) if x)

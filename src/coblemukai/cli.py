@@ -116,7 +116,7 @@ def _cmd_graph(args):
             payload = {
                 "target_rank": target,
                 "count": len(packs),
-                "type_multisets": sorted({p.type_multiset() for p in packs}),
+                "type_multisets": list(rootgraph.type_multisets(packs)),
             }
             if args.json:
                 payload["subdiagrams"] = [

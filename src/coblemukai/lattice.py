@@ -94,12 +94,15 @@ def gram_matrix(lat: Lattice, vectors, others=None) -> list[list]:
 
     Each list is scaled once to integer rows over its common denominator,
     V*G*W^T is formed over the integers and divided by the two denominators.
-    An entry is an int when it is integral and a Fraction otherwise.  Without
-    ``others`` this is the Gram matrix of ``vectors``.
+    An entry is an int when it is integral and a Fraction otherwise; when
+    both denominators are 1 the integer pairings are returned as they are.
+    Without ``others`` this is the Gram matrix of ``vectors``.
     """
     rows, den = _rows(lat, vectors)
     cols, col_den = (None, den) if others is None else _rows(lat, others)
     scale = den * col_den
+    if scale == 1:
+        return _pairings(lat, rows, cols)
     return [
         [x // scale if x % scale == 0 else Fraction(x, scale) for x in row]
         for row in _pairings(lat, rows, cols)
@@ -614,9 +617,25 @@ class RadicalSplit:
 
     @cached_property
     def quotient(self) -> Lattice:
-        """The quotient lattice: Gram B M^-1 B^T from the HNF rows held, checked integral."""
+        """The quotient lattice: Gram B M^-1 B^T from the HNF rows held,
+        checked integral.  B is upper triangular, so row i of B (d M^-1) sums
+        the rows k >= i of d M^-1, and its pairing with row j >= i of B runs
+        over the columns k >= j.  The product is symmetric, as M is, so one
+        triangle is formed and mirrored."""
         b = [[row[j] for j in self.pivots] for row in self.hnf]
-        span = exact.matmul(exact.matmul(b, self.inverse), exact.transpose(b))
+        r, inv = len(b), self.inverse
+        bm = []
+        for i, row in enumerate(b):
+            acc = [0] * r
+            for k in range(i, r):
+                if c := row[k]:
+                    acc = [x + c * y for x, y in zip(acc, inv[k])]
+            bm.append(acc)
+        span = [[0] * r for _ in range(r)]
+        for j, row in enumerate(b):
+            tail = row[j:]
+            for i in range(j + 1):
+                span[i][j] = span[j][i] = sum(map(mul, bm[i][j:], tail))
         if any(x % self.den for row in span for x in row):
             raise AssertionError("span Gram B M^-1 B^T is not integral")
         return make_lattice([[x // self.den for x in row] for row in span])

@@ -536,7 +536,18 @@ class VinbergReport(Record):
         object.__setattr__(self, "maximal", maximal)
 
     def type_multisets(self) -> tuple[str, ...]:
-        return tuple(sorted({p.type_multiset() for p in self.maximal}))
+        return type_multisets(self.maximal)
+
+
+def type_multisets(packs) -> tuple[str, ...]:
+    """The distinct type multisets of the parabolic subdiagrams ``packs``,
+    sorted.  Packings repeat few tuples of component types (MI's 247 carry
+    8, MII's 202 carry 5), so the first packing of each distinct tuple, in
+    the order its packing lists its components, names it once."""
+    first = {}
+    for p in packs:
+        first.setdefault(tuple([t for _, t in p.components]), p)
+    return tuple(sorted({p.type_multiset() for p in first.values()}))
 
 
 def vinberg_check(g: RootGraph, target_rank: int | None = None) -> VinbergReport:
@@ -794,7 +805,8 @@ def _assignment_order(g: RootGraph, cells):
     given color classes, sorted lists, and split by multiplicity to each
     placed vertex, so a cell is the unplaced vertices sharing a color and the
     multiplicities to every placed one: McKay and Piperno's target cell in
-    its plainest form."""
+    its plainest form.  A one-vertex cell cannot split, so it passes through
+    as it is, in its place, unless it is the placed vertex's own."""
     base, placed = [], []
     while cells:
         cell = min(cells, key=lambda c: (len(c), c[0]))
@@ -803,6 +815,10 @@ def _assignment_order(g: RootGraph, cells):
         placed.append(cell)
         row, split = g.mult[v], []
         for c in cells:
+            if len(c) == 1:
+                if c is not cell:
+                    split.append(c)
+                continue
             parts = {}
             for w in c:
                 if w != v:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,61 @@ def test_minus_one_root_shape_is_twice_an_exceptional_class(name):
         v = list(half)
         v[idx] += coef * model.den
         assert catalog._is_minus_one_root(model, v) is want, (idx, coef)
+
+
+def minus_one_root_by_all_pairs(model, v):
+    """The shape test of ``_is_minus_one_root`` against every pair sum."""
+    twice = [2 * x for x in v]
+    for a, b in combinations(model.boundary_vectors(), 2):
+        rest = [t - x - y for t, x, y in zip(twice, a, b)]
+        moved = [k for k, x in enumerate(rest) if x]
+        if (len(moved) == 1 and rest[moved[0]] == 4 * model.den
+                and model.basis_labels[moved[0]] in model.exceptional):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["MI", "MII"])
+def test_minus_one_root_matches_all_pairs_scan(name):
+    # every root and curve class of the model, then each changed at one
+    # entry (a ruling or an exceptional one), and with 2 of each exceptional
+    # entry moved to the next exceptional class
+    model = build_model(name)
+    den = model.den
+    exc = [k for k, label in enumerate(model.basis_labels) if label in model.exceptional]
+    probes = []
+    for _, v in model.roots:
+        probes.append(list(v))
+        for k in range(len(v)):
+            for step in (-4 * den, -den, den):
+                w = list(v)
+                w[k] += step
+                probes.append(w)
+        for k, j in zip(exc, exc[1:] + exc[:1]):
+            w = list(v)
+            w[k], w[j] = w[k] - 2 * den, w[j] + 2 * den
+            probes.append(w)
+    verdicts = [catalog._is_minus_one_root(model, v) for v in probes]
+    assert verdicts == [minus_one_root_by_all_pairs(model, v) for v in probes]
+    # some moved classes keep the shape, with their bump at another class
+    unmoved = sum(catalog._is_minus_one_root(model, v) for _, v in model.roots)
+    assert sum(verdicts) > unmoved > 0 and not all(verdicts)
+
+
+def test_minus_one_root_compares_only_pair_sums_that_agree_off_the_exceptional_classes(monkeypatch):
+    # each full comparison subtracts a pair sum from 2v entry by entry; the
+    # all-pairs scan made 40 on MI and 888 on MII
+    counts = {}
+    for name in ("MI", "MII"):
+        g, model = build_graph(name), build_model(name)
+        entries = []
+        monkeypatch.setattr(catalog, "sub", lambda a, b: entries.append(a) or a - b)
+        assert verify_realization(g, model).ok
+        counts[name] = len(entries) // model.ambient.rank
+        off, index = model._pair_sums
+        assert [model.basis_labels[k] for k in off] == ["hu", "hv"]
+        assert all(tuple(s[k] for k in off) == key for key, sums in index.items() for s in sums)
+    assert counts == {"MI": 10, "MII": 136}
 
 
 def test_coble_mukai_no_boundaries_is_ambient():

@@ -840,6 +840,25 @@ def test_radical_quotient_gram_pinned():
         assert digest(g) == want, k
 
 
+def test_radical_split_quotient_matches_the_dense_product():
+    # B M^-1 B^T from the triangle of the upper-triangular B, against two
+    # dense products, on random symmetric Grams of rank below their size
+    rng = random.Random(44)
+    for _ in range(60):
+        n, r = rng.randint(1, 9), rng.randint(1, 5)
+        c = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        d = [[rng.choice((-2, -1, 1, 2)) * (i == j) + rng.randint(-1, 1) * (i != j) for j in range(r)]
+             for i in range(r)]
+        d = [[d[i][j] + d[j][i] for j in range(r)] for i in range(r)]
+        g = exact.matmul(exact.matmul(exact.transpose(c), d), c)
+        if not any(map(any, g)):
+            continue
+        split = lattice.RadicalSplit(g)
+        b = [[row[j] for j in split.pivots] for row in split.hnf]
+        dense = exact.matmul(exact.matmul(b, split.inverse), exact.transpose(b))
+        assert split.quotient.gram == tuple(tuple(x // split.den for x in row) for row in dense), g
+
+
 def test_mod2_nullity_examples():
     assert lattice.mod2_nullity(make_named("A1"))[0] == 0
     assert lattice.mod2_nullity(make_named("A1+A1"))[:2] == (1, 1)

@@ -574,6 +574,82 @@ def test_assignment_order_keeps_its_base():
     assert sha256_json(bases) == "b5010ba4e243c82ab155986cccf63474525502eee949dabbc2af288bd565774c"
 
 
+def splitting_assignment_order(g, cells):
+    """The search base and its cells with every cell split again at each
+    placement, one-vertex cells too: the reference for ``_assignment_order``."""
+    base, placed = [], []
+    while cells:
+        cell = min(cells, key=lambda c: (len(c), c[0]))
+        v = cell[0]
+        base.append(v)
+        placed.append(cell)
+        split = []
+        for c in cells:
+            parts = {}
+            for w in c:
+                if w != v:
+                    parts.setdefault(g.mult[v][w], []).append(w)
+            split += parts.values()
+        cells = split
+    return base, placed
+
+
+class PlacesEachVertexOnce:
+    """A graph seen through ``mult`` alone, which may be read once per vertex:
+    an order that placed a vertex twice would never end, and raises instead."""
+
+    def __init__(self, g):
+        self.n, self.reads, self._mult = g.n, 0, g.mult
+
+    @property
+    def mult(self):
+        self.reads += 1
+        if self.reads > self.n:
+            raise AssertionError(f"more than {self.n} placements")
+        return self._mult
+
+
+def test_assignment_order_matches_splitting_every_cell():
+    # the catalog graphs, VI's Petersen block and the seed-1 and seed-1000
+    # pools: one-vertex cells pass through, and base and cells stay the same
+    for g in pinned_aut_graphs():
+        colors = rootgraph._refine_colors(g)
+        classes = [[v for v in range(g.n) if colors[v] == c] for c in dict.fromkeys(colors)]
+        want = splitting_assignment_order(g, [list(c) for c in classes])
+        assert rootgraph._assignment_order(PlacesEachVertexOnce(g), classes) == want, g.name
+
+
+def test_type_multisets_match_naming_every_packing():
+    from coblemukai import catalog
+
+    graphs = [catalog.build_graph(x) for x in ("I", "II", "VI", "MI", "MII")]
+    graphs += random.Random(44).sample(benchmark_pool(1), 20)
+    distinct = 0
+    for g in graphs:
+        packs = maximal_parabolics(g, span_check(g)[0] - 2)
+        want = tuple(sorted({p.type_multiset() for p in packs}))
+        assert rootgraph.type_multisets(packs) == want, g.name
+        distinct += len(want)
+    assert distinct > len(graphs)
+
+
+def test_type_multisets_name_each_type_tuple_once(monkeypatch):
+    # 532 packings over the five catalog graphs carry 26 tuples of types
+    from coblemukai import catalog
+
+    named = []
+    name = rootgraph.ParabolicSubdiagram.type_multiset
+    monkeypatch.setattr(rootgraph.ParabolicSubdiagram, "type_multiset",
+                        lambda self: named.append(self) or name(self))
+    packings = tuples = 0
+    for x in ("I", "II", "VI", "MI", "MII"):
+        rep = vinberg_check(catalog.build_graph(x))
+        packings += len(rep.maximal)
+        tuples += len({tuple(t for _, t in p.components) for p in rep.maximal})
+        assert rep.type_multisets() == tuple(sorted({name(p) for p in rep.maximal})), x
+    assert (packings, tuples, len(named)) == (532, 26, 26)
+
+
 def test_automorphism_search_tries_only_base_cells(monkeypatch):
     # at level k only b_k's cell can hold an image of b_k; trying its whole
     # color class made 20, 57, 171, 944 and 774 calls, with the same ones

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 EXACT, LATTICE, ROOTGRAPH = "src/coblemukai/exact.py", "src/coblemukai/lattice.py", "src/coblemukai/rootgraph.py"
+CATALOG = "src/coblemukai/catalog.py"
 STALE = "tests/test_oracles.py::test_lazy_rescale_matches_sympy_on_stale_rows"
 SPARSE = "tests/test_oracles.py::test_lazy_rescale_matches_sympy_on_sparse_block_inverses"
 DET = "tests/test_oracles.py::test_det_matches_sympy"
@@ -80,6 +81,11 @@ REFINE = "tests/test_rootgraph.py::test_refine_colors_gives_the_tuple_signature_
 PACKING = "tests/test_oracles.py::test_maximal_parabolics_matches_packing_oracle"
 BELOW_SPAN = "tests/test_oracles.py::test_maximal_parabolics_below_span_rank_match_recursion"
 ORTHOGONAL = "tests/test_rootgraph.py::test_maximal_parabolics_requires_orthogonality"
+PAIR_SUM_COUNT = ("tests/test_catalog.py::"
+                  "test_minus_one_root_compares_only_pair_sums_that_agree_off_the_exceptional_classes")
+MULTISETS = "tests/test_rootgraph.py::test_type_multisets_match_naming_every_packing"
+MULTISET_NAMES = "tests/test_rootgraph.py::test_type_multisets_name_each_type_tuple_once"
+SPLITTING = "tests/test_rootgraph.py::test_assignment_order_matches_splitting_every_cell"
 
 MUTANTS = (
     # the pivot choice of _eliminate: a diagonal entry with its column first
@@ -232,6 +238,21 @@ MUTANTS = (
     Mutant("maximal parabolics: compat from holding", ROOTGRAPH,
            "clash |= touching[v]", "clash |= holding[v]",
            (ORTHOGONAL, PACKING)),
+    Mutant("type multisets: type tuples keyed by rank only", ROOTGRAPH,
+           "first.setdefault(tuple([t for _, t in p.components]), p)",
+           "first.setdefault(tuple([t.rank for _, t in p.components]), p)",
+           (MULTISETS, MULTISET_NAMES)),
+    # the placed vertex would be placed again and again: the killer raises
+    # once a graph's multiplicities are read more often than it has vertices
+    Mutant("assignment order: one-vertex pass-through keeps the base vertex", ROOTGRAPH,
+           "                if c is not cell:\n                    split.append(c)\n",
+           "                split.append(c)\n",
+           (SPLITTING,)),
+    # results stay right, since each candidate is still compared in full;
+    # only the count of full comparisons shows the coarser key
+    Mutant("realization: pair-sum key drops a non-exceptional coordinate", CATALOG,
+           "if label not in self.exceptional]", "if label not in self.exceptional][1:]",
+           (PAIR_SUM_COUNT,)),
 )
 
 
