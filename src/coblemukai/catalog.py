@@ -245,12 +245,7 @@ class BlowupModel(Record):
         roots: tuple[tuple[str, tuple[int, ...]], ...],
         den: int,
     ):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis_labels", basis_labels)
-        object.__setattr__(self, "exceptional", exceptional)
-        object.__setattr__(self, "boundaries", boundaries)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "den", den)
+        super().__init__(ambient, basis_labels, exceptional, boundaries, roots, den)
         for name, v in boundaries:
             if any(x % den for x in v):
                 raise ValueError(f"boundary {name} is not an integral class")
@@ -489,10 +484,6 @@ class CobleMukaiLattice(Record):
 
     __match_args__ = ("lattice", "twice")
 
-    def __init__(self, lattice: Lattice, twice: list[list[int]]):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "twice", twice)
-
     def contains(self, rows, den: int) -> bool:
         """Is every row/den an integer combination of the basis?  Exactly
         then twice the rows leave the HNF of twice the basis unchanged."""
@@ -535,10 +526,6 @@ def coble_mukai(model: BlowupModel) -> CobleMukaiLattice:
 
 class RealizationReport(Record):
     __match_args__ = ("ok", "failures")
-
-    def __init__(self, ok: bool, failures: tuple[str, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "failures", failures)
 
 
 def _is_minus_one_root(model: BlowupModel, v) -> bool:
@@ -597,22 +584,9 @@ class RInvariant(Record):
 
     __match_args__ = ("k", "h_gens")
 
-    def __init__(self, k: Lattice, h_gens: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "h_gens", h_gens)
-
 
 class RInvariantReport(Record):
     __match_args__ = ("ok", "h_rank", "nullity", "det_k", "p_valuation", "failures")
-
-    def __init__(self, ok: bool, h_rank: int, nullity: int, det_k: int, p_valuation: int | None,
-                 failures: tuple[str, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "h_rank", h_rank)
-        object.__setattr__(self, "nullity", nullity)
-        object.__setattr__(self, "det_k", det_k)
-        object.__setattr__(self, "p_valuation", p_valuation)
-        object.__setattr__(self, "failures", failures)
 
 
 def _valuation(n: int, p: int) -> int:
@@ -664,18 +638,6 @@ def q_kernel_invariant(k_spec: str) -> RInvariant:
 class Table1Row(Record):
     __match_args__ = ("key", "type", "p", "n", "k", "aut", "aut_order", "k_spec", "h_rank")
 
-    def __init__(self, key: str, type: str, p: str, n: int, k: int, aut: str, aut_order: int,
-                 k_spec: str, h_rank: int):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "aut", aut)
-        object.__setattr__(self, "aut_order", aut_order)
-        object.__setattr__(self, "k_spec", k_spec)
-        object.__setattr__(self, "h_rank", h_rank)
-
     @property
     def r_invariant(self) -> str:
         if self.h_rank == 0:
@@ -717,12 +679,6 @@ CLAIMED_BLOCK_AUT = {"VI": ("e:", 120)}  # the Petersen part
 
 class CatalogEntry(Record):
     __match_args__ = ("name", "graph", "model", "row")
-
-    def __init__(self, name: str, graph: RootGraph, model: BlowupModel | None, row: Table1Row):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "row", row)
 
 
 def get_entry(name: str) -> CatalogEntry:

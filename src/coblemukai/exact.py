@@ -154,10 +154,6 @@ class SnfResult(Record):
 
     __match_args__ = ("factors", "right")
 
-    def __init__(self, factors: tuple[int, ...], right: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "right", right)
-
 
 def _min_pivot(a, t, rows, cols):
     # Smallest |entry| in the trailing submatrix; row-major scan breaks ties.
@@ -239,7 +235,7 @@ def snf(m: list[list[int]]) -> SnfResult:
             continue
         t += 1
     factors = tuple(abs(a[i][i]) for i in range(min(rows, cols)))
-    return SnfResult(factors=factors, right=tuple(tuple(r) for r in right))
+    return SnfResult(factors, tuple(tuple(r) for r in right))
 
 
 def integer_rows(vectors) -> tuple[list[list[int]], int]:

@@ -33,8 +33,7 @@ class KodairaFiber(OrderedRecord):
             raise ValueError("I_n* requires n >= 0")
         if kind not in ("I", "I*") and index != 0:
             raise ValueError(f"{kind} carries no index")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
+        super().__init__(kind, index)
 
     def __str__(self):
         if self.kind == "I":

@@ -36,7 +36,7 @@ class Lattice(Record):
     def __init__(self, gram: tuple[tuple[int, ...], ...]):
         if not exact.is_symmetric(gram):
             raise ValueError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", gram)
+        super().__init__(gram)
 
     @property
     def rank(self) -> int:
@@ -221,11 +221,6 @@ class DiscriminantGroup(Record):
     gives the same lifts as reduced Fraction tuples, built on first read."""
 
     __match_args__ = ("invariant_factors", "rows", "den")
-
-    def __init__(self, invariant_factors: tuple[int, ...], rows: tuple[tuple[int, ...], ...], den: int):
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "den", den)
 
     @property
     def order(self) -> int:

@@ -193,12 +193,10 @@ def from_edges(name, vertices, edges) -> RootGraph:
 # --- diagram types ---------------------------------------------------------
 
 class DiagramType(OrderedRecord):
-    __match_args__ = ("family", "index", "affine")
+    """A connected ADE diagram: ``family`` "A", "D" or "E", its ``index``,
+    and whether it is the ``affine`` (extended) diagram."""
 
-    def __init__(self, family: str, index: int, affine: bool):  # family "A", "D" or "E"
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "affine", affine)
+    __match_args__ = ("family", "index", "affine")
 
     def __str__(self):
         return f"{self.family}~{self.index}" if self.affine else f"{self.family}{self.index}"
@@ -228,7 +226,7 @@ def parse_diagram(token: str) -> DiagramType:
     # the same bounds as the root lattices of lattice.make_named
     if not {"A": index >= 1, "D": index >= 4, "E": index in (6, 7, 8)}[family]:
         raise ValueError(f"no diagram {token.strip()!r}: A needs index >= 1, D >= 4, E 6, 7 or 8")
-    return DiagramType(family=family, index=index, affine=affine)
+    return DiagramType(family, index, affine)
 
 
 def _type_sort_key(t: DiagramType):
@@ -453,10 +451,6 @@ class ParabolicSubdiagram(Record):
 
     __match_args__ = ("components", "rank")
 
-    def __init__(self, components: tuple[tuple[tuple[str, ...], DiagramType], ...], rank: int):
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "rank", rank)
-
     def type_multiset(self) -> str:
         return multiset_str([t for _, t in self.components])
 
@@ -507,7 +501,7 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
                 raise ValueError(f"the packings of rank {target_rank} list more than "
                                  f"PACKING_MAX_COMPONENTS = {PACKING_MAX_COMPONENTS} components")
             comps = tuple(map(named.__getitem__, chosen[1:]))  # cps is sorted
-            results.append(ParabolicSubdiagram(components=comps, rank=target_rank))
+            results.append(ParabolicSubdiagram(comps, target_rank))
             rest = 0
         # no later candidate helps once even all of them fall short
         while rest and total + tail[i := (rest & -rest).bit_length() - 1] >= target_rank:
@@ -528,12 +522,6 @@ class VinbergReport(Record):
     ``maximal``: the rank-target parabolic subdiagrams."""
 
     __match_args__ = ("passed", "target_rank", "witnesses", "maximal")
-
-    def __init__(self, passed: bool, target_rank: int, witnesses: tuple, maximal: tuple):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "target_rank", target_rank)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "maximal", maximal)
 
     def type_multisets(self) -> tuple[str, ...]:
         return type_multisets(self.maximal)
@@ -561,12 +549,7 @@ def vinberg_check(g: RootGraph, target_rank: int | None = None) -> VinbergReport
     # a component's labels fix it, so no DiagramType is hashed
     used = {labels for p in packs for labels, _ in p.components}
     witnesses = tuple(c for c in cps if c[0] not in used)
-    return VinbergReport(
-        passed=not witnesses,
-        target_rank=target_rank,
-        witnesses=witnesses,
-        maximal=tuple(packs),
-    )
+    return VinbergReport(not witnesses, target_rank, witnesses, tuple(packs))
 
 
 def span_check(g: RootGraph) -> tuple[int, tuple[int, int]]:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coblemukai
-from coblemukai import catalog, cli, rootgraph
+from coblemukai import catalog, cli, lattice, rootgraph
 
 
 def run(argv):
@@ -1076,7 +1076,7 @@ def test_number_tokens_are_refused_in_the_tools_own_words(tmp_path, argv, text, 
         assert err == expected
 
 
-def test_a_signed_scale_reads_as_its_value():
+def test_a_signed_scale_reads_as_its_value(monkeypatch):
     # "+" sums terms only outside parentheses, so ascii_int reads the sign
     for signed, plain in (("U(+2)", "U(2)"), ("A1(+2)+A1", "A1(2)+A1")):
         for fmt in ([], ["--json"]):
@@ -1085,8 +1085,21 @@ def test_a_signed_scale_reads_as_its_value():
             assert out == run(["lattice", "det", plain, *fmt])[1].replace(plain, signed)
     for term in ("A1(+)", "A1(2"):
         assert run(["lattice", "det", term]) == (2, "", f"error: malformed lattice term: {term!r}\n")
-    # the terms are found in one pass: a long sum is refused at once
-    start = time.perf_counter()
-    assert run(["lattice", "det", "A1+" * 40000 + "A1"]) == (
-        2, "", "error: lattice spec of rank 40001 is above the bound 256\n")
-    assert time.perf_counter() - start < 1.0
+    # the terms are found in one pass and a long sum is refused before any
+    # Gram is built: ten times the terms take about ten times as long, where
+    # a split quadratic in the terms would take a hundred times
+    def no_gram(gram):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(lattice, "make_lattice", no_gram)
+    best = {}
+    for terms in (4000, 40000):
+        argv = ["lattice", "det", "+".join(["A1"] * terms)]
+        refusal = (2, "", f"error: lattice spec of rank {terms} is above the bound 256\n")
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert run(argv) == refusal
+            times.append(time.perf_counter() - start)
+        best[terms] = min(times)
+    assert best[40000] / best[4000] < 30, best

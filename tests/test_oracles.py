@@ -213,28 +213,27 @@ def packings_by_recursion(g, cps, target):
     a member was passed over because it would overshoot the target."""
     results = set()
     overshoots = 0
+    # a member's labels with their neighbours: b is compatible with a
+    # exactly when b's labels miss a's closed neighbourhood
+    closed = [{g.labels[j] for i in map(g.index, labels) for j in range(g.n) if j == i or g.mult[i][j]}
+              for labels, _ in cps]
 
-    def compatible(a, b):
-        for la in a:
-            for lb in b:
-                if la == lb or g.mult[g.index(la)][g.index(lb)]:
-                    return False
-        return True
-
-    def rec(start, chosen, total):
+    def rec(candidates, chosen, total):
+        """Extend ``chosen`` by members of ``candidates``, the later members
+        compatible with every chosen one."""
         nonlocal overshoots
         if total == target:
-            results.add(tuple(sorted(chosen)))
+            results.add(tuple(sorted(cps[k] for k in chosen)))
             return
-        for i in range(start, len(cps)):
+        for pos, i in enumerate(candidates):
             labels, typ = cps[i]
             if total + typ.rank > target:
                 overshoots += 1
                 continue
-            if all(compatible(labels, c[0]) for c in chosen):
-                rec(i + 1, chosen + [cps[i]], total + typ.rank)
+            rec([j for j in candidates[pos + 1:] if closed[i].isdisjoint(cps[j][0])], chosen + [i],
+                total + typ.rank)
 
-    rec(0, [], 0)
+    rec(range(len(cps)), [], 0)
     return sorted(results), overshoots
 
 
@@ -273,6 +272,75 @@ def test_maximal_parabolics_below_span_rank_match_recursion():
             assert got == want, (g.name, g.labels, target)
             overshoots += skipped
     assert overshoots > 0
+
+
+def single_edge_graph(edges):
+    """A networkx graph on ``edges``, each of multiplicity 1."""
+    import networkx as nx
+
+    h = nx.Graph(edges)
+    nx.set_edge_attributes(h, 1, "mult")
+    return h
+
+
+def affine_tree(family, index):
+    """The tree of D~index or E~index, index + 1 vertices with single edges."""
+    if family == "D":  # a path 0..index-2, a leaf at 1 and one at index-3
+        path = [(i, i + 1) for i in range(index - 2)]
+        return single_edge_graph([*path, (1, index - 1), (index - 3, index)])
+    edges, n = [], 1  # E: arms of (2, 2, 2), (1, 3, 3) or (1, 2, 5) vertices at a centre 0
+    for arm in {6: (2, 2, 2), 7: (1, 3, 3), 8: (1, 2, 5)}[index]:
+        edges += [(0 if k == 0 else n + k - 1, n + k) for k in range(arm)]
+        n += arm
+    return single_edge_graph(edges)
+
+
+def networkx_connected_parabolics(g):
+    """``connected_parabolics(g)`` of a graph whose edges have multiplicity 1
+    or 2, found by networkx alone: an A~1 is a double edge, an A~k (k >= 2)
+    a chordless cycle of k + 1 single edges, and a D~ or E~ an induced copy
+    of its tree with single edges.  Each D~ and E~ tree holds an induced
+    claw, so the trees are searched only where a claw is found.  Trees stop
+    at rank 8, the most an affine diagram can have in a span of signature
+    (1, 9)."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx.Graph()
+    h.add_nodes_from(g.labels)
+    h.add_edges_from((a, b, {"mult": g.mult[i][j]}) for i, a in enumerate(g.labels)
+                     for j, b in enumerate(g.labels) if i < j and g.mult[i][j])
+    assert {m for _, _, m in h.edges(data="mult")} <= {1, 2}
+    found = [((a, b), rootgraph.DiagramType("A", 1, True))
+             for a, b, m in h.edges(data="mult") if m == 2]
+    for cycle in nx.chordless_cycles(h):
+        if len(cycle) >= 3 and all(h[a][b]["mult"] == 1 for a, b in zip(cycle, cycle[1:] + cycle[:1])):
+            found.append((cycle, rootgraph.DiagramType("A", len(cycle) - 1, True)))
+
+    def induced_copies(tree):
+        matcher = GraphMatcher(h, tree, edge_match=lambda x, y: x["mult"] == y["mult"])
+        return {frozenset(m) for m in matcher.subgraph_isomorphisms_iter()}
+
+    claws = sum(1 for c in h for trio in combinations([v for v, m in h[c].items() if m["mult"] == 1], 3)
+                if not any(h.has_edge(a, b) for a, b in combinations(trio, 2)))
+    if claws:
+        for family, index in [*(("D", k) for k in range(4, 9)), ("E", 6), ("E", 7), ("E", 8)]:
+            typ = rootgraph.DiagramType(family, index, True)
+            found += [(labels, typ) for labels in induced_copies(affine_tree(family, index))]
+    return sorted((tuple(sorted(labels)), typ) for labels, typ in found), claws
+
+
+@pytest.mark.parametrize("name, packings, claws", [("VI", 57, 10), ("MI", 247, 0), ("MII", 202, 0)])
+def test_parabolics_of_vi_mi_and_mii_match_networkx(name, packings, claws):
+    # the paper's Vinberg data, component by component and packing by
+    # packing, against networkx and a recursion fed from networkx's list
+    g = catalog.build_graph(name)
+    cps, claw_count = networkx_connected_parabolics(g)
+    assert claw_count == claws
+    assert rootgraph.connected_parabolics(g) == cps
+    want = packings_by_recursion(g, cps, 8)[0]
+    assert len(want) == packings
+    assert sorted(p.components for p in rootgraph.maximal_parabolics(g, 8)) == want
 
 
 def test_vinberg_check_below_span_rank_matches_definition():

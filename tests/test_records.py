@@ -20,6 +20,7 @@ from coblemukai.catalog import (
 from coblemukai.exact import SnfResult
 from coblemukai.fibrations import KodairaFiber
 from coblemukai.lattice import DiscriminantGroup, Lattice
+from coblemukai.record import Record
 from coblemukai.rootgraph import DiagramType, ParabolicSubdiagram, VinbergReport
 
 A2 = ((2, -1), (-1, 2))
@@ -171,3 +172,73 @@ def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# --- fields named once, in __match_args__ ------------------------------------
+
+@pytest.mark.parametrize("cls, names, values", RECORDS, ids=IDS)
+def test_records_take_keyword_fields_in_any_order(cls, names, values):
+    backwards = dict(reversed(list(zip(names, values))))
+    assert cls(**backwards) == cls(*values)
+    assert cls(values[0], **{n: v for n, v in backwards.items() if n != names[0]}) == cls(*values)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("A", 3), {}, "DiagramType() missing field 'affine'"),
+    ((), {"index": 3}, "DiagramType() missing fields 'family', 'affine'"),
+    (("A", 3, True), {"colour": 1}, "DiagramType() got an unknown field 'colour'"),
+    (("A", 3), {"family": "D"}, "DiagramType() got multiple values for field 'family'"),
+    (("A", 3, True, 0), {}, "DiagramType() takes 3 fields but 4 were given"),
+], ids=["missing", "missing-two", "unknown", "repeated", "extra"])
+def test_records_refuse_missing_unknown_and_repeated_fields(args, kwargs, message):
+    with pytest.raises(TypeError) as refused:
+        DiagramType(*args, **kwargs)
+    assert str(refused.value) == message
+
+
+CHECKING = (Lattice, KodairaFiber, BlowupModel)
+
+
+def test_only_checking_records_write_an_init_and_it_takes_their_fields():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    package = [cls for cls in subclasses(Record) if cls.__module__.startswith("coblemukai.")]
+    assert {cls for cls in package if "__init__" in vars(cls)} == set(CHECKING)
+    for cls in CHECKING:
+        code = cls.__init__.__code__
+        assert code.co_varnames[1:code.co_argcount] == cls.__match_args__, cls.__name__
+
+
+def test_ordered_records_write_only_lt():
+    # total_ordering derives <=, > and >= from it
+    (ordered,) = [node for node in ast.parse((SRC / "record.py").read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.ClassDef) and node.name == "OrderedRecord"]
+    assert [f.name for f in ordered.body if isinstance(f, ast.FunctionDef)] == ["__lt__"]
+
+
+def _field_setters(text: str) -> list[str]:
+    """Reads of ``__setattr__`` from ``object`` or ``super()``: each sets a
+    field past the refusal of ``Record.__setattr__``."""
+    found = [node for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+             and (isinstance(node.value, ast.Name) and node.value.id == "object"
+                  or isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+                  and node.value.func.id == "super")]
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_only_record_sets_fields():
+    found = [f"{p.name}:{v}" for p in sorted(SRC.glob("*.py")) if p.name != "record.py"
+             for v in _field_setters(p.read_text(encoding="utf-8"))]
+    assert found == []
+    assert len(_field_setters((SRC / "record.py").read_text(encoding="utf-8"))) == 1
+
+
+def test_field_setter_guard_sees_calls_aliases_and_super():
+    text = ("object.__setattr__(self, 'x', 1)\nput = object.__setattr__\n"
+            "super().__setattr__('y', 2)\nsetattr(self, 'z', 3)\nself.other.__setattr__('w', 4)\n")
+    assert _field_setters(text) == [
+        "1: object.__setattr__", "2: object.__setattr__", "3: super().__setattr__"]

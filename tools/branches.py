@@ -9,11 +9,13 @@ the package, which way each evaluation of its test went: to the first line
 of its body (true) or anywhere else, the function's return included
 (false).  It then prints one line per statement that went only one way or
 never ran, as ``file:line: if|while: always true|always false (count)`` or
-``never ran``, and a closing count.  Slower than plain pytest; a test run in
-a subprocess (the ``python -O`` scripts) is not traced, so a branch only
-those reach is listed.  A statement whose body shares the test's line, or
-whose test is a constant (``while True``), cannot be told apart and is
-skipped.  Needs only the standard library and pytest.
+``never ran``, and a closing count.  If pytest fails, it prints no list,
+only that Tier-1 failed under the tracer, and exits with pytest's status.
+Slower than plain pytest; a test run in a subprocess (the ``python -O``
+scripts) is not traced, so a branch only those reach is listed.  A
+statement whose body shares the test's line, or whose test is a constant
+(``while True``), cannot be told apart and is skipped.  Needs only the
+standard library and pytest.
 """
 
 from __future__ import annotations
@@ -83,6 +85,11 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    if status != 0:
+        # a failed run stops early or takes other paths, so its counts would mislead
+        print(f"Tier-1 failed under the tracer (pytest exit status {int(status)}); no branch list",
+              file=sys.stderr)
+        return int(status)
 
     one_way = never = 0
     for path, statements in files.items():
@@ -100,7 +107,7 @@ def main(argv: list[str]) -> int:
                 print(f"{where}: never ran")
     total = sum(map(len, files.values()))
     print(f"{one_way} of {total} if/while statements went one way only, {never} never ran")
-    return int(status)
+    return 0
 
 
 if __name__ == "__main__":

@@ -86,6 +86,10 @@ PAIR_SUM_COUNT = ("tests/test_catalog.py::"
 MULTISETS = "tests/test_rootgraph.py::test_type_multisets_match_naming_every_packing"
 MULTISET_NAMES = "tests/test_rootgraph.py::test_type_multisets_name_each_type_tuple_once"
 SPLITTING = "tests/test_rootgraph.py::test_assignment_order_matches_splitting_every_cell"
+RECORD = "src/coblemukai/record.py"
+KEYWORD_ORDER = "tests/test_records.py::test_records_take_keyword_fields_in_any_order"
+RECORD_FIELDS = "tests/test_records.py::test_records_construct_print_and_compare_over_their_fields"
+RECORD_ORDER = "tests/test_records.py::test_ordered_records_order_as_their_field_tuples"
 
 MUTANTS = (
     # the pivot choice of _eliminate: a diagonal entry with its column first
@@ -253,6 +257,16 @@ MUTANTS = (
     Mutant("realization: pair-sum key drops a non-exceptional coordinate", CATALOG,
            "if label not in self.exceptional]", "if label not in self.exceptional][1:]",
            (PAIR_SUM_COUNT,)),
+    # the one constructor of the records and the one comparison of their order
+    Mutant("record: keyword fields kept in the order given", RECORD,
+           "return [values[f] for f in fields]", "return list(values.values())",
+           (KEYWORD_ORDER,)),
+    Mutant("record: last field dropped", RECORD,
+           "for name, value in zip(fields, args):", "for name, value in zip(fields[:-1], args):",
+           (RECORD_FIELDS,)),
+    Mutant("record: order reversed", RECORD,
+           "return self._values() < other._values()", "return self._values() > other._values()",
+           (RECORD_ORDER,)),
 )
 
 
