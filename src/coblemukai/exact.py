@@ -5,7 +5,9 @@ the package: ``lattice.make_lattice``, ``lattice.radical_quotient`` and
 ``RootGraph``; rational vectors, one pair ``(rows, den)``, in ``integer_rows``.
 The kernels convert no entry and copy with ``list(row)`` only the rows they
 mutate.  A lattice is compared or tested for membership by its canonical HNF
-(``hnf_rows``), which also gives ``int_kernel``.  Inertia is fraction-free.
+(``hnf_rows``), which also gives ``int_kernel``.  One fraction-free Bareiss
+elimination, ``_eliminate``, gives ``det``, ``inverse`` and, by Jacobi's rule
+on its pivots, ``rank_signature``.
 """
 
 from __future__ import annotations
@@ -72,22 +74,27 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _eliminate(a: list[list[int]]) -> tuple[int, list[int], bool]:
+def _eliminate(a: list[list[int]]) -> list[tuple[int, int, bool]]:
     """Bareiss elimination in place below the diagonal of the square left
-    block of ``a``, across the full row width; its last pivot is +-det.
-    Returns (sign, order, congruent): det is sign times the last pivot, and
-    sign is 0 when a pivot column is empty; column k of the left block is
-    now column order[k] of the input; congruent is False once a row was
-    swapped alone.
+    block of ``a``, across the full row width.  a[k][k] ends as the pivot of
+    step k, 0 where the step was skipped.  Returns the column moves (k, i,
+    fold) in the order they were made.
 
     A zero pivot at step k is replaced first by the first later row i whose
     diagonal entry is nonzero: rows k and i, and columns k and i of the left
-    block, change places.  That is a congruence P M P^T, so det keeps its
-    sign, and a[i][i] is, up to a nonzero factor, the principal minor on
-    the rows and columns of steps 0..k-1 and i.  While every swap is of this
-    kind the pivots are the leading principal minors D_1..D_n of P M P^T.
-    Only when no later diagonal entry is nonzero is the first later row with
-    a nonzero in column k swapped in alone, which flips the sign.
+    block, change places, the move (k, i, False).  Without one, the first
+    later row i with a nonzero in column k is folded in: rows k and i are
+    brought up to date, row i is added to row k, and then column i to column
+    k of the left block, the move (k, i, True), unless that would make a[k][k]
+    0 again.  A symmetric input never refuses the column step: its pivot
+    becomes 2 a[i][k].  Every move has determinant 1, so the elimination runs
+    on R M Q, with R and Q the row and column moves and det R M Q = det M; on
+    a symmetric M, R = Q^T and each move is a congruence.  While no step is
+    skipped, the pivots are the leading principal minors D_1..D_n of R M Q and
+    the last is det M.  An empty pivot column, 0 from row k down, skips the
+    step and leaves ``prev`` as it was: M is singular.  On a symmetric input
+    row k is then empty too, so the later pivots are those of M with row and
+    column k deleted.
 
     A row with a 0 in the pivot column is not touched at that step, where
     eager Bareiss multiplies it by p_k / p_(k-1).  ``scale[i]`` is the pivot
@@ -101,24 +108,29 @@ def _eliminate(a: list[list[int]]) -> tuple[int, list[int], bool]:
     is exact and ``a`` ends as eager Bareiss leaves it.  A zero test needs no
     rescale: the factor is nonzero."""
     n = len(a)
-    sign = prev = 1
+    prev = 1
     scale = [1] * n
-    order = list(range(n))
-    congruent = True
+    moves = []
     for k in range(n):  # the last row's step only brings it up to date
         if not a[k][k]:
             piv = next((i for i in range(k + 1, n) if a[i][i]), None)
             if piv is not None:
                 for row in a:
                     row[k], row[piv] = row[piv], row[k]
-                order[k], order[piv] = order[piv], order[k]
+                a[k], a[piv] = a[piv], a[k]
+                scale[k], scale[piv] = scale[piv], scale[k]
+                moves.append((k, piv, False))
+            elif (piv := next((i for i in range(k + 1, n) if a[i][k]), None)) is None:
+                continue  # an empty pivot column
             else:
-                piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if piv is None:
-                    return 0, order, congruent
-                sign, congruent = -sign, False
-            a[k], a[piv] = a[piv], a[k]
-            scale[k], scale[piv] = scale[piv], scale[k]
+                for i in (k, piv):
+                    a[i][k:], scale[i] = [x * prev // scale[i] for x in a[i][k:]], prev
+                rk, ri = a[k], a[piv]
+                rk[k:] = [x + y for x, y in zip(rk[k:], ri[k:])]
+                if rk[k] + rk[piv]:
+                    for row in a:
+                        row[k] += row[piv]
+                    moves.append((k, piv, True))
         rk = a[k]
         cols = range(k, len(rk))  # column k ends 0 in the rows below
         s = scale[k]
@@ -135,7 +147,7 @@ def _eliminate(a: list[list[int]]) -> tuple[int, list[int], bool]:
                     row[j] = (p * row[j] - c * rk[j]) // s
                 scale[i] = p
         prev = p
-    return sign, order, congruent
+    return moves
 
 
 def det(m: list[list[int]]) -> int:
@@ -144,7 +156,10 @@ def det(m: list[list[int]]) -> int:
     if any(len(row) != n for row in m):
         raise ValueError("det requires a square matrix")
     a = [list(row) for row in m]
-    return _eliminate(a)[0] * a[-1][-1] if a else 1
+    _eliminate(a)
+    if not all(row[k] for k, row in enumerate(a)):
+        return 0  # a skipped step
+    return a[-1][-1] if a else 1
 
 
 class SnfResult(Record):
@@ -253,90 +268,59 @@ def integer_rows(vectors) -> tuple[list[list[int]], int]:
 
 
 def rank_signature(m: list[list]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric integer matrix, exactly.
-
-    Fraction-free symmetric elimination.  Pivots prefer the first nonzero
-    diagonal entry; if the diagonal is exhausted, the first nonzero
-    off-diagonal entry is folded onto the diagonal (standard completion), so
-    no square roots are ever needed.  Eliminating a pivot p with row b
-    replaces the trailing block A by |p|*A - sign(p)*b*b^T, which is |p| times
-    the Schur complement, and then divides by the block's content; both are
-    positive rescalings, so every step is a congruence up to a positive factor.
-    """
+    """(positive, negative, zero) inertia of a symmetric integer matrix,
+    exactly: ``jacobi_inertia`` of the pivots of ``_eliminate``."""
     if not is_symmetric(m):
         raise ValueError("rank_signature requires a symmetric matrix")
     a = [list(row) for row in m]
-    pos = neg = 0
-    while a:
-        size = len(a)
-        piv = next((i for i in range(size) if a[i][i]), None)
-        if piv is None:
-            off = next(
-                ((i, j) for i in range(size) for j in range(i + 1, size) if a[i][j]), None
-            )
-            if off is None:
-                break
-            i, j = off
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] += row[j]
-            piv = i
-        if piv:
-            a[0], a[piv] = a[piv], a[0]
-            for row in a:
-                row[0], row[piv] = row[piv], row[0]
-        p = a[0][0]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        scale, sign = abs(p), (1 if p > 0 else -1)
-        b = a[0][1:]
-        block = []
-        for bi, row in zip(b, a[1:]):
-            rest = row[1:]
-            if bi:
-                sb = sign * bi
-                block.append([scale * x - sb * y for x, y in zip(rest, b)])
-            else:
-                block.append([scale * x for x in rest])
-        content = 0
-        for row in block:
-            content = gcd(content, *row)
-        if content > 1:
-            block = [[x // content for x in row] for row in block]
-        a = block
-    return (pos, neg, len(m) - pos - neg)
+    _eliminate(a)
+    return jacobi_inertia([row[k] for k, row in enumerate(a)])
+
+
+def jacobi_inertia(pivots) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric M from the pivots
+    ``_eliminate`` leaves on its diagonal (Jacobi's rule).  M is congruent
+    over Q to the diagonal of the ratios p_j / p_(j-1) of consecutive nonzero
+    pivots, p_0 = 1, plus one 0 for each 0 pivot, a skipped step."""
+    nonzero = [p for p in pivots if p]
+    neg = sum((a < 0) != (b < 0) for a, b in zip((1, *nonzero), nonzero))
+    return len(nonzero) - neg, neg, len(pivots) - len(nonzero)
 
 
 class Inverse(tuple):
     """What ``inverse`` returns: the pair (d*M^-1, d), as it unpacks, with
-    det M as ``det`` and, unless the elimination swapped a row alone, the
-    leading principal minors D_1..D_n of P M P^T as ``minors`` (D_n = det M;
-    None otherwise), P the permutation of its symmetric swaps."""
+    the pivots of its elimination as ``minors``, the leading principal minors
+    D_1..D_n of R M Q (R = Q^T when M is symmetric; see ``_eliminate``), and
+    det M = D_n as ``det``."""
 
-    def __new__(cls, x, den, det, minors):
+    def __new__(cls, x, den, minors):
         pair = super().__new__(cls, (x, den))
-        pair.det, pair.minors = det, minors
+        pair.minors = minors
         return pair
+
+    @property
+    def det(self) -> int:
+        return self.minors[-1] if self.minors else 1
 
 
 def inverse(m: list[list[int]]) -> Inverse:
     """(d*M^-1, d) for a nonsingular square integer M, d the least common
-    denominator of M^-1, with det M and the minors of ``Inverse``.
-    ``_eliminate`` takes [M | I] to [U | V], U = V M Q^T upper triangular
-    with U[n-1][n-1] = D = +-det M, Q the column order it swapped M's block
-    into.  Back-substitution solves U X = D V; X = D Q M^-1 = +-Q adj M is
-    integral, so every division is exact, and row k of X is row order[k] of
-    D M^-1.  Dividing by the content of D and X gives d."""
+    denominator of M^-1, with the minors of ``Inverse``.  ``_eliminate``
+    takes [M | I] to [U | V], U = V M Q upper triangular with U[n-1][n-1] =
+    D = det M, Q the product Q_1 ... Q_t of its column moves.
+    Back-substitution solves U X = D V; X = D Q^-1 M^-1 = Q^-1 adj M is
+    integral, so every division is exact.  Replaying the moves in reverse on
+    X gives Q X = adj M: a swap (k, i) swaps rows k and i, a fold (k, i) adds
+    row k to row i.  Dividing by the content of D and X gives d."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse requires a square matrix")
     a = [[*row, *e] for row, e in zip(m, identity(n))]
-    sign, order, congruent = _eliminate(a)
-    d = sign and a[-1][n - 1] if n else 1
-    if not d:
+    moves = _eliminate(a)
+    minors = tuple(a[k][k] for k in range(n))
+    if not all(minors):
         raise ValueError("inverse of a singular matrix")
+    d = a[-1][n - 1] if n else 1
     x: list = [None] * n
     for i in range(n - 1, -1, -1):
         row = a[i]
@@ -347,12 +331,13 @@ def inverse(m: list[list[int]]) -> Inverse:
                 for t in range(n):
                     acc[t] -= u * xj[t]
         x[i] = [s // row[i] for s in acc]
+    for k, i, fold in reversed(moves):
+        if fold:
+            x[i] = [u + v for u, v in zip(x[i], x[k])]
+        else:
+            x[k], x[i] = x[i], x[k]
     c = gcd(d, *(v for r in x for v in r)) * (1 if d > 0 else -1)
-    out: list = [None] * n
-    for k, r in zip(order, x):
-        out[k] = [v // c for v in r]
-    minors = tuple(a[k][k] for k in range(n)) if congruent else None
-    return Inverse(out, d // c, sign * d, minors)
+    return Inverse([[v // c for v in r] for r in x], d // c, minors)
 
 
 def int_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:

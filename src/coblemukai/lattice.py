@@ -566,7 +566,7 @@ class RadicalSplit:
     L M (L spanned by the C_j), upper triangular with the HNF pivots p_i on
     its diagonal.  The one elimination of M, in ``exact.inverse``, also gives
     ``minor_det`` = det M and ``minors``, the leading principal minors of
-    P M P^T, or None after a row swapped alone.  G = 0 gives rank 0.
+    E M E^T, E the determinant-1 moves it made.  G = 0 gives rank 0.
     """
 
     def __init__(self, g: list[list[int]]):
@@ -592,14 +592,8 @@ class RadicalSplit:
     def inertia(self) -> tuple[int, int]:
         """(positive, negative) of M, and so of G and of ``quotient``: the
         checked G = C M C^T and B M^-1 B^T are congruent over Q to M plus
-        zeros (Sylvester).  Jacobi's rule reads it off ``minors``; only after
-        a row swapped alone is it taken by ``exact.rank_signature`` of M."""
-        minors = self.minors
-        if minors is None:
-            return exact.rank_signature(self.minor)[:2]
-        # negative eigenvalues: the sign changes along 1, D_1, ..., D_r
-        neg = sum((a < 0) != (b < 0) for a, b in zip((1, *minors), minors))
-        return len(minors) - neg, neg
+        zeros (Sylvester).  Jacobi's rule reads it off ``minors``."""
+        return exact.jacobi_inertia(self.minors)[:2]
 
     @cached_property
     def det(self) -> int:

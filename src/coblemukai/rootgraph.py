@@ -385,10 +385,11 @@ def _affine_certificate(mult, idx, both) -> bool:
     (x_u/delta_u - x_v/delta_v)^2.  delta is proposed from the shape alone:
     1 everywhere without a branch vertex (A~k); with two, 1 at the leaves and
     2 elsewhere (D~k); with one, b there and b(L+1-t)/(L+1) at distance t
-    along a leg of length L, b = lcm(L_i + 1) (D~4, E~6, E~7, E~8).  Then
-    connectivity and 2 delta_a = sum_b m_ab delta_b are checked, so nothing
-    is taken from the classifier; nor from the masks ``both``, which must
-    match ``mult`` on idx.
+    along a leg of length L, b = lcm(L_i + 1) (D~4, E~6, E~7, E~8).  Each
+    delta is positive: L + 1 divides b, so b(L+1-t)/(L+1) with t <= L is at
+    least 1.  Then connectivity and 2 delta_a = sum_b m_ab delta_b are
+    checked, so nothing is taken from the classifier; nor from the masks
+    ``both``, which must match ``mult`` on idx.
     """
     mask = sum(1 << v for v in idx)
     deg, adj = {}, {}
@@ -423,8 +424,6 @@ def _affine_certificate(mult, idx, both) -> bool:
         for leg in legs:
             delta.update((v, top * (len(leg) + 1 - t) // (len(leg) + 1))
                          for t, v in enumerate(leg, 1))
-    if min(delta.values()) <= 0:
-        return False
     for a in idx:
         total = 0
         for v, m in adj[a]:

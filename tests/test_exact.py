@@ -168,6 +168,31 @@ def test_rank_signature_basics():
     assert exact.rank_signature([]) == (0, 0, 0)
 
 
+def test_refused_column_step_and_skipped_empty_column():
+    # no diagonal entry is nonzero, so row 1 is folded into row 0; adding
+    # column 1 to column 0 would empty the pivot -1 again, so no column moves
+    a = [[0, 1], [-1, 0]]
+    rows = [list(row) for row in a]
+    assert exact._eliminate(rows) == [] and rows == [[-1, 1], [0, 1]]
+    assert exact.det(a) == 1
+    assert exact.inverse(a) == ([[0, -1], [1, 0]], 1)
+    # an empty column first: symmetric swaps take it to the end, where its
+    # step is skipped
+    m = [[0, 0, 0], [0, -2, 1], [0, 1, -2]]
+    rows = [list(row) for row in m]
+    assert exact._eliminate(rows) == [(0, 1, False), (1, 2, False)]
+    assert [rows[k][k] for k in range(3)] == [-2, 3, 0]
+    assert exact.rank_signature(m) == (0, 2, 1) and exact.det(m) == 0
+    # no later diagonal entry is nonzero either: step 0 is skipped, and the
+    # later pivots, 2 after a fold and then -1, are those of [[0, 1], [1, 0]]
+    m = [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
+    rows = [list(row) for row in m]
+    assert exact._eliminate(rows) == [(1, 2, True)]
+    assert [rows[k][k] for k in range(3)] == [0, 2, -1]
+    assert exact.rank_signature(m) == (1, 1, 1) and exact.det(m) == 0
+    assert exact.jacobi_inertia([0, 2, -1]) == (1, 1, 1)
+
+
 def test_rank_signature_rejects_asymmetric():
     with pytest.raises(ValueError):
         exact.rank_signature([[0, 1], [2, 0]])
@@ -287,9 +312,9 @@ def test_hnf_rows_canonical_reduction():
 
 
 # Symmetric, so every kernel takes them.  Zero diagonals and zero leading
-# entries make det and inverse swap a row alone (the first) or a row with its
-# column (the second), rank_signature fold and swap, and the Smith form move
-# its pivot; the third is singular (affine A2).
+# entries make the elimination behind det, inverse and rank_signature fold
+# (the first) or swap a row with its column (the second), and the Smith form
+# move its pivot; the third is singular (affine A2).
 KERNEL_INPUTS = [
     [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
     [[0, 0, 2], [0, -2, 1], [2, 1, 0]],

@@ -1,4 +1,5 @@
 from itertools import combinations_with_replacement, product
+from math import isqrt, prod
 
 import pytest
 
@@ -218,3 +219,60 @@ def test_table_rows_have_the_shape_the_index_relies_on():
             assert row == tuple(sorted(row)), row
             for f in row:
                 assert diagram_of(f) is not None or f in irreducible, row
+
+
+# (Euler number, rank, det) of each fiber's root lattice, the test's own:
+# I_n is A_(n-1), I_n* is D_(n+4), and III, IV, IV*, III*, II* are A1, A2,
+# E6, E7, E8; I1 and II are irreducible
+NAMED_FIBERS = {"II": (2, 0, 1), "III": (3, 1, 2), "IV": (4, 2, 3),
+                "IV*": (8, 6, 3), "III*": (9, 7, 2), "II*": (10, 8, 1)}
+
+
+def fiber_invariants(token):
+    if token in NAMED_FIBERS:
+        return NAMED_FIBERS[token]
+    n = int(token[1:].rstrip("*"))
+    return (n + 6, n + 4, 4) if token.endswith("*") else (n, n - 1, n)
+
+
+def table_rule_failures(tokens):
+    """The rules an extremal row breaks: Mordell-Weil rank 0 means reducible
+    rank 8, and the product of the discriminants is |MW_tors|^2
+    (Shioda-Tate); the Euler numbers sum to 12 (Ogg's formula, no wild
+    conductor)."""
+    euler, rank, disc = zip(*map(fiber_invariants, tokens))
+    failures = []
+    if sum(rank) != 8:
+        failures.append("rank")
+    if isqrt(prod(disc)) ** 2 != prod(disc):
+        failures.append("disc")
+    if sum(euler) != 12:
+        failures.append(f"euler {sum(euler)}")
+    return failures
+
+
+def test_extremal_tables_satisfy_shioda_tate_ogg_and_the_sieve():
+    def tokens(row):
+        return tuple(sorted(map(str, row)))
+
+    columns = {"generic": fibrations.EXTREMAL_GENERIC, "p5": fibrations.EXTREMAL_P5,
+               "p3": fibrations.EXTREMAL_P3}
+    failures = {(name, " ".join(map(str, row))): table_rule_failures(tokens(row))
+                for name, rows in columns.items() for row in rows}
+    # at p = 3 the shortfall is the wild part of the conductor
+    assert {key: got for key, got in failures.items() if got} == {
+        ("p3", "II*"): ["euler 10"], ("p3", "I1 II*"): ["euler 11"],
+        ("p3", "I3 IV*"): ["euler 11"], ("p3", "I9 II"): ["euler 11"]}
+    # a quasi-elliptic surface has Euler number 12 and a cuspidal generic fiber, e = 2
+    for row in fibrations.QUASI_ELLIPTIC_P3:
+        assert sum(fiber_invariants(t)[0] - 2 for t in tokens(row)) == 8, row
+    # the sieve: every multiset of fibers with the three rules.  Each fiber
+    # has e - rank 1 (I_n) or 2, so the sum 4 allows two to four fibers
+    kinds = [f"I{n}" for n in range(1, 13)] + [f"I{n}*" for n in range(7)] + list(NAMED_FIBERS)
+    sieve = {tuple(sorted(c)) for k in range(2, 5) for c in combinations_with_replacement(kinds, k)
+             if not table_rule_failures(c)}
+    generic = set(map(tokens, fibrations.EXTREMAL_GENERIC))
+    assert len(sieve) == 24 and generic <= sieve and set(map(tokens, fibrations.EXTREMAL_P5)) <= sieve
+    outside = ["I1 I8 III", "I1 I9 II", "I2 I6 IV", "I2 I8 II", "I3 I3 I0*", "I3 I6 III",
+               "I5 I5 II", "I4* II"]
+    assert sieve - generic == {tuple(sorted(t.split())) for t in outside}

@@ -441,10 +441,10 @@ truthful_inverse = exact.inverse
 
 
 def lying_inverse(m):
-    # d*M^-1 gains its first column in its second; det M and the minors pass through
+    # d*M^-1 gains its first column in its second; the minors, det M among them, pass through
     solved = truthful_inverse(m)
     inv, d = solved
-    return exact.Inverse([[r[0], r[0] + r[1]] + r[2:] for r in inv], d, solved.det, solved.minors)
+    return exact.Inverse([[r[0], r[0] + r[1]] + r[2:] for r in inv], d, solved.minors)
 
 
 exact.inverse = lying_inverse

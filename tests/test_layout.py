@@ -205,10 +205,12 @@ def _calls(tree: ast.Module, function: str) -> set[str]:
 
 
 def test_det_and_inverse_share_one_elimination():
-    # both reach the one Bareiss loop of exact.py through exact._eliminate
+    # both reach the one Bareiss loop of exact.py through exact._eliminate,
+    # and so does rank_signature, which reads the inertia off its pivots
     tree = ast.parse((SRC / "exact.py").read_text(encoding="utf-8"))
     assert "_eliminate" in _calls(tree, "det")
     assert "_eliminate" in _calls(tree, "inverse")
+    assert {"_eliminate", "jacobi_inertia"} <= _calls(tree, "rank_signature")
 
 
 def _span_reads_outside_split(text: str) -> list[str]:

@@ -842,29 +842,48 @@ def block_sum(*blocks):
     return out
 
 
-def check_pivot_path(m, path):
-    """det, d*M^-1 and d against sympy, and ``path`` = (sign, order,
-    congruent) against ``_eliminate``: while every swap was symmetric the
-    minors ``inverse`` returns are the leading principal minors of the
-    matrix with its rows and columns taken in ``order``."""
+def replay_moves(m, moves):
+    """C M C^T for the column moves of ``_eliminate``, replayed on the rows
+    and the columns of M: a swap (k, i) swaps both, a fold (k, i) adds row i
+    to row k and then column i to column k."""
+    c = [list(row) for row in m]
+    for k, i, fold in moves:
+        if fold:
+            c[k] = [x + y for x, y in zip(c[k], c[i])]
+            for row in c:
+                row[k] += row[i]
+        else:
+            c[k], c[i] = c[i], c[k]
+            for row in c:
+                row[k], row[i] = row[i], row[k]
+    return c
+
+
+def check_pivot_path(m, moves, refused=False):
+    """det, d*M^-1 and d against sympy, and ``moves`` against
+    ``_eliminate``: the minors ``inverse`` returns are the leading principal
+    minors of C M C^T, rebuilt by replaying the moves, and the last is det M.
+    ``refused`` says that a fold's column step was refused, which leaves a
+    row added to another with no move to replay; then only D_n = det M is
+    compared."""
     from sympy import Matrix
 
     a = [list(row) for row in m]
-    assert exact._eliminate(a) == path, m
-    sign, order, congruent = path
+    assert exact._eliminate(a) == moves, m
     solved = exact.inverse(m)
-    assert solved.det == exact.det(m) == int(Matrix(m).det()) != 0, m
+    assert solved.det == solved.minors[-1] == exact.det(m) == int(Matrix(m).det()) != 0, m
     check_inverse(m)
-    p = Matrix([[m[i][j] for j in order] for i in order])
+    p = Matrix(replay_moves(m, moves))
     want = tuple(int(p[:k, :k].det()) for k in range(1, len(m) + 1))
-    assert solved.minors == (want if congruent else None), m
+    assert (solved.minors != want) == refused, m
 
 
 def test_lazy_rescale_matches_sympy_on_stale_rows():
     # _eliminate leaves a row with a 0 in the pivot column as it is and
-    # brings it up to date only when it is eliminated, becomes the pivot or
-    # is the last row; a zero pivot takes a later nonzero diagonal entry with
-    # its row and column (a symmetric swap) and only without one a row alone
+    # brings it up to date only when it is eliminated, becomes the pivot, is
+    # folded or is the last row; a zero pivot takes a later nonzero diagonal
+    # entry with its row and column (a symmetric swap) and only without one
+    # folds a later row into it
     from sympy import Matrix
 
     e8 = [list(r) for r in lattice.make_named("E8").gram]
@@ -873,37 +892,41 @@ def test_lazy_rescale_matches_sympy_on_stale_rows():
         # rows 2 and 3 sit out steps 0 and 1; row 3, stale, is swapped in
         # with its column as pivot 2, and row 2, swapped down, is a stale
         # row eliminated at step 2
-        ([[2, 1, 0, 0], [1, 3, 0, 1], [0, 0, 0, 5], [0, 0, 7, 1]], (1, [0, 1, 3, 2], True)),
+        ([[2, 1, 0, 0], [1, 3, 0, 1], [0, 0, 0, 5], [0, 0, 7, 1]], [(2, 3, False)]),
         # rows 1 and 3, both eliminated at step 0, change places at step 1;
         # at step 2 the stale row 2 and row 1 change places, and so do their
         # scales, and row 2 is eliminated with its own
-        ([[2, 0, 3, 1], [2, 0, 3, 0], [0, 3, 0, 0], [3, 3, 0, 0]], (1, [0, 3, 1, 2], True)),
+        ([[2, 0, 3, 1], [2, 0, 3, 0], [0, 3, 0, 0], [3, 3, 0, 0]], [(1, 3, False), (2, 3, False)]),
         # the last row sits out every step but the first
-        ([[3, 1, 0, 2], [1, 2, 0, 0], [0, 1, 4, 0], [6, 2, 0, 1]], (1, [0, 1, 2, 3], True)),
+        ([[3, 1, 0, 2], [1, 2, 0, 0], [0, 1, 4, 0], [6, 2, 0, 1]], []),
         # rows 1 and 4, both stale, change places at step 1; row 1 is then
         # eliminated at step 2, by a pivot it never saw
         ([[2, 0, 1, 0, 0], [0, 0, 3, 1, 0], [0, 4, 0, 0, 1], [1, 1, 0, 0, 3], [0, 0, 0, 2, 1]],
-         (1, [0, 4, 3, 2, 1], True)),
+         [(1, 4, False), (2, 3, False)]),
         # block-diagonal: the second block's rows, and in inverse their
         # identity part, sit out the first block's steps
-        (block_sum(*[[list(r) for r in lattice.make_named(s).gram] for s in ("A2", "A2(-1)")]),
-         (1, [0, 1, 2, 3], True)),
+        (block_sum(*[[list(r) for r in lattice.make_named(s).gram] for s in ("A2", "A2(-1)")]), []),
         (block_sum(*[[list(r) for r in lattice.make_named(s).gram] for s in ("D4", "A1", "E6(-1)")]),
-         (1, list(range(11)), True)),
+         []),
         # both kinds: the stale row 4 is swapped in with its column at step
         # 2, and then the [[0, 5], [7, 0]] block has no nonzero diagonal
-        # entry left, so its rows are swapped alone at step 3
-        (block_sum([[2, 1], [1, 3]], [[0, 5], [7, 0]], [[-4]]), (-1, [0, 1, 4, 3, 2], False)),
-        # a row alone: no diagonal entry is nonzero
-        ([[0, 1], [1, 0]], (-1, [0, 1], False)),
-        ([[0, 5], [7, 0]], (-1, [0, 1], False)),
-        (e8_sum, (1, list(range(16)), True)),
-        # E8 + E8(-1) with its rows rotated by 8: a row alone at each even
-        # step up to 14, a symmetric swap with a stale row at each odd one
-        (e8_sum[8:] + e8_sum[:8], (1, [0, 8, 2, 9, 4, 11, 6, 13, 1, 10, 3, 12, 5, 14, 7, 15], False)),
+        # entry left, so the stale row 4 is brought up to date and folded in
+        # at step 3, its column step made: the pivot is 7 + 5
+        (block_sum([[2, 1], [1, 3]], [[0, 5], [7, 0]], [[-4]]), [(2, 4, False), (3, 4, True)]),
+        # a fold: no diagonal entry is nonzero; the pivot is 2 * 1, 7 + 5
+        ([[0, 1], [1, 0]], [(0, 1, True)]),
+        ([[0, 5], [7, 0]], [(0, 1, True)]),
+        (e8_sum, []),
     ]
-    for m, path in paths:
-        check_pivot_path(m, path)
+    for m, moves in paths:
+        check_pivot_path(m, moves)
+    # the column step would empty the pivot again: row 1 is added to row 0
+    # and no column moves.  E8 + E8(-1) with its rows rotated by 8: such a
+    # fold at each even step up to 14, a symmetric swap with a stale row at
+    # each odd one
+    check_pivot_path([[0, 1], [-1, 0]], [], refused=True)
+    check_pivot_path(e8_sum[8:] + e8_sum[:8], [(1, 8, False), (3, 9, False), (5, 11, False),
+                     (7, 13, False), (9, 10, False), (11, 12, False), (13, 14, False)], refused=True)
     singular = [
         # rows 1 and 2 are stale until they become pivots, and the last row,
         # 0 after step 0, is stale to the end
@@ -920,7 +943,7 @@ def test_lazy_rescale_matches_sympy_on_stale_rows():
         assert exact.det(m) == 0 == Matrix(m).det(), m
         with pytest.raises(ValueError, match="singular"):
             exact.inverse(m)
-    assert exact._eliminate([]) == (1, [], True)
+    assert exact._eliminate([]) == []
     assert exact.det([]) == 1
     assert exact.inverse([]) == ([], 1)
 
@@ -1060,14 +1083,15 @@ def test_inverse_with_row_swaps_matches_sympy():
             exact.inverse(m)
 
 
-def test_det_and_inverse_match_sympy_after_a_row_swapped_alone():
+def test_det_and_inverse_match_sympy_after_a_fold():
     # m[i][i] = 0 and m[i][0] * m[0][i] = 0 below the first pivot, so step 0
     # leaves the diagonal below it all zero: step 1 finds no diagonal entry
-    # to swap in with its column and swaps a row alone, which flips det's sign
+    # to swap in with its column and folds a later row into row 1, whose
+    # moves have determinant 1 and leave det's sign as it is
     from sympy import Matrix
 
     rng = random.Random(39)
-    alone = singular = 0
+    folded = singular = 0
     for trial in range(60):
         n = rng.randint(3, 8)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
@@ -1078,8 +1102,7 @@ def test_det_and_inverse_match_sympy_after_a_row_swapped_alone():
                 m[0][i] = 0
             else:
                 m[i][0] = 0
-        _, _, congruent = exact._eliminate([list(row) for row in m])
-        alone += not congruent
+        folded += any(fold for *_, fold in exact._eliminate([list(row) for row in m]))
         want = int(Matrix(m).det())
         assert exact.det(m) == want, m
         if want:
@@ -1088,7 +1111,7 @@ def test_det_and_inverse_match_sympy_after_a_row_swapped_alone():
             singular += 1
             with pytest.raises(ValueError, match="singular"):
                 exact.inverse(m)
-    assert alone >= 30 and singular < 30, (alone, singular)
+    assert folded >= 30 and singular < 30, (folded, singular)
 
 
 def test_inverse_refuses_singular_and_non_square_matrices():
@@ -1302,7 +1325,8 @@ def saturated_det(span):
 
 
 def check_radical_quotient(gram):
-    """Rank, |det| and inertia of Z^n/rad against sympy and rank_signature(G)."""
+    """Rank, |det| and inertia of Z^n/rad against sympy; rank_signature(G)
+    against sympy_inertia(G)."""
     from sympy import ZZ, Matrix
     from sympy.matrices.normalforms import smith_normal_form
 
@@ -1316,14 +1340,16 @@ def check_radical_quotient(gram):
     assert abs(lattice.det(quotient)) == want, gram
     pos, neg, zero = exact.rank_signature(gram)
     assert (pos, neg, zero) == sympy_inertia(gram), gram
-    assert exact.rank_signature(quotient.gram) == (pos, neg, 0), gram
+    # the quotient is built through the elimination that rank_signature runs
+    assert sympy_inertia(quotient.gram) == (pos, neg, 0), gram
     return quotient
 
 
 def check_span(g):
     old = snf_congruence_span(g)
     assert lattice.det(check_radical_quotient(g.gram_rows())) == lattice.det(old), g
-    # span_check reads the inertia off the span; it must be that of G
+    # span_check reads the inertia off the span; it must be that of G, whose
+    # rank_signature check_radical_quotient has just compared with sympy_inertia
     pos, neg, _ = exact.rank_signature(g.gram_rows())
     assert rootgraph.span_check(g) == (pos + neg, (pos, neg)), g
     try:
@@ -1383,13 +1409,12 @@ def test_radical_quotient_on_random_degenerate_grams():
         check_radical_quotient(m)
 
 
-def check_split_identities(g, row_alone=False):
+def check_split_identities(g):
     """What the readers of a graph's radical split rely on, against sympy: the
     span Gram B M^-1 B^T has det (prod p_i)^2 / det M for the HNF pivots p_i,
-    and the inertia of M (Sylvester), which the split reads off its minors,
-    or by rank_signature when the elimination of M swapped a row alone, as
-    ``row_alone`` says it must; span_det, which builds that Gram only to
-    saturate, agrees with det(saturate(.)) of the built span."""
+    and the inertia of M (Sylvester), which the split reads off its minors
+    by Jacobi's rule; span_det, which builds that Gram only to saturate,
+    agrees with det(saturate(.)) of the built span."""
     from sympy import Matrix
 
     fresh = g.induced(g.labels)  # a graph of its own, whose split nothing has read
@@ -1399,7 +1424,7 @@ def check_split_identities(g, row_alone=False):
     det_span = int(Matrix(span.gram).to_DM().det())
     assert det_span * det_m == pivots**2 and split.det == det_span, g
     assert sympy_inertia(split.minor) == sympy_inertia(span.gram), g
-    assert (split.minors is None) == row_alone, g
+    assert len(split.minors) == len(split.minor) and split.minors[-1] == split.minor_det == det_m, g
     assert (*split.inertia, 0) == sympy_inertia(split.minor), g
     assert rootgraph.span_det(fresh) == lattice.det(lattice.saturate(span)), g
     return det_span
@@ -1418,14 +1443,16 @@ def test_radical_split_identities_match_sympy():
     assert sum(abs(d) == 1 for d in dets) >= 10 and sum(abs(d) > 1 for d in dets) >= 10, dets
 
 
-def test_radical_split_identities_after_a_row_swapped_alone():
+def test_radical_split_identities_after_a_fold():
     # the double-edge star with k >= 2 leaves: after the centre's pivot every
-    # leaf's diagonal entry is 0, so the elimination of M swaps a row alone
+    # leaf's diagonal entry is 0, so the elimination of M folds the second
+    # leaf's row and column into the first at step 1
     dets = []
     for k in range(2, 9):
         leaves = [f"l{i}" for i in range(1, k + 1)]
         g = rootgraph.from_edges(f"star{k}", ["c", *leaves], [("c", leaf, 2) for leaf in leaves])
-        dets.append(check_split_identities(g, row_alone=True))
+        assert (1, 2, True) in exact._eliminate([list(row) for row in g._span.minor]), g
+        dets.append(check_split_identities(g))
         assert rootgraph.span_check(g) == (k + 1, (1, k)), g
     assert dets == [8, -32, 96, -256, 640, -1536, 3584]
 

@@ -839,25 +839,27 @@ def test_split_det_is_checked_exact(monkeypatch):
     split = lattice.RadicalSplit(rootgraph.RootGraph(["a", "b"], [[0, 1], [1, 0]]).gram_rows())
     assert split.det == 3
     truthful = exact.inverse
-    monkeypatch.setattr(exact, "inverse", lambda m: exact.Inverse(*truthful(m), 2, None))
+    # minors (-2, 3) lie det M = 2, which does not divide 3^2
+    monkeypatch.setattr(exact, "inverse", lambda m: exact.Inverse(*truthful(m), (-2, 2)))
     message = "radical split failed: det M does not divide (prod p_i)^2"
     with pytest.raises(AssertionError, match=re.escape(message)):
         lattice.RadicalSplit(rootgraph.RootGraph(["a", "b"], [[0, 1], [1, 0]]).gram_rows()).det
 
 
-def test_span_check_falls_back_after_a_row_swapped_alone(monkeypatch):
+def test_span_check_reads_a_folded_star_without_rank_signature(monkeypatch):
     # the double-edge star c = l1, c = l2 has M = G, whose diagonal is 0 below
-    # the first pivot, so the split's elimination swaps a row alone, leaves
-    # no minors and takes M's inertia from rank_signature
+    # the first pivot, so the split's elimination folds l2 into l1; M's
+    # inertia is read off the minors alone, with rank_signature made to raise
     from coblemukai import exact
 
+    def refuse(m):
+        raise AssertionError("rank_signature called")
+
+    monkeypatch.setattr(exact, "rank_signature", refuse)
     g = rootgraph.from_edges("star", ["c", "l1", "l2"], [("c", "l1", 2), ("c", "l2", 2)])
     assert g._span.minor == [[-2, 2, 2], [2, -2, 0], [2, 0, -2]]
-    assert g._span.minors is None and g._span.minor_det == 8
-    truthful, calls = exact.rank_signature, []
-    monkeypatch.setattr(exact, "rank_signature", lambda m: calls.append(m) or truthful(m))
+    assert g._span.minors == (-2, -8, 8) and g._span.minor_det == 8
     assert span_check(g) == (3, (1, 2))
-    assert calls == [g._span.minor]
 
 
 def _tuple_signature_refine_colors(g):

@@ -41,15 +41,17 @@ class Mutant(NamedTuple):
 
 
 EXACT, LATTICE, ROOTGRAPH = "src/coblemukai/exact.py", "src/coblemukai/lattice.py", "src/coblemukai/rootgraph.py"
-CATALOG = "src/coblemukai/catalog.py"
+CATALOG, FIBRATIONS = "src/coblemukai/catalog.py", "src/coblemukai/fibrations.py"
 STALE = "tests/test_oracles.py::test_lazy_rescale_matches_sympy_on_stale_rows"
 SPARSE = "tests/test_oracles.py::test_lazy_rescale_matches_sympy_on_sparse_block_inverses"
 DET = "tests/test_oracles.py::test_det_matches_sympy"
 INVERSE = "tests/test_oracles.py::test_inverse_matches_sympy"
-ROW_ALONE = "tests/test_oracles.py::test_det_and_inverse_match_sympy_after_a_row_swapped_alone"
+FOLD = "tests/test_oracles.py::test_det_and_inverse_match_sympy_after_a_fold"
 SPLIT = "tests/test_oracles.py::test_radical_split_identities_match_sympy"
-FALLBACK = "tests/test_rootgraph.py::test_span_check_falls_back_after_a_row_swapped_alone"
-SPLIT_ROW_ALONE = "tests/test_oracles.py::test_radical_split_identities_after_a_row_swapped_alone"
+FOLDED_STAR = "tests/test_rootgraph.py::test_span_check_reads_a_folded_star_without_rank_signature"
+SPLIT_FOLD = "tests/test_oracles.py::test_radical_split_identities_after_a_fold"
+REFUSED_SKIPPED = "tests/test_exact.py::test_refused_column_step_and_skipped_empty_column"
+INERTIA = "tests/test_oracles.py::test_rank_signature_matches_sympy_inertia"
 ODD_SPLIT = "tests/test_lattice.py::test_lattice_refusals_name_their_reason"
 SNF_CHAIN = "tests/test_exact.py::test_snf_divisibility_chain_and_det"
 SNF_SYMPY = "tests/test_oracles.py::test_snf_invariant_factors_match_sympy"
@@ -86,6 +88,7 @@ PAIR_SUM_COUNT = ("tests/test_catalog.py::"
 MULTISETS = "tests/test_rootgraph.py::test_type_multisets_match_naming_every_packing"
 MULTISET_NAMES = "tests/test_rootgraph.py::test_type_multisets_name_each_type_tuple_once"
 SPLITTING = "tests/test_rootgraph.py::test_assignment_order_matches_splitting_every_cell"
+EXTREMAL_RULES = "tests/test_fibrations.py::test_extremal_tables_satisfy_shioda_tate_ogg_and_the_sieve"
 RECORD = "src/coblemukai/record.py"
 KEYWORD_ORDER = "tests/test_records.py::test_records_take_keyword_fields_in_any_order"
 RECORD_FIELDS = "tests/test_records.py::test_records_construct_print_and_compare_over_their_fields"
@@ -102,37 +105,48 @@ MUTANTS = (
     Mutant("eliminate: symmetric swap without its column", EXACT,
            "                    row[k], row[piv] = row[piv], row[k]\n", "                    pass\n",
            (STALE, INVERSE)),
-    Mutant("eliminate: symmetric swap flips the sign", EXACT,
-           "                order[k], order[piv] = order[piv], order[k]\n",
-           "                order[k], order[piv] = order[piv], order[k]\n                sign = -sign\n",
-           (DET, STALE)),
-    Mutant("eliminate: column order not recorded", EXACT,
-           "                order[k], order[piv] = order[piv], order[k]\n", "                pass\n",
+    Mutant("eliminate: symmetric swap recorded as a fold", EXACT,
+           "moves.append((k, piv, False))", "moves.append((k, piv, True))",
            (INVERSE, STALE)),
-    Mutant("eliminate: a row swapped alone stays congruent", EXACT,
-           "sign, congruent = -sign, False", "sign = -sign",
-           (FALLBACK, STALE)),
-    Mutant("eliminate: a row swapped alone keeps the sign", EXACT,
-           "sign, congruent = -sign, False", "congruent = False",
-           (ROW_ALONE, DET, STALE)),
+    Mutant("eliminate: symmetric swap not recorded", EXACT,
+           "moves.append((k, piv, False))", "pass",
+           (INVERSE, STALE)),
+    # the fold, when no later diagonal entry is nonzero
+    Mutant("eliminate: fold's column step dropped", EXACT,
+           "                    for row in a:\n                        row[k] += row[piv]\n",
+           "                    pass\n",
+           (FOLDED_STAR, SPLIT_FOLD, STALE, FOLD)),
+    Mutant("eliminate: fold's column step made when it empties the pivot", EXACT,
+           "if rk[k] + rk[piv]:", "if True:",
+           (REFUSED_SKIPPED, STALE)),
+    Mutant("eliminate: fold's rows not brought up to date", EXACT,
+           "                for i in (k, piv):\n"
+           "                    a[i][k:], scale[i] = [x * prev // scale[i] for x in a[i][k:]], prev\n",
+           "",
+           (STALE, FOLD)),
+    Mutant("eliminate: skipped step sets prev to 0", EXACT,
+           "                continue  # an empty pivot column\n",
+           "                prev = 0\n                continue  # an empty pivot column\n",
+           (REFUSED_SKIPPED,)),
+    Mutant("det: a skipped step not read as 0", EXACT,
+           "        return 0  # a skipped step\n", "        pass\n",
+           (STALE, REFUSED_SKIPPED)),
     Mutant("inverse: solution rows not put back", EXACT,
-           "for k, r in zip(order, x):", "for k, r in enumerate(x):",
+           "for k, i, fold in reversed(moves):", "for k, i, fold in ():",
            (INVERSE, STALE)),
-    Mutant("inverse: det without the sign", EXACT,
-           "Inverse(out, d // c, sign * d, minors)", "Inverse(out, d // c, d, minors)",
+    Mutant("inverse: moves replayed forwards", EXACT,
+           "for k, i, fold in reversed(moves):", "for k, i, fold in moves:",
+           (STALE, INVERSE)),
+    Mutant("inverse: det read off the first minor", EXACT,
+           "return self.minors[-1] if self.minors else 1", "return self.minors[0] if self.minors else 1",
            (STALE, SPLIT)),
-    Mutant("inverse: minors after a row swapped alone", EXACT,
-           "tuple(a[k][k] for k in range(n)) if congruent else None", "tuple(a[k][k] for k in range(n))",
-           (FALLBACK, STALE)),
-    Mutant("split: Jacobi count without the leading 1", LATTICE,
-           "zip((1, *minors), minors)", "zip(minors, minors[1:])",
-           (SPLIT, SPAN_DETS)),
-    Mutant("split: Jacobi counts sign agreements", LATTICE,
+    # Jacobi's rule, the one count behind rank_signature and the split's inertia
+    Mutant("jacobi: count without the leading 1", EXACT,
+           "zip((1, *nonzero), nonzero)", "zip(nonzero, nonzero[1:])",
+           (SPLIT, SPAN_DETS, INERTIA)),
+    Mutant("jacobi: counts sign agreements", EXACT,
            "(a < 0) != (b < 0)", "(a < 0) == (b < 0)",
-           (SPLIT, SPAN_DETS)),
-    Mutant("span_check: never falls back", LATTICE,
-           "        if minors is None:\n", "        if False:\n",
-           (FALLBACK, SPLIT_ROW_ALONE)),
+           (SPLIT, SPAN_DETS, INERTIA)),
     Mutant("span_det: saturation handed -det", LATTICE,
            "_saturate(self.quotient, d)[1]", "_saturate(self.quotient, -d)[1]",
            (SPAN_DETS, SPLIT)),
@@ -141,7 +155,7 @@ MUTANTS = (
            (ODD_SPLIT,)),
     # the lazy rescale of _eliminate
     Mutant("eliminate: no scale swap", EXACT,
-           "            scale[k], scale[piv] = scale[piv], scale[k]\n", "",
+           "                scale[k], scale[piv] = scale[piv], scale[k]\n", "",
            (STALE, SPARSE)),
     Mutant("eliminate: no pivot rescale", EXACT,
            "rk[j] = rk[j] * prev // s", "rk[j] = rk[j]",
@@ -257,6 +271,11 @@ MUTANTS = (
     Mutant("realization: pair-sum key drops a non-exceptional coordinate", CATALOG,
            "if label not in self.exceptional]", "if label not in self.exceptional][1:]",
            (PAIR_SUM_COUNT,)),
+    # a one-token typo in the generic extremal column: reducible rank 7, Euler sum 11
+    Mutant("extremal tables: generic I6 I3 I2 I1 typed I6 I3 I1 I1", FIBRATIONS,
+           '_row("I6", "I3", "I2", "I1"),\n    _row("I5", "I5", "I1", "I1"),',
+           '_row("I6", "I3", "I1", "I1"),\n    _row("I5", "I5", "I1", "I1"),',
+           (EXTREMAL_RULES,)),
     # the one constructor of the records and the one comparison of their order
     Mutant("record: keyword fields kept in the order given", RECORD,
            "return [values[f] for f in fields]", "return list(values.values())",
