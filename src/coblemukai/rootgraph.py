@@ -253,7 +253,8 @@ _STAR_TYPES = {
 
 def _parabolic_search(g: RootGraph):
     """All connected affine subdiagrams as (sorted labels, DiagramType, vertex
-    indices) in label order.
+    indices, closed neighbourhood) in label order; the last is the bitmask of
+    the vertices in the component or next to it.
 
     Grows connected induced subsets (each visited at most once) and prunes as
     soon as a subset stops being a definite ADE diagram: proper connected
@@ -261,10 +262,12 @@ def _parabolic_search(g: RootGraph):
     A definite set is not pushed when every candidate left to it has a
     double edge into it, as it could then neither close nor grow.  Each
     component is certified (``_affine_certificate``) before the label sort,
-    keyed on its matrix in the order the search lists its vertices.
+    keyed on its matrix in the order the search lists its vertices.  A set
+    grown carries ``mask | one | dbl``, its own closed neighbourhood, so the
+    component closed by v records that with ``both[v]`` (v is in ``one``).
     """
     single, double, both = g._masks
-    found: list[tuple[list[int], DiagramType]] = []
+    found: list[tuple[list[int], DiagramType, int]] = []
     a1 = _diagram("A", 1, True)
     for root in range(g.n):
         above = -2 << root  # the vertices > root
@@ -272,7 +275,7 @@ def _parabolic_search(g: RootGraph):
         while pairs:
             v = pairs.bit_length() - 1
             pairs ^= 1 << v
-            found.append(([root, v], a1))
+            found.append(([root, v], a1, both[root] | both[v]))  # each holds the other
         # Each entry grows the definite set ``members`` (bitmask ``mask``) by
         # each vertex of the bitmask ``ext``; ``above`` masks those > root.
         # With the A~1 pairs taken at the root, this is the one place that
@@ -301,7 +304,7 @@ def _parabolic_search(g: RootGraph):
                 while closers:
                     v = closers.bit_length() - 1
                     closers ^= 1 << v
-                    found.append((members + [v], _diagram("A", k, True)))
+                    found.append((members + [v], _diagram("A", k, True), mask | one | dbl | both[v]))
             ext &= ~(dbl | two)
             while ext:
                 v = ext.bit_length() - 1
@@ -332,7 +335,7 @@ def _parabolic_search(g: RootGraph):
                             legs = ((1, bit),) + legs
                         else:  # a second branch: D~k only from D_k beside its long leg's end
                             if legs[1][0] == 1 and single[legs[2][1].bit_length() - 1] & mask == into:
-                                found.append((members + [v], _diagram("D", k, True)))
+                                found.append((members + [v], _diagram("D", k, True), mask | one | dbl | both[v]))
                             continue
                     lengths = tuple(n for n, _ in legs)
                     typ = (_diagram("D", k + 1, False) if len(lengths) == 3 and lengths[1] == 1
@@ -340,7 +343,7 @@ def _parabolic_search(g: RootGraph):
                     if typ is None:
                         continue
                     if typ.affine:
-                        found.append((members + [v], typ))
+                        found.append((members + [v], typ, mask | one | dbl | both[v]))
                         continue
                     new_ends, new_tree = 0, (branch, legs[0][1] | legs[1][1] | legs[2][1], legs)
                 # a pop closes and grows only inside ext & ~dbl, so a set
@@ -361,7 +364,7 @@ def _parabolic_search(g: RootGraph):
         rows[a][b] = rows[b][a] = m
     certified: dict[bytes, bool] = {}
     labels, out = g.labels, []
-    for idx, typ in found:
+    for idx, typ, closed in found:
         key = bytes([rows[a][b] for a, b in combinations(idx, 2)])
         ok = certified.get(key)
         if ok is None:
@@ -370,7 +373,7 @@ def _parabolic_search(g: RootGraph):
         comp = tuple(map(labels.__getitem__, idx))
         if not ok:
             raise AssertionError(f"component {comp} misclassified as {typ}")
-        out.append((comp, typ, idx))
+        out.append((comp, typ, idx, closed))
     out.sort(key=itemgetter(0))  # the label tuples all differ
     return out
 
@@ -439,7 +442,7 @@ def connected_parabolics(g: RootGraph, max_rank: int | None = None):
     search."""
     if max_rank is not None and max_rank < 0:
         raise ValueError(f"target rank must be >= 0, got {max_rank}")
-    return [(comp, typ) for comp, typ, _ in g._parabolics
+    return [(comp, typ) for comp, typ, _, _ in g._parabolics
             if max_rank is None or typ.rank <= max_rank]
 
 
@@ -461,12 +464,22 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
     target_rank, pairwise disjoint and orthogonal: each packing once, its
     components chosen in increasing order, so sorted by their label lists.
     Over PACKING_MAX_COMPONENTS components in all packings raise ValueError.
+
+    A candidate of rank r < target_rank is dropped when its closed
+    neighbourhood C leaves too few free vertices: |C| - r > n - 1 - target_rank.
+    The bound is exact.  An affine component of rank k has k + 1 vertices, and
+    the other components of a packing lie outside C, with ranks summing to
+    target_rank - r > 0, so on at least target_rank - r + 1 of the n - |C|
+    vertices there.  So no dropped candidate is in any packing, and the
+    packings and their order are those of the full list.
     """
     if target_rank < 0:
         raise ValueError(f"target rank must be >= 0, got {target_rank}")
-    cps = [c for c in g._parabolics if c[1].index <= target_rank]
+    spare = g.n - 1 - target_rank
+    cps = [c for c in g._parabolics if (r := c[1].index) == target_rank
+           or r < target_rank and c[3].bit_count() - r <= spare]
     holding = [0] * g.n  # holding[v]: the candidates that contain v
-    for j, (_, _, idx) in enumerate(cps):
+    for j, (_, _, idx, _) in enumerate(cps):
         bit = 1 << j
         for v in idx:
             holding[v] |= bit
@@ -481,12 +494,12 @@ def maximal_parabolics(g: RootGraph, target_rank: int):
     # compat[i]: the candidates disjoint from and orthogonal to candidate i
     full = (1 << len(cps)) - 1
     compat = []
-    for _, _, idx in cps:
+    for _, _, idx, _ in cps:
         clash = 0
         for v in idx:
             clash |= touching[v]
         compat.append(full & ~clash)
-    ranks = [t.index for _, t, _ in cps]
+    ranks = [t.index for _, t, _, _ in cps]
     tail = list(accumulate(reversed(ranks)))[::-1]  # tail[i]: the ranks of i and later
     named = [c[:2] for c in cps]
     results, listed = [], 0

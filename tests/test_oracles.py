@@ -207,6 +207,11 @@ def test_affine_a_count_matches_chordless_cycles():
         assert a_tilde == cycles, n
 
 
+def closed_neighbourhood(g, idx):
+    """The vertices ``idx`` and their neighbours, read from ``g.mult``."""
+    return {j for i in idx for j in range(g.n) if j == i or g.mult[i][j]}
+
+
 def packings_by_recursion(g, cps, target):
     """(packings, overshoots): the sets of pairwise disjoint and orthogonal
     members of ``cps`` whose ranks sum to ``target``, sorted, and how often
@@ -215,8 +220,7 @@ def packings_by_recursion(g, cps, target):
     overshoots = 0
     # a member's labels with their neighbours: b is compatible with a
     # exactly when b's labels miss a's closed neighbourhood
-    closed = [{g.labels[j] for i in map(g.index, labels) for j in range(g.n) if j == i or g.mult[i][j]}
-              for labels, _ in cps]
+    closed = [{g.labels[j] for j in closed_neighbourhood(g, map(g.index, labels))} for labels, _ in cps]
 
     def rec(candidates, chosen, total):
         """Extend ``chosen`` by members of ``candidates``, the later members
@@ -241,17 +245,72 @@ def brute_maximal_parabolics(g, target):
     return packings_by_recursion(g, brute_connected_parabolics(g), target)[0]
 
 
-def test_maximal_parabolics_matches_packing_oracle():
+def seeded_packing_graphs():
+    """(graph, target) pairs: 40 seeded random graphs of 3 to 8 vertices with
+    single and double edges, each with a target rank from 1 to 4."""
     rng = random.Random(33)
-    for trial in range(40):
-        n = rng.randint(3, 8)
-        g = random_graph(rng, n, p_edge=0.55)
-        if any(g.mult[i][j] >= 3 for i in range(n) for j in range(n)):
-            continue
-        target = rng.randint(1, 4)
+    pairs = []
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(3, 8), p_edge=0.55)
+        pairs.append((g, rng.randint(1, 4)))
+    return pairs
+
+
+def dense_packing_graphs():
+    """K_{m,m} for m <= 4 and 3-regular graphs of 4 to 8 vertices, single
+    edges: every component's closed neighbourhood is most of the graph."""
+    import networkx as nx
+
+    hs = [nx.complete_bipartite_graph(m, m) for m in range(1, 5)]
+    hs += [nx.random_regular_graph(3, n, seed=seed) for n in (4, 6, 8) for seed in (1, 2)]
+    hs += [nx.circular_ladder_graph(3), nx.circular_ladder_graph(4), nx.cubical_graph()]
+    return [rootgraph.from_edges("D", [f"v{i}" for i in h], [(f"v{a}", f"v{b}", 1) for a, b in h.edges])
+            for h in hs]
+
+
+def test_maximal_parabolics_matches_packing_oracle():
+    inputs = seeded_packing_graphs()
+    inputs += [(g, target) for g in dense_packing_graphs() for target in range(1, g.n - 1)]
+    for trial, (g, target) in enumerate(inputs):
         brute = brute_maximal_parabolics(g, target)
         fast = sorted(p.components for p in rootgraph.maximal_parabolics(g, target))
         assert fast == brute, (trial, target)
+
+
+def test_parabolic_search_records_each_closed_neighbourhood():
+    graphs = [g for g, _ in seeded_packing_graphs()]
+    graphs += [catalog.build_graph(x) for x in ("I", "II", "VI", "MI", "MII")]
+    seen = 0
+    for g in graphs:
+        for comp, _, idx, closed in g._parabolics:
+            assert comp == tuple(sorted(g.labels[i] for i in idx))
+            assert closed == sum(1 << j for j in closed_neighbourhood(g, idx)), (g.name, comp)
+            seen += 1
+    assert seen > 1000
+
+
+def test_packing_components_leave_enough_free_vertices():
+    # the other components of a packing miss the closed neighbourhood C of a
+    # component of rank r < target, and their ranks sum to target - r, so
+    # they fill at least target - r + 1 vertices outside C: the bound
+    # maximal_parabolics drops candidates by, read off brute packings alone.
+    # Sparse graphs with many double edges pack several components.
+    rng = random.Random(5)
+    graphs = [random_graph(rng, rng.randint(6, 9), p_edge=0.3, p_double=0.7) for _ in range(30)]
+    graphs += [g for g, _ in seeded_packing_graphs()] + dense_packing_graphs()
+    checked = tight = 0
+    for g in graphs:
+        cps = brute_connected_parabolics(g)
+        for target in range(1, g.n - 1):
+            for packing in packings_by_recursion(g, cps, target)[0]:
+                for labels, typ in packing:
+                    if typ.rank < target:
+                        closed = closed_neighbourhood(g, map(g.index, labels))
+                        slack = g.n - 1 - target - (len(closed) - typ.rank)
+                        assert slack >= 0, (g.labels, target, packing)
+                        checked += 1
+                        tight += slack == 0
+    assert checked > 100 and tight > 0, (checked, tight)
 
 
 def test_maximal_parabolics_below_span_rank_match_recursion():

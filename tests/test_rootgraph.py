@@ -280,6 +280,11 @@ def test_maximal_parabolics_requires_orthogonality():
         [("a", "b", 2), ("c", "d", 2), ("b", "c", 1)],
     )
     assert maximal_parabolics(g, 2) == []
+    # nor with free vertices to spare, where neither pair is dropped as a
+    # candidate, so only the orthogonality check keeps them apart
+    g = from_edges("G", ["a", "b", "c", "d", "e", "f"], [("a", "b", 2), ("c", "d", 2), ("b", "c", 1)])
+    assert maximal_parabolics(g, 2) == []
+    assert len(maximal_parabolics(g, 1)) == 2
 
 
 def test_negative_target_rank_is_rejected():
