@@ -361,9 +361,17 @@ def hnf_rows(rows_in: list[list[int]]) -> list[list[int]]:
     xgcd combination work in place on columns c onward only, and the row
     vanishes up to c + 1 afterwards.  The top-down pass reduces by row k
     from its pivot column onward, for the same reason.
+
+    The rows are reduced last to first.  The basis does not depend on the
+    order, but the work and the size of the entries met on the way do
+    (Kannan–Bachem, *SIAM J. Comput.* 8, 1979), and every caller lists last
+    the rows that make short-tailed pivots: in a Gram the rows of later
+    vertices lead late, and ``lattice._adjoin`` puts den I before the glue
+    rows, so those become the pivots and each unit row reduces by exact
+    division.
     """
     by_pivot: dict[int, list[int]] = {}
-    for row_in in rows_in:
+    for row_in in reversed(rows_in):
         v = list(row_in)
         c, n = 0, len(v)
         while True:

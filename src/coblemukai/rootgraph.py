@@ -253,8 +253,9 @@ _STAR_TYPES = {
 
 def _parabolic_search(g: RootGraph):
     """All connected affine subdiagrams as (sorted labels, DiagramType, vertex
-    indices, closed neighbourhood) in label order; the last is the bitmask of
-    the vertices in the component or next to it.
+    indices, closed neighbourhood) in label order; the indices are in the
+    order the search found them, and the last is the bitmask of the vertices
+    in the component or next to it.
 
     Grows connected induced subsets (each visited at most once) and prunes as
     soon as a subset stops being a definite ADE diagram: proper connected
@@ -369,8 +370,7 @@ def _parabolic_search(g: RootGraph):
         ok = certified.get(key)
         if ok is None:
             ok = certified[key] = _affine_certificate(rows, idx, both)
-        idx.sort(key=labels.__getitem__)
-        comp = tuple(map(labels.__getitem__, idx))
+        comp = tuple(sorted(map(labels.__getitem__, idx)))
         if not ok:
             raise AssertionError(f"component {comp} misclassified as {typ}")
         out.append((comp, typ, idx, closed))

@@ -276,8 +276,9 @@ def test_hnf_rows_basic():
 
 
 def test_hnf_rows_ignores_row_order():
-    # radical_quotient sorts G's rows before the HNF; that is sound only
-    # because every order of the same rows gives the same basis
+    # hnf_rows reduces the rows last to first and RadicalSplit hands it G's
+    # rows as they are; that is sound only because every order of the same
+    # rows gives the same basis
     from coblemukai import catalog
 
     rng = random.Random(23)
@@ -296,6 +297,7 @@ def test_hnf_rows_ignores_row_order():
     for m in mats:
         want = exact.hnf_rows(m)
         ranks.add(len(want) < len(m))
+        assert exact.hnf_rows(m[::-1]) == want, m
         for _ in range(5):
             assert exact.hnf_rows(rng.sample(m, len(m))) == want, m
     assert ranks == {True, False}

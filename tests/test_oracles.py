@@ -1043,20 +1043,66 @@ def hnf_reduce(basis, v):
     return v
 
 
+def first_to_last_hnf(rows):
+    """A plain row HNF by the canonical rules of exact.hnf_rows: the rows
+    reduced first to last, whole rows at a time, with its own extended gcd."""
+    by_pivot = {}
+    for v in map(list, rows):
+        while any(v):
+            c = next(i for i, x in enumerate(v) if x)
+            row = by_pivot.get(c)
+            if row is None:
+                by_pivot[c] = v
+                break
+            a, b = row[c], v[c]
+            # x a + y b = g by the extended Euclidean algorithm
+            (g, x, y), (g1, x1, y1) = (a, 1, 0), (b, 0, 1)
+            while g1:
+                q = g // g1
+                (g, x, y), (g1, x1, y1) = (g1, x1, y1), (g - q * g1, x - q * x1, y - q * y1)
+            by_pivot[c] = [x * s + y * t for s, t in zip(row, v)]
+            v = [a // g * t - b // g * s for s, t in zip(row, v)]
+    basis = [by_pivot[c] if by_pivot[c][c] > 0 else [-x for x in by_pivot[c]] for c in sorted(by_pivot)]
+    for k, c in enumerate(sorted(by_pivot)):
+        for i in range(k):
+            q = basis[i][c] // basis[k][c]
+            basis[i] = [s - q * t for s, t in zip(basis[i], basis[k])]
+    return basis
+
+
+def adjoin_stacks(rng):
+    """[den I; lifts] as lattice._adjoin stacks them, from the discriminant
+    groups of ADE sums: the lifts, a seeded subset with the sum of two, and
+    the lifts doubled."""
+    names = ["A1", "A2", "A3", "A4", "A6", "D4", "D5", "D7", "E6", "E7"]
+    specs = ["A1+A1+A1+A1", "A2+E6", "D4+D4", "A3+A5", "A6+A4+A1"]
+    while len(specs) < 14:
+        specs.append("+".join(rng.choices(names, k=rng.randint(1, 3))))
+    stacks = []
+    for spec in specs:
+        group = lattice.discriminant_group(lattice.make_named(spec))
+        lifts, den, n = [list(r) for r in group.rows], group.den, len(group.rows[0])
+        unit = [[den * (i == j) for j in range(n)] for i in range(n)]
+        picked = rng.sample(lifts, rng.randint(1, len(lifts)))
+        extra = [[x + y for x, y in zip(rng.choice(lifts), rng.choice(lifts))]]
+        stacks += [unit + lifts, unit + picked + extra, unit + [[2 * x for x in r] for r in lifts]]
+    return stacks
+
+
 def test_hnf_rows_on_rows_with_long_zero_heads(monkeypatch):
     # rows that vanish on long heads meet at late pivots, and leading entries
-    # that do not divide each other take the xgcd combination on the tails
+    # that do not divide each other take the xgcd combination on the tails.
+    # hnf_rows reduces last to first, and its callers order their rows for
+    # that, so the shapes they hand it are checked too: _adjoin's stacks
+    # [den I; lifts], and Grams of induced subgraphs of VI, MI and MII, with
+    # dependent rows.  Given, reversed and shuffled rows give one canonical
+    # basis, and so does the first-to-last reduction.
     rng = random.Random(61)
     combined = []
     truthful = exact.xgcd
     monkeypatch.setattr(exact, "xgcd", lambda a, b: combined.append((a, b)) or truthful(a, b))
-    for trial in range(60):
-        width = rng.randint(4, 16)
-        rows = []
-        for _ in range(rng.randint(1, 12)):
-            head = rng.randint(width // 2, width) if rng.random() < 0.8 else rng.randint(0, width)
-            rows.append([0] * head + [rng.randint(-30, 30) if rng.random() < 0.6 else 0
-                                      for _ in range(width - head)])
+
+    def check(rows):
         basis = exact.hnf_rows(rows)
         pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
         assert pivots == sorted(set(pivots)), basis
@@ -1067,9 +1113,33 @@ def test_hnf_rows_on_rows_with_long_zero_heads(monkeypatch):
         # and the same index in their saturation, so the spans are equal
         want = [f for f in exact.snf(rows).factors if f]
         assert [f for f in exact.snf(basis).factors if f] == want and len(basis) == len(want)
+        assert exact.hnf_rows(rows[::-1]) == basis == first_to_last_hnf(rows), rows
         for _ in range(3):
             assert exact.hnf_rows(rng.sample(rows, len(rows))) == basis, rows
+        return basis
+
+    for trial in range(60):
+        width = rng.randint(4, 16)
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            head = rng.randint(width // 2, width) if rng.random() < 0.8 else rng.randint(0, width)
+            rows.append([0] * head + [rng.randint(-30, 30) if rng.random() < 0.6 else 0
+                                      for _ in range(width - head)])
+        check(rows)
     assert len(combined) >= 100, len(combined)
+    for rows in adjoin_stacks(rng):
+        assert len(check(rows)) < len(rows), rows
+    dependent = 0
+    for k in range(18):
+        source = catalog.build_graph(("VI", "MI", "MII")[k % 3])
+        g = source.induced(rng.sample(source.labels, rng.randint(8, source.n))).gram_rows()
+        basis = check(g)
+        dependent += len(basis) < len(g)
+        # RadicalSplit hands hnf_rows the rows as given; by descending leading
+        # column and reduced first to last they give the same basis
+        led = sorted(g, key=lambda row: next((j for j, x in enumerate(row) if x), len(row)), reverse=True)
+        assert lattice.RadicalSplit(g).hnf == first_to_last_hnf(led) == basis, g
+    assert dependent >= 9, dependent
 
 
 def check_inverse(m):
